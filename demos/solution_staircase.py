@@ -40,7 +40,7 @@ print(f"existence beyond    lambda_bar   = {report.lambda_bar:.6f}")
 # count solutions at lambda* = 10 lambda_bar by scanning shooting heights
 star = 10.0 * report.lambda_bar
 heights = clustered_heights(zeros, c_max=40.0)
-diag = diagram(nl, 2.0, 1, 1.0, heights, zeros, pc=pc, threads=4)
+diag = diagram(nl, 2.0, 1, 1.0, heights, zeros, pc=pc)
 crossings = diag.solutions_at(star)
 print(f"\nlambda* = {star:.3f}: {len(crossings)} solutions on the diagram")
 print(f"{'height c':>12} {'gap':>4} {'lambda(c)':>12}")

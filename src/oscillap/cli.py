@@ -35,6 +35,7 @@ from .primitives import PrimitiveCalculus
 from .shoot_plap import (
     HitZero,
     ShootConfig,
+    UnresolvedBracket,
     check_necessary_conditions,
     diagram,
     diagram_csv_lines,
@@ -491,13 +492,19 @@ def cmd_diagram(run: Run) -> int:
         rows = diag.rows
         star_report = {}
         for star in run.stars():
-            crossings = diag.solutions_at(star)
+            unresolved: List[UnresolvedBracket] = []
+            crossings = diag.solutions_at(star, unresolved)
             star_report[f"{star:.17g}"] = {
                 "count": len(crossings),
                 "crossings": [
                     {"c": x.c, "lambda": x.lam, "rho": x.rho,
                      "zero_interval_index": x.zero_interval_index}
                     for x in crossings
+                ],
+                "unresolved": [
+                    {"c_lo": b.c_lo, "c_hi": b.c_hi,
+                     "zero_interval_index": b.zero_interval_index}
+                    for b in unresolved
                 ],
             }
         summary["lambda_star"] = star_report
@@ -691,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tol-ode", type=float, default=None,
                         help="override the integrator tolerance")
     shared.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans")
+                        help="worker threads for the minimize sequence; "
+                             "diagram scans run batched and ignore it")
 
     parser = argparse.ArgumentParser(
         prog="oscillap",

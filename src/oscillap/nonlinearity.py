@@ -141,9 +141,10 @@ class PowerTimesOnePlusSin(Nonlinearity):
 
     def eval_many(self, s):
         s = np.asarray(s, dtype=float)
+        pos = s > 0.0
         with np.errstate(invalid="ignore"):
-            out = np.where(s > 0.0, s, 1.0) ** self.r * (1.0 + np.sin(s))
-        return np.where(s > 0.0, out, 0.0)
+            out = np.where(pos, s, 1.0) ** self.r * (1.0 + np.sin(s))
+        return np.where(pos, out, 0.0)
 
     @property
     def nonneg(self) -> bool:

@@ -33,7 +33,6 @@ F_under exact up to the accuracy of F itself.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -67,7 +66,9 @@ class CachedPrefix:
     below s and integrates only the remainder, which by construction contains
     no kink of the integrand and spans at most one panel width.
 
-    Thread-safe for concurrent reads; extensions are serialized by a lock.
+    Thread-safe for concurrent reads: extensions are serialized by a lock
+    and publish the checkpoints and prefix values together as one tuple, and
+    each query reads one such snapshot.
     """
 
     def __init__(self, fvec, tol=TOL_QUAD, panel_width=PANEL_WIDTH, kinks=None,
@@ -77,8 +78,7 @@ class CachedPrefix:
         self.width = float(panel_width)
         self._kinks = kinks if kinks is not None else (lambda a, b: [])
         self.max_depth = int(max_depth)
-        self._t = np.array([0.0])
-        self._I = np.array([0.0])
+        self._state = (np.array([0.0]), np.array([0.0]))  # (t, I)
         self._lock = threading.Lock()
 
     # -- panel machinery ------------------------------------------------
@@ -114,11 +114,13 @@ class CachedPrefix:
             return 0.0
         return self._refine(a, b, 0)
 
-    def _extend(self, target: float):
+    def _extend(self, target: float) -> tuple:
+        """Checkpoints reaching at least ``target``; returns the (t, I) snapshot."""
         with self._lock:
-            a = float(self._t[-1])
+            t_old, I_old = self._state
+            a = float(t_old[-1])
             if target <= a:
-                return
+                return self._state
             n = max(1, int(math.ceil((target - a) / self.width)))
             edges = np.linspace(a, target, n + 1)
             ks = [k for k in self._kinks(a, target) if a < k < target]
@@ -133,8 +135,9 @@ class CachedPrefix:
                 for j in np.nonzero(bad)[0]:
                     g21[j] = self._refine(float(edges[lo + j]), float(edges[lo + j + 1]), 0)
                 vals[lo:hi] = g21
-            self._t = np.concatenate([self._t, edges[1:]])
-            self._I = np.concatenate([self._I, self._I[-1] + np.cumsum(vals)])
+            self._state = (np.concatenate([t_old, edges[1:]]),
+                           np.concatenate([I_old, I_old[-1] + np.cumsum(vals)]))
+            return self._state
 
     # -- queries ----------------------------------------------------------
 
@@ -143,11 +146,12 @@ class CachedPrefix:
             raise DomainError(f"prefix integral asked at negative s = {s!r}")
         if s == 0.0:
             return 0.0
-        if s > self._t[-1]:
-            self._extend(s)
-        i = int(np.searchsorted(self._t, s, side="right")) - 1
-        t_i = float(self._t[i])
-        base = float(self._I[i])
+        t, I = self._state
+        if s > t[-1]:
+            t, I = self._extend(s)
+        i = int(np.searchsorted(t, s, side="right")) - 1
+        t_i = float(t[i])
+        base = float(I[i])
         if t_i == s:
             return base
         return base + self._segment(t_i, s)
@@ -159,9 +163,9 @@ class CachedPrefix:
         if np.any(s < 0.0):
             raise DomainError("prefix integral asked at negative s")
         smax = float(s.max())
-        if smax > self._t[-1]:
-            self._extend(smax)
-        t, I = self._t, self._I
+        t, I = self._state
+        if smax > t[-1]:
+            t, I = self._extend(smax)
         idx = np.searchsorted(t, s, side="right") - 1
         a = t[idx]
         out = I[idx].copy()
@@ -343,47 +347,52 @@ class _ExtremaTable:
 
     Between consecutive sign changes F is monotone, so the running minimum and
     maximum over [0, s] are attained at 0, at a stored sign change, or at s.
+    Extensions are serialized by a lock and publish (span, points, prefix
+    minima, prefix maxima) as one tuple; each query reads one snapshot.
     """
 
     def __init__(self, value_fn, value_many_fn, sign_changes_fn):
         self._value = value_fn
         self._value_many = value_many_fn
         self._sign_changes = sign_changes_fn
-        self._pts: list[float] = []
-        self._premin = np.array([], dtype=float)
-        self._premax = np.array([], dtype=float)
-        self._span = 0.0
+        empty = np.array([], dtype=float)
+        self._state = (0.0, empty, empty, empty)
         self._lock = threading.Lock()
 
-    def _ensure(self, s: float):
-        if s <= self._span:
-            return
+    def _ensure(self, s: float) -> tuple:
+        """A snapshot covering [0, s]."""
+        state = self._state
+        if s <= state[0]:
+            return state
         with self._lock:
-            if s <= self._span:
-                return
-            pts = [x for x in self._sign_changes(s) if x > self._span]
-            if pts:
-                vals = np.asarray(self._value_many(np.asarray(pts, dtype=float)))
+            span, pts, premin, premax = state = self._state
+            if s <= span:
+                return state
+            new = np.array([x for x in self._sign_changes(s) if x > span],
+                           dtype=float)
+            if new.size:
+                vals = np.asarray(self._value_many(new))
                 mins = np.minimum.accumulate(vals)
                 maxs = np.maximum.accumulate(vals)
-                if len(self._pts):
-                    mins = np.minimum(mins, self._premin[-1])
-                    maxs = np.maximum(maxs, self._premax[-1])
-                self._pts.extend(pts)
-                self._premin = np.concatenate([self._premin, mins])
-                self._premax = np.concatenate([self._premax, maxs])
-            self._span = s
+                if pts.size:
+                    mins = np.minimum(mins, premin[-1])
+                    maxs = np.maximum(maxs, premax[-1])
+                pts = np.concatenate([pts, new])
+                premin = np.concatenate([premin, mins])
+                premax = np.concatenate([premax, maxs])
+            self._state = (s, pts, premin, premax)
+            return self._state
 
     def extrema(self, s: float) -> tuple[float, float]:
         """(min, max) of the primitive over [0, s], both including endpoints."""
-        self._ensure(s)
+        _, pts, premin, premax = self._ensure(s)
         fs = self._value(s)
         lo = min(0.0, fs)
         hi = max(0.0, fs)
-        k = bisect.bisect_right(self._pts, s)
+        k = int(np.searchsorted(pts, s, side="right"))
         if k:
-            lo = min(lo, float(self._premin[k - 1]))
-            hi = max(hi, float(self._premax[k - 1]))
+            lo = min(lo, float(premin[k - 1]))
+            hi = max(hi, float(premax[k - 1]))
         return lo, hi
 
 

@@ -15,14 +15,13 @@ and z the accumulated path term of the energy identity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._rk import Event, IntegrateResult, integrate
+from ._rk import BatchEvent, Event, integrate, integrate_batch
 from .errors import (
     DomainError,
     EmptyGrid,
@@ -138,6 +137,23 @@ class ShootResult:
         return np.column_stack([self.r, self.v, self.vp])
 
 
+def _series_start(cfg: ShootConfig, fc: float):
+    """(r0, (v, w, z) at r0, error scales) of a shot with f(c) = fc.
+
+    The two-term series is the unique branch symmetric at the origin.
+    """
+    p, N, c, lam = cfg.p, cfg.N, cfg.c, cfg.lambda_shoot
+    q = 1.0 / (p - 1.0)
+    pq = 1.0 + q
+    r0 = max(cfg.event_tol, 1e-6 * cfg.r_max)
+    K = math.copysign((lam * abs(fc) / N) ** q, fc)
+    v0 = c - (p - 1.0) / p * K * r0 ** pq
+    w0 = -lam * fc * r0 / N
+    z0 = (N - 1) * (lam * abs(fc) / N) ** pq * (p - 1.0) / p * r0 ** pq
+    cmax = max(1.0, c)
+    return r0, (v0, w0, z0), (cmax, cmax ** (p - 1.0), cmax ** p)
+
+
 def shoot(cfg: ShootConfig, nl: Nonlinearity) -> ShootResult:
     """Integrate outward from height c until v = 0, a bounce, or the horizon.
 
@@ -167,15 +183,7 @@ def shoot(cfg: ShootConfig, nl: Nonlinearity) -> ShootResult:
         dz = nm1 * aw ** pq / r
         return (vp, dw, dz)
 
-    # two-term series start: the unique branch symmetric at the origin
-    r0 = max(cfg.event_tol, 1e-6 * cfg.r_max)
-    K = math.copysign((lam * abs(fc) / N) ** q, fc)
-    v0 = c - (p - 1.0) / p * K * r0 ** pq
-    w0 = -lam * fc * r0 / N
-    z0 = nm1 * (lam * abs(fc) / N) ** pq * (p - 1.0) / p * r0 ** pq
-
-    cmax = max(1.0, c)
-    scale = (cmax, cmax ** (p - 1.0), cmax ** p)
+    r0, (v0, w0, z0), scale = _series_start(cfg, fc)
     events = [Event(lambda t, y: y[0], direction=-1),
               Event(lambda t, y: y[1], direction=0)]
 
@@ -224,6 +232,86 @@ def shoot(cfg: ShootConfig, nl: Nonlinearity) -> ShootResult:
 
     return ShootResult(cfg, outcome, np.array(rs), np.array(vs),
                        np.array(vps), np.array(zs), n_steps, rho_err)
+
+
+def shoot_batch(cfg: ShootConfig, heights: Sequence[float],
+                nl: Nonlinearity) -> List[Optional[ShootResult]]:
+    """``shoot`` at every height, all heights advancing as lanes of one batch.
+
+    ``cfg`` gives everything but the height.  Returns one result per
+    height, in order, and None where ``shoot`` would raise
+    StalledAtCriticalPoint.  Each lane starts on the same origin series,
+    follows the same step control and events as ``shoot``, and records
+    every accepted step; only the event offsets differ, because they are
+    located on the dense output (within the integration tolerance).
+    """
+    return list(_shots(cfg, heights, nl))
+
+
+def _shots(cfg: ShootConfig, heights: Sequence[float],
+           nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
+    """``shoot_batch``'s results one at a time, so a caller that audits and
+    drops each trajectory never holds all of them."""
+    cfgs = [replace(cfg, c=float(c)) for c in heights]
+    p, N, lam = cfg.p, cfg.N, cfg.lambda_shoot
+    f0 = nl.f0
+    q = 1.0 / (p - 1.0)
+    pq = 1.0 + q
+    nm1 = N - 1
+
+    lanes, starts, scales = [], [], []
+    for i, lane_cfg in enumerate(cfgs):
+        fc = nl.eval(lane_cfg.c)
+        if abs(fc) <= STALL_TOL * max(1.0, lane_cfg.c):
+            continue
+        r0, start, scale = _series_start(lane_cfg, fc)
+        lanes.append(i)
+        starts.append(start)
+        scales.append(scale)
+    if not lanes:
+        yield from (None for _ in cfgs)
+        return
+
+    def f_of(v):
+        return np.where(v > 0.0, nl.eval_many(v), f0)
+
+    def rhs(r, y):
+        v, w = y[0], y[1]
+        aw = np.abs(w)
+        return (np.copysign(aw ** q, w), -lam * f_of(v) - nm1 * w / r,
+                nm1 * aw ** pq / r)
+
+    events = [BatchEvent(lambda t, y: y[0], direction=-1),
+              BatchEvent(lambda t, y: y[1], direction=0,
+                         ends=lambda t, y: f_of(y[0]) <= 0.0)]
+    res = integrate_batch(rhs, np.full(len(lanes), r0), np.array(starts).T,
+                          cfg.r_max, cfg.tol_ode, np.array(scales).T,
+                          events=events, max_restarts=cfg.max_bounces,
+                          event_tol=cfg.event_tol)
+
+    lane_of = {i: j for j, i in enumerate(lanes)}
+    for i in range(len(cfgs)):
+        if i not in lane_of:
+            yield None
+            continue
+        j = lane_of[i]
+        v0, w0, z0 = starts[j]
+        t_s, y_s = res.samples(j)
+        t_end, y_end = float(res.t[j]), res.y[:, j]
+        rho_err = math.nan
+        if res.event_index[j] == 0:
+            outcome: Outcome = HitZero(t_end)
+            rho_err = float(res.error_accum[0, j]) / max(abs(y_end[1]) ** q, 1e-300)
+        elif res.event_index[j] == 1:
+            outcome = Bounced(t_end, float(y_end[0]))
+        else:
+            outcome = HorizonExceeded(t_end)
+        vp0 = -abs(w0) ** q if w0 <= 0 else abs(w0) ** q
+        yield ShootResult(
+            cfgs[i], outcome, np.concatenate(([0.0, r0], t_s)),
+            np.concatenate(([cfgs[i].c, v0], y_s[0])),
+            np.concatenate(([0.0, vp0], np.copysign(np.abs(y_s[1]) ** q, y_s[1]))),
+            np.concatenate(([0.0, z0], y_s[2])), int(res.n_steps[j]), rho_err)
 
 
 def rescale_to_ball(res: ShootResult, R: float, p: float) -> float:
@@ -305,6 +393,29 @@ class Crossing:
     zero_interval_index: int
 
 
+@dataclass(frozen=True)
+class UnresolvedBracket:
+    """Heights between which a crossing is expected but was not located."""
+
+    c_lo: float
+    c_hi: float
+    zero_interval_index: int
+
+
+#: refinement stops once |lambda - level| <= REFINE_RTOL * lambda ...
+REFINE_RTOL = 1e-9
+#: ... or the bracket is narrower than REFINE_XTOL * max(1, c)
+REFINE_XTOL = 1e-12
+#: refinement rounds before the best iterate so far is kept
+REFINE_MAX_ITER = 100
+#: inner guard heights sit this share of the estimated error from the estimate
+GUARD_RATIO = 0.1
+#: a row below the level next to a zero alpha of f is bracketed against
+#: alpha -/+ alpha 10^-j for these j, nearest the row first (a zero is a pole
+#: of lambda(c), so some such height lies above any level)
+POLE_OFFSETS = tuple(10.0 ** -j for j in range(2, 8))
+
+
 @dataclass
 class BifurcationDiagram:
     """Scan of lambda(c) over a height grid, with per-row diagnostics."""
@@ -336,25 +447,72 @@ class BifurcationDiagram:
             out.append((start, len(self.rows)))
         return out
 
-    def _lambda_of(self, c: float) -> float:
-        cfg = ShootConfig(self.p, self.N, c, lambda_shoot=self.lambda_shoot,
+    def _lambdas(self, heights: Sequence[float]) -> np.ndarray:
+        """lambda on the ball at each height from one batch; nan without a zero."""
+        cfg = ShootConfig(self.p, self.N, 1.0, lambda_shoot=self.lambda_shoot,
                           r_max=self.r_max, tol_ode=self.tol_ode,
                           event_tol=self.event_tol)
-        res = shoot(cfg, self.nl)
-        if not isinstance(res.outcome, HitZero):
-            raise NonConvergence(
-                f"no zero hit at height {c!r} inside a bracketing interval")
-        return rescale_to_ball(res, self.R, self.p)
+        return np.array([
+            rescale_to_ball(res, self.R, self.p)
+            if res is not None and isinstance(res.outcome, HitZero) else math.nan
+            for res in _shots(cfg, heights, self.nl)])
 
-    def solutions_at(self, lambda_star: float) -> List[Crossing]:
-        """All heights where the diagram crosses the level lambda_star.
+    def _pole_brackets(self, lambda_star: float, rows, unresolved) -> list:
+        """Brackets between rows below the level and heights next to their zeros.
 
-        Adjacent zero-hitting grid rows bracketing the level are refined
-        by bracketed root finding in c (each evaluation is a fresh shot).
+        ``rows`` holds (row, zero, -1 when the row lies below the zero or
+        +1 above it).  The candidates alpha -/+ alpha 10^-j are shot in one
+        batch; the first one (from the row toward the zero) that hits zero
+        above the level closes the bracket, the last one below the level
+        (or the row) opens it.
+        """
+        heights = [a * (1.0 + sgn * d) for row, a, sgn in rows
+                   for d in POLE_OFFSETS
+                   if (a * (1.0 + sgn * d) - row.c) * sgn < 0.0]
+        lams = dict(zip(heights, self._lambdas(heights))) if heights else {}
+        out = []
+        for row, a, sgn in rows:
+            path = [(row.c, 1.0 - lambda_star / row.lam)]
+            for d in POLE_OFFSETS:
+                c = a * (1.0 + sgn * d)
+                if (c - row.c) * sgn < 0.0 and not math.isnan(lams[c]):
+                    path.append((c, 1.0 - lambda_star / lams[c]))
+            up = next((k for k, (_, g) in enumerate(path) if g > 0.0), None)
+            if up is None:
+                unresolved.append(UnresolvedBracket(
+                    min(row.c, a), max(row.c, a), row.zero_interval_index))
+                continue
+            out.append(_Bracket.on_path(path, up - 1))
+        return out
+
+    def solutions_at(self, lambda_star: float,
+                     unresolved: Optional[List[UnresolvedBracket]] = None
+                     ) -> List[Crossing]:
+        """All heights where the diagram crosses the level lambda_star, by height.
+
+        Adjacent zero-hitting rows of one zero gap whose lambdas bracket
+        the level are refined together: each round shoots the heights
+        proposed by every open bracket in one batch (see ``_Bracket``).
+        Refinement works on g = 1 - lambda_star / lambda, which stays smooth
+        up to the poles of lambda(c).  The first estimate interpolates the
+        bracketing grid rows and their neighbours (while lambda stays
+        monotone), and the lambda of the best iterate of the last round is
+        reported, without a further shot.  A zero alpha of f between
+        adjacent rows is a pole of lambda(c), so such rows never form a
+        bracket; instead each of them below the level is bracketed against
+        the first height alpha -/+ alpha 10^-j (j = 2..7) whose shot hits
+        zero above the level.  Brackets that cannot be closed that way, or
+        whose refinement shots all miss zero, are appended to
+        ``unresolved`` (when given) instead of failing.
         """
         if not lambda_star > 0.0:
             raise DomainError(f"level must be positive, got {lambda_star!r}")
+        if unresolved is None:
+            unresolved = []
+        asc = self.zeros.ascending()
         out: List[Crossing] = []
+        brackets: List[_Bracket] = []
+        pole_rows = []  # (row, zero, -1 below the zero or +1 above it)
         for i0, i1 in self.branches():
             for i in range(i0, i1):
                 row = self.rows[i]
@@ -366,16 +524,170 @@ class BifurcationDiagram:
                 if i + 1 >= i1:
                     continue
                 nxt = self.rows[i + 1]
-                g1 = nxt.lam - lambda_star
-                if g0 * g1 < 0.0:
-                    c_star = float(brentq(
-                        lambda c: self._lambda_of(c) - lambda_star,
-                        row.c, nxt.c, xtol=1e-12 * max(1.0, nxt.c), rtol=1e-13))
-                    lam = self._lambda_of(c_star)
+                if g0 * (nxt.lam - lambda_star) >= 0.0:
+                    continue
+                if row.zero_interval_index == nxt.zero_interval_index:
+                    gap = [r for r in self.rows[max(i0, i - 1):min(i1, i + 3)]
+                           if r.zero_interval_index == row.zero_interval_index]
+                    brackets.append(_Bracket.on_path(
+                        [(r.c, 1.0 - lambda_star / r.lam) for r in gap],
+                        gap.index(row)))
+                elif (row.c < nxt.c) == (g0 < 0.0):    # below the level on the left
+                    low = min(row, nxt, key=lambda x: x.c)
+                    pole_rows.append((low, asc[low.zero_interval_index - 1], -1))
+                else:
+                    low = max(row, nxt, key=lambda x: x.c)
+                    pole_rows.append((low, asc[low.zero_interval_index - 2], 1))
+        if pole_rows:
+            brackets += self._pole_brackets(lambda_star, pole_rows, unresolved)
+        for _ in range(REFINE_MAX_ITER):
+            if not brackets:
+                break
+            heights = [b.proposals() for b in brackets]
+            lams = self._lambdas([c for hs in heights for c in hs])
+            live = []
+            start = 0
+            for b, hs in zip(brackets, heights):
+                own = lams[start:start + len(hs)]
+                start += len(hs)
+                shots = [(c, 1.0 - lambda_star / lam, lam)
+                         for c, lam in zip(hs, own) if not math.isnan(lam)]
+                if not shots:
+                    unresolved.append(UnresolvedBracket(
+                        b.c_lo, b.c_hi, self.zeros.interval_index(b.c_lo)))
+                    continue
+                c, _, lam = min(shots, key=lambda x: abs(x[1]))
+                if b.update(shots, REFINE_RTOL):
                     rho = self.R * (lam / self.lambda_shoot) ** (1.0 / self.p)
-                    out.append(Crossing(c_star, lam,
-                                        rho, self.zeros.interval_index(c_star)))
-        return out
+                    out.append(Crossing(float(c), float(lam), float(rho),
+                                        self.zeros.interval_index(float(c))))
+                else:
+                    live.append(b)
+            brackets = live
+        return sorted(out, key=lambda x: x.c)
+
+
+def _interpolated_root(pts: list, a: float, b: float) -> float:
+    """Root in [a, b] of the polynomial through the (c, g) points.
+
+    The points include (a, g(a)) and (b, g(b)) with opposite signs; nan
+    when rounding in the interpolant loses that sign change.
+    """
+    cs = [c for c, _ in pts]
+    coef = [g for _, g in pts]
+    n = len(pts)
+    for j in range(1, n):                 # Newton divided differences
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (cs[i] - cs[i - j])
+
+    def poly(x):
+        v = coef[-1]
+        for i in range(n - 2, -1, -1):
+            v = v * (x - cs[i]) + coef[i]
+        return v
+    if not poly(a) * poly(b) < 0.0:
+        return math.nan
+    return float(brentq(poly, a, b, xtol=1e-15 * max(1.0, abs(b)), rtol=1e-15))
+
+
+class _Bracket:
+    """One sign change of g(c) = 1 - level / lambda(c) under refinement.
+
+    Keeps the current bracket [a, b] and every point (c, g) known on the
+    same monotone piece of lambda(c), from which the next heights are
+    interpolated.
+    """
+
+    def __init__(self, a: float, ga: float, b: float, gb: float, pts: list):
+        self.a, self.ga, self.b, self.gb = a, ga, b, gb
+        self.c_lo, self.c_hi = sorted((a, b))
+        self.pts = pts
+
+    @classmethod
+    def on_path(cls, path: list, k: int) -> "_Bracket":
+        """Bracket path[k], path[k+1] of (c, g) points ordered along c.
+
+        Up to one more neighbour on each side joins the interpolation
+        points while g stays strictly monotone along the path.
+        """
+        lo, hi = k, k + 1
+        sgn = math.copysign(1.0, path[hi][1] - path[lo][1])
+        if lo > 0 and (path[lo][1] - path[lo - 1][1]) * sgn > 0.0:
+            lo -= 1
+        if hi + 1 < len(path) and (path[hi + 1][1] - path[hi][1]) * sgn > 0.0:
+            hi += 1
+        (a, ga), (b, gb) = path[k], path[k + 1]
+        return cls(a, ga, b, gb, list(path[lo:hi + 1]))
+
+    def proposals(self) -> List[float]:
+        """Heights to shoot next: the best estimate and guards around it.
+
+        The estimate is the root in the bracket of the cubic through its
+        two ends and the two other known points nearest to them.  Guards sit
+        one estimated error, and a tenth of it, on either side, the error
+        being the distance to the root from one point fewer (to the
+        midpoint when the ends are all that is known).  One round then
+        usually shrinks the bracket to that width, and the next
+        interpolates between close points.
+        """
+        a, b = sorted((self.a, self.b))
+        ends = [(self.a, self.ga), (self.b, self.gb)]
+        others = sorted((q for q in self.pts if q[0] not in (a, b)),
+                        key=lambda q: min(abs(q[0] - a), abs(q[0] - b)))
+        secant = self.b - self.gb * (self.b - self.a) / (self.gb - self.ga)
+        x = _interpolated_root(ends + others[:2], a, b)
+        coarse = (_interpolated_root(ends + others[:1], a, b) if others
+                  else 0.5 * (a + b))
+        if math.isnan(x):
+            x, coarse = secant, 0.5 * (a + b)
+        elif math.isnan(coarse):
+            coarse = secant
+        delta = max(abs(x - coarse), 10.0 * REFINE_XTOL * max(1.0, abs(x)))
+        guards = (x - delta, x - GUARD_RATIO * delta, x + GUARD_RATIO * delta,
+                  x + delta)
+        return [x] + [c for c in guards if a < c < b]
+
+    def update(self, shots: list, gtol: float) -> bool:
+        """Take shot (c, g, lambda) triples; True once one is close enough.
+
+        The bracket becomes the narrowest pair of neighbouring known points
+        with opposite signs.
+        """
+        self.pts += [(c, g) for c, g, _ in shots]
+        inside = sorted([(self.a, self.ga), (self.b, self.gb)]
+                        + [(c, g) for c, g, _ in shots
+                           if min(self.a, self.b) < c < max(self.a, self.b)])
+        pairs = [(p, q) for p, q in zip(inside, inside[1:])
+                 if (p[1] > 0.0) != (q[1] > 0.0)]
+        if pairs:
+            (self.a, self.ga), (self.b, self.gb) = min(
+                pairs, key=lambda pq: pq[1][0] - pq[0][0])
+        best = min(abs(g) for _, g, _ in shots)
+        return (best <= gtol or abs(self.b - self.a)
+                <= REFINE_XTOL * max(1.0, abs(self.a), abs(self.b)))
+
+
+def _diagram_row(c: float, res: Optional[ShootResult], pc: PrimitiveCalculus,
+                 zeros: ZeroSequence, p: float, R: float) -> DiagramRow:
+    """CSV row of one height from its shot (None where f(c) = 0)."""
+    F_c = pc.F(c)
+    Fbar_c = pc.Fbar(c)
+    idx = zeros.interval_index(c)
+    try:
+        bound = per_solution_lower_bound(pc, c, p, R)
+    except NonpositiveFbar:
+        bound = math.nan
+    if res is None:
+        return DiagramRow(c, "Stalled", math.nan, math.nan, F_c, Fbar_c,
+                          bound, math.nan, None, idx)
+    if isinstance(res.outcome, HitZero):
+        d = check_necessary_conditions(res, pc, p, R)
+        return DiagramRow(c, "HitZero", res.outcome.rho,
+                          res.lambda_rescaled, F_c, Fbar_c, bound,
+                          d.energy_residual_max,
+                          bool(d.F_at_max_ok and d.area_condition_ok), idx)
+    return DiagramRow(c, res.outcome.kind, math.nan, math.nan, F_c,
+                      Fbar_c, bound, math.nan, None, idx)
 
 
 def diagram(nl: Nonlinearity, p: float, N: int, R: float,
@@ -384,48 +696,21 @@ def diagram(nl: Nonlinearity, p: float, N: int, R: float,
             lambda_shoot: float = 1.0, tol_ode: float = 1e-8,
             event_tol: float = 1e-10, r_max: float = 50.0,
             threads: int = 1) -> BifurcationDiagram:
-    """One shot per grid height, merged in grid order.
+    """One shot per grid height, all heights in one lockstep batch, in grid order.
 
     Heights where f vanishes are recorded as Stalled rows rather than
-    failing the scan.  ``threads`` fans the independent shots out over a
-    thread pool; the row order is fixed by the grid either way.
+    failing the scan.  ``threads`` is accepted for compatibility and
+    ignored: the batch already runs every height in one loop.
     """
     if len(c_grid) == 0:
         raise EmptyGrid("diagram needs at least one height")
     if pc is None:
         pc = PrimitiveCalculus(nl, p=p)
-
-    def one(c: float) -> DiagramRow:
-        c = float(c)
-        F_c = pc.F(c)
-        Fbar_c = pc.Fbar(c)
-        idx = zeros.interval_index(c)
-        try:
-            bound = per_solution_lower_bound(pc, c, p, R)
-        except NonpositiveFbar:
-            bound = math.nan
-        try:
-            cfg = ShootConfig(p, N, c, lambda_shoot=lambda_shoot,
-                              r_max=r_max, tol_ode=tol_ode,
-                              event_tol=event_tol)
-            res = shoot(cfg, nl)
-        except StalledAtCriticalPoint:
-            return DiagramRow(c, "Stalled", math.nan, math.nan, F_c, Fbar_c,
-                              bound, math.nan, None, idx)
-        if isinstance(res.outcome, HitZero):
-            d = check_necessary_conditions(res, pc, p, R)
-            return DiagramRow(c, "HitZero", res.outcome.rho,
-                              res.lambda_rescaled, F_c, Fbar_c, bound,
-                              d.energy_residual_max,
-                              bool(d.F_at_max_ok and d.area_condition_ok), idx)
-        return DiagramRow(c, res.outcome.kind, math.nan, math.nan, F_c,
-                          Fbar_c, bound, math.nan, None, idx)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = tuple(ex.map(one, c_grid))
-    else:
-        rows = tuple(one(c) for c in c_grid)
+    heights = [float(c) for c in c_grid]
+    cfg = ShootConfig(p, N, heights[0], lambda_shoot=lambda_shoot,
+                      r_max=r_max, tol_ode=tol_ode, event_tol=event_tol)
+    rows = tuple(_diagram_row(c, res, pc, zeros, p, R)
+                 for c, res in zip(heights, _shots(cfg, heights, nl)))
     return BifurcationDiagram(rows, zeros, nl, pc, p, N, R, lambda_shoot,
                               tol_ode, event_tol, r_max)
 

@@ -20,12 +20,12 @@ this equation models decay strictly until their first zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rk import Event, integrate
+from ._rk import BatchEvent, Event, integrate, integrate_batch
 from .errors import (
     DomainError,
     EmptyGrid,
@@ -87,6 +87,18 @@ class PucciDiagnostics:
     area_condition_ok: bool
 
 
+def _series_start(cfg: PucciShootConfig, fc: float):
+    """(r0, (v, v') at r0, error scales) of a shot with f(c) = fc."""
+    Lam, N, c, lam = cfg.Lambda, cfg.N, cfg.c, cfg.lambda_shoot
+    if fc > 0.0:
+        a0 = -Lam * lam * fc / N
+    else:
+        a0 = -lam * fc * Lam / (Lam * Lam + (N - 1))
+    r0 = max(cfg.event_tol, 1e-6 * cfg.r_max)
+    cmax = max(1.0, c)
+    return r0, (c + 0.5 * a0 * r0 * r0, a0 * r0), (cmax, cmax)
+
+
 def pucci_shoot(cfg: PucciShootConfig, nl: Nonlinearity) -> ShootResult:
     """Integrate the switched equation outward until v = 0 or a bounce.
 
@@ -114,16 +126,7 @@ def pucci_shoot(cfg: PucciShootConfig, nl: Nonlinearity) -> ShootResult:
         q = qval(r, y)
         return (y[1], -Lam * q if q >= 0.0 else -q / Lam)
 
-    if fc > 0.0:
-        a0 = -Lam * lam * fc / N
-    else:
-        a0 = -lam * fc * Lam / (Lam * Lam + nm1)
-    r0 = max(cfg.event_tol, 1e-6 * cfg.r_max)
-    v0 = c + 0.5 * a0 * r0 * r0
-    u0 = a0 * r0
-
-    cmax = max(1.0, c)
-    scale = (cmax, cmax)
+    r0, (v0, u0), scale = _series_start(cfg, fc)
     events = [Event(lambda t, y: y[0], direction=-1),   # first zero
               Event(lambda t, y: y[1], direction=+1),   # v' back to 0
               Event(qval, direction=0)]                 # diffusion switch
@@ -171,6 +174,82 @@ def pucci_shoot(cfg: PucciShootConfig, nl: Nonlinearity) -> ShootResult:
     return ShootResult(cfg, outcome, np.array(rs), np.array(vs),
                        np.array(vps), np.zeros(n), n_steps, rho_err,
                        q_sign_changes=switches)
+
+
+def pucci_shoot_batch(cfg: PucciShootConfig, heights: Sequence[float],
+                      nl: Nonlinearity) -> List[Optional[ShootResult]]:
+    """``pucci_shoot`` at every height, all heights as lanes of one batch.
+
+    ``cfg`` gives everything but the height.  Returns one result per
+    height, in order, and None where ``pucci_shoot`` would raise
+    StalledAtCriticalPoint.  A lane meeting a q sign change steps exactly
+    onto it, counts it and restarts there, as ``pucci_shoot`` does.
+    """
+    return list(_pucci_shots(cfg, heights, nl))
+
+
+def _pucci_shots(cfg: PucciShootConfig, heights: Sequence[float],
+                 nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
+    """``pucci_shoot_batch``'s results one at a time."""
+    cfgs = [replace(cfg, c=float(c)) for c in heights]
+    Lam, N, lam = cfg.Lambda, cfg.N, cfg.lambda_shoot
+    f0 = nl.f0
+    nm1 = N - 1
+
+    lanes, starts, scales = [], [], []
+    for i, lane_cfg in enumerate(cfgs):
+        fc = nl.eval(lane_cfg.c)
+        if abs(fc) <= STALL_TOL * max(1.0, lane_cfg.c):
+            continue
+        r0, start, scale = _series_start(lane_cfg, fc)
+        lanes.append(i)
+        starts.append(start)
+        scales.append(scale)
+    if not lanes:
+        yield from (None for _ in cfgs)
+        return
+
+    def qval(r, y):
+        v, u = y[0], y[1]
+        fv = np.where(v > 0.0, nl.eval_many(v), f0)
+        return lam * fv + nm1 * u / (Lam * r)
+
+    def rhs(r, y):
+        q = qval(r, y)
+        return (y[1], np.where(q >= 0.0, -Lam * q, -q / Lam))
+
+    events = [BatchEvent(lambda t, y: y[0], direction=-1),     # first zero
+              BatchEvent(lambda t, y: y[1], direction=+1),     # v' back to 0
+              BatchEvent(qval, direction=0, ends=False)]       # diffusion switch
+    res = integrate_batch(rhs, np.full(len(lanes), r0), np.array(starts).T,
+                          cfg.r_max, cfg.tol_ode, np.array(scales).T,
+                          events=events, max_restarts=cfg.max_switches,
+                          event_tol=cfg.event_tol)
+
+    lane_of = {i: j for j, i in enumerate(lanes)}
+    for i in range(len(cfgs)):
+        if i not in lane_of:
+            yield None
+            continue
+        j = lane_of[i]
+        v0, u0 = starts[j]
+        t_s, y_s = res.samples(j)
+        t_end, y_end = float(res.t[j]), res.y[:, j]
+        rho_err = math.nan
+        if res.event_index[j] == 0:
+            outcome: Outcome = HitZero(t_end)
+            rho_err = float(res.error_accum[0, j]) / max(abs(y_end[1]), 1e-300)
+        elif res.event_index[j] == 1:
+            outcome = Bounced(t_end, float(y_end[0]))
+        else:
+            outcome = HorizonExceeded(t_end)
+        n = len(t_s) + 2
+        yield ShootResult(
+            cfgs[i], outcome, np.concatenate(([0.0, r0], t_s)),
+            np.concatenate(([cfgs[i].c, v0], y_s[0])),
+            np.concatenate(([0.0, u0], y_s[1])), np.zeros(n),
+            int(res.n_steps[j]), rho_err,
+            q_sign_changes=int(res.restarts[j]))
 
 
 def pucci_rescale(res: ShootResult, R: float,
@@ -251,7 +330,7 @@ def pucci_scan(nl: Nonlinearity, Lambda: float, N: int, R: float,
                lambda_shoot: float = 1.0, tol_ode: float = 1e-8,
                event_tol: float = 1e-10,
                r_max: float = 50.0) -> List[PucciDiagramRow]:
-    """One Pucci shot per grid height, in grid order.
+    """One Pucci shot per grid height, all heights in one lockstep batch.
 
     The row schema mirrors the p-Laplacian diagram with the weighted
     primitives in the Fbar and bound columns plus the switch count.
@@ -260,9 +339,11 @@ def pucci_scan(nl: Nonlinearity, Lambda: float, N: int, R: float,
         raise EmptyGrid("scan needs at least one height")
     if pc is None:
         pc = PrimitiveCalculus(nl, p=2.0, Lambda=Lambda)
+    heights = [float(c) for c in c_grid]
+    cfg = PucciShootConfig(Lambda, N, heights[0], lambda_shoot=lambda_shoot,
+                           r_max=r_max, tol_ode=tol_ode, event_tol=event_tol)
     rows: List[PucciDiagramRow] = []
-    for c in c_grid:
-        c = float(c)
+    for c, res in zip(heights, _pucci_shots(cfg, heights, nl)):
         F_c = pc.F(c)
         Fbar_c = pc.Fbar_Lambda(c)
         idx = zeros.interval_index(c)
@@ -270,17 +351,11 @@ def pucci_scan(nl: Nonlinearity, Lambda: float, N: int, R: float,
             bound = pucci_per_solution_lower_bound(pc, c, Lambda, R)
         except NonpositiveFbar:
             bound = math.nan
-        try:
-            cfg = PucciShootConfig(Lambda, N, c, lambda_shoot=lambda_shoot,
-                                   r_max=r_max, tol_ode=tol_ode,
-                                   event_tol=event_tol)
-            res = pucci_shoot(cfg, nl)
-        except StalledAtCriticalPoint:
+        if res is None:
             rows.append(PucciDiagramRow(c, "Stalled", math.nan, math.nan,
                                         F_c, Fbar_c, bound, math.nan, None,
                                         idx, 0))
-            continue
-        if isinstance(res.outcome, HitZero):
+        elif isinstance(res.outcome, HitZero):
             d = pucci_inequality_check(res, pc, R=R)
             rows.append(PucciDiagramRow(
                 c, "HitZero", res.outcome.rho, res.lambda_rescaled, F_c,

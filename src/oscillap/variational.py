@@ -317,11 +317,19 @@ def _descend(start: np.ndarray, grid_r: np.ndarray, N: int, p: float,
     nfree = len(grid_r) - 1
     x0 = np.clip(np.asarray(start, dtype=float)[:-1], 0.0, alpha_n)
 
+    # L-BFGS-B hands the callback the point it has just evaluated, so the
+    # last (x, energy, gradient) is kept and reused for an identical point
+    last: list = [None, 0.0, None]
+
     def fun(x):
+        if last[0] is not None and np.array_equal(x, last[0]):
+            return last[1], last[2].copy()
         vals = np.append(x, 0.0)
         gf = GridFunction(grid_r, vals, N, p)
         e = assemble_energy(gf, tn, pot, lam)
-        return e, _energy_gradient(vals, grid_r, N, tn, pot, lam)
+        g = _energy_gradient(vals, grid_r, N, tn, pot, lam)
+        last[:] = [np.array(x, dtype=float), e, g]
+        return e, g.copy()
 
     def newton_res(vals, g):
         scales = _node_scales(grid_r, N, pot, vals, alpha_n)
@@ -338,20 +346,15 @@ def _descend(start: np.ndarray, grid_r: np.ndarray, N: int, p: float,
         if newton_res(vals, g) <= tol_eff:
             raise StopIteration
 
-    try:
-        out = _scipy_minimize(
-            fun, x0, jac=True, method="L-BFGS-B",
-            bounds=[(0.0, alpha_n)] * nfree, callback=track,
-            options={"maxiter": max_iter, "maxfun": 4 * max_iter,
-                     "gtol": 0.0, "ftol": 0.0, "maxls": 60})
-        best_x = out.x
-        nit = int(out.nit)
-    except StopIteration:  # pragma: no cover - scipy consumes it since 1.11
-        best_x = None
-        nit = len(trace)
-    if best_x is None:
-        best_x = x0  # callback-stopped runs report through scipy normally
-    vals = np.append(np.clip(best_x, 0.0, alpha_n), 0.0)
+    # scipy ends the run on StopIteration from the callback and reports the
+    # last iterate as usual
+    out = _scipy_minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        bounds=[(0.0, alpha_n)] * nfree, callback=track,
+        options={"maxiter": max_iter, "maxfun": 4 * max_iter,
+                 "gtol": 0.0, "ftol": 0.0, "maxls": 60})
+    nit = int(out.nit)
+    vals = np.append(np.clip(out.x, 0.0, alpha_n), 0.0)
     e, g = fun(vals[:-1])
     res = newton_res(vals, g)
     return res <= tol_eff, vals, e, res, nit, trace

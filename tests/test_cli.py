@@ -210,6 +210,28 @@ def test_diagram_summary_counts_crossings(scan_run):
     assert rep["lambda_star"]["500"]["count"] == 0
 
 
+def test_lambda_star_brackets_straddling_a_zero(tmp_path):
+    # Rows on either side of the touch zero alpha_2 straddle both levels;
+    # lambda(c) has a pole there, so the crossing is bracketed between the
+    # row below the level and a height next to alpha_2 instead of across it.
+    levels = [41.93, 91.46]
+    cfg = write_cfg(tmp_path, scan={"c_min": 0.4845, "c_max": 29.788,
+                                    "points": 200, "lambda_star": levels},
+                    tolerances={"tol_ode": 1e-10})
+    out = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_json(out / "diagram_summary.json")
+    for level in levels:
+        entry = rep["lambda_star"][f"{level:.17g}"]
+        assert entry["count"] == len(entry["crossings"]) > 0
+        for x in entry["crossings"]:
+            assert x["lambda"] == pytest.approx(level, rel=1e-6)
+            # closed-form zeros 3 pi/2 + 2 pi (k - 1) bound gap k
+            k = x["zero_interval_index"]
+            lo = FIRST_ZERO + 2.0 * math.pi * (k - 2) if k > 1 else 0.0
+            assert lo < x["c"] <= FIRST_ZERO + 2.0 * math.pi * (k - 1)
+
+
 def test_diagram_determinism(scan_run, tmp_path):
     cfg, out = scan_run
     rerun = tmp_path / "rerun"

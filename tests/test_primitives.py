@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -251,6 +252,42 @@ def test_concurrent_reads_match_serial(pc_power):
     for t in threads:
         t.join()
     np.testing.assert_allclose(out, serial, rtol=1e-12)
+
+
+def test_fresh_cache_reads_race_extensions():
+    """Readers racing the first extensions of a fresh cache read one
+    consistent (checkpoints, prefix values) snapshot: no index past the
+    prefix array, and the serial values.  Extension order changes the
+    checkpoint layout, so values agree to quadrature rounding."""
+    s = np.linspace(0.1, 60.0, 97)
+    ref = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+    serial = np.array([ref.F(float(x)) for x in s])
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            fresh = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+            out = np.full(len(s), np.nan)
+            errors = []
+
+            def work(ix):
+                try:
+                    for i in ix:
+                        out[i] = fresh.F(float(s[i]))
+                except Exception as ex:  # collected for the assertion below
+                    errors.append(ex)
+
+            threads = [threading.Thread(target=work, args=(range(j, len(s), 4),))
+                       for j in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            np.testing.assert_allclose(out, serial, rtol=1e-12)
+    finally:
+        sys.setswitchinterval(old)
 
 
 _PROPERTY_PC = PrimitiveCalculus(PureSine(), p=2.0)
