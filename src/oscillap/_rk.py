@@ -118,10 +118,23 @@ class Event:
     ``direction``: -1 fires on + -> -, +1 on - -> +, 0 on any flip.  An
     event starting at g = 0 stays disarmed until g moves off zero, so a
     restart exactly on the crossing does not re-fire immediately.
+
+    ``ends`` says what the trajectory does once the event fires: True ends
+    it at the event, False steps exactly onto it and restarts there with a
+    fresh first step, and a callable (t, y) -> bool decides from the state
+    at the event.  ``integrate_batch`` applies the rule per lane;
+    ``integrate`` returns at every fired event and leaves it to its caller.
+    For a batch, ``g`` and a callable ``ends`` take (lanes,) times and
+    (components, lanes) states and return one value per lane.
     """
 
     g: Callable[[float, Tuple[float, ...]], float]
     direction: int = 0
+    ends: Union[bool, Callable] = True
+
+    def ends_at(self, t, y):
+        """Whether the trajectory ends at this event, fired at (t, y)."""
+        return self.ends(t, y) if callable(self.ends) else self.ends
 
 
 @dataclass
@@ -198,7 +211,7 @@ def integrate(
         tv = tolv(y, ynew)
         err = math.sqrt(sum((le[i] / tv[i]) ** 2 for i in range(n)) / n)
 
-        if err > 1.0:
+        if not err <= 1.0:   # a NaN error is a rejection too, as in the batch
             h *= max(_MIN_FACTOR, _SAFETY * err ** _REJECT_EXP)
             continue
 
@@ -298,19 +311,10 @@ def _locate(f, g, t, y, k1, h, event_tol):
 
 #: Illinois iterations allowed per located event (about 5 are typical)
 _MAX_ILLINOIS = 60
+#: ``Event`` under the name batched callers import
 
-
-@dataclass
-class BatchEvent(Event):
-    """Event for ``integrate_batch``; ``g`` maps (t, y) arrays to one value per lane.
-
-    ``ends`` says what a lane does once the event fires: True ends the
-    lane at the event, False steps exactly onto it and restarts there with
-    a fresh first step, and a callable (t, y) -> bool array decides per
-    lane from the state at the event.
-    """
-
-    ends: Union[bool, Callable[[np.ndarray, np.ndarray], np.ndarray]] = True
+#: ``Event`` under the name the ``integrate_batch`` tests use
+BatchEvent = Event
 
 
 @dataclass
@@ -523,7 +527,7 @@ def integrate_batch(
     t_end: float,
     rtol: float,
     scale: np.ndarray,
-    events: Sequence[BatchEvent] = (),
+    events: Sequence[Event] = (),
     max_restarts: int = 10_000,
     event_tol: float = 1e-12,
 ) -> BatchResult:
@@ -619,8 +623,7 @@ def integrate_batch(
             for e, ev in enumerate(events):
                 sel = np.nonzero(which == e)[0]
                 if sel.size:
-                    ends[sel] = (ev.ends(t_acc[now[sel]], y_ev[:, sel])
-                                 if callable(ev.ends) else ev.ends)
+                    ends[sel] = ev.ends_at(t_acc[now[sel]], y_ev[:, sel])
             done[now[ends]] = True
             restart[now[~ends]] = True
             res.event_index[lane[now[ends]]] = which[ends]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,32 +25,23 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .errors import (
-    EmptyGrid,
-    NonConvergence,
-    OscillapError,
-    StalledAtCriticalPoint,
-)
+from .errors import EmptyGrid, OscillapError, StalledAtCriticalPoint
 from .nonlinearity import find_zeros, nonlinearity_from_json
 from .primitives import PrimitiveCalculus
 from .shoot_plap import (
+    BifurcationDiagram,
     HitZero,
     ShootConfig,
     UnresolvedBracket,
-    check_necessary_conditions,
-    diagram,
     diagram_csv_lines,
-    rescale_to_ball,
     shoot,
 )
-from .shoot_pucci import (
-    PucciShootConfig,
-    pucci_csv_lines,
-    pucci_inequality_check,
-    pucci_rescale,
-    pucci_scan,
-    pucci_shoot,
-)
+from .shoot_pucci import PucciShootConfig
+
+# Not called here (both operators scan through ``BifurcationDiagram.scan``);
+# the names stay because perfbench/tracing.py spans them in this module.
+from .shoot_plap import diagram  # noqa: F401
+from .shoot_pucci import pucci_scan  # noqa: F401
 from .thresholds import (
     BallGeometry,
     Operator,
@@ -240,8 +232,10 @@ class Run:
         op = cfg["operator"]
         if "plap" in op:
             self.operator = Operator.p_laplacian(float(op["plap"]["p"]))
+            self.shooter = ShootConfig
         else:
             self.operator = Operator.pucci(float(op["pucci"]["Lambda"]))
+            self.shooter = PucciShootConfig
 
         tol = dict(cfg.get("tolerances", {}))
         if args.tol_ode is not None:
@@ -269,6 +263,12 @@ class Run:
     def stamp(self) -> dict:
         return {"version": __version__, "config_sha256": self.sha256,
                 "seed": self.seed}
+
+    def shoot_config(self, c: float, lambda_shoot: float = 1.0):
+        """The operator's shot config at height c with this run's controls."""
+        return self.shooter(self.operator.parameter, self.N, float(c),
+                            lambda_shoot=lambda_shoot, r_max=self.r_max,
+                            tol_ode=self.tol_ode, event_tol=self.event_tol)
 
     def calculus(self) -> PrimitiveCalculus:
         if self.operator.kind == "p_laplacian":
@@ -360,7 +360,9 @@ def _trajectory_payload(run: Run, res, outcome_extra: dict) -> dict:
         "geometry": {"N": run.N, "R": run.R},
         "outcome": outcome_extra,
         "n_steps": int(res.n_steps),
-        "rho_error_estimate": float(res.rho_error_estimate),
+        # JSON has no nan: a shot without a zero has no estimate
+        "rho_error_estimate": (float(res.rho_error_estimate)
+                               if math.isfinite(res.rho_error_estimate) else None),
         "lambda_rescaled": res.lambda_rescaled,
         "r": [float(x) for x in res.r],
         "v": [float(x) for x in res.v],
@@ -380,16 +382,14 @@ def _stalled_payload(run: Run, ex: StalledAtCriticalPoint) -> dict:
     }
 
 
-def cmd_shoot(run: Run) -> int:
+def _shoot(run: Run, kind: str, wrong_operator: str) -> int:
+    """The shoot and pucci-shoot commands: one shot of the config's operator."""
     if "shoot" not in run.cfg:
         raise ConfigError("this command needs a 'shoot' section")
-    if run.operator.kind != "p_laplacian":
-        raise ConfigError("'shoot' drives the p-Laplacian; use pucci-shoot")
+    if run.operator.kind != kind:
+        raise ConfigError(wrong_operator)
     sec = run.cfg["shoot"]
-    cfg = ShootConfig(run.operator.parameter, run.N, float(sec["c"]),
-                      lambda_shoot=float(sec.get("lambda", 1.0)),
-                      r_max=run.r_max, tol_ode=run.tol_ode,
-                      event_tol=run.event_tol)
+    cfg = run.shoot_config(sec["c"], float(sec.get("lambda", 1.0)))
     try:
         res = shoot(cfg, run.nl)
     except StalledAtCriticalPoint as ex:
@@ -397,67 +397,26 @@ def cmd_shoot(run: Run) -> int:
         print("trajectory.json: outcome=Stalled")
         return EXIT_OK
     out = res.outcome
-    extra = {"kind": out.kind}
+    extra = {"kind": out.kind, **dataclasses.asdict(out)}
     if isinstance(out, HitZero):
-        extra["rho"] = out.rho
-        res.lambda_rescaled = rescale_to_ball(res, run.R, run.operator.parameter)
-        d = check_necessary_conditions(res, run.calculus(),
-                                       run.operator.parameter, run.R)
-        extra["diagnostics"] = {
-            "energy_residual_max": d.energy_residual_max,
-            "F_at_max_ok": d.F_at_max_ok,
-            "area_condition_ok": d.area_condition_ok,
-            "lower_bound_slack": d.lower_bound_slack,
-        }
-    elif hasattr(out, "v_turn"):
-        extra.update({"r_turn": out.r_turn, "v_turn": out.v_turn})
-    elif hasattr(out, "r_reached"):
-        extra["r_reached"] = out.r_reached
+        extra["diagnostics"] = dataclasses.asdict(
+            cfg.audit(res, run.calculus(), run.R))
     _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
     print(f"trajectory.json: outcome={out.kind}")
     return EXIT_OK
+
+
+def cmd_shoot(run: Run) -> int:
+    return _shoot(run, "p_laplacian",
+                  "'shoot' drives the p-Laplacian; use pucci-shoot")
 
 
 def cmd_pucci_shoot(run: Run) -> int:
-    if "shoot" not in run.cfg:
-        raise ConfigError("this command needs a 'shoot' section")
-    if run.operator.kind != "pucci":
-        raise ConfigError("'pucci-shoot' needs the pucci operator")
-    sec = run.cfg["shoot"]
-    cfg = PucciShootConfig(run.operator.parameter, run.N, float(sec["c"]),
-                           lambda_shoot=float(sec.get("lambda", 1.0)),
-                           r_max=run.r_max, tol_ode=run.tol_ode,
-                           event_tol=run.event_tol)
-    try:
-        res = pucci_shoot(cfg, run.nl)
-    except StalledAtCriticalPoint as ex:
-        _write_json(run.path("trajectory.json"), _stalled_payload(run, ex))
-        print("trajectory.json: outcome=Stalled")
-        return EXIT_OK
-    out = res.outcome
-    extra = {"kind": out.kind}
-    if isinstance(out, HitZero):
-        extra["rho"] = out.rho
-        res.lambda_rescaled = pucci_rescale(res, run.R)
-        d = pucci_inequality_check(res, run.calculus(), R=run.R)
-        extra["diagnostics"] = {
-            "min_pointwise_slack": d.min_pointwise_slack,
-            "residual_max": d.residual_max,
-            "rescaled_bound_slack": d.rescaled_bound_slack,
-            "F_at_max_ok": d.F_at_max_ok,
-            "area_condition_ok": d.area_condition_ok,
-        }
-    elif hasattr(out, "v_turn"):
-        extra.update({"r_turn": out.r_turn, "v_turn": out.v_turn})
-    elif hasattr(out, "r_reached"):
-        extra["r_reached"] = out.r_reached
-    _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
-    print(f"trajectory.json: outcome={out.kind}")
-    return EXIT_OK
+    return _shoot(run, "pucci", "'pucci-shoot' needs the pucci operator")
 
 
 def _audit_rows(rows, energy_tol: float, slack_tol: float) -> dict:
-    """Inequality audit over HitZero rows of either diagram flavor."""
+    """Inequality audit over the HitZero rows of a scan of either operator."""
     hits = [r for r in rows if r.outcome == "HitZero"]
     max_resid = max((r.energy_residual for r in hits), default=0.0)
     area_bad = [r.c for r in hits if not r.area_ok]
@@ -481,49 +440,35 @@ def cmd_diagram(run: Run) -> int:
     grid = run.scan_grid()
     pc = run.calculus()
     zeros = find_zeros(run.nl, run.zeros_count)
+    if run.stars() and run.operator.kind == "pucci":
+        raise ConfigError("lambda-star refinement is p-Laplacian only")
+    diag = BifurcationDiagram.scan(run.shoot_config(grid[0]), run.nl, run.R,
+                                   grid, zeros, pc)
+    star_report = {}
+    for star in run.stars():
+        unresolved: List[UnresolvedBracket] = []
+        crossings = diag.solutions_at(star, unresolved)
+        star_report[f"{star:.17g}"] = {
+            "count": len(crossings),
+            "crossings": [
+                {"c": x.c, "lambda": x.lam, "rho": x.rho,
+                 "zero_interval_index": x.zero_interval_index}
+                for x in crossings
+            ],
+            "unresolved": [dataclasses.asdict(b) for b in unresolved],
+        }
     summary = {**run.stamp(), "operator": run.operator.to_json(),
-               "geometry": {"N": run.N, "R": run.R}}
-    if run.operator.kind == "p_laplacian":
-        diag = diagram(run.nl, run.operator.parameter, run.N, run.R, grid,
-                       zeros, pc=pc, tol_ode=run.tol_ode,
-                       event_tol=run.event_tol, r_max=run.r_max,
-                       threads=run.threads)
-        lines = diagram_csv_lines(diag)
-        rows = diag.rows
-        star_report = {}
-        for star in run.stars():
-            unresolved: List[UnresolvedBracket] = []
-            crossings = diag.solutions_at(star, unresolved)
-            star_report[f"{star:.17g}"] = {
-                "count": len(crossings),
-                "crossings": [
-                    {"c": x.c, "lambda": x.lam, "rho": x.rho,
-                     "zero_interval_index": x.zero_interval_index}
-                    for x in crossings
-                ],
-                "unresolved": [
-                    {"c_lo": b.c_lo, "c_hi": b.c_hi,
-                     "zero_interval_index": b.zero_interval_index}
-                    for b in unresolved
-                ],
-            }
-        summary["lambda_star"] = star_report
-    else:
-        if run.stars():
-            raise ConfigError("lambda-star refinement is p-Laplacian only")
-        rows = pucci_scan(run.nl, run.operator.parameter, run.N, run.R, grid,
-                          zeros, pc=pc, tol_ode=run.tol_ode,
-                          event_tol=run.event_tol, r_max=run.r_max)
-        lines = pucci_csv_lines(rows)
-        summary["lambda_star"] = {}
+               "geometry": {"N": run.N, "R": run.R},
+               "lambda_star": star_report}
     outcomes: dict = {}
-    for r in rows:
+    for r in diag.rows:
         outcomes[r.outcome] = outcomes.get(r.outcome, 0) + 1
     summary["outcomes"] = outcomes
-    summary["audit"] = _audit_rows(rows, run.energy_tol, run.slack_tol)
-    _atomic_write(run.path("diagram.csv"), "\n".join(lines) + "\n")
+    summary["audit"] = _audit_rows(diag.rows, run.energy_tol, run.slack_tol)
+    _atomic_write(run.path("diagram.csv"),
+                  "\n".join(diagram_csv_lines(diag)) + "\n")
     _write_json(run.path("diagram_summary.json"), summary)
-    print(f"diagram.csv: {len(rows)} rows; audit "
+    print(f"diagram.csv: {len(diag.rows)} rows; audit "
           f"{'pass' if summary['audit']['pass'] else 'FAIL'}")
     if not summary["audit"]["pass"]:
         raise PropertyViolation("diagram audit failed; see diagram_summary.json")
@@ -698,8 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tol-ode", type=float, default=None,
                         help="override the integrator tolerance")
     shared.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the minimize sequence; "
-                             "diagram scans run batched and ignore it")
+                        help="worker threads for the minimize sequence")
 
     parser = argparse.ArgumentParser(
         prog="oscillap",
@@ -720,21 +664,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return command(run)
-    except ConfigError as ex:
-        print(f"error: {args.command}: {ex}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyGrid as ex:
-        print(f"error: {args.command}: {ex}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, EmptyGrid) as ex:
+        code, message = EXIT_CONFIG, str(ex)
     except PropertyViolation as ex:
-        print(f"error: {args.command}: {ex}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except NonConvergence as ex:
-        print(f"error: {args.command}: {ex}", file=sys.stderr)
-        return EXIT_COMPUTE
+        code, message = EXIT_VIOLATION, str(ex)
     except OscillapError as ex:
-        print(f"error: {args.command}: {ex}", file=sys.stderr)
-        return EXIT_COMPUTE
+        code, message = EXIT_COMPUTE, str(ex)
+    except ArithmeticError as ex:   # a float overflowed or was divided by 0
+        code, message = EXIT_COMPUTE, f"numerical failure: {ex}"
+    print(f"error: {args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -172,15 +172,19 @@ class ReciprocalOscillation(Nonlinearity):
 
     def __init__(self, r: float, direction: str = DIRECTION_ZERO):
         super().__init__(direction)
-        if not (r > 0):
-            raise DomainError(f"parameter r must be positive, got {r!r}")
+        if not (r > 0 and math.isfinite(1.0 / r)):
+            raise DomainError(f"parameter r must be positive with a finite "
+                              f"reciprocal, got {r!r}")
         self.r = float(r)
         self.exponent = 1.0 / float(r)  # f ~ s^exponent near 0
 
     def eval(self, s: float) -> float:
         if s <= 0.0:
             return 0.0
-        return s**self.exponent * (1.0 + math.sin(1.0 / s))
+        inv = 1.0 / s
+        if inv == math.inf:
+            raise DomainError(f"height {s!r} is too small to resolve sin(1/s)")
+        return s**self.exponent * (1.0 + math.sin(inv))
 
     def eval_many(self, s):
         s = np.asarray(s, dtype=float)
@@ -237,7 +241,10 @@ class PureSine(Nonlinearity):
 
 
 def _validate_samples(samples, what: str) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(samples, dtype=float)
+    try:
+        arr = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} needs [s, value] pairs of numbers")
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DomainError(f"{what} needs at least two [s, value] pairs")
     xs, ys = arr[:, 0].copy(), arr[:, 1].copy()

@@ -1,13 +1,21 @@
-"""Radial p-Laplacian shooting: first-zero location and diagnostics.
+"""Radial shooting: first-zero location, diagnostics and diagrams.
 
 The Dirichlet problem on a ball is solved by integrating the radial
 equation outward from the center at unit parameter and height c, locating
 the first radius rho with v = 0, and rescaling: u(r) = v(rho r / R) solves
-the problem on the radius-R ball with lambda = (rho/R)^p.  A scan over c
-yields the bifurcation diagram lambda(c) whose level sets are the
-solutions at a given parameter.
+the problem on the radius-R ball with lambda = (rho/R)^e, e the operator's
+rescaling exponent.  A scan over c yields the bifurcation diagram lambda(c)
+whose level sets are the solutions at a given parameter.
 
-The integration state is (v, w, z) with w = |v'|^{p-2} v' the flux (the
+One shooting path serves both radial operators.  A shot config is the
+operator: ``ShootConfig`` here for the p-Laplacian, ``PucciShootConfig``
+in ``shoot_pucci`` for the maximal Pucci operator.  Each supplies its
+origin series, its scalar and batched right-hand sides, its events with
+their end-or-restart rules, its w -> v' map and rescaling exponent, and its
+weighted Fbar, per-solution bound and audit; ``shoot``, ``shoot_batch``,
+the diagram rows, the CSV and the lambda-star refinement are shared.
+
+The p-Laplacian state is (v, w, z) with w = |v'|^{p-2} v' the flux (the
 equation is smooth in w even where the operator degenerates at v' = 0)
 and z the accumulated path term of the energy identity.
 """
@@ -16,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, ClassVar, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._rk import BatchEvent, Event, integrate, integrate_batch
+from ._rk import Event, integrate, integrate_batch
 from .errors import (
     DomainError,
     EmptyGrid,
@@ -34,13 +43,35 @@ from .nonlinearity import Nonlinearity, ZeroSequence
 from .primitives import PrimitiveCalculus
 from .thresholds import per_solution_lower_bound
 
+if TYPE_CHECKING:
+    from .shoot_pucci import PucciDiagnostics, PucciShootConfig
+
 #: |f(c)| at or below this (scaled) means the trajectory never leaves c
 STALL_TOL = 1e-12
 
 
+def _check_controls(cfg) -> None:
+    """Validate the fields every shot config has; N becomes an int."""
+    if int(cfg.N) != cfg.N or cfg.N < 1:
+        raise DomainError(f"dimension must be a positive integer, got {cfg.N!r}")
+    object.__setattr__(cfg, "N", int(cfg.N))
+    if not cfg.c > 0.0:
+        raise DomainError(f"height must be positive, got {cfg.c!r}")
+    if not cfg.lambda_shoot > 0.0:
+        raise DomainError(f"shooting parameter must be positive, got "
+                          f"{cfg.lambda_shoot!r}")
+    if not cfg.r_max > 0.0:
+        raise DomainError(f"horizon must be positive, got {cfg.r_max!r}")
+    if not cfg.tol_ode > 0.0:
+        raise DomainError(f"tolerance must be positive, got {cfg.tol_ode!r}")
+    if not cfg.event_tol > 0.0:
+        raise DomainError(f"event tolerance must be positive, got "
+                          f"{cfg.event_tol!r}")
+
+
 @dataclass(frozen=True)
 class ShootConfig:
-    """One radial shot: operator, height, and integration controls."""
+    """One radial p-Laplacian shot: operator, height, and integration controls."""
 
     p: float
     N: int
@@ -51,24 +82,98 @@ class ShootConfig:
     event_tol: float = 1e-12
     max_bounces: int = 200
 
+    #: what a restarting event passes through
+    restart_name: ClassVar[str] = "turning points"
+    #: whether results and rows report the restarts as q sign changes
+    reports_switches: ClassVar[bool] = False
+
     def __post_init__(self):
         if not self.p > 1.0:
             raise DomainError(f"exponent must exceed 1, got {self.p!r}")
-        if int(self.N) != self.N or self.N < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
-        if not self.c > 0.0:
-            raise DomainError(f"height must be positive, got {self.c!r}")
-        if not self.lambda_shoot > 0.0:
-            raise DomainError(f"shooting parameter must be positive, got "
-                              f"{self.lambda_shoot!r}")
-        if not self.r_max > 0.0:
-            raise DomainError(f"horizon must be positive, got {self.r_max!r}")
-        if not self.tol_ode > 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tol_ode!r}")
-        if not self.event_tol > 0.0:
-            raise DomainError(f"event tolerance must be positive, got "
-                              f"{self.event_tol!r}")
+        _check_controls(self)
+
+    @property
+    def exponent(self) -> float:
+        """Rescaling exponent: lambda on the radius-R ball is
+        lambda_shoot (rho/R)^exponent."""
+        return self.p
+
+    @property
+    def max_restarts(self) -> int:
+        return self.max_bounces
+
+    def series_start(self, fc: float):
+        """(r0, (v, w, z) at r0, error scales) of a shot with f(c) = fc.
+
+        The two-term series is the unique branch symmetric at the origin.
+        """
+        p, N, c, lam = self.p, self.N, self.c, self.lambda_shoot
+        q = 1.0 / (p - 1.0)
+        pq = 1.0 + q
+        r0 = max(self.event_tol, 1e-6 * self.r_max)
+        K = math.copysign((lam * abs(fc) / N) ** q, fc)
+        v0 = c - (p - 1.0) / p * K * r0 ** pq
+        w0 = -lam * fc * r0 / N
+        z0 = (N - 1) * (lam * abs(fc) / N) ** pq * (p - 1.0) / p * r0 ** pq
+        cmax = max(1.0, c)
+        return r0, (v0, w0, z0), (cmax, cmax ** (p - 1.0), cmax ** p)
+
+    def slope(self, w):
+        """v' from the flux w, for a float or an array."""
+        return np.copysign(np.abs(w) ** (1.0 / (self.p - 1.0)), w)
+
+    def system(self, nl: Nonlinearity, batched: bool = False):
+        """(right-hand side, events) of the radial equation in (v, w, z).
+
+        The events are v = 0 (the first zero, which ends the shot) and
+        w = 0 (a turning point: a bounce where f(v) <= 0 there, otherwise
+        integration continues through the tangency).  ``batched`` gives
+        the (lanes,)-array form for ``integrate_batch``.
+        """
+        lam, f0 = self.lambda_shoot, nl.f0
+        q = 1.0 / (self.p - 1.0)
+        pq = 1.0 + q  # p/(p-1)
+        nm1 = self.N - 1
+        if batched:
+            def f_of(v):
+                return np.where(v > 0.0, nl.eval_many(v), f0)
+
+            def rhs(r, y):
+                v, w = y[0], y[1]
+                aw = np.abs(w)
+                return (np.copysign(aw ** q, w), -lam * f_of(v) - nm1 * w / r,
+                        nm1 * aw ** pq / r)
+        else:
+            feval = nl.eval
+
+            def f_of(v):
+                return feval(v) if v > 0.0 else f0
+
+            def rhs(r: float, y: Tuple[float, ...]) -> Tuple[float, float, float]:
+                v, w, _ = y
+                aw = abs(w)
+                avp = aw ** q
+                vp = avp if w >= 0.0 else -avp
+                fv = feval(v) if v > 0.0 else f0
+                dw = -lam * fv - nm1 * w / r
+                dz = nm1 * aw ** pq / r
+                return (vp, dw, dz)
+        return rhs, [Event(lambda t, y: y[0], direction=-1),
+                     Event(lambda t, y: y[1], direction=0,
+                           ends=lambda t, y: f_of(y[0]) <= 0.0)]
+
+    def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
+        return PrimitiveCalculus(nl, p=self.p)
+
+    def Fbar(self, pc: PrimitiveCalculus, c: float) -> float:
+        return pc.Fbar(c)
+
+    def lower_bound(self, pc: PrimitiveCalculus, c: float, R: float) -> float:
+        return per_solution_lower_bound(pc, c, self.p, R)
+
+    def audit(self, res: ShootResult, pc: PrimitiveCalculus,
+              R: float) -> Diagnostics:
+        return check_necessary_conditions(res, pc, self.p, R)
 
 
 @dataclass(frozen=True)
@@ -81,7 +186,7 @@ class HitZero:
 
 @dataclass(frozen=True)
 class Bounced:
-    """v' returned to 0 at positive height with f <= 0 there: no zero ahead."""
+    """v' returned to 0 at positive height with no zero ahead."""
 
     r_turn: float
     v_turn: float
@@ -114,6 +219,11 @@ class Diagnostics:
     area_condition_ok: bool
     lower_bound_slack: float
 
+    @property
+    def residual(self) -> float:
+        """What a diagram row reports as its energy residual."""
+        return self.energy_residual_max
+
 
 @dataclass
 class ShootResult:
@@ -128,8 +238,8 @@ class ShootResult:
     n_steps: int
     rho_error_estimate: float
     lambda_rescaled: Optional[float] = None
-    diagnostics: Optional[object] = None
-    q_sign_changes: int = 0  # diffusion switches; only the Pucci shooter sets it
+    diagnostics: Optional[Union[Diagnostics, PucciDiagnostics]] = None
+    q_sign_changes: int = 0  # diffusion switches; 0 unless the operator reports them
 
     @property
     def trajectory(self) -> np.ndarray:
@@ -137,134 +247,106 @@ class ShootResult:
         return np.column_stack([self.r, self.v, self.vp])
 
 
-def _series_start(cfg: ShootConfig, fc: float):
-    """(r0, (v, w, z) at r0, error scales) of a shot with f(c) = fc.
+def _result(cfg, outcome: Outcome, r: np.ndarray, y: np.ndarray,
+            vp: np.ndarray, n_steps: int, err_v: float,
+            restarts: int) -> ShootResult:
+    """ShootResult of one shot from its samples: radii ``r``, states
+    ``y[components, k]`` and slopes ``vp``, from the origin to the state
+    where the shot ended (the zero, for a HitZero)."""
+    rho_err = math.nan
+    if isinstance(outcome, HitZero):
+        rho_err = err_v / max(abs(cfg.slope(y[1, -1])), 1e-300)
+    z = y[2] if len(y) > 2 else np.zeros(len(r))
+    return ShootResult(cfg, outcome, r, y[0], vp, z, n_steps, float(rho_err),
+                       q_sign_changes=restarts if cfg.reports_switches else 0)
 
-    The two-term series is the unique branch symmetric at the origin.
+
+def _outcome(event_index: int, t: float, v: float) -> Outcome:
+    """Outcome of a shot ended by this event (-1: the horizon).
+
+    Event 0 is the first zero; every other ending event is a bounce.
     """
-    p, N, c, lam = cfg.p, cfg.N, cfg.c, cfg.lambda_shoot
-    q = 1.0 / (p - 1.0)
-    pq = 1.0 + q
-    r0 = max(cfg.event_tol, 1e-6 * cfg.r_max)
-    K = math.copysign((lam * abs(fc) / N) ** q, fc)
-    v0 = c - (p - 1.0) / p * K * r0 ** pq
-    w0 = -lam * fc * r0 / N
-    z0 = (N - 1) * (lam * abs(fc) / N) ** pq * (p - 1.0) / p * r0 ** pq
-    cmax = max(1.0, c)
-    return r0, (v0, w0, z0), (cmax, cmax ** (p - 1.0), cmax ** p)
+    if event_index < 0:
+        return HorizonExceeded(t)
+    return HitZero(t) if event_index == 0 else Bounced(t, v)
 
 
-def shoot(cfg: ShootConfig, nl: Nonlinearity) -> ShootResult:
+def shoot(cfg, nl: Nonlinearity) -> ShootResult:
     """Integrate outward from height c until v = 0, a bounce, or the horizon.
 
-    Starts on the symmetric origin series (the (N-1)/r term is singular at
-    r = 0), watches the events v = 0 (first zero: HitZero) and w = 0
-    (turning point: Bounced when f(v) <= 0 there, otherwise integration
-    continues through the tangency).
+    ``cfg`` is either operator (``ShootConfig`` or ``PucciShootConfig``).
+    Starts on its symmetric origin series (the (N-1)/r term is singular at
+    r = 0) and watches its events: the first zero ends the shot as
+    HitZero, any other ending event as Bounced, and a restarting event is
+    stepped onto exactly and integrated on from, at most
+    ``cfg.max_restarts`` times.
     """
-    p, N, c, lam = cfg.p, cfg.N, cfg.c, cfg.lambda_shoot
+    c = cfg.c
     fc = nl.eval(c)
     if abs(fc) <= STALL_TOL * max(1.0, c):
         raise StalledAtCriticalPoint(c, fc)
 
-    f0 = nl.f0
-    feval = nl.eval
-    q = 1.0 / (p - 1.0)
-    pq = 1.0 + q  # p/(p-1)
-    nm1 = N - 1
-
-    def rhs(r: float, y: Tuple[float, ...]) -> Tuple[float, float, float]:
-        v, w, _ = y
-        aw = abs(w)
-        avp = aw ** q
-        vp = avp if w >= 0.0 else -avp
-        fv = feval(v) if v > 0.0 else f0
-        dw = -lam * fv - nm1 * w / r
-        dz = nm1 * aw ** pq / r
-        return (vp, dw, dz)
-
-    r0, (v0, w0, z0), scale = _series_start(cfg, fc)
-    events = [Event(lambda t, y: y[0], direction=-1),
-              Event(lambda t, y: y[1], direction=0)]
-
+    rhs, events = cfg.system(nl)
+    r0, y, scale = cfg.series_start(fc)
     rs: List[float] = [0.0, r0]
-    vs: List[float] = [c, v0]
-    vps: List[float] = [0.0, -abs(w0) ** q if w0 <= 0 else abs(w0) ** q]
-    zs: List[float] = [0.0, z0]
+    ys: List[Tuple[float, ...]] = [(c,) + (0.0,) * (len(y) - 1), y]
 
     def rec(t: float, y: Tuple[float, ...]) -> None:
         rs.append(t)
-        vs.append(y[0])
-        w = y[1]
-        vps.append(math.copysign(abs(w) ** q, w))
-        zs.append(y[2])
+        ys.append(y)
 
-    t, y = r0, (v0, w0, z0)
+    t = r0
     n_steps = 0
     err_v = 0.0
-    outcome: Optional[Outcome] = None
-    for _ in range(cfg.max_bounces + 1):
+    restarts = 0
+    while True:
         res = integrate(rhs, t, y, cfg.r_max, rtol=cfg.tol_ode, scale=scale,
                         events=events, record=rec, event_tol=cfg.event_tol)
         n_steps += res.n_steps
         err_v += res.error_accum[0]
-        if res.status == "end":
-            outcome = HorizonExceeded(res.t)
-            break
-        if res.event_index == 0:
-            outcome = HitZero(res.t)
-            y = res.y
-            break
-        v_turn = res.y[0]
-        fv = feval(v_turn) if v_turn > 0.0 else f0
-        if fv <= 0.0:
-            outcome = Bounced(res.t, v_turn)
-            break
         t, y = res.t, res.y
-    if outcome is None:
-        raise NonConvergence(
-            f"more than {cfg.max_bounces} turning points before any zero")
+        if res.status == "end":
+            outcome = HorizonExceeded(t)
+            break
+        if events[res.event_index].ends_at(t, y):
+            outcome = _outcome(res.event_index, t, y[0])
+            break
+        restarts += 1
+        if restarts > cfg.max_restarts:
+            raise NonConvergence(
+                f"more than {cfg.max_restarts} {cfg.restart_name} before any zero")
 
-    rho_err = math.nan
-    if isinstance(outcome, HitZero):
-        vp_hit = abs(y[1]) ** q
-        rho_err = err_v / max(vp_hit, 1e-300)
-
-    return ShootResult(cfg, outcome, np.array(rs), np.array(vs),
-                       np.array(vps), np.array(zs), n_steps, rho_err)
+    slope = cfg.slope
+    return _result(cfg, outcome, np.array(rs), np.array(ys).T,
+                   np.array([slope(s[1]) for s in ys]), n_steps, err_v, restarts)
 
 
-def shoot_batch(cfg: ShootConfig, heights: Sequence[float],
+def shoot_batch(cfg, heights: Sequence[float],
                 nl: Nonlinearity) -> List[Optional[ShootResult]]:
     """``shoot`` at every height, all heights advancing as lanes of one batch.
 
-    ``cfg`` gives everything but the height.  Returns one result per
-    height, in order, and None where ``shoot`` would raise
+    ``cfg`` (either operator) gives everything but the height.  Returns
+    one result per height, in order, and None where ``shoot`` would raise
     StalledAtCriticalPoint.  Each lane starts on the same origin series,
-    follows the same step control and events as ``shoot``, and records
-    every accepted step; only the event offsets differ, because they are
-    located on the dense output (within the integration tolerance).
+    follows the same step control and events as ``shoot`` (restarting
+    where ``shoot`` does), and records every accepted step; only the event
+    offsets differ, because they are located on the dense output (within
+    the integration tolerance).
     """
     return list(_shots(cfg, heights, nl))
 
 
-def _shots(cfg: ShootConfig, heights: Sequence[float],
+def _shots(cfg, heights: Sequence[float],
            nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
     """``shoot_batch``'s results one at a time, so a caller that audits and
     drops each trajectory never holds all of them."""
     cfgs = [replace(cfg, c=float(c)) for c in heights]
-    p, N, lam = cfg.p, cfg.N, cfg.lambda_shoot
-    f0 = nl.f0
-    q = 1.0 / (p - 1.0)
-    pq = 1.0 + q
-    nm1 = N - 1
-
     lanes, starts, scales = [], [], []
     for i, lane_cfg in enumerate(cfgs):
         fc = nl.eval(lane_cfg.c)
         if abs(fc) <= STALL_TOL * max(1.0, lane_cfg.c):
             continue
-        r0, start, scale = _series_start(lane_cfg, fc)
+        r0, start, scale = lane_cfg.series_start(fc)
         lanes.append(i)
         starts.append(start)
         scales.append(scale)
@@ -272,53 +354,38 @@ def _shots(cfg: ShootConfig, heights: Sequence[float],
         yield from (None for _ in cfgs)
         return
 
-    def f_of(v):
-        return np.where(v > 0.0, nl.eval_many(v), f0)
-
-    def rhs(r, y):
-        v, w = y[0], y[1]
-        aw = np.abs(w)
-        return (np.copysign(aw ** q, w), -lam * f_of(v) - nm1 * w / r,
-                nm1 * aw ** pq / r)
-
-    events = [BatchEvent(lambda t, y: y[0], direction=-1),
-              BatchEvent(lambda t, y: y[1], direction=0,
-                         ends=lambda t, y: f_of(y[0]) <= 0.0)]
+    rhs, events = cfg.system(nl, batched=True)
     res = integrate_batch(rhs, np.full(len(lanes), r0), np.array(starts).T,
                           cfg.r_max, cfg.tol_ode, np.array(scales).T,
-                          events=events, max_restarts=cfg.max_bounces,
+                          events=events, max_restarts=cfg.max_restarts,
                           event_tol=cfg.event_tol)
 
     lane_of = {i: j for j, i in enumerate(lanes)}
-    for i in range(len(cfgs)):
+    for i, lane_cfg in enumerate(cfgs):
         if i not in lane_of:
             yield None
             continue
         j = lane_of[i]
-        v0, w0, z0 = starts[j]
+        start = starts[j]
+        origin = (lane_cfg.c,) + (0.0,) * (len(start) - 1)
         t_s, y_s = res.samples(j)
-        t_end, y_end = float(res.t[j]), res.y[:, j]
-        rho_err = math.nan
-        if res.event_index[j] == 0:
-            outcome: Outcome = HitZero(t_end)
-            rho_err = float(res.error_accum[0, j]) / max(abs(y_end[1]) ** q, 1e-300)
-        elif res.event_index[j] == 1:
-            outcome = Bounced(t_end, float(y_end[0]))
-        else:
-            outcome = HorizonExceeded(t_end)
-        vp0 = -abs(w0) ** q if w0 <= 0 else abs(w0) ** q
-        yield ShootResult(
-            cfgs[i], outcome, np.concatenate(([0.0, r0], t_s)),
-            np.concatenate(([cfgs[i].c, v0], y_s[0])),
-            np.concatenate(([0.0, vp0], np.copysign(np.abs(y_s[1]) ** q, y_s[1]))),
-            np.concatenate(([0.0, z0], y_s[2])), int(res.n_steps[j]), rho_err)
+        t_end = float(res.t[j])
+        vp = np.concatenate(([0.0, lane_cfg.slope(start[1])],
+                             lane_cfg.slope(y_s[1])))
+        yield _result(lane_cfg,
+                      _outcome(res.event_index[j], t_end, float(res.y[0, j])),
+                      np.concatenate(([0.0, r0], t_s)),
+                      np.column_stack([origin, start, y_s]), vp,
+                      int(res.n_steps[j]), float(res.error_accum[0, j]),
+                      int(res.restarts[j]))
 
 
 def rescale_to_ball(res: ShootResult, R: float, p: float) -> float:
     """Parameter on the radius-R ball for this trajectory's profile.
 
     The rescaled profile u(r) = v(rho r / R) keeps the same maximum c and
-    solves the problem at lambda = lambda_shoot * (rho/R)^p.
+    solves the problem at lambda = lambda_shoot * (rho/R)^p, with p the
+    operator's rescaling exponent (``res.config.exponent``).
     """
     if not isinstance(res.outcome, HitZero):
         raise NotAZeroHit(f"cannot rescale a {res.outcome.kind} trajectory")
@@ -371,6 +438,11 @@ def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
 
 @dataclass(frozen=True)
 class DiagramRow:
+    """One grid height of a scan.  For the Pucci operator ``Fbar_c`` and
+    ``lower_bound`` use the Lambda-weighted primitive, ``energy_residual``
+    is the normalized violation of the decay inequality, and
+    ``q_sign_changes`` counts the diffusion switches (None otherwise)."""
+
     c: float
     outcome: str
     rho: float
@@ -381,6 +453,7 @@ class DiagramRow:
     energy_residual: float
     area_ok: Optional[bool]
     zero_interval_index: int
+    q_sign_changes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -418,19 +491,36 @@ POLE_OFFSETS = tuple(10.0 ** -j for j in range(2, 8))
 
 @dataclass
 class BifurcationDiagram:
-    """Scan of lambda(c) over a height grid, with per-row diagnostics."""
+    """Scan of lambda(c) over a height grid, with per-row diagnostics.
+
+    ``op`` is the shot config (either operator) every row was shot with;
+    its own height is not used.
+    """
 
     rows: Tuple[DiagramRow, ...]
     zeros: ZeroSequence
     nl: Nonlinearity
     pc: PrimitiveCalculus
-    p: float
-    N: int
+    op: Union[ShootConfig, PucciShootConfig]
     R: float
-    lambda_shoot: float
-    tol_ode: float
-    event_tol: float
-    r_max: float
+
+    @classmethod
+    def scan(cls, op, nl: Nonlinearity, R: float, c_grid: Sequence[float],
+             zeros: ZeroSequence,
+             pc: Optional[PrimitiveCalculus] = None) -> BifurcationDiagram:
+        """One shot per grid height, all heights in one lockstep batch, in grid order.
+
+        Heights where f vanishes are recorded as Stalled rows rather than
+        failing the scan.  ``pc`` defaults to the operator's primitives.
+        """
+        if len(c_grid) == 0:
+            raise EmptyGrid("a scan needs at least one height")
+        if pc is None:
+            pc = op.calculus(nl)
+        heights = [float(c) for c in c_grid]
+        rows = tuple(_diagram_row(c, res, op, pc, zeros, R)
+                     for c, res in zip(heights, _shots(op, heights, nl)))
+        return cls(rows, zeros, nl, pc, op, R)
 
     def branches(self) -> List[Tuple[int, int]]:
         """Maximal index ranges [i, j) of consecutive zero-hitting rows."""
@@ -449,13 +539,10 @@ class BifurcationDiagram:
 
     def _lambdas(self, heights: Sequence[float]) -> np.ndarray:
         """lambda on the ball at each height from one batch; nan without a zero."""
-        cfg = ShootConfig(self.p, self.N, 1.0, lambda_shoot=self.lambda_shoot,
-                          r_max=self.r_max, tol_ode=self.tol_ode,
-                          event_tol=self.event_tol)
         return np.array([
-            rescale_to_ball(res, self.R, self.p)
+            rescale_to_ball(res, self.R, self.op.exponent)
             if res is not None and isinstance(res.outcome, HitZero) else math.nan
-            for res in _shots(cfg, heights, self.nl)])
+            for res in _shots(self.op, heights, self.nl)])
 
     def _pole_brackets(self, lambda_star: float, rows, unresolved) -> list:
         """Brackets between rows below the level and heights next to their zeros.
@@ -558,7 +645,8 @@ class BifurcationDiagram:
                     continue
                 c, _, lam = min(shots, key=lambda x: abs(x[1]))
                 if b.update(shots, REFINE_RTOL):
-                    rho = self.R * (lam / self.lambda_shoot) ** (1.0 / self.p)
+                    rho = self.R * (lam / self.op.lambda_shoot) ** (
+                        1.0 / self.op.exponent)
                     out.append(Crossing(float(c), float(lam), float(rho),
                                         self.zeros.interval_index(float(c))))
                 else:
@@ -667,52 +755,42 @@ class _Bracket:
                 <= REFINE_XTOL * max(1.0, abs(self.a), abs(self.b)))
 
 
-def _diagram_row(c: float, res: Optional[ShootResult], pc: PrimitiveCalculus,
-                 zeros: ZeroSequence, p: float, R: float) -> DiagramRow:
+def _diagram_row(c: float, res: Optional[ShootResult], op,
+                 pc: PrimitiveCalculus, zeros: ZeroSequence,
+                 R: float) -> DiagramRow:
     """CSV row of one height from its shot (None where f(c) = 0)."""
     F_c = pc.F(c)
-    Fbar_c = pc.Fbar(c)
+    Fbar_c = op.Fbar(pc, c)
     idx = zeros.interval_index(c)
     try:
-        bound = per_solution_lower_bound(pc, c, p, R)
+        bound = op.lower_bound(pc, c, R)
     except NonpositiveFbar:
         bound = math.nan
+    switches = (0 if res is None else res.q_sign_changes) \
+        if op.reports_switches else None
     if res is None:
         return DiagramRow(c, "Stalled", math.nan, math.nan, F_c, Fbar_c,
-                          bound, math.nan, None, idx)
+                          bound, math.nan, None, idx, switches)
     if isinstance(res.outcome, HitZero):
-        d = check_necessary_conditions(res, pc, p, R)
+        d = op.audit(res, pc, R)
         return DiagramRow(c, "HitZero", res.outcome.rho,
-                          res.lambda_rescaled, F_c, Fbar_c, bound,
-                          d.energy_residual_max,
-                          bool(d.F_at_max_ok and d.area_condition_ok), idx)
+                          res.lambda_rescaled, F_c, Fbar_c, bound, d.residual,
+                          bool(d.F_at_max_ok and d.area_condition_ok), idx,
+                          switches)
     return DiagramRow(c, res.outcome.kind, math.nan, math.nan, F_c,
-                      Fbar_c, bound, math.nan, None, idx)
+                      Fbar_c, bound, math.nan, None, idx, switches)
 
 
 def diagram(nl: Nonlinearity, p: float, N: int, R: float,
             c_grid: Sequence[float], zeros: ZeroSequence,
             pc: Optional[PrimitiveCalculus] = None,
             lambda_shoot: float = 1.0, tol_ode: float = 1e-8,
-            event_tol: float = 1e-10, r_max: float = 50.0,
-            threads: int = 1) -> BifurcationDiagram:
-    """One shot per grid height, all heights in one lockstep batch, in grid order.
-
-    Heights where f vanishes are recorded as Stalled rows rather than
-    failing the scan.  ``threads`` is accepted for compatibility and
-    ignored: the batch already runs every height in one loop.
-    """
-    if len(c_grid) == 0:
-        raise EmptyGrid("diagram needs at least one height")
-    if pc is None:
-        pc = PrimitiveCalculus(nl, p=p)
-    heights = [float(c) for c in c_grid]
-    cfg = ShootConfig(p, N, heights[0], lambda_shoot=lambda_shoot,
-                      r_max=r_max, tol_ode=tol_ode, event_tol=event_tol)
-    rows = tuple(_diagram_row(c, res, pc, zeros, p, R)
-                 for c, res in zip(heights, _shots(cfg, heights, nl)))
-    return BifurcationDiagram(rows, zeros, nl, pc, p, N, R, lambda_shoot,
-                              tol_ode, event_tol, r_max)
+            event_tol: float = 1e-10, r_max: float = 50.0
+            ) -> BifurcationDiagram:
+    """p-Laplacian ``BifurcationDiagram.scan`` of the grid."""
+    op = ShootConfig(p, N, 1.0, lambda_shoot=lambda_shoot, r_max=r_max,
+                     tol_ode=tol_ode, event_tol=event_tol)
+    return BifurcationDiagram.scan(op, nl, R, c_grid, zeros, pc)
 
 
 CSV_COLUMNS = ("c", "outcome", "rho", "lambda", "F_c", "Fbar_c",
@@ -724,17 +802,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def diagram_csv_lines(diag: BifurcationDiagram) -> List[str]:
-    """Deterministic CSV encoding of the scan, one line per grid height."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in diag.rows:
+def _csv_lines(rows: Sequence[DiagramRow], switches: bool) -> List[str]:
+    """Deterministic CSV encoding of scan rows, one line per grid height;
+    ``switches`` adds the q_sign_changes column."""
+    lines = [",".join(CSV_COLUMNS + ("q_sign_changes",) * switches)]
+    for r in rows:
         area = "" if r.area_ok is None else ("true" if r.area_ok else "false")
         lines.append(",".join([
             _fmt(r.c), r.outcome, _fmt(r.rho), _fmt(r.lam), _fmt(r.F_c),
             _fmt(r.Fbar_c), _fmt(r.lower_bound), _fmt(r.energy_residual),
             area, str(r.zero_interval_index),
-        ]))
+        ] + [str(r.q_sign_changes)] * switches))
     return lines
+
+
+def diagram_csv_lines(diag: BifurcationDiagram) -> List[str]:
+    """Deterministic CSV encoding of the scan, one line per grid height."""
+    return _csv_lines(diag.rows, diag.op.reports_switches)
 
 
 def write_diagram_csv(diag: BifurcationDiagram, path: str) -> None:

@@ -52,7 +52,6 @@ ZEROS = find_zeros(NL, 12)
 ALPHA_3 = 5.5 * PI
 LINEAR = CustomTable.from_function(lambda s: s, 30.0, 30000)
 CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
-THREADS = 4
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def existence_scan():
     report = compute_thresholds(pc, BallGeometry(1, 1.0), "infinity",
                                 operator=Operator.p_laplacian(2.0))
     heights = clustered_heights(ZEROS, c_max=40.0)
-    diag = diagram(NL, 2.0, 1, 1.0, heights, ZEROS, pc=pc, threads=THREADS)
+    diag = diagram(NL, 2.0, 1, 1.0, heights, ZEROS, pc=pc)
     return report, diag
 
 
@@ -71,7 +70,7 @@ def nonexistence_scan():
     """Log-spaced scan of large heights, c in [10, 1e4]."""
     pc = PrimitiveCalculus(NL, p=2.0)
     grid = np.geomspace(10.0, 1e4, 240)
-    diag = diagram(NL, 2.0, 1, 1.0, grid, ZEROS, pc=pc, threads=THREADS)
+    diag = diagram(NL, 2.0, 1, 1.0, grid, ZEROS, pc=pc)
     return pc, diag
 
 
@@ -99,8 +98,7 @@ def test_criterion_2_energy_identity_across_scan():
     for p in (2.0, 3.0):
         pc = PrimitiveCalculus(NL, p=p)
         for N in (1, 2, 3):
-            diag = diagram(NL, p, N, 1.0, grid, ZEROS, pc=pc,
-                           tol_ode=1e-12, threads=THREADS)
+            diag = diagram(NL, p, N, 1.0, grid, ZEROS, pc=pc, tol_ode=1e-12)
             hits = [r for r in diag.rows if r.outcome == "HitZero"]
             assert hits, f"no solutions on the scan at p={p}, N={N}"
             worst = max(r.energy_residual for r in hits)

@@ -13,8 +13,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillap import __version__
 from oscillap.cli import main
@@ -396,6 +398,86 @@ def test_pucci_diagram(tmp_path, capsys):
                "--lambda-star", "5.0"])
     assert rc == 2
     assert "lambda" in capsys.readouterr().err.lower()
+
+
+# -- exit codes ---------------------------------------------------------------
+
+def _pos(hi):
+    return st.floats(0.0, hi, exclude_min=True)
+
+
+_table = st.builds(lambda ys, step: [[i * step, y] for i, y in enumerate(ys)],
+                   st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=6),
+                   st.floats(0.5, 10.0))
+# the schema only asks for an array
+_malformed_table = st.one_of(
+    st.lists(st.lists(st.floats(-5.0, 40.0), min_size=1, max_size=3), max_size=4),
+    st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=2), st.none()),
+             max_size=3))
+_nonlinearity = st.one_of(
+    st.builds(lambda k, r: {"kind": k, "r": r},
+              st.sampled_from(["power_sin", "reciprocal_sin"]), _pos(3.0)),
+    st.builds(lambda k, r: {"kind": k, "r": r},
+              st.sampled_from(["power_sin", "reciprocal_sin"]),
+              st.floats(-1.0, 0.0)),
+    st.just({"kind": "pure_sine"}),
+    st.builds(lambda k, s: {"kind": k, "samples": s},
+              st.sampled_from(["table", "envelope_sin"]), _table),
+    st.builds(lambda k, s: {"kind": k, "samples": s},
+              st.sampled_from(["table", "envelope_sin"]), _malformed_table),
+).flatmap(lambda nl: st.one_of(
+    st.just(nl),
+    st.sampled_from(["zero", "infinity"]).map(lambda d: {**nl, "direction": d})))
+_operator = st.one_of(
+    st.builds(lambda p: {"plap": {"p": p}}, st.floats(1.0, 6.0, exclude_min=True)),
+    st.builds(lambda L: {"pucci": {"Lambda": L}}, st.floats(1.0, 4.0)))
+_sections = {
+    "shoot": st.fixed_dictionaries({"c": _pos(60.0)},
+                                   optional={"lambda": _pos(1e3)}),
+    "scan": st.fixed_dictionaries(
+        {"c_min": _pos(60.0), "c_max": _pos(60.0), "points": st.integers(0, 8)},
+        optional={"log_spacing": st.booleans(),
+                  "lambda_star": st.lists(_pos(1e4), max_size=2)}),
+}
+
+
+def _configs(command):
+    """Schema-valid configs for ``command``, its own section always present.
+
+    Tolerances, zero counts and scan sizes stay small enough to keep each
+    run short; every other value ranges over what the schema accepts.
+    """
+    section = "scan" if command == "diagram" else "shoot"
+    return st.fixed_dictionaries(
+        {"nonlinearity": _nonlinearity, "operator": _operator,
+         "geometry": st.fixed_dictionaries({"N": st.integers(1, 4),
+                                            "R": _pos(100.0)}),
+         section: _sections[section]},
+        optional={
+            "tolerances": st.fixed_dictionaries({}, optional={
+                "tol_ode": st.floats(1e-10, 1e-4),
+                "event_tol": st.floats(1e-13, 1e-6),
+                "r_max": st.floats(0.01, 100.0)}),
+            "zeros": st.integers(1, 12),
+        })
+
+
+_runs = st.sampled_from(["shoot", "pucci-shoot", "diagram"]).flatmap(
+    lambda command: st.tuples(st.just(command), _configs(command)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_runs)
+def test_exit_codes_for_schema_valid_configs(run):
+    # whatever the schema accepts ends in a documented exit code: no
+    # exception escapes ``main``
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+    assert rc in (0, 2, 3, 4)
 
 
 # -- packaging --------------------------------------------------------------

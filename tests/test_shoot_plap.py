@@ -201,16 +201,6 @@ def test_diagram_csv_layout(pc_canonical):
     assert diagram_csv_lines(dg2) == lines
 
 
-def test_diagram_threaded_matches_serial(pc_canonical):
-    zeros = find_zeros(CANONICAL, 4)
-    grid = np.linspace(2.0, 9.0, 9)
-    a = diagram(CANONICAL, 2.0, 2, 1.0, grid, zeros, pc=pc_canonical,
-                tol_ode=1e-9)
-    b = diagram(CANONICAL, 2.0, 2, 1.0, grid, zeros, pc=pc_canonical,
-                tol_ode=1e-9, threads=4)
-    assert a.rows == b.rows
-
-
 def test_diagram_empty_grid(pc_canonical):
     zeros = find_zeros(CANONICAL, 4)
     with pytest.raises(EmptyGrid):
