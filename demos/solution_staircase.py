@@ -52,7 +52,7 @@ pot = Potential.p_laplacian(2.0)
 gammas = [row.gamma for row in report.rows]
 grid = radial_grid(1.0, 200, delta=report.rows[0].delta)
 items = run_sequence(nl, pot, star, zeros, gammas, grid, 5,
-                     pc=pc, lambda_bar=report.lambda_bar, threads=4)
+                     pc=pc, lambda_bar=report.lambda_bar)
 print(f"\nminimizers at lambda = {star:.3f}, truncated at alpha_1..alpha_5:")
 print(f"{'n':>2} {'alpha_n':>10} {'sup |u_n|':>10} {'energy':>14}")
 for it in items:

