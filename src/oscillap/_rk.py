@@ -19,6 +19,12 @@ free 4th-order dense output of the pair (Dormand & Prince 1980; Shampine
 1986, "Some practical Runge-Kutta formulas"; Hairer-Norsett-Wanner I,
 II.6) by a vectorized Illinois iteration, and one RK5 step of the located
 size gives the state at the event.
+
+``brentq`` is the bracketed root finder behind ``integrate``'s events and
+the zero and crossing polishers elsewhere in the package: Brent's method
+(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4) in
+the step order of scipy's ``brentq.c``, so located roots and probe counts
+match that implementation exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonConvergence, NonintegrableStep
 
@@ -268,6 +273,65 @@ def _sign(x: float) -> int:
     return 0
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float, maxiter: int = 100) -> float:
+    """Root of f in the sign-change bracket [a, b] by Brent's method.
+
+    Stops when the bracket half-width falls below
+    ``delta = (xtol + rtol*|x|)/2``; every step moves at least delta.
+    Raises NonConvergence when f is nan or ``maxiter`` steps run out.
+    """
+    def probe(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NonConvergence(f"root finder met f = nan at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = probe(xpre), probe(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = probe(xcur)
+    raise NonConvergence(
+        f"root finder did not converge in {maxiter} steps near x = {xcur!r}")
+
+
 def _locate(f, g, t, y, k1, h, event_tol):
     """Offset tau in (0, h] where g crosses zero along the step."""
 
@@ -292,7 +356,7 @@ def _locate(f, g, t, y, k1, h, event_tol):
             probe *= 8.0
         else:
             return hi
-    tau = float(brentq(phi, lo, hi, xtol=max(event_tol, 1e-15), rtol=1e-15))
+    tau = brentq(phi, lo, hi, xtol=max(event_tol, 1e-15), rtol=1e-15)
     # Bias the returned offset strictly past the crossing: brentq can stop a
     # hair on the near side, and a caller restarting there would re-detect
     # the same crossing forever.  phi(h) is on the far side, so this ends.

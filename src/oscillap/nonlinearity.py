@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._rk import brentq
 from .errors import DomainError, NoZerosFound
 
 TWO_PI = 2.0 * math.pi
@@ -538,7 +538,7 @@ def _polish_crossing(nl: Nonlinearity, seed: float, halfwidth: float) -> float:
         return hi
     if flo * fhi > 0.0:
         return seed  # no bracket: seed already machine-precision
-    return float(brentq(nl.eval, lo, hi, xtol=1e-15, rtol=1e-15))
+    return brentq(nl.eval, lo, hi, xtol=1e-15, rtol=1e-15)
 
 
 def find_zeros(

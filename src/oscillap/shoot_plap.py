@@ -28,9 +28,8 @@ from typing import (TYPE_CHECKING, ClassVar, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._rk import Event, integrate, integrate_batch
+from ._rk import Event, brentq, integrate, integrate_batch
 from .errors import (
     DomainError,
     EmptyGrid,
@@ -675,7 +674,7 @@ def _interpolated_root(pts: list, a: float, b: float) -> float:
         return v
     if not poly(a) * poly(b) < 0.0:
         return math.nan
-    return float(brentq(poly, a, b, xtol=1e-15 * max(1.0, abs(b)), rtol=1e-15))
+    return brentq(poly, a, b, xtol=1e-15 * max(1.0, abs(b)), rtol=1e-15)
 
 
 class _Bracket:

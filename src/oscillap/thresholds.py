@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, InfeasibleDelta, NonpositiveFbar
 from .nonlinearity import (
@@ -319,14 +318,99 @@ def reduce_negative_f0(nl: Nonlinearity,
     return ReducedNonlinearity(ClippedBelowFirstZero(nl, alpha1), True)
 
 
+class ScalarMinimum(NamedTuple):
+    """Result of :func:`minimize_scalar`: the minimizer, f there, f calls."""
+
+    x: float
+    fun: float
+    nfev: int
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_EVALS = 500
+
+
+def minimize_scalar(func: Callable[[float], float], bounds: Tuple[float, float],
+                    xatol: float) -> ScalarMinimum:
+    """Minimize func on [a, b] by Brent's bounded search.
+
+    Golden-section steps with parabolic steps where the parabola through
+    the three best points is trusted (Brent 1973, ch. 5), in the step order
+    of scipy's ``minimize_scalar(method="bounded")``, so minimizers and
+    call counts match it.  Stops when the bracket around the best point
+    shrinks to about ``xatol`` or after 500 calls.
+    """
+    a, b = bounds
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:   # try a parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return ScalarMinimum(xf, fx, num)
+
+
 def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence,
                    count: Optional[int] = None) -> List[float]:
     """Candidate heights: maximizers of Fbar(s)/s^p between successive zeros.
 
-    One golden-section search runs per gap between consecutive zeros of f
-    (plus the gap from 0 for zeros marching to infinity), so the returned
-    heights interleave the zeros.  Gaps whose best ratio is not positive
-    are skipped.  Results are ordered toward the accumulation point.
+    One bounded Brent search (golden section with parabolic steps) runs per
+    gap between consecutive zeros of f (plus the gap from 0 for zeros
+    marching to infinity), so the returned heights interleave the zeros.
+    Gaps whose best ratio is not positive are skipped.  Results are ordered
+    toward the accumulation point.
     """
     asc = list(zeros.ascending())
     if zeros.direction == DIRECTION_INFINITY:
@@ -340,10 +424,8 @@ def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence,
         if count is not None and len(out) >= count:
             break
         a = lo + 1e-12 * (hi - lo) if lo == 0.0 else lo
-        res = minimize_scalar(lambda s: -pc.Fbar(s) / s ** p,
-                              bounds=(a, hi), method="bounded",
-                              options={"xatol": 1e-10 * hi})
-        g = float(res.x)
+        g = minimize_scalar(lambda s: -pc.Fbar(s) / s ** p, (a, hi),
+                            xatol=1e-10 * hi).x
         if pc.Fbar(g) > 0.0:
             out.append(g)
     return out

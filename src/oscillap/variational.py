@@ -21,11 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
-
-# Not called here (the descent is projected Newton); the name stays because
-# perfbench/tracing.py spans it in this module.
-from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from .errors import DomainError, NonConvergence
 from .nonlinearity import Nonlinearity, ZeroSequence
@@ -326,6 +321,34 @@ _MAX_BACKTRACKS = 60
 _SHIFTS = (0.0,) + tuple(10.0 ** k for k in range(-3, 31))
 
 
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray,
+                       b: np.ndarray) -> Tuple[Optional[np.ndarray], int]:
+    """Solve the symmetric tridiagonal system (diagonal d, off-diagonal e).
+
+    LDL^T factorization and substitutions in the operation order of LAPACK
+    ``dpttrf``/``dpttrs``.  Returns (x, 0), or (None, i) when the i-th
+    pivot (1-based) is not positive, as LAPACK reports ``info``.
+    """
+    d, e, x = d.tolist(), e.tolist(), b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if d[i] <= 0.0:
+            return None, i + 1
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] -= e[i] * ei
+    if d[-1] <= 0.0:
+        return None, n
+    if n == 1:
+        return np.array([x[0] * (1.0 / d[0])]), 0
+    for i in range(1, n):
+        x[i] -= x[i - 1] * e[i - 1]
+    x[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    return np.array(x), 0
+
+
 def _hessian_bands(vals: np.ndarray, grid_r: np.ndarray, N: int,
                    tn: TruncatedNonlinearity, pot: Potential, lam: float,
                    stiffness: np.ndarray, floor: float):
@@ -407,8 +430,8 @@ def _descend(start: np.ndarray, grid_r: np.ndarray, N: int, p: float,
         off = np.where(free[:-1] & free[1:], off, 0.0)
         rhs = np.where(free, -g, 0.0)
         for mu in _SHIFTS:
-            _, _, step, info = dptsv(np.where(free, diag + mu * scales, 1.0),
-                                     off, rhs)
+            step, info = _solve_tridiagonal(
+                np.where(free, diag + mu * scales, 1.0), off, rhs)
             if info == 0 and np.all(np.isfinite(step)):
                 break
         else:

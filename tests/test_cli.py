@@ -526,3 +526,14 @@ def test_module_entry_matches_script(tmp_path):
          "--config", cfg, "--out", str(out)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime needs numpy and jsonschema only; scipy is a test extra."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, oscillap.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

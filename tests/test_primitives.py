@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oscillap.primitives import (
     CachedPrefix,
     LimitEstimate,
     PrimitiveCalculus,
+    _PowerSinPrimitive,
     classify_ratio_samples,
 )
 
@@ -213,6 +215,35 @@ def test_quadrature_budget_exhaustion_raises():
                            tol_quad=1e-16, max_depth=3)
     with pytest.raises(QuadratureFailure):
         pc.F(10.0)
+
+
+def test_prefix_extension_stops_at_rounding_level():
+    """A GL21/GL10 disagreement at rounding level ends the refinement.
+
+    Near s = 7000 the node placement alone moves s^3 (1 + sin s) by about
+    eps * s relative, far above a 1e-12 tolerance; bisecting such panels
+    until their values drop below 1 made this one extension take about 50 s.
+    """
+    cache = CachedPrefix(lambda s: s ** 3 * (1.0 + np.sin(s)), tol=1e-12)
+    cache.value(6370.0)
+    start = time.perf_counter()
+    got = cache.value(9128.0)
+    assert time.perf_counter() - start < 2.0
+    assert got == pytest.approx(_PowerSinPrimitive(3).F(9128.0), rel=1e-12)
+
+
+def test_prefix_at_tight_tolerance_passes_a_double_zero():
+    """At 1e-13 the double zero of 1 + sin s at s = 7048.16 refines to an end.
+
+    Without the rounding floor the panel holding it exhausted the
+    subdivision depth and raised QuadratureFailure.
+    """
+    ps = _PowerSinPrimitive(3)
+    cache = CachedPrefix(PowerTimesOnePlusSin(3.0).eval_many, tol=1e-13)
+    s = np.linspace(7000.0, 7100.0, 41)
+    np.testing.assert_allclose(cache.value_many(s), ps.F_many(s), rtol=1e-12)
+    for x in (7048.0, 7048.163118328701, 7048.3):
+        assert cache.value(x) == pytest.approx(ps.F(x), rel=1e-12)
 
 
 def test_limit_estimate_power_sin(pc_power):
