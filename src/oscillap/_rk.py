@@ -9,6 +9,11 @@ steps: the crossing offset is solved by bracketed root finding on the map
 ``tau -> g(one RK5 step of size tau from the step start)``, which is
 smooth in tau and reuses the already-computed first stage.
 
+Both integrators apply one end-or-restart rule at a fired event: the
+event's ``ends`` either ends the trajectory there or steps exactly onto
+it and restarts with a fresh first step, up to ``max_restarts`` times
+(see ``Event``).
+
 ``integrate_batch`` advances many independent trajectories (lanes) of the
 same system in lockstep on ``(components, lanes)`` arrays, so the
 per-step interpreter overhead is paid once per lockstep iteration rather
@@ -126,11 +131,11 @@ class Event:
 
     ``ends`` says what the trajectory does once the event fires: True ends
     it at the event, False steps exactly onto it and restarts there with a
-    fresh first step, and a callable (t, y) -> bool decides from the state
-    at the event.  ``integrate_batch`` applies the rule per lane;
-    ``integrate`` returns at every fired event and leaves it to its caller.
-    For a batch, ``g`` and a callable ``ends`` take (lanes,) times and
-    (components, lanes) states and return one value per lane.
+    fresh first step and step budget, and a callable (t, y) -> bool decides
+    from the state at the event.  Both integrators apply this rule (the
+    batch per lane) and raise NonConvergence after ``max_restarts``
+    restarts.  For a batch, ``g`` and a callable ``ends`` take (lanes,)
+    times and (components, lanes) states and return one value per lane.
     """
 
     g: Callable[[float, Tuple[float, ...]], float]
@@ -144,12 +149,16 @@ class Event:
 
 @dataclass
 class IntegrateResult:
-    status: str                 # "event" or "end"
     t: float
     y: Tuple[float, ...]
-    event_index: Optional[int]
-    n_steps: int
+    event_index: int                # event that ended the trajectory; -1 at t_end
+    n_steps: int                    # attempted steps over all restarts
+    restarts: int                   # events passed through with a restart
     error_accum: Tuple[float, ...]  # summed |local error| per component
+
+
+def _restarts_exhausted(max_restarts: int) -> NonConvergence:
+    return NonConvergence(f"more than {max_restarts} restarts at events")
 
 
 def integrate(
@@ -161,22 +170,45 @@ def integrate(
     scale: Sequence[float],
     events: Sequence[Event] = (),
     record: Optional[Callable[[float, Tuple[float, ...]], None]] = None,
-    max_steps: int = _MAX_STEPS,
+    max_restarts: int = 10_000,
     event_tol: float = 1e-12,
-    first_step: Optional[float] = None,
 ) -> IntegrateResult:
-    """Integrate y' = f(t, y) from t0 to t_end or the first fired event.
+    """Integrate y' = f(t, y) from t0 to t_end or the first ending event.
 
     ``scale`` gives per-component magnitudes; the error test uses
     tolerance rtol*(scale_i + |y_i|) per component.  ``record`` is called
-    after every accepted step (and at the event point).  Raises
+    after every accepted step (and at every located event).  Raises
     NonintegrableStep on step-size underflow and NonConvergence when the
-    step budget runs out.
+    step budget of a (re)start or the restarts run out.
+    """
+    t, y = t0, tuple(float(v) for v in y0)
+    err_total = [0.0] * len(y)
+    n_steps = restarts = 0
+    while True:
+        t, y, idx, steps, err = _segment(f, t, y, t_end, rtol, scale, events,
+                                         record, event_tol)
+        n_steps += steps
+        # each (re)start's error sum joins the total in order
+        err_total = [a + b for a, b in zip(err_total, err)]
+        if idx < 0 or events[idx].ends_at(t, y):
+            return IntegrateResult(t, y, idx, n_steps, restarts,
+                                   tuple(err_total))
+        restarts += 1
+        if restarts > max_restarts:
+            raise _restarts_exhausted(max_restarts)
+
+
+def _segment(f, t0, y0, t_end, rtol, scale, events, record, event_tol):
+    """One (re)start of ``integrate``: from (t0, y0) with a fresh first step
+    to t_end or the first fired event.
+
+    Returns (t, y, fired event index or -1 at t_end, attempted steps,
+    summed |local error| per component).
     """
     if not t_end > t0:
         raise NonConvergence(f"empty integration span [{t0!r}, {t_end!r}]")
     n = len(y0)
-    t, y = t0, tuple(float(v) for v in y0)
+    t, y = t0, y0
     k1 = f(t, y)
 
     # reference signs for event arming; 0 means not yet armed
@@ -186,23 +218,20 @@ def integrate(
         return tuple(rtol * (scale[i] + max(abs(a[i]), abs(b[i])))
                      for i in range(n))
 
-    if first_step is not None:
-        h = float(first_step)
-    else:
-        d0 = max(abs(y[i]) / scale[i] for i in range(n))
-        d1 = max(abs(k1[i]) / scale[i] for i in range(n))
-        h = (_H0_SHARE * d0 / d1 if d1 > 0 and d0 > 0
-             else (t_end - t0) * _H0_FALLBACK)
-        h = max(h, _H0_FLOOR * (t_end - t0))
+    d0 = max(abs(y[i]) / scale[i] for i in range(n))
+    d1 = max(abs(k1[i]) / scale[i] for i in range(n))
+    h = (_H0_SHARE * d0 / d1 if d1 > 0 and d0 > 0
+         else (t_end - t0) * _H0_FALLBACK)
+    h = max(h, _H0_FLOOR * (t_end - t0))
     h = min(h, t_end - t)
 
     err_prev = 1.0
     err_accum = [0.0] * n
     steps = 0
     while True:
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             raise NonConvergence(
-                f"integration exceeded {max_steps} steps at t={t!r}",
+                f"integration exceeded {_MAX_STEPS} steps at t={t!r}",
                 best=(t, y))
         if h < _H_UNDERFLOW * max(1.0, abs(t)):
             raise NonintegrableStep(
@@ -246,8 +275,7 @@ def integrate(
             y_ev = _advance(f, t, y, hit_tau, k1) if hit_tau < h else ynew
             if record is not None:
                 record(t_ev, y_ev)
-            return IntegrateResult("event", t_ev, y_ev, hit_idx, steps,
-                                   tuple(err_accum))
+            return t_ev, y_ev, hit_idx, steps, err_accum
 
         t, y, k1 = t + h, ynew, k7
         for idx, ev in enumerate(events):
@@ -257,7 +285,7 @@ def integrate(
         if record is not None:
             record(t, y)
         if last:
-            return IntegrateResult("end", t, y, None, steps, tuple(err_accum))
+            return t, y, -1, steps, err_accum
 
         fac = _SAFETY * err ** -_ALPHA * err_prev ** _BETA if err > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
@@ -375,7 +403,6 @@ def _locate(f, g, t, y, k1, h, event_tol):
 
 #: Illinois iterations allowed per located event (about 5 are typical)
 _MAX_ILLINOIS = 60
-#: ``Event`` under the name batched callers import
 
 #: ``Event`` under the name the ``integrate_batch`` tests use
 BatchEvent = Event
@@ -601,8 +628,8 @@ def integrate_batch(
     ``t0`` holds one start per lane.  ``f`` and each event's ``g`` take a
     (lanes,) time and a (components, lanes) state of the lanes still
     running.  Each lane follows ``integrate``'s step control on its own:
-    error test, PI controller, step budget per (re)start,
-    and the same event sign and arming rules.  Finished lanes leave the
+    error test, PI controller, step budget per (re)start, and the same
+    event sign, arming and end-or-restart rules.  Finished lanes leave the
     working set; a lane whose fired events all end it unconditionally is
     finished at once and its event is located with the others after the
     loop.  Raises NonintegrableStep on step-size underflow in any lane and
@@ -717,8 +744,7 @@ def integrate_batch(
             r = np.nonzero(restart)[0]
             restarts[r] += 1
             if restarts.max() > max_restarts:
-                raise NonConvergence(
-                    f"more than {max_restarts} restarts at events")
+                raise _restarts_exhausted(max_restarts)
             if not np.all(t_end > t_acc[r]):
                 raise NonConvergence(
                     f"empty integration span ending at {t_end!r}")

@@ -27,7 +27,7 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .errors import EmptyGrid, OscillapError, StalledAtCriticalPoint
 from .nonlinearity import find_zeros, nonlinearity_from_json
-from .primitives import PrimitiveCalculus
+from .primitives import extended_real
 from .shoot_plap import (
     BifurcationDiagram,
     HitZero,
@@ -42,13 +42,7 @@ from .shoot_pucci import PucciShootConfig
 # the names stay because perfbench/tracing.py spans them in this module.
 from .shoot_plap import diagram  # noqa: F401
 from .shoot_pucci import pucci_scan  # noqa: F401
-from .thresholds import (
-    BallGeometry,
-    Operator,
-    compute_thresholds,
-    lambda_under_plap,
-    lambda_under_pucci,
-)
+from .thresholds import BallGeometry, Operator, compute_thresholds
 from .variational import (
     Potential,
     radial_grid,
@@ -194,13 +188,6 @@ def _write_json(path: str, obj: dict) -> None:
                                    allow_nan=False) + "\n")
 
 
-def _ext(x: float):
-    """Extended-real encoding: JSON has no inf."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 class Run:
     """One validated config plus the CLI overrides that apply to it."""
 
@@ -232,10 +219,13 @@ class Run:
         op = cfg["operator"]
         if "plap" in op:
             self.operator = Operator.p_laplacian(float(op["plap"]["p"]))
-            self.shooter = ShootConfig
+            shooter = ShootConfig
         else:
             self.operator = Operator.pucci(float(op["pucci"]["Lambda"]))
-            self.shooter = PucciShootConfig
+            shooter = PucciShootConfig
+        #: the operator's shot config at unit height and default controls;
+        #: its ``calculus`` gives the run's primitives
+        self.shooter = shooter(self.operator.parameter, self.N, 1.0)
 
         tol = dict(cfg.get("tolerances", {}))
         if args.tol_ode is not None:
@@ -265,14 +255,9 @@ class Run:
 
     def shoot_config(self, c: float, lambda_shoot: float = 1.0):
         """The operator's shot config at height c with this run's controls."""
-        return self.shooter(self.operator.parameter, self.N, float(c),
-                            lambda_shoot=lambda_shoot, r_max=self.r_max,
-                            tol_ode=self.tol_ode, event_tol=self.event_tol)
-
-    def calculus(self) -> PrimitiveCalculus:
-        if self.operator.kind == "p_laplacian":
-            return PrimitiveCalculus(self.nl, p=self.operator.parameter)
-        return PrimitiveCalculus(self.nl, p=2.0, Lambda=self.operator.parameter)
+        return dataclasses.replace(
+            self.shooter, c=float(c), lambda_shoot=lambda_shoot,
+            r_max=self.r_max, tol_ode=self.tol_ode, event_tol=self.event_tol)
 
     def scan_grid(self) -> np.ndarray:
         if "scan" not in self.cfg:
@@ -295,36 +280,16 @@ class Run:
         return [float(v) for v in self.cfg.get("scan", {}).get("lambda_star", [])]
 
 
-def _limits_both(run: Run):
-    """Limit estimates and nonexistence thresholds for both operators.
-
-    The plain primitive drives the p-Laplacian formula; the sign-weighted
-    one drives the Pucci formula (at Lambda = 1 when the config chose the
-    p-Laplacian, where the two coincide for p = 2).
-    """
-    pc = run.calculus()
-    direction = run.nl.direction
-    Lambda = run.operator.parameter if run.operator.kind == "pucci" else 1.0
-    lim_plain = pc.estimate_limits(which="F", direction=direction)
-    lim_weighted = pc.estimate_limits(which="F_Lambda", direction=direction)
-
-    def threshold(limits, formula):
-        if limits.classification == "BothZero":
-            return math.inf
-        if limits.classification != "FinitePair":
-            return 0.0
-        return formula(limits.L_minus, limits.L_plus)
-
-    p = run.operator.parameter if run.operator.kind == "p_laplacian" else 2.0
-    under_plap = threshold(lim_plain,
-                           lambda lm, lp: lambda_under_plap(p, run.R, lm, lp))
-    under_pucci = threshold(lim_weighted,
-                            lambda lm, lp: lambda_under_pucci(Lambda, run.R, lm, lp))
-    return pc, lim_plain, lim_weighted, under_plap, under_pucci
-
-
 def cmd_analyze(run: Run) -> int:
-    pc, lim_plain, lim_weighted, under_plap_v, under_pucci_v = _limits_both(run)
+    # both operators' thresholds: the one the config did not choose is
+    # taken at p = 2 or Lambda = 1, where the two coincide
+    pc = run.shooter.calculus(run.nl)
+    plap = (run.operator if run.operator.kind == "p_laplacian"
+            else Operator.p_laplacian(2.0))
+    pucci = run.operator if run.operator.kind == "pucci" else Operator.pucci(1.0)
+    lim_plain = pc.estimate_limits(which=plap.which, direction=run.nl.direction)
+    lim_weighted = pc.estimate_limits(which=pucci.which,
+                                      direction=run.nl.direction)
     zeros = find_zeros(run.nl, run.zeros_count)
     asc = zeros.ascending()
     report = compute_thresholds(pc, BallGeometry(run.N, run.R),
@@ -342,13 +307,14 @@ def cmd_analyze(run: Run) -> int:
             "F_Lambda": [float(v) for v in pc.F_Lambda_many(s)],
         },
         "limits": {"F": lim_plain.to_json(), "F_Lambda": lim_weighted.to_json()},
-        "lambda_under": {"p_laplacian": _ext(under_plap_v),
-                         "pucci": _ext(under_pucci_v)},
+        "lambda_under": {
+            "p_laplacian": extended_real(plap.lambda_under(run.R, lim_plain)),
+            "pucci": extended_real(pucci.lambda_under(run.R, lim_weighted))},
         "thresholds": report.to_json(),
     }
     _write_json(run.path("analysis.json"), payload)
-    print(f"analysis.json: lambda_under={_ext(report.lambda_under)} "
-          f"lambda_bar={_ext(report.lambda_bar)}")
+    print(f"analysis.json: lambda_under={extended_real(report.lambda_under)} "
+          f"lambda_bar={extended_real(report.lambda_bar)}")
     return EXIT_OK
 
 
@@ -399,7 +365,7 @@ def _shoot(run: Run, kind: str, wrong_operator: str) -> int:
     extra = {"kind": out.kind, **dataclasses.asdict(out)}
     if isinstance(out, HitZero):
         extra["diagnostics"] = dataclasses.asdict(
-            cfg.audit(res, run.calculus(), run.R))
+            cfg.audit(res, cfg.calculus(run.nl), run.R))
     _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
     print(f"trajectory.json: outcome={out.kind}")
     return EXIT_OK
@@ -437,12 +403,11 @@ def _audit_rows(rows, energy_tol: float, slack_tol: float) -> dict:
 
 def cmd_diagram(run: Run) -> int:
     grid = run.scan_grid()
-    pc = run.calculus()
     zeros = find_zeros(run.nl, run.zeros_count)
     if run.stars() and run.operator.kind == "pucci":
         raise ConfigError("lambda-star refinement is p-Laplacian only")
     diag = BifurcationDiagram.scan(run.shoot_config(grid[0]), run.nl, run.R,
-                                   grid, zeros, pc)
+                                   grid, zeros)
     star_report = {}
     for star in run.stars():
         unresolved: List[UnresolvedBracket] = []
@@ -485,7 +450,7 @@ def cmd_minimize(run: Run) -> int:
     cells = int(sec.get("grid_cells", 200))
     grading = float(sec.get("grading", 2.0))
     p = run.operator.parameter
-    pc = run.calculus()
+    pc = run.shooter.calculus(run.nl)
     zeros = find_zeros(run.nl, max(K + 1, run.zeros_count))
     report = compute_thresholds(pc, BallGeometry(run.N, run.R),
                                 run.nl.direction, count=max(K, 4),
@@ -502,7 +467,7 @@ def cmd_minimize(run: Run) -> int:
     payload = {
         **run.stamp(),
         "lambda": lam,
-        "lambda_bar": _ext(report.lambda_bar),
+        "lambda_bar": extended_real(report.lambda_bar),
         "grid": [float(x) for x in grid],
         "items": [
             {
@@ -540,24 +505,20 @@ def _read_diagram_csv(path: str) -> List[dict]:
 
 
 def cmd_certify(run: Run) -> int:
-    pc, lim_plain, lim_weighted, under_plap_v, under_pucci_v = _limits_both(run)
-    if run.operator.kind == "p_laplacian":
-        limits, under = lim_plain, under_plap_v
-        formula = "(p-1)/(p*R^p*(L_plus - min(0, L_minus)))"
-    else:
-        limits, under = lim_weighted, under_pucci_v
-        formula = "1/(2*Lambda*R^2*(L_plus - min(0, L_minus)))"
+    limits = run.shooter.calculus(run.nl).estimate_limits(
+        which=run.operator.which, direction=run.nl.direction)
+    under = run.operator.lambda_under(run.R, limits)
     cert = {
         **run.stamp(),
         "operator": run.operator.to_json(),
         "geometry": {"N": run.N, "R": run.R},
         "ell": run.nl.direction,
-        "L_minus": _ext(limits.L_minus),
-        "L_plus": _ext(limits.L_plus),
+        "L_minus": extended_real(limits.L_minus),
+        "L_plus": extended_real(limits.L_plus),
         "limits_are_estimates": True,
         "classification": limits.classification,
-        "lambda_under": _ext(under),
-        "formula": formula,
+        "lambda_under": extended_real(under),
+        "formula": run.operator.under_formula,
         "caveat": "limits are numerical estimates",
         "statement": ("no parameter below lambda_under admits a positive "
                       "radial solution on the ball"),
@@ -591,8 +552,8 @@ def cmd_certify(run: Run) -> int:
             "diagram_csv": diagram_path,
             "solutions_checked": checked,
             "violations": bad,
-            "min_slack_vs_lambda_under": _ext(min_under_slack),
-            "min_slack_vs_per_solution_bound": _ext(min_bound_slack),
+            "min_slack_vs_lambda_under": extended_real(min_under_slack),
+            "min_slack_vs_per_solution_bound": extended_real(min_bound_slack),
             "tolerances": {"lambda_under": run.energy_tol,
                            "per_solution": run.slack_tol},
         }
@@ -600,7 +561,7 @@ def cmd_certify(run: Run) -> int:
             violation = (f"{len(bad)} of {checked} solutions fall below "
                          f"the nonexistence bound")
     _write_json(run.path("certificate.json"), cert)
-    print(f"certificate.json: lambda_under={_ext(under)}"
+    print(f"certificate.json: lambda_under={extended_real(under)}"
           + (f"; empirical check over {cert['empirical']['solutions_checked']}"
              f" solutions" if "empirical" in cert else ""))
     if violation:

@@ -61,7 +61,7 @@ _X10, _W10 = np.polynomial.legendre.leggauss(10)
 
 #: default relative quadrature tolerance
 TOL_QUAD = 1e-10
-#: default checkpoint spacing; half a period of the catalog oscillations
+#: checkpoint spacing; half a period of the catalog oscillations
 PANEL_WIDTH = math.pi / 2.0
 #: multiple of the rounding-level terms that ``CachedPrefix`` accepts; for
 #: s^3 (1 + sin s) on [6e3, 1e4] the pure-rounding disagreements reach
@@ -82,11 +82,9 @@ class CachedPrefix:
     each query reads one such snapshot.
     """
 
-    def __init__(self, fvec, tol=TOL_QUAD, panel_width=PANEL_WIDTH, kinks=None,
-                 max_depth=28):
+    def __init__(self, fvec, tol=TOL_QUAD, kinks=None, max_depth=28):
         self._fvec = fvec
         self.tol = float(tol)
-        self.width = float(panel_width)
         self._kinks = kinks if kinks is not None else (lambda a, b: [])
         self.max_depth = int(max_depth)
         self._state = (np.array([0.0]), np.array([0.0]))  # (t, I)
@@ -143,7 +141,7 @@ class CachedPrefix:
             a = float(t_old[-1])
             if target <= a:
                 return self._state
-            n = max(1, int(math.ceil((target - a) / self.width)))
+            n = max(1, int(math.ceil((target - a) / PANEL_WIDTH)))
             edges = np.linspace(a, target, n + 1)
             ks = [k for k in self._kinks(a, target) if a < k < target]
             if ks:
@@ -474,6 +472,24 @@ class _ExtremaTable:
 
 _CLASSIFICATIONS = ("FinitePair", "PlusInfinite", "MinusInfinite", "BothZero")
 
+#: limit estimates sample this many abscissae over this many decades,
+#: ending (or, toward 0, starting) at s = 1 ...
+_LIMIT_POINTS = 200
+_LIMIT_DECADES = 6.0
+#: ... and report the extremes of the final decades toward the limit
+_TAIL_DECADES = 3
+#: divergence: per-decade extremes grow by this factor between decades
+_DIVERGENCE_RATIO = 10.0
+#: both limits at most this in magnitude classify as BothZero
+_ZERO_TOL = 1e-6
+
+
+def extended_real(x: float):
+    """JSON encoding of an extended real: JSON has no inf."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
 
 @dataclass(frozen=True)
 class LimitEstimate:
@@ -497,14 +513,9 @@ class LimitEstimate:
             raise DomainError("limit estimate needs L_minus <= L_plus")
 
     def to_json(self) -> dict:
-        def enc(x):
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
         return {
-            "L_minus": enc(self.L_minus),
-            "L_plus": enc(self.L_plus),
+            "L_minus": extended_real(self.L_minus),
+            "L_plus": extended_real(self.L_plus),
             "classification": self.classification,
             "which": self.which,
             "direction": self.direction,
@@ -514,20 +525,13 @@ class LimitEstimate:
         }
 
 
-def classify_ratio_samples(
-    svals,
-    ratios,
-    direction: str,
-    tail_decades: int = 3,
-    divergence_ratio: float = 10.0,
-    zero_tol: float = 1e-6,
-    which: str = "F",
-) -> LimitEstimate:
+def classify_ratio_samples(svals, ratios, direction: str,
+                           which: str = "F") -> LimitEstimate:
     """Turn sampled ratios F(s)/s^p into a LimitEstimate.
 
-    The tail window is the final ``tail_decades`` decades toward the limit.
-    Divergence is declared when per-decade extremes grow by at least
-    ``divergence_ratio`` between every pair of consecutive decades.
+    The tail window is the final three decades toward the limit.
+    Divergence is declared when per-decade extremes grow by at least a
+    factor 10 between every pair of consecutive decades.
     """
     s = np.asarray(svals, dtype=float)
     r = np.asarray(ratios, dtype=float)
@@ -539,17 +543,17 @@ def classify_ratio_samples(
     logs = np.log10(s)
     if direction == DIRECTION_INFINITY:
         hi = logs[-1]
-        tail_mask = logs >= hi - tail_decades
+        tail_mask = logs >= hi - _TAIL_DECADES
         toward = 1  # larger s is closer to the limit
     else:
         lo = logs[0]
-        tail_mask = logs <= lo + tail_decades
+        tail_mask = logs <= lo + _TAIL_DECADES
         toward = -1
     st, rt = s[tail_mask], r[tail_mask]
 
     # equal log-width windows across the tail, ordered toward the limit
     lt = np.log10(st)
-    nwin = max(2, int(tail_decades))
+    nwin = _TAIL_DECADES
     edges = np.linspace(lt.min(), lt.max(), nwin + 1)
     buckets = np.clip(np.searchsorted(edges, lt, side="right") - 1, 0, nwin - 1)
     if toward < 0:
@@ -566,7 +570,7 @@ def classify_ratio_samples(
             return False
         if not np.all(vals[1:] >= vals[:-1]):
             return False
-        return bool(vals[-1] >= 0.5 * divergence_ratio ** (len(vals) - 1) * vals[0])
+        return bool(vals[-1] >= 0.5 * _DIVERGENCE_RATIO ** (len(vals) - 1) * vals[0])
 
     plus_div = _diverges(sups, +1.0)
     minus_div = _diverges(infs, -1.0)
@@ -579,13 +583,13 @@ def classify_ratio_samples(
     # decay toward zero: mirrored trend test on window magnitudes
     amax = np.array([np.abs(rt[buckets == k]).max() for k in range(nwin)])
     shrinks = (np.all(amax[1:] <= amax[:-1])
-               and amax[-1] <= amax[0] * 2.0 / divergence_ratio ** (nwin - 1))
+               and amax[-1] <= amax[0] * 2.0 / _DIVERGENCE_RATIO ** (nwin - 1))
 
     if minus_div:
         cls = "MinusInfinite"
     elif plus_div:
         cls = "PlusInfinite"
-    elif shrinks or max(abs(L_minus), abs(L_plus)) <= zero_tol:
+    elif shrinks or max(abs(L_minus), abs(L_plus)) <= _ZERO_TOL:
         cls = "BothZero"
     else:
         cls = "FinitePair"
@@ -605,8 +609,7 @@ class PrimitiveCalculus:
     """
 
     def __init__(self, nl: Nonlinearity, p: float, Lambda: float = 1.0,
-                 tol_quad: float = TOL_QUAD, panel_width: float = PANEL_WIDTH,
-                 max_depth: int = 28):
+                 tol_quad: float = TOL_QUAD, max_depth: int = 28):
         if not (p > 1.0):
             raise DomainError(f"growth exponent p must exceed 1, got {p!r}")
         if not (Lambda >= 1.0):
@@ -623,7 +626,6 @@ class PrimitiveCalculus:
             self._Fplus_many_impl = exact.Fplus_many
             self._Fminus_many_impl = exact.Fminus_many
             self._F_impl = lambda s: float(exact.F_many(np.array([s]))[0])
-            self._exact = exact
         elif (isinstance(nl, PowerTimesOnePlusSin) and nl.r.is_integer()
               and nl.r <= _PowerSinPrimitive.MAX_N):
             ps = _PowerSinPrimitive(int(nl.r))
@@ -632,7 +634,6 @@ class PrimitiveCalculus:
             # f >= 0 so the sign split is trivial
             self._Fplus_many_impl = ps.F_many
             self._Fminus_many_impl = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-            self._exact = None
         elif isinstance(nl, ReciprocalOscillation):
             rec = _ReciprocalPrimitive(nl.exponent, tol=tol_quad)
             self._F_impl = rec.F
@@ -640,11 +641,9 @@ class PrimitiveCalculus:
             # f >= 0 so the sign split is trivial
             self._Fplus_many_impl = rec.F_many
             self._Fminus_many_impl = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-            self._exact = None
         else:
             kinks = lambda a, b: nl.kink_points(a, b)
-            cache = CachedPrefix(nl.eval_many, tol=tol_quad,
-                                 panel_width=panel_width, kinks=kinks,
+            cache = CachedPrefix(nl.eval_many, tol=tol_quad, kinks=kinks,
                                  max_depth=max_depth)
             self._F_impl = cache.value
             self._F_many_impl = cache.value_many
@@ -660,13 +659,12 @@ class PrimitiveCalculus:
 
                 plus = CachedPrefix(
                     lambda s: np.maximum(nl.eval_many(s), 0.0), tol=tol_quad,
-                    panel_width=panel_width, kinks=kinks_split, max_depth=max_depth)
+                    kinks=kinks_split, max_depth=max_depth)
                 minus = CachedPrefix(
                     lambda s: np.maximum(-nl.eval_many(s), 0.0), tol=tol_quad,
-                    panel_width=panel_width, kinks=kinks_split, max_depth=max_depth)
+                    kinks=kinks_split, max_depth=max_depth)
                 self._Fplus_many_impl = plus.value_many
                 self._Fminus_many_impl = minus.value_many
-            self._exact = None
 
         self._extrema_F = _ExtremaTable(self.F, self.F_many, nl.sign_change_points)
         self._extrema_FL = _ExtremaTable(self.F_Lambda, self.F_Lambda_many,
@@ -731,38 +729,27 @@ class PrimitiveCalculus:
 
     # -- tail growth estimates ------------------------------------------------
 
-    def estimate_limits(
-        self,
-        which: str = "F",
-        direction: str | None = None,
-        decades: float = 6.0,
-        points: int = 200,
-        tail_decades: int = 3,
-        anchor: float = 1.0,
-        divergence_ratio: float = 10.0,
-        zero_tol: float = 1e-6,
-    ) -> LimitEstimate:
+    def estimate_limits(self, which: str = "F",
+                        direction: str | None = None) -> LimitEstimate:
         """Estimate liminf/limsup of F(s)/s^p (or F_Lambda(s)/s^2) toward ell.
 
-        Samples a geometric grid of ``points`` abscissae spanning ``decades``
-        decades that ends (direction "infinity") or starts (direction "zero")
-        at ``anchor``; the reported extremes cover the final ``tail_decades``
-        decades toward the limit.  The result is an estimate and is flagged
-        as such in serialized reports.
+        Samples a geometric grid of 200 abscissae spanning six decades that
+        ends (direction "infinity") or starts (direction "zero") at s = 1;
+        the reported extremes cover the final three decades toward the
+        limit (``classify_ratio_samples``).  The result is an estimate and
+        is flagged as such in serialized reports.
         """
         if which not in ("F", "F_Lambda"):
             raise DomainError(f"which must be 'F' or 'F_Lambda', got {which!r}")
         direction = direction or self.nl.direction
         if direction == DIRECTION_INFINITY:
-            svals = np.geomspace(anchor, anchor * 10.0**decades, points)
+            svals = np.geomspace(1.0, 10.0**_LIMIT_DECADES, _LIMIT_POINTS)
         elif direction == DIRECTION_ZERO:
-            svals = np.geomspace(anchor * 10.0**-decades, anchor, points)
+            svals = np.geomspace(10.0**-_LIMIT_DECADES, 1.0, _LIMIT_POINTS)
         else:
             raise DomainError(f"unknown direction {direction!r}")
         if which == "F":
             ratios = self.F_many(svals) / svals**self.p
         else:
             ratios = self.F_Lambda_many(svals) / svals**2
-        return classify_ratio_samples(
-            svals, ratios, direction, tail_decades=tail_decades,
-            divergence_ratio=divergence_ratio, zero_tol=zero_tol, which=which)
+        return classify_ratio_samples(svals, ratios, direction, which=which)

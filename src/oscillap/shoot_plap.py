@@ -33,7 +33,6 @@ from ._rk import Event, brentq, integrate, integrate_batch
 from .errors import (
     DomainError,
     EmptyGrid,
-    NonConvergence,
     NonpositiveFbar,
     NotAZeroHit,
     StalledAtCriticalPoint,
@@ -47,6 +46,8 @@ if TYPE_CHECKING:
 
 #: |f(c)| at or below this (scaled) means the trajectory never leaves c
 STALL_TOL = 1e-12
+#: slack the audits allow in the sign and area conditions on F
+AUDIT_TOL = 1e-8
 
 
 def _check_controls(cfg) -> None:
@@ -79,10 +80,9 @@ class ShootConfig:
     r_max: float = 50.0
     tol_ode: float = 1e-10
     event_tol: float = 1e-12
-    max_bounces: int = 200
 
-    #: what a restarting event passes through
-    restart_name: ClassVar[str] = "turning points"
+    #: turning points a shot may pass through before NonConvergence
+    max_restarts: ClassVar[int] = 200
     #: whether results and rows report the restarts as q sign changes
     reports_switches: ClassVar[bool] = False
 
@@ -96,10 +96,6 @@ class ShootConfig:
         """Rescaling exponent: lambda on the radius-R ball is
         lambda_shoot (rho/R)^exponent."""
         return self.p
-
-    @property
-    def max_restarts(self) -> int:
-        return self.max_bounces
 
     def series_start(self, fc: float):
         """(r0, (v, w, z) at r0, error scales) of a shot with f(c) = fc.
@@ -294,30 +290,14 @@ def shoot(cfg, nl: Nonlinearity) -> ShootResult:
         rs.append(t)
         ys.append(y)
 
-    t = r0
-    n_steps = 0
-    err_v = 0.0
-    restarts = 0
-    while True:
-        res = integrate(rhs, t, y, cfg.r_max, rtol=cfg.tol_ode, scale=scale,
-                        events=events, record=rec, event_tol=cfg.event_tol)
-        n_steps += res.n_steps
-        err_v += res.error_accum[0]
-        t, y = res.t, res.y
-        if res.status == "end":
-            outcome = HorizonExceeded(t)
-            break
-        if events[res.event_index].ends_at(t, y):
-            outcome = _outcome(res.event_index, t, y[0])
-            break
-        restarts += 1
-        if restarts > cfg.max_restarts:
-            raise NonConvergence(
-                f"more than {cfg.max_restarts} {cfg.restart_name} before any zero")
-
+    res = integrate(rhs, r0, y, cfg.r_max, rtol=cfg.tol_ode, scale=scale,
+                    events=events, record=rec, max_restarts=cfg.max_restarts,
+                    event_tol=cfg.event_tol)
     slope = cfg.slope
-    return _result(cfg, outcome, np.array(rs), np.array(ys).T,
-                   np.array([slope(s[1]) for s in ys]), n_steps, err_v, restarts)
+    return _result(cfg, _outcome(res.event_index, res.t, res.y[0]),
+                   np.array(rs), np.array(ys).T,
+                   np.array([slope(s[1]) for s in ys]), res.n_steps,
+                   res.error_accum[0], res.restarts)
 
 
 def shoot_batch(cfg, heights: Sequence[float],
@@ -395,16 +375,14 @@ def rescale_to_ball(res: ShootResult, R: float, p: float) -> float:
     return lam
 
 
-def energy_residual(res: ShootResult, pc: PrimitiveCalculus,
-                    lam: Optional[float] = None) -> float:
+def energy_residual(res: ShootResult, pc: PrimitiveCalculus) -> float:
     """Worst relative defect of the radial energy identity along the samples.
 
     The identity equates (p-1)/p |v'|^p plus the accumulated path term
-    with lambda (F(c) - F(v(r))); its residual is the integrator's primary
-    self-check.  ``lam`` defaults to the shooting parameter.
+    with lambda (F(c) - F(v(r))), lambda the shooting parameter; its
+    residual is the integrator's primary self-check.
     """
-    if lam is None:
-        lam = res.config.lambda_shoot
+    lam = res.config.lambda_shoot
     p = res.config.p
     Fc = pc.F(res.config.c)
     v = np.clip(res.v, 0.0, None)  # event overshoot may leave v at -event_tol
@@ -413,24 +391,29 @@ def energy_residual(res: ShootResult, pc: PrimitiveCalculus,
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
+def _sign_and_area_ok(pc: PrimitiveCalculus, c: float) -> Tuple[bool, bool]:
+    """The necessary conditions on a solution of max height c, up to
+    AUDIT_TOL: F(c) >= 0, and the area condition F(c) >= max of F on
+    [0, c] (computed exactly from the tracked extrema)."""
+    Fc = pc.F(c)
+    return (bool(Fc >= -AUDIT_TOL),
+            bool((Fc - pc.running_max(c)) >= -AUDIT_TOL))
+
+
 def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
-                               p: float, R: float,
-                               tol: float = 1e-8) -> Diagnostics:
+                               p: float, R: float) -> Diagnostics:
     """Audit a zero-hitting trajectory against the solvability conditions.
 
     Fills ``res.diagnostics`` with: the energy-identity residual, the sign
-    check F(c) >= -tol, the area condition (F(c) at least the running
-    maximum of F on [0, c], computed exactly from the tracked extrema),
-    and the slack of the per-solution lower bound on the rescaled lambda.
+    and area conditions (``_sign_and_area_ok``), and the slack of the
+    per-solution lower bound on the rescaled lambda.
     """
     lam = rescale_to_ball(res, R, p)
     c = res.config.c
-    Fc = pc.F(c)
-    sign_ok = Fc >= -tol
-    area_ok = (Fc - pc.running_max(c)) >= -tol
+    sign_ok, area_ok = _sign_and_area_ok(pc, c)
     slack = lam - per_solution_lower_bound(pc, c, p, R)
     energy = energy_residual(res, pc)
-    d = Diagnostics(energy, bool(sign_ok), bool(area_ok), float(slack))
+    d = Diagnostics(energy, sign_ok, area_ok, float(slack))
     res.diagnostics = d
     return d
 
@@ -825,27 +808,25 @@ def write_diagram_csv(diag: BifurcationDiagram, path: str) -> None:
         fh.write("\n".join(diagram_csv_lines(diag)) + "\n")
 
 
-def clustered_heights(zeros: ZeroSequence, k_range: Tuple[int, int] = (2, 7),
-                      base_points: int = 12,
-                      c_min: Optional[float] = None,
+def clustered_heights(zeros: ZeroSequence, c_min: Optional[float] = None,
                       c_max: Optional[float] = None) -> np.ndarray:
     """Height grid refined geometrically toward each zero of f.
 
     Near a zero alpha the diagram spikes, so crossings of large levels
     live at heights alpha (1 +/- 10^-k); the grid places those points for
-    k in ``k_range`` on both sides plus ``base_points`` uniform heights
-    per gap, and never lands exactly on a zero.
+    k = 2..7 on both sides plus 12 uniform heights per gap, and never
+    lands exactly on a zero.
     """
     asc = zeros.ascending()
     pts: List[float] = []
     for a in asc:
-        for k in range(k_range[0], k_range[1] + 1):
+        for k in range(2, 8):
             off = a * 10.0 ** -k
             pts.append(a - off)
             pts.append(a + off)
     edges = [0.0] + list(asc)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        pts.extend(np.linspace(lo, hi, base_points + 2)[1:-1])
+        pts.extend(np.linspace(lo, hi, 14)[1:-1])
     arr = np.unique(np.array(pts, dtype=float))
     if c_min is not None:
         arr = arr[arr >= c_min]

@@ -43,6 +43,7 @@ from .shoot_plap import (
     ShootResult,
     _check_controls,
     _csv_lines,
+    _sign_and_area_ok,
     rescale_to_ball,
     shoot,
     shoot_batch,
@@ -64,10 +65,9 @@ class PucciShootConfig:
     r_max: float = 50.0
     tol_ode: float = 1e-10
     event_tol: float = 1e-12
-    max_switches: int = 10_000
 
-    #: what a restarting event passes through
-    restart_name: ClassVar[str] = "diffusion switches"
+    #: diffusion switches a shot may pass through before NonConvergence
+    max_restarts: ClassVar[int] = 10_000
     #: whether results and rows report the restarts as q sign changes
     reports_switches: ClassVar[bool] = True
     #: the operator is positively 1-homogeneous in the Hessian, so the
@@ -78,10 +78,6 @@ class PucciShootConfig:
         if not self.Lambda >= 1.0:
             raise DomainError(f"ellipticity ratio must be >= 1, got {self.Lambda!r}")
         _check_controls(self)
-
-    @property
-    def max_restarts(self) -> int:
-        return self.max_switches
 
     def series_start(self, fc: float):
         """(r0, (v, v') at r0, error scales) of a shot with f(c) = fc.
@@ -183,19 +179,17 @@ def pucci_rescale(res: ShootResult, R: float) -> float:
 
 
 def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
-                           lam: Optional[float] = None, R: float = 1.0,
-                           tol: float = 1e-8) -> PucciDiagnostics:
+                           R: float = 1.0) -> PucciDiagnostics:
     """Audit the Lambda-weighted decay inequality along the trajectory.
 
     Pointwise: (1/(2 Lambda)) v'^2 <= lam (F_Lambda(c) - F_Lambda(v)),
-    with lam the parameter of the trajectory's own frame; the recorded
-    residual is the normalized violation (zero when the inequality
-    holds).  Also audits the rescaled per-solution bound
+    with lam the shooting parameter of the trajectory's own frame; the
+    recorded residual is the normalized violation (zero when the
+    inequality holds).  Also audits the rescaled per-solution bound
     lambda >= c^2/(2 Lambda R^2 Fbar_Lambda(c)) on the radius-R ball and
     the sign/area necessary conditions, and fills ``res.diagnostics``.
     """
-    if lam is None:
-        lam = res.config.lambda_shoot
+    lam = res.config.lambda_shoot
     Lam = res.config.Lambda
     c = res.config.c
     v = np.clip(res.v, 0.0, None)
@@ -207,11 +201,9 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
 
     lam_R = pucci_rescale(res, R)
     bound_slack = lam_R - pucci_per_solution_lower_bound(pc, c, Lam, R)
-    Fc = pc.F(c)
-    sign_ok = Fc >= -tol
-    area_ok = (Fc - pc.running_max(c)) >= -tol
+    sign_ok, area_ok = _sign_and_area_ok(pc, c)
     d = PucciDiagnostics(min_slack, residual, float(bound_slack),
-                         bool(sign_ok), bool(area_ok))
+                         sign_ok, area_ok)
     res.diagnostics = d
     return d
 

@@ -32,7 +32,7 @@ from .nonlinearity import (
     ZeroSequence,
     find_zeros,
 )
-from .primitives import LimitEstimate, PrimitiveCalculus
+from .primitives import LimitEstimate, PrimitiveCalculus, extended_real
 
 #: relative slack allowed when auditing lambda_under <= lambda_bar
 ORDER_TOL = 1e-12
@@ -87,7 +87,12 @@ class BallGeometry:
 
 @dataclass(frozen=True)
 class Operator:
-    """Which radial operator the thresholds refer to."""
+    """Which radial operator the thresholds refer to.
+
+    It owns the threshold rules that depend on the operator: the primitive
+    its limits use (``which``) and its nonexistence threshold and formula
+    (``lambda_under``, ``under_formula``).
+    """
 
     kind: str        # "p_laplacian" or "pucci"
     parameter: float  # the exponent p, or the ellipticity ratio Lambda
@@ -111,6 +116,34 @@ class Operator:
     def to_json(self) -> dict:
         key = "p" if self.kind == "p_laplacian" else "Lambda"
         return {"kind": self.kind, key: self.parameter}
+
+    @property
+    def which(self) -> str:
+        """The primitive behind its limits and existence sequence: the
+        plain ``"F"`` or the sign-weighted ``"F_Lambda"``."""
+        return "F" if self.kind == "p_laplacian" else "F_Lambda"
+
+    @property
+    def under_formula(self) -> str:
+        """The closed form of ``lambda_under`` as reports state it."""
+        if self.kind == "p_laplacian":
+            return "(p-1)/(p*R^p*(L_plus - min(0, L_minus)))"
+        return "1/(2*Lambda*R^2*(L_plus - min(0, L_minus)))"
+
+    def lambda_under(self, R: float, limits: LimitEstimate) -> float:
+        """Nonexistence threshold on the radius-R ball from the limits of
+        its primitive (``which``): the closed form for a finite pair, inf
+        when both limits vanish, and 0 when a limit diverges (no window
+        is certified)."""
+        if limits.classification == "BothZero":
+            return math.inf
+        if limits.classification != "FinitePair":
+            return 0.0
+        if self.kind == "p_laplacian":
+            return lambda_under_plap(self.parameter, R, limits.L_minus,
+                                     limits.L_plus)
+        return lambda_under_pucci(self.parameter, R, limits.L_minus,
+                                  limits.L_plus)
 
 
 class ThresholdRow(NamedTuple):
@@ -186,8 +219,7 @@ def _kappa(M: float, ell: str) -> float:
 def lambda_n_sequence(pc: PrimitiveCalculus, geom: BallGeometry,
                       gammas: Sequence[float], M: float = 0.0,
                       beta: float = 1.0, ell: str = DIRECTION_INFINITY,
-                      which: str = "F",
-                      delta_points: int = DELTA_GRID_POINTS) -> List[ThresholdRow]:
+                      which: str = "F") -> List[ThresholdRow]:
     """Existence sequence lambda_n = (C2/C1) gamma_n^p / Fbar(gamma_n).
 
     For each height gamma_n the boundary-layer width delta is chosen on a
@@ -207,8 +239,6 @@ def lambda_n_sequence(pc: PrimitiveCalculus, geom: BallGeometry,
         raise DomainError(f"unknown accumulation direction {ell!r}")
     if which not in ("F", "F_Lambda"):
         raise DomainError(f"which must be 'F' or 'F_Lambda', got {which!r}")
-    if delta_points < 2:
-        raise DomainError(f"need at least 2 grid points, got {delta_points!r}")
 
     p = pc.p
     N, R = geom.N, geom.R
@@ -221,7 +251,7 @@ def lambda_n_sequence(pc: PrimitiveCalculus, geom: BallGeometry,
     if not delta_max > 0.0:
         raise InfeasibleDelta(
             f"no boundary layer width in (0, {R!r}) keeps C1 positive (M={M!r})")
-    grid = delta_max * np.geomspace(1e-4, 1.0 - 2.0 ** -12, delta_points)
+    grid = delta_max * np.geomspace(1e-4, 1.0 - 2.0 ** -12, DELTA_GRID_POINTS)
 
     C2_grid = (beta / p) * measure / grid ** p
     C1_grid = kappa * measure - omega * (R ** N - (R - grid) ** N)
@@ -299,8 +329,7 @@ def pucci_per_solution_lower_bound(pc: PrimitiveCalculus, c: float,
     return c * c / (2.0 * Lambda * R ** 2 * fb)
 
 
-def reduce_negative_f0(nl: Nonlinearity,
-                       zero_tolerance: float = 1e-9) -> ReducedNonlinearity:
+def reduce_negative_f0(nl: Nonlinearity) -> ReducedNonlinearity:
     """Replace f by its positive part below the first zero when f(0) < 0.
 
     Thresholds computed for the clipped nonlinearity transfer back to f:
@@ -314,7 +343,7 @@ def reduce_negative_f0(nl: Nonlinearity,
     if nl.zero_accumulation == DIRECTION_ZERO:
         raise DomainError(
             "f(0) < 0 is incompatible with zeros accumulating at 0")
-    alpha1 = find_zeros(nl, 1, zero_tolerance=zero_tolerance).alphas[0]
+    alpha1 = find_zeros(nl, 1).alphas[0]
     return ReducedNonlinearity(ClippedBelowFirstZero(nl, alpha1), True)
 
 
@@ -487,20 +516,11 @@ class ThresholdReport:
                 f"> lambda_bar={self.lambda_bar!r}")
 
     def to_json(self) -> dict:
-        def ext(x: float):
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
-        if self.operator.kind == "p_laplacian":
-            under_formula = "(p-1)/(p*R^p*(L_plus - min(0, L_minus)))"
-        else:
-            under_formula = "1/(2*Lambda*R^2*(L_plus - min(0, L_minus)))"
         kappa_formula = ("1/(1+M)" if self.direction == DIRECTION_ZERO
                          else "1/(2*(1+M))")
         return {
-            "lambda_under": ext(self.lambda_under),
-            "lambda_bar": ext(self.lambda_bar),
+            "lambda_under": extended_real(self.lambda_under),
+            "lambda_bar": extended_real(self.lambda_bar),
             "lambda_bar_monotone": self.monotone,
             "M": self.M,
             "beta": self.beta,
@@ -514,7 +534,7 @@ class ThresholdReport:
                 for r in self.rows
             ],
             "formulas": {
-                "lambda_under": under_formula,
+                "lambda_under": self.operator.under_formula,
                 "lambda_n": "(C2/C1)*gamma^p/Fbar(gamma)",
                 "C1": f"kappa*|B| - |layer|, kappa = {kappa_formula}",
                 "C2": "(beta/p)*|B|/delta^p",
@@ -532,24 +552,19 @@ def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
 
     ``gammas`` defaults to maximizers of Fbar(s)/s^p between the first
     ``count + 1`` zeros of f; ``M`` defaults to the sampled dip constant.
-    Divergent limits yield lambda_under = 0 (no window certified); the
-    both-zero degenerate case yields inf.
+    ``operator`` defaults to the p-Laplacian of ``pc.p`` and gives
+    lambda_under (``Operator.lambda_under``); a p-Laplacian of another
+    exponent is refused.
     """
     if operator is None:
         operator = Operator.p_laplacian(pc.p)
-    which = "F" if operator.kind == "p_laplacian" else "F_Lambda"
+    if operator.kind == "p_laplacian" and operator.parameter != pc.p:
+        raise DomainError(
+            f"operator exponent {operator.parameter!r} differs from the "
+            f"primitives' p = {pc.p!r}")
 
-    limits = pc.estimate_limits(which=which, direction=direction)
-    if limits.classification == "FinitePair":
-        if operator.kind == "p_laplacian":
-            under = lambda_under_plap(pc.p, geom.R, limits.L_minus, limits.L_plus)
-        else:
-            under = lambda_under_pucci(operator.parameter, geom.R,
-                                       limits.L_minus, limits.L_plus)
-    elif limits.classification == "BothZero":
-        under = math.inf
-    else:
-        under = 0.0  # a diverging limit certifies no nonexistence window
+    limits = pc.estimate_limits(which=operator.which, direction=direction)
+    under = operator.lambda_under(geom.R, limits)
 
     if gammas is None:
         zeros = find_zeros(pc.nl, count + 1)
@@ -560,7 +575,7 @@ def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
         M = estimate_M(pc, gammas)
 
     rows = lambda_n_sequence(pc, geom, gammas, M=M, beta=beta,
-                             ell=direction, which=which)
+                             ell=direction, which=operator.which)
     bar, monotone = lambda_bar_estimate(rows)
     return ThresholdReport(under, bar, tuple(rows), float(M), limits,
                            operator, geom, float(beta), direction, monotone)

@@ -90,8 +90,8 @@ class Potential:
     """Gradient potential Phi(r, xi) with two-sided p-power bounds.
 
     The growth bounds, Phi(r, 0) = 0, and midpoint convexity in xi are
-    checked on a seeded sample at construction; they are sampled
-    hypotheses, not proofs.
+    checked on a seeded sample (r in [0, 1], xi in [-10, 10]) at
+    construction; they are sampled hypotheses, not proofs.
     """
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -99,7 +99,6 @@ class Potential:
     beta_bound: float
     p: float
     phi_prime: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    sample_radius: float = 1.0
     validation_seed: int = 0
 
     def __post_init__(self):
@@ -108,7 +107,7 @@ class Potential:
         if not self.p > 1.0:
             raise DomainError(f"exponent must exceed 1, got {self.p!r}")
         rng = np.random.default_rng(self.validation_seed)
-        r = rng.uniform(0.0, self.sample_radius, 48)
+        r = rng.uniform(0.0, 1.0, 48)
         xi = rng.uniform(-10.0, 10.0, 48)
         vals = np.asarray(self.phi(r, xi), dtype=float)
         lo = self.alpha_bound / self.p * np.abs(xi) ** self.p
@@ -168,7 +167,7 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def radial_grid(R: float, J: int, N: int = 1, delta: Optional[float] = None,
+def radial_grid(R: float, J: int, delta: Optional[float] = None,
                 grading: float = 2.0) -> np.ndarray:
     """J-cell grid on [0, R], graded finer toward R; optional node at R-delta.
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillap._rk import BatchEvent, integrate_batch
-from oscillap.errors import StalledAtCriticalPoint
+from oscillap._rk import BatchEvent, integrate, integrate_batch
+from oscillap.errors import NonConvergence, StalledAtCriticalPoint
 from oscillap.nonlinearity import (
     CustomTable,
     PowerTimesOnePlusSin,
@@ -92,6 +92,32 @@ def test_batch_restart_events_are_counted():
     assert list(res.restarts) == [3, 3]   # pi/2, 3pi/2, 5pi/2 < 10
     assert np.all(res.t == 10.0)
     np.testing.assert_allclose(res.y[0], math.cos(10.0), atol=1e-8)
+
+
+def test_scalar_and_batch_share_the_end_or_restart_rule():
+    # y = cos t restarts at its zeros pi/2, 3pi/2 and at the turning point
+    # pi, where y < 0, and ends at the turning point 2 pi
+    events = [BatchEvent(lambda t, y: y[0], 0, ends=False),
+              BatchEvent(lambda t, y: y[1], 0, ends=lambda t, y: y[0] > 0.0)]
+
+    def scalar(budget):
+        return integrate(_oscillator, 0.0, (1.0, 0.0), 10.0, 1e-10, (1.0, 1.0),
+                         events=events, max_restarts=budget)
+
+    def batch(budget):
+        return integrate_batch(_oscillator, np.zeros(1), np.array([[1.0], [0.0]]),
+                               10.0, 1e-10, 1.0, events=events,
+                               max_restarts=budget)
+
+    one, lanes = scalar(3), batch(3)
+    assert (one.event_index, one.restarts) == (1, 3)
+    assert (lanes.event_index[0], lanes.restarts[0]) == (1, 3)
+    assert abs(one.t - 2.0 * math.pi) <= 1e-8
+    assert abs(lanes.t[0] - one.t) <= 1e-8
+    for run in (scalar, batch):
+        with pytest.raises(NonConvergence,
+                           match=r"^more than 2 restarts at events$"):
+            run(2)
 
 
 # -- batched rows equal scalar rows -----------------------------------------

@@ -52,9 +52,7 @@ def test_primitive_closed_form_power_sin(pc_power):
 def _quadrature_reference(n):
     """1e-12 panel quadrature of s^n (1 + sin s), swept to 1e4 at once.
 
-    At 1e-13 the embedded Gauss pair disagrees by rounding alone and
-    bisects to its depth limit (n = 3 near s = 7048); the one sweep keeps
-    later queries to their remainder panels.
+    The one sweep keeps later queries to their remainder panels.
     """
     cache = CachedPrefix(PowerTimesOnePlusSin(float(n)).eval_many, tol=1e-12)
     cache.value_many(np.array([1e4]))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from oscillap.errors import DomainError, NonpositiveFbar
 from oscillap.nonlinearity import CustomTable, PowerTimesOnePlusSin, find_zeros
-from oscillap.primitives import PrimitiveCalculus
+from oscillap.primitives import LimitEstimate, PrimitiveCalculus
 from oscillap.thresholds import (
     BallGeometry,
     Operator,
@@ -275,6 +275,31 @@ def test_compute_thresholds_pucci_operator(pc_power, canonical_gammas):
     # closed form gives 1/(2*2*1*(1/2)) = 1/2
     assert rep.lambda_under == pytest.approx(0.5, abs=0.01)
     assert rep.to_json()["operator"] == {"kind": "pucci", "Lambda": 2.0}
+
+
+@pytest.mark.parametrize("operator, closed_form", [
+    # limits (-1/4, 1/2) on the radius-2 ball
+    (Operator.p_laplacian(3.0), 2.0 / (3.0 * 8.0 * 0.75)),
+    (Operator.pucci(2.0), 1.0 / (2.0 * 2.0 * 4.0 * 0.75)),
+], ids=["p_laplacian", "pucci"])
+def test_operator_lambda_under_by_classification(operator, closed_form):
+    def limits(lo, hi, classification):
+        return LimitEstimate(lo, hi, (1.0, 10.0), classification)
+
+    assert operator.lambda_under(2.0, limits(-0.25, 0.5, "FinitePair")) \
+        == pytest.approx(closed_form, rel=1e-15)
+    assert operator.lambda_under(2.0, limits(0.0, 0.0, "BothZero")) == math.inf
+    assert operator.lambda_under(2.0, limits(0.1, math.inf, "PlusInfinite")) == 0.0
+    assert operator.lambda_under(2.0, limits(-math.inf, 0.3,
+                                             "MinusInfinite")) == 0.0
+
+
+def test_compute_thresholds_refuses_another_exponent(pc_power, canonical_gammas):
+    # the primitives are for p = 2; a p = 3 report would mix the two
+    with pytest.raises(DomainError):
+        compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
+                           gammas=canonical_gammas,
+                           operator=Operator.p_laplacian(3.0))
 
 
 def test_compute_thresholds_default_gammas(pc_power):
