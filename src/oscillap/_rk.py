@@ -404,10 +404,6 @@ def _locate(f, g, t, y, k1, h, event_tol):
 #: Illinois iterations allowed per located event (about 5 are typical)
 _MAX_ILLINOIS = 60
 
-#: ``Event`` under the name the ``integrate_batch`` tests use
-BatchEvent = Event
-
-
 @dataclass
 class BatchResult:
     """Per-lane outcome of ``integrate_batch``, in input lane order."""

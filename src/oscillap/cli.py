@@ -188,6 +188,11 @@ def _write_json(path: str, obj: dict) -> None:
                                    allow_nan=False) + "\n")
 
 
+def _reject_constant(name: str):
+    """``json`` accepts NaN and Infinity, which JSON does not."""
+    raise ConfigError(f"config is not valid JSON: {name} is not a number")
+
+
 class Run:
     """One validated config plus the CLI overrides that apply to it."""
 
@@ -200,7 +205,7 @@ class Run:
             raise ConfigError(f"cannot read config: {ex}")
         self.sha256 = hashlib.sha256(raw).hexdigest()
         try:
-            cfg = json.loads(raw)
+            cfg = json.loads(raw, parse_constant=_reject_constant)
         except json.JSONDecodeError as ex:
             raise ConfigError(f"config is not valid JSON: {ex}")
         errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg),
@@ -404,8 +409,6 @@ def _audit_rows(rows, energy_tol: float, slack_tol: float) -> dict:
 def cmd_diagram(run: Run) -> int:
     grid = run.scan_grid()
     zeros = find_zeros(run.nl, run.zeros_count)
-    if run.stars() and run.operator.kind == "pucci":
-        raise ConfigError("lambda-star refinement is p-Laplacian only")
     diag = BifurcationDiagram.scan(run.shoot_config(grid[0]), run.nl, run.R,
                                    grid, zeros)
     star_report = {}

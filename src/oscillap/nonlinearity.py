@@ -70,21 +70,6 @@ class Nonlinearity:
     def eval(self, s: float) -> float:
         raise NotImplementedError
 
-    def eval_many(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; the base implementation just loops."""
-        s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape, dtype=float)
-        flat = s.ravel()
-        res = out.ravel()
-        for i in range(flat.size):
-            res[i] = self.eval(float(flat[i]))
-        return out
-
-    def __call__(self, s):
-        if np.ndim(s) == 0:
-            return self.eval(float(s))
-        return self.eval_many(np.asarray(s, dtype=float))
-
     @property
     def f0(self) -> float:
         """f(0), recorded for the sign check f(0) >= 0."""
@@ -118,9 +103,6 @@ class Nonlinearity:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} direction={self.direction}>"
 
 
 class PowerTimesOnePlusSin(Nonlinearity):
@@ -286,6 +268,16 @@ class _TableMixin:
     def _interp_many(self, s):
         return np.interp(np.asarray(s, dtype=float), self.xs, self.ys)
 
+    def kink_points(self, a: float, b: float) -> list[float]:
+        return [float(x) for x in self.xs if a < x < b]
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "samples": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
+            "direction": self.direction,
+        }
+
     def _node_zeros(self) -> list[float]:
         """All zeros of the interpolant at positive s, increasing order."""
         xs, ys = self.xs, self.ys
@@ -357,16 +349,6 @@ class EnvelopeTimesOnePlusSin(_TableMixin, Nonlinearity):
     def analytic_zeros(self, count: int) -> list[float]:
         return [1.5 * math.pi + TWO_PI * k for k in range(count)]
 
-    def kink_points(self, a: float, b: float) -> list[float]:
-        return [float(x) for x in self.xs if a < x < b]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
-            "direction": self.direction,
-        }
-
 
 class CustomTable(_TableMixin, Nonlinearity):
     """Piecewise-linear interpolant of (s, f(s)) samples, clamped beyond the last node."""
@@ -405,16 +387,6 @@ class CustomTable(_TableMixin, Nonlinearity):
 
     def sign_change_points(self, s: float) -> list[float]:
         return [x for x in self._crossings() if 0.0 < x <= s]
-
-    def kink_points(self, a: float, b: float) -> list[float]:
-        return [float(x) for x in self.xs if a < x < b]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
-            "direction": self.direction,
-        }
 
 
 class ClippedBelowFirstZero(Nonlinearity):
@@ -601,14 +573,6 @@ _KINDS = {
     "table": CustomTable,
 }
 
-_DEFAULT_DIRECTION = {
-    "power_sin": DIRECTION_INFINITY,
-    "reciprocal_sin": DIRECTION_ZERO,
-    "envelope_sin": DIRECTION_INFINITY,
-    "pure_sine": DIRECTION_INFINITY,
-    "table": DIRECTION_INFINITY,
-}
-
 
 def nonlinearity_from_json(obj: dict) -> Nonlinearity:
     """Build a catalog nonlinearity from its JSON description.
@@ -621,13 +585,13 @@ def nonlinearity_from_json(obj: dict) -> Nonlinearity:
     kind = obj.get("kind")
     if kind not in _KINDS:
         raise DomainError(f"unknown nonlinearity kind {kind!r}")
-    direction = obj.get("direction", _DEFAULT_DIRECTION[kind])
+    direction = {"direction": obj["direction"]} if "direction" in obj else {}
     if kind in ("power_sin", "reciprocal_sin"):
         if "r" not in obj:
             raise DomainError(f"kind {kind!r} requires parameter r")
-        return _KINDS[kind](float(obj["r"]), direction=direction)
+        return _KINDS[kind](float(obj["r"]), **direction)
     if kind in ("envelope_sin", "table"):
         if "samples" not in obj:
             raise DomainError(f"kind {kind!r} requires samples")
-        return _KINDS[kind](obj["samples"], direction=direction)
-    return PureSine(direction=direction)
+        return _KINDS[kind](obj["samples"], **direction)
+    return PureSine(**direction)

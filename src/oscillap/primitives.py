@@ -11,7 +11,8 @@ Everything downstream consumes antiderivatives of f rather than f itself:
 plus tail growth estimates ``liminf/limsup F(s)/s^p`` toward the oscillation
 limit (0 or infinity).
 
-Evaluation strategy by kind:
+F comes from one of four backends, each answering ``F(s)`` and the
+vectorized ``F_many(s)``; which one serves a nonlinearity depends on its kind:
 
 * ``CustomTable``: the interpolant is piecewise linear, so F is piecewise
   quadratic and every primitive (including the sign-split parts) is computed
@@ -47,7 +48,6 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .nonlinearity import (
-    ClippedBelowFirstZero,
     CustomTable,
     DIRECTION_INFINITY,
     DIRECTION_ZERO,
@@ -128,12 +128,6 @@ class CachedPrefix:
             raise QuadratureFailure(f"panel [{a!r}, {b!r}] underflowed while refining")
         return self._refine(a, m, depth + 1) + self._refine(m, b, depth + 1)
 
-    def _segment(self, a: float, b: float) -> float:
-        """Adaptive integral over [a, b]; no caching, no interior kinks assumed."""
-        if b == a:
-            return 0.0
-        return self._refine(a, b, 0)
-
     def _extend(self, target: float) -> tuple:
         """Checkpoints reaching at least ``target``; returns the (t, I) snapshot."""
         with self._lock:
@@ -160,7 +154,7 @@ class CachedPrefix:
 
     # -- queries ----------------------------------------------------------
 
-    def value(self, s: float) -> float:
+    def F(self, s: float) -> float:
         if s < 0.0:
             raise DomainError(f"prefix integral asked at negative s = {s!r}")
         if s == 0.0:
@@ -173,9 +167,9 @@ class CachedPrefix:
         base = float(I[i])
         if t_i == s:
             return base
-        return base + self._segment(t_i, s)
+        return base + self._refine(t_i, s, 0)
 
-    def value_many(self, s: np.ndarray) -> np.ndarray:
+    def F_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.size == 0:
             return np.zeros_like(s)
@@ -260,6 +254,9 @@ class _ExactTablePrefix:
     def F_many(self, s):
         return self._eval(s, self.P, 0)
 
+    def F(self, s: float) -> float:
+        return float(self.F_many(np.array([s]))[0])
+
     def Fplus_many(self, s):
         return self._eval(s, self.Pp, +1)
 
@@ -280,10 +277,9 @@ class _ReciprocalPrimitive:
 
     _KMAX = 13
 
-    def __init__(self, a: float, tol=TOL_QUAD):
+    def __init__(self, a: float):
         self.a = float(a)
         self.b = self.a + 2.0
-        self.tol = float(tol)
         self._edge = math.pi * np.arange(1, self._KMAX + 1)
         vals = np.empty(self._KMAX)
         vals[-1] = self._asym(float(self._edge[-1]))
@@ -617,54 +613,39 @@ class PrimitiveCalculus:
         self.nl = nl
         self.p = float(p)
         self.Lambda = float(Lambda)
-        self.tol_quad = float(tol_quad)
 
-        base = nl.base if isinstance(nl, ClippedBelowFirstZero) else nl
         if isinstance(nl, CustomTable):
-            exact = _ExactTablePrefix(nl.xs, nl.ys)
-            self._F_many_impl = exact.F_many
-            self._Fplus_many_impl = exact.Fplus_many
-            self._Fminus_many_impl = exact.Fminus_many
-            self._F_impl = lambda s: float(exact.F_many(np.array([s]))[0])
+            backend = _ExactTablePrefix(nl.xs, nl.ys)
         elif (isinstance(nl, PowerTimesOnePlusSin) and nl.r.is_integer()
               and nl.r <= _PowerSinPrimitive.MAX_N):
-            ps = _PowerSinPrimitive(int(nl.r))
-            self._F_impl = ps.F
-            self._F_many_impl = ps.F_many
-            # f >= 0 so the sign split is trivial
-            self._Fplus_many_impl = ps.F_many
-            self._Fminus_many_impl = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+            backend = _PowerSinPrimitive(int(nl.r))
         elif isinstance(nl, ReciprocalOscillation):
-            rec = _ReciprocalPrimitive(nl.exponent, tol=tol_quad)
-            self._F_impl = rec.F
-            self._F_many_impl = rec.F_many
-            # f >= 0 so the sign split is trivial
-            self._Fplus_many_impl = rec.F_many
-            self._Fminus_many_impl = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+            backend = _ReciprocalPrimitive(nl.exponent)
         else:
-            kinks = lambda a, b: nl.kink_points(a, b)
-            cache = CachedPrefix(nl.eval_many, tol=tol_quad, kinks=kinks,
-                                 max_depth=max_depth)
-            self._F_impl = cache.value
-            self._F_many_impl = cache.value_many
-            if nl.nonneg:
-                self._Fplus_many_impl = cache.value_many
-                self._Fminus_many_impl = lambda s: np.zeros_like(
-                    np.asarray(s, dtype=float))
-            else:
-                def kinks_split(a, b):
-                    ks = set(nl.kink_points(a, b))
-                    ks.update(x for x in nl.sign_change_points(b) if a < x < b)
-                    return sorted(ks)
+            backend = CachedPrefix(nl.eval_many, tol=tol_quad,
+                                   kinks=nl.kink_points, max_depth=max_depth)
+        self.backend = backend
 
-                plus = CachedPrefix(
-                    lambda s: np.maximum(nl.eval_many(s), 0.0), tol=tol_quad,
-                    kinks=kinks_split, max_depth=max_depth)
-                minus = CachedPrefix(
-                    lambda s: np.maximum(-nl.eval_many(s), 0.0), tol=tol_quad,
-                    kinks=kinks_split, max_depth=max_depth)
-                self._Fplus_many_impl = plus.value_many
-                self._Fminus_many_impl = minus.value_many
+        # F = F+ - F-: a table splits exactly, f >= 0 has F- = 0, and
+        # anything else integrates its two sign parts separately
+        if isinstance(backend, _ExactTablePrefix):
+            self._Fplus_many = backend.Fplus_many
+            self._Fminus_many = backend.Fminus_many
+        elif nl.nonneg:
+            self._Fplus_many = backend.F_many
+            self._Fminus_many = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+        else:
+            def kinks_split(a, b):
+                ks = set(nl.kink_points(a, b))
+                ks.update(x for x in nl.sign_change_points(b) if a < x < b)
+                return sorted(ks)
+
+            def part(sign):
+                return CachedPrefix(lambda s: np.maximum(sign * nl.eval_many(s), 0.0),
+                                    tol=tol_quad, kinks=kinks_split,
+                                    max_depth=max_depth).F_many
+
+            self._Fplus_many, self._Fminus_many = part(1.0), part(-1.0)
 
         self._extrema_F = _ExtremaTable(self.F, self.F_many, nl.sign_change_points)
         self._extrema_FL = _ExtremaTable(self.F_Lambda, self.F_Lambda_many,
@@ -676,19 +657,19 @@ class PrimitiveCalculus:
         """F(s) = integral_0^s f, with F(0) = 0."""
         if s < 0.0:
             raise DomainError(f"primitives are defined on s >= 0, got {s!r}")
-        return float(self._F_impl(s))
+        return float(self.backend.F(s))
 
     def F_many(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise DomainError("primitives are defined on s >= 0")
-        return np.asarray(self._F_many_impl(s), dtype=float)
+        return np.asarray(self.backend.F_many(s), dtype=float)
 
     def Fplus(self, s: float) -> float:
-        return float(self._Fplus_many_impl(np.array([float(s)]))[0])
+        return float(self._Fplus_many(np.array([float(s)]))[0])
 
     def Fminus(self, s: float) -> float:
-        return float(self._Fminus_many_impl(np.array([float(s)]))[0])
+        return float(self._Fminus_many(np.array([float(s)]))[0])
 
     def F_Lambda(self, s: float) -> float:
         """F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-."""
@@ -696,8 +677,8 @@ class PrimitiveCalculus:
 
     def F_Lambda_many(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        return (np.asarray(self._Fplus_many_impl(s), dtype=float)
-                - np.asarray(self._Fminus_many_impl(s), dtype=float)
+        return (np.asarray(self._Fplus_many(s), dtype=float)
+                - np.asarray(self._Fminus_many(s), dtype=float)
                 / (self.Lambda * self.Lambda))
 
     # -- running extrema and derived primitives ------------------------------
@@ -708,6 +689,10 @@ class PrimitiveCalculus:
 
     def running_max(self, s: float) -> float:
         return self._extrema_F.extrema(s)[1]
+
+    def running_max_Lambda(self, s: float) -> float:
+        """max of F_Lambda over [0, s]."""
+        return self._extrema_FL.extrema(s)[1]
 
     def Fbar(self, s: float) -> float:
         """Fbar(s) = F(s) - min over [0, s] of F; always >= max(0, F(s))."""

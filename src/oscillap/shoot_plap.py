@@ -189,14 +189,6 @@ class Bounced:
 
 
 @dataclass(frozen=True)
-class Stalled:
-    """f(c) = 0: the constant trajectory (recorded by diagram scans)."""
-
-    c: float
-    kind: ClassVar[str] = "Stalled"
-
-
-@dataclass(frozen=True)
 class HorizonExceeded:
     """No zero and no turning point before r_max."""
 
@@ -204,7 +196,7 @@ class HorizonExceeded:
     kind: ClassVar[str] = "HorizonExceeded"
 
 
-Outcome = Union[HitZero, Bounced, Stalled, HorizonExceeded]
+Outcome = Union[HitZero, Bounced, HorizonExceeded]
 
 
 @dataclass
@@ -235,11 +227,6 @@ class ShootResult:
     lambda_rescaled: Optional[float] = None
     diagnostics: Optional[Union[Diagnostics, PucciDiagnostics]] = None
     q_sign_changes: int = 0  # diffusion switches; 0 unless the operator reports them
-
-    @property
-    def trajectory(self) -> np.ndarray:
-        """Sampled (r, v, v') triples, one row per accepted step."""
-        return np.column_stack([self.r, self.v, self.vp])
 
 
 def _result(cfg, outcome: Outcome, r: np.ndarray, y: np.ndarray,
@@ -391,13 +378,12 @@ def energy_residual(res: ShootResult, pc: PrimitiveCalculus) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
-def _sign_and_area_ok(pc: PrimitiveCalculus, c: float) -> Tuple[bool, bool]:
+def _sign_and_area_ok(Gc: float, Gmax: float) -> Tuple[bool, bool]:
     """The necessary conditions on a solution of max height c, up to
-    AUDIT_TOL: F(c) >= 0, and the area condition F(c) >= max of F on
-    [0, c] (computed exactly from the tracked extrema)."""
-    Fc = pc.F(c)
-    return (bool(Fc >= -AUDIT_TOL),
-            bool((Fc - pc.running_max(c)) >= -AUDIT_TOL))
+    AUDIT_TOL, from the operator's own primitive G (F for the
+    p-Laplacian, F_Lambda for Pucci): G(c) >= 0, and the area condition
+    G(c) >= Gmax, the max of G on [0, c] (exact from the tracked extrema)."""
+    return (bool(Gc >= -AUDIT_TOL), bool((Gc - Gmax) >= -AUDIT_TOL))
 
 
 def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
@@ -410,7 +396,7 @@ def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
     """
     lam = rescale_to_ball(res, R, p)
     c = res.config.c
-    sign_ok, area_ok = _sign_and_area_ok(pc, c)
+    sign_ok, area_ok = _sign_and_area_ok(pc.F(c), pc.running_max(c))
     slack = lam - per_solution_lower_bound(pc, c, p, R)
     energy = energy_residual(res, pc)
     d = Diagnostics(energy, sign_ok, area_ok, float(slack))
@@ -801,11 +787,6 @@ def _csv_lines(rows: Sequence[DiagramRow], switches: bool) -> List[str]:
 def diagram_csv_lines(diag: BifurcationDiagram) -> List[str]:
     """Deterministic CSV encoding of the scan, one line per grid height."""
     return _csv_lines(diag.rows, diag.op.reports_switches)
-
-
-def write_diagram_csv(diag: BifurcationDiagram, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(diagram_csv_lines(diag)) + "\n")
 
 
 def clustered_heights(zeros: ZeroSequence, c_min: Optional[float] = None,

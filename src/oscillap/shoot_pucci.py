@@ -201,7 +201,8 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
 
     lam_R = pucci_rescale(res, R)
     bound_slack = lam_R - pucci_per_solution_lower_bound(pc, c, Lam, R)
-    sign_ok, area_ok = _sign_and_area_ok(pc, c)
+    sign_ok, area_ok = _sign_and_area_ok(pc.F_Lambda(c),
+                                         pc.running_max_Lambda(c))
     d = PucciDiagnostics(min_slack, residual, float(bound_slack),
                          sign_ok, area_ok)
     res.diagnostics = d
@@ -209,8 +210,6 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
 
 
 PUCCI_CSV_COLUMNS = CSV_COLUMNS + ("q_sign_changes",)
-#: a Pucci scan row: ``DiagramRow`` with its switch count set
-PucciDiagramRow = DiagramRow
 
 
 def pucci_scan(nl: Nonlinearity, Lambda: float, N: int, R: float,

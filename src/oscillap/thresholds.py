@@ -81,9 +81,6 @@ class BallGeometry:
             raise DomainError("boundary layer width is unset")
         return self.unit_ball_volume * (self.R ** self.N - (self.R - self.delta) ** self.N)
 
-    def with_delta(self, delta: float) -> "BallGeometry":
-        return BallGeometry(self.N, self.R, delta)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -554,7 +551,8 @@ def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
     ``count + 1`` zeros of f; ``M`` defaults to the sampled dip constant.
     ``operator`` defaults to the p-Laplacian of ``pc.p`` and gives
     lambda_under (``Operator.lambda_under``); a p-Laplacian of another
-    exponent is refused.
+    exponent is refused, and so is a Pucci operator unless ``pc`` has
+    p = 2 and the operator's Lambda (its weighted primitive F_Lambda).
     """
     if operator is None:
         operator = Operator.p_laplacian(pc.p)
@@ -562,6 +560,11 @@ def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
         raise DomainError(
             f"operator exponent {operator.parameter!r} differs from the "
             f"primitives' p = {pc.p!r}")
+    if operator.kind == "pucci" and (pc.p, pc.Lambda) != (2.0, operator.parameter):
+        raise DomainError(
+            f"Pucci operator with Lambda = {operator.parameter!r} needs "
+            f"primitives with p = 2 and that Lambda, got p = {pc.p!r}, "
+            f"Lambda = {pc.Lambda!r}")
 
     limits = pc.estimate_limits(which=operator.which, direction=direction)
     under = operator.lambda_under(geom.R, limits)

@@ -15,7 +15,6 @@ value directly.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple

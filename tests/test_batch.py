@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillap._rk import BatchEvent, integrate, integrate_batch
+from oscillap._rk import Event, integrate, integrate_batch
 from oscillap.errors import NonConvergence, StalledAtCriticalPoint
 from oscillap.nonlinearity import (
     CustomTable,
@@ -57,7 +57,7 @@ def test_batch_event_matches_closed_form_zero():
     res = integrate_batch(lambda t, y: (y[1], -y[2] ** 2 * y[0], 0.0 * y[2]),
                           np.zeros(4), np.array([np.ones(4), np.zeros(4), w]),
                           50.0, 1e-11, 1.0,
-                          events=[BatchEvent(lambda t, y: y[0], direction=-1)],
+                          events=[Event(lambda t, y: y[0], direction=-1)],
                           event_tol=1e-13)
     assert list(res.event_index) == [0, 0, 0, 0]
     np.testing.assert_allclose(res.t, math.pi / (2.0 * w), rtol=1e-9)
@@ -69,7 +69,7 @@ def test_batch_lanes_finish_independently():
     phase = np.array([0.0, 0.5, 1.0, 1.5])
     y0 = np.array([np.cos(phase), -np.sin(phase)])
     res = integrate_batch(_oscillator, np.zeros(4), y0, 20.0, 1e-11, 1.0,
-                          events=[BatchEvent(lambda t, y: y[0], -1)],
+                          events=[Event(lambda t, y: y[0], -1)],
                           event_tol=1e-13)
     np.testing.assert_allclose(res.t, math.pi / 2 - phase, rtol=1e-9)
     assert list(res.event_index) == [0, 0, 0, 0]
@@ -87,7 +87,7 @@ def test_batch_restart_events_are_counted():
     res = integrate_batch(_oscillator, np.zeros(2),
                           np.array([[1.0, 1.0], [0.0, 0.0]]),
                           10.0, 1e-10, 1.0,
-                          events=[BatchEvent(lambda t, y: y[0], 0, ends=False)])
+                          events=[Event(lambda t, y: y[0], 0, ends=False)])
     assert list(res.event_index) == [-1, -1]
     assert list(res.restarts) == [3, 3]   # pi/2, 3pi/2, 5pi/2 < 10
     assert np.all(res.t == 10.0)
@@ -97,8 +97,8 @@ def test_batch_restart_events_are_counted():
 def test_scalar_and_batch_share_the_end_or_restart_rule():
     # y = cos t restarts at its zeros pi/2, 3pi/2 and at the turning point
     # pi, where y < 0, and ends at the turning point 2 pi
-    events = [BatchEvent(lambda t, y: y[0], 0, ends=False),
-              BatchEvent(lambda t, y: y[1], 0, ends=lambda t, y: y[0] > 0.0)]
+    events = [Event(lambda t, y: y[0], 0, ends=False),
+              Event(lambda t, y: y[1], 0, ends=lambda t, y: y[0] > 0.0)]
 
     def scalar(budget):
         return integrate(_oscillator, 0.0, (1.0, 0.0), 10.0, 1e-10, (1.0, 1.0),

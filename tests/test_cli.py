@@ -53,6 +53,26 @@ def test_invalid_json_exits_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, literal", [
+    ("analyze", {"operator": {"plap": {"p": math.nan}}}, "NaN"),
+    ("analyze", {"operator": {"pucci": {"Lambda": math.nan}}}, "NaN"),
+    ("analyze", {"geometry": {"N": 1, "R": math.nan}}, "NaN"),
+    ("analyze", {"operator": {"plap": {"p": math.inf}}}, "Infinity"),
+    ("diagram", {"geometry": {"N": 1, "R": math.inf}}, "Infinity"),
+    ("diagram", {"scan": {"c_min": 1.0, "c_max": -math.inf, "points": 5}},
+     "-Infinity"),
+], ids=["p-nan", "Lambda-nan", "R-nan", "p-inf", "R-inf", "c_max-minus-inf"])
+def test_non_json_constants_exit_config(tmp_path, capsys, command, section,
+                                        literal):
+    # json.dump writes these literals and Python's json reads them back,
+    # but JSON has no such numbers
+    cfg = write_cfg(tmp_path, **{"scan": {"c_min": 1.0, "c_max": 10.0,
+                                          "points": 5}, **section})
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{literal} is not a number" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_config(tmp_path, capsys):
     rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
     assert rc == 2
@@ -380,7 +400,7 @@ def test_pucci_shoot_report(tmp_path):
     assert rep["q_sign_changes"] == 1
 
 
-def test_pucci_diagram(tmp_path, capsys):
+def test_pucci_diagram(tmp_path):
     cfg = write_cfg(tmp_path, operator={"pucci": {"Lambda": 2.0}},
                     geometry={"N": 2, "R": 1.0},
                     scan={"c_min": 1.0, "c_max": 12.0, "points": 12})
@@ -393,11 +413,12 @@ def test_pucci_diagram(tmp_path, capsys):
     rep = read_json(out / "diagram_summary.json")
     assert rep["audit"]["pass"] is True
 
-    # branch crossings only make sense for the variational operator
+    # branch crossings are refined on Pucci scans too
     rc = main(["diagram", "--config", cfg, "--out", str(out),
                "--lambda-star", "5.0"])
-    assert rc == 2
-    assert "lambda" in capsys.readouterr().err.lower()
+    assert rc == 0
+    star = read_json(out / "diagram_summary.json")["lambda_star"]["5"]
+    assert star["count"] >= 1 and star["unresolved"] == []
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -160,6 +160,18 @@ def test_json_round_trip():
             assert back.eval(s) == pytest.approx(nl.eval(s), rel=1e-14, abs=1e-14)
 
 
+@pytest.mark.parametrize("spec, direction", [
+    ({"kind": "power_sin", "r": 1.0}, "infinity"),
+    ({"kind": "reciprocal_sin", "r": 1.0}, "zero"),
+    ({"kind": "pure_sine"}, "infinity"),
+    ({"kind": "envelope_sin", "samples": [[0.0, 1.0], [30.0, 2.0]]}, "infinity"),
+    ({"kind": "table", "samples": [[0.0, 1.0], [5.0, -1.0]]}, "infinity"),
+])
+def test_json_default_direction(spec, direction):
+    # a spec without a direction takes the limit its zeros accumulate at
+    assert nonlinearity_from_json(spec).direction == direction
+
+
 def test_json_rejects_garbage():
     with pytest.raises(DomainError):
         nonlinearity_from_json({"kind": "mystery"})

@@ -55,7 +55,7 @@ def _quadrature_reference(n):
     The one sweep keeps later queries to their remainder panels.
     """
     cache = CachedPrefix(PowerTimesOnePlusSin(float(n)).eval_many, tol=1e-12)
-    cache.value_many(np.array([1e4]))
+    cache.F_many(np.array([1e4]))
     return cache
 
 
@@ -69,7 +69,7 @@ def test_power_sin_closed_form_matches_quadrature(n, s):
     """Integer r takes the closed form; it matches 1e-12 panel quadrature."""
     pc = PrimitiveCalculus(PowerTimesOnePlusSin(float(n)), p=2.0)
     s = np.array(s)
-    want = _QUADRATURE_REFERENCE[n].value_many(s)
+    want = _QUADRATURE_REFERENCE[n].F_many(s)
     np.testing.assert_allclose(pc.F_many(s), want, rtol=1e-12)
     assert pc.F(float(s[0])) == pytest.approx(want[0], rel=1e-12)
     np.testing.assert_array_equal(pc.F_Lambda_many(s), pc.F_many(s))
@@ -223,9 +223,9 @@ def test_prefix_extension_stops_at_rounding_level():
     until their values drop below 1 made this one extension take about 50 s.
     """
     cache = CachedPrefix(lambda s: s ** 3 * (1.0 + np.sin(s)), tol=1e-12)
-    cache.value(6370.0)
+    cache.F(6370.0)
     start = time.perf_counter()
-    got = cache.value(9128.0)
+    got = cache.F(9128.0)
     assert time.perf_counter() - start < 2.0
     assert got == pytest.approx(_PowerSinPrimitive(3).F(9128.0), rel=1e-12)
 
@@ -239,9 +239,9 @@ def test_prefix_at_tight_tolerance_passes_a_double_zero():
     ps = _PowerSinPrimitive(3)
     cache = CachedPrefix(PowerTimesOnePlusSin(3.0).eval_many, tol=1e-13)
     s = np.linspace(7000.0, 7100.0, 41)
-    np.testing.assert_allclose(cache.value_many(s), ps.F_many(s), rtol=1e-12)
+    np.testing.assert_allclose(cache.F_many(s), ps.F_many(s), rtol=1e-12)
     for x in (7048.0, 7048.163118328701, 7048.3):
-        assert cache.value(x) == pytest.approx(ps.F(x), rel=1e-12)
+        assert cache.F(x) == pytest.approx(ps.F(x), rel=1e-12)
 
 
 def test_limit_estimate_power_sin(pc_power):

@@ -13,7 +13,13 @@ from oscillap.nonlinearity import (
     find_zeros,
 )
 from oscillap.primitives import PrimitiveCalculus
-from oscillap.shoot_plap import Bounced, HitZero, ShootConfig, shoot
+from oscillap.shoot_plap import (
+    BifurcationDiagram,
+    Bounced,
+    HitZero,
+    ShootConfig,
+    shoot,
+)
 from oscillap.shoot_pucci import (
     PUCCI_CSV_COLUMNS,
     PucciShootConfig,
@@ -143,6 +149,36 @@ def test_scan_rows_and_csv():
     rows2 = pucci_scan(CANONICAL, 2.0, 2, 1.0, [3.0, float(alpha1), 7.0],
                        zeros, tol_ode=1e-9)
     assert pucci_csv_lines(rows2) == lines
+
+
+def test_area_condition_uses_weighted_primitive():
+    """The decay inequality implies the sign and area conditions for
+    F_Lambda, not for F: at this height F(c) = 1.726 lies below max F = 2,
+    but F_Lambda(c) = 3.226 is the running max of F_Lambda."""
+    c = 8.6667
+    res = pucci_shoot(PucciShootConfig(2.0, 2, c), PureSine())
+    assert isinstance(res.outcome, HitZero)
+    pc = PrimitiveCalculus(PureSine(), p=2.0, Lambda=2.0)
+    d = pucci_inequality_check(res, pc, R=1.0)
+    assert d.residual_max == 0.0
+    assert d.F_at_max_ok and d.area_condition_ok
+    assert pc.F(c) < pc.running_max(c) - 0.2
+    assert pc.F_Lambda(c) == pytest.approx(pc.running_max_Lambda(c), rel=1e-12)
+
+
+def test_lambda_star_crossings_on_pucci_scan():
+    """Refined crossings of a Lambda = 2 scan sit on the level, checked
+    against independent tol_ode 1e-12 shots."""
+    op = PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-10)
+    diag = BifurcationDiagram.scan(op, CANONICAL, 1.0, np.linspace(0.5, 20.0, 60),
+                                   find_zeros(CANONICAL, 8))
+    for level in (5.0, 20.0):
+        unresolved = []
+        crossings = diag.solutions_at(level, unresolved)
+        assert len(crossings) >= 5 and not unresolved
+        for x in crossings:
+            res = pucci_shoot(PucciShootConfig(2.0, 2, x.c, tol_ode=1e-12), CANONICAL)
+            assert pucci_rescale(res, 1.0) == pytest.approx(level, rel=1e-6)
 
 
 def test_config_validation():

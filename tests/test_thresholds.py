@@ -267,8 +267,9 @@ def test_compute_thresholds_report(pc_power, canonical_gammas):
                                    "lambda_bar"}
 
 
-def test_compute_thresholds_pucci_operator(pc_power, canonical_gammas):
-    rep = compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
+def test_compute_thresholds_pucci_operator(canonical_gammas):
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0, Lambda=2.0)
+    rep = compute_thresholds(pc, BallGeometry(1, 1.0), "infinity",
                              gammas=canonical_gammas,
                              operator=Operator.pucci(2.0))
     # f >= 0 makes F_Lambda = F, so the limits stay at 1/2 and the
@@ -300,6 +301,22 @@ def test_compute_thresholds_refuses_another_exponent(pc_power, canonical_gammas)
         compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
                            gammas=canonical_gammas,
                            operator=Operator.p_laplacian(3.0))
+
+
+def test_compute_thresholds_refuses_another_Lambda():
+    # f = cos s + 0.3 changes sign, so F_Lambda depends on Lambda: a Lambda = 2
+    # report on Lambda = 1 primitives gives lambda_bar 530.07, not 423.01
+    xs = np.linspace(0.0, 40.0, 801)
+    tab = CustomTable(np.column_stack([xs, np.cos(xs) + 0.3]))
+    right = compute_thresholds(PrimitiveCalculus(tab, p=2.0, Lambda=2.0),
+                               BallGeometry(1, 1.0), "infinity", count=4,
+                               operator=Operator.pucci(2.0))
+    assert right.lambda_bar == pytest.approx(423.01, rel=1e-4)
+    for pc in (PrimitiveCalculus(tab, p=2.0),
+               PrimitiveCalculus(tab, p=3.0, Lambda=2.0)):
+        with pytest.raises(DomainError):
+            compute_thresholds(pc, BallGeometry(1, 1.0), "infinity", count=4,
+                               operator=Operator.pucci(2.0))
 
 
 def test_compute_thresholds_default_gammas(pc_power):
