@@ -22,8 +22,22 @@ state; it shares the tableau, error norm, controller constants and
 first-step heuristic with ``integrate``.  Its events are located on the
 free 4th-order dense output of the pair (Dormand & Prince 1980; Shampine
 1986, "Some practical Runge-Kutta formulas"; Hairer-Norsett-Wanner I,
-II.6) by a vectorized Illinois iteration, and one RK5 step of the located
-size gives the state at the event.
+II.6) by an Illinois iteration over the lanes of each fired event, and one
+RK5 step of the located size gives the state at the event.
+
+What a lockstep iteration costs is the number of numpy calls, not the
+arithmetic, so the batch keeps that number small without changing a bit
+of any lane:
+
+* the whole batch runs under one numpy error state (invalid operations
+  and division by zero ignored), entered once rather than per right-hand
+  side, and the caller's state comes back on return or raise;
+* each stage sum ``y + h * sum(a_j k_j)`` is accumulated in place, term by
+  term in the order ``_stages`` adds them, and then scaled and shifted in
+  place; IEEE products and sums commute, so this gives the bits of the
+  out-of-place expression (a ``tensordot`` or fused sum would not);
+* the event values at the end of an accepted step are carried into the
+  next step as its start values instead of being computed again.
 
 ``brentq`` is the bracketed root finder behind ``integrate``'s events and
 the zero and crossing polishers elsewhere in the package: Brent's method
@@ -437,11 +451,23 @@ def _first_steps(y, k1, scale, t, t_end):
 
 
 def _weighted(terms, k):
-    """Sum of w * k[j] over (w, j) terms, left to right."""
+    """Sum of w * k[j] over (w, j) terms, left to right, summed in place."""
     (w, j), *rest = terms
     acc = w * k[j]
     for w, j in rest:
-        acc = acc + w * k[j]
+        acc += w * k[j]
+    return acc
+
+
+def _shifted(y, h, terms, k):
+    """y + h * (sum of w * k[j]), the sum left to right, all in place.
+
+    a * h and a + y are h * a and y + a (IEEE multiplication and addition
+    commute), so the bits are those of the out-of-place expression.
+    """
+    acc = _weighted(terms, k)
+    acc *= h
+    acc += y
     return acc
 
 
@@ -453,9 +479,9 @@ def _stages_batch(f, t, y, h, k):
     """
     k[1] = f(t + _C2 * h, y + h * _A21 * k[0])
     for i in range(1, 4):
-        k[i + 1] = f(t + _C_NODES[i] * h, y + h * _weighted(_A_TERMS[i], k))
-    k[5] = f(t + h, y + h * _weighted(_A_TERMS[4], k))
-    return y + h * _weighted(_B_TERMS, k)
+        k[i + 1] = f(t + _C_NODES[i] * h, _shifted(y, h, _A_TERMS[i], k))
+    k[5] = f(t + h, _shifted(y, h, _A_TERMS[4], k))
+    return _shifted(y, h, _B_TERMS, k)
 
 
 def _rk5_to(f, t, y, k1, tau):
@@ -472,32 +498,47 @@ def _illinois(g, t, dense, h, glo, ghi, tol):
     lane; ``glo`` and ``ghi`` are g at the step start and end, of opposite
     signs.  Returns the far end of each final bracket, so the offset lies
     on the far side of the crossing as the dense output sees it.
+
+    g and the dense output are evaluated for all lanes at once; the few
+    bracket updates per lane run on Python floats, whose arithmetic is the
+    same IEEE arithmetic numpy's would be.
     """
-    lo, hi = np.zeros_like(h), h.copy()
-    side = np.zeros(h.shape, dtype=int)   # endpoint replaced last: -1 lo, +1 hi
+    lanes = range(len(h))
+    lo, hi, tol = [0.0] * len(h), h.tolist(), tol.tolist()
+    glo, ghi = glo.tolist(), ghi.tolist()
+    side = [0] * len(h)   # endpoint replaced last: -1 lo, +1 hi
+    x = list(hi)
     for _ in range(_MAX_ILLINOIS):
-        live = hi - lo > tol
-        if not live.any():
+        live = [i for i in lanes if hi[i] - lo[i] > tol[i]]
+        if not live:
             break
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = hi - ghi * (hi - lo) / (ghi - glo)
-        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-        gx = np.asarray(g(t + x, dense(x / h)), dtype=float)
-        zero = live & (gx == 0.0)
-        far = live & ~zero & (np.sign(gx) == np.sign(ghi))
-        near = live & ~zero & ~far
-        # the endpoint kept twice in a row gets its value halved (Illinois)
-        glo = np.where(near, gx, np.where(far & (side == 1), 0.5 * glo, glo))
-        ghi = np.where(far, gx, np.where(near & (side == -1), 0.5 * ghi, ghi))
-        lo = np.where(near | zero, x, lo)
-        hi = np.where(far | zero, x, hi)
-        side = np.where(far, 1, np.where(near, -1, side))
-    return hi
+        for i in live:
+            a, b, ga, gb = lo[i], hi[i], glo[i], ghi[i]
+            # a zero denominator gives inf or nan in numpy, hence the midpoint
+            xi = b - gb * (b - a) / (gb - ga) if gb != ga else math.nan
+            x[i] = xi if a < xi < b else 0.5 * (a + b)
+        xs = np.array(x)
+        gx = np.asarray(g(t + xs, dense(xs / h)), dtype=float).tolist()
+        for i in live:
+            gi, gb = gx[i], ghi[i]
+            if gi == 0.0:                      # on the root
+                lo[i] = hi[i] = x[i]
+            elif (gi > 0.0 and gb > 0.0) or (gi < 0.0 and gb < 0.0):  # far side
+                if side[i] == 1:   # the endpoint kept twice in a row is halved
+                    glo[i] = glo[i] * 0.5
+                ghi[i], hi[i], side[i] = gi, x[i], 1
+            else:
+                if side[i] == -1:
+                    ghi[i] = gb * 0.5
+                glo[i], lo[i], side[i] = gi, x[i], -1
+    return np.array(hi)
 
 
-def _locate_batch(f, events, fired, t, y, ynew, h, k, g1, signs, event_tol):
+def _locate_batch(f, events, fired, t, y, ynew, h, k, g0, g1, signs,
+                  event_tol):
     """Earliest fired event per lane: (event index, offset, state at the event).
 
+    ``g0`` and ``g1`` are the event values at the step start and end.
     Offsets come from the dense output; the state is one RK5 step of the
     located size.  Where the event function is still on the near side
     there, the offset moves forward (as ``_locate`` does) until it is past
@@ -518,8 +559,7 @@ def _locate_batch(f, events, fired, t, y, ynew, h, k, g1, signs, event_tol):
         sub = np.nonzero(fired[e])[0]
         if sub.size == 0:
             continue
-        ghi = g1[e, sub]
-        glo = np.asarray(ev.g(t[sub], y[:, sub]), dtype=float)
+        ghi, glo = g1[e, sub], g0[e, sub]
         te = h[sub].copy()
         # a flip seen only through arming (start at g = 0) keeps the step end
         br = np.nonzero((ghi != 0.0) & (glo * ghi < 0.0))[0]
@@ -553,9 +593,8 @@ def _locate_batch(f, events, fired, t, y, ynew, h, k, g1, signs, event_tol):
         near = (g_ev != 0.0) & (np.sign(g_ev) == signs[which[inner], inner])
         inner, g_ev = inner[near], g_ev[near]
         # jump twice the linearized distance to the crossing, at least ``step``
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jump = np.where(slope[inner] > 0.0,
-                            2.0 * np.abs(g_ev) / slope[inner], 0.0)
+        jump = np.where(slope[inner] > 0.0, 2.0 * np.abs(g_ev) / slope[inner],
+                        0.0)
         tau[inner] = np.minimum(h[inner],
                                 tau[inner] + np.maximum(step[inner], jump))
         step[inner] *= 4.0
@@ -623,14 +662,25 @@ def integrate_batch(
     ``y0`` is a (components, lanes) array, ``scale`` broadcasts to it, and
     ``t0`` holds one start per lane.  ``f`` and each event's ``g`` take a
     (lanes,) time and a (components, lanes) state of the lanes still
-    running.  Each lane follows ``integrate``'s step control on its own:
-    error test, PI controller, step budget per (re)start, and the same
-    event sign, arming and end-or-restart rules.  Finished lanes leave the
-    working set; a lane whose fired events all end it unconditionally is
-    finished at once and its event is located with the others after the
-    loop.  Raises NonintegrableStep on step-size underflow in any lane and
+    running; ``f`` returns one array per component.  Each lane follows
+    ``integrate``'s step control on its own: error test, PI controller,
+    step budget per (re)start, and the same event sign, arming and
+    end-or-restart rules.  Finished lanes leave the working set; a lane
+    whose fired events all end it unconditionally is finished at once and
+    its event is located with the others after the loop.  The whole batch
+    runs under one numpy error state that ignores invalid operations and
+    division by zero (``f`` and ``g`` need not guard lanes whose values are
+    masked or rejected), and the caller's state is restored on return or
+    raise.  Raises NonintegrableStep on step-size underflow in any lane and
     NonConvergence when a lane runs out of steps or restarts.
     """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts,
+                         event_tol)
+
+
+def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
+    """``integrate_batch`` inside its error state."""
     t = np.array(t0, dtype=float).ravel()
     y = np.array(y0, dtype=float).reshape(-1, t.size)
     n, m = y.shape
@@ -655,7 +705,8 @@ def integrate_batch(
     total = np.zeros(m, dtype=int)
     restarts = np.zeros(m, dtype=int)
     acc = np.zeros((n, m))
-    signs = np.sign(_event_values(events, t, y, m))
+    g0 = _event_values(events, t, y, m)  # event values at each lane's t
+    signs = np.sign(g0)
 
     while lane.size:
         if steps.max() >= _MAX_STEPS:
@@ -668,75 +719,98 @@ def integrate_batch(
             i = int(np.argmax(tiny))
             raise NonintegrableStep(
                 f"step size underflow: h={h[i]!r} at t={t[i]!r}")
-        last = h >= t_end - t
-        h = np.where(last, t_end - t, h)
+        span = t_end - t
+        last = h >= span
+        h = np.minimum(h, span)
 
         ynew = _stages_batch(f, t, y, h, k)
-        k[6] = f(t + h, ynew)
-        le = h * _weighted(_E_TERMS, k)
+        tn = t + h
+        k[6] = f(tn, ynew)
+        le = _weighted(_E_TERMS, k)
+        le *= h
         steps += 1
         total += 1
         tv = rtol * (scale + np.maximum(np.abs(y), np.abs(ynew)))
-        err = np.sqrt(np.sum((le / tv) ** 2, axis=0) / n)
+        err = np.sqrt(np.add.reduce((le / tv) ** 2, axis=0) / n)
         ok = err <= 1.0
-        if not ok.all():
+        n_ok = np.count_nonzero(ok)
+        if n_ok < lane.size:
             rej = ~ok
             # fmax, like the scalar max(), shrinks a NaN-error step by the floor
             h[rej] *= np.fmax(_MIN_FACTOR, _SAFETY * err[rej] ** _REJECT_EXP)
-            if not ok.any():
+            if not n_ok:
                 continue
-        acc += np.where(ok, np.abs(le), 0.0)
+            acc += np.where(ok, np.abs(le), 0.0)
+        else:
+            acc += np.abs(le)
 
         # event scan over the accepted spans
-        tn = t + h
         g1 = _event_values(events, tn, ynew, lane.size)
         s1 = np.sign(g1)
-        fired = (ok & (signs != 0.0) & (s1 != signs)
-                 & ((armed_dir == 0.0) | (signs == -armed_dir)))
-        hit = fired.any(axis=0)
-        defer = hit & ~(fired & ~final).any(axis=0)
-        now = np.nonzero(hit & ~defer)[0]
-        done = (ok & last & ~hit) | defer
-        restart = np.zeros(lane.size, dtype=bool)
+        fired = ok & (signs != 0.0) & (s1 != signs)
+        if np.count_nonzero(fired):
+            fired &= (armed_dir == 0.0) | (signs == -armed_dir)
+        restart = None
         t_acc, y_acc = tn, ynew
-        if now.size:
-            which, tau, y_ev = _locate_batch(
-                f, events, fired[:, now], t[now], y[:, now], ynew[:, now],
-                h[now], k[:, :, now], g1[:, now], signs[:, now], event_tol)
-            t_acc, y_acc = tn.copy(), ynew.copy()
-            t_acc[now] = t[now] + tau
-            y_acc[:, now] = y_ev
-            ends = np.zeros(now.size, dtype=bool)
-            for e, ev in enumerate(events):
-                sel = np.nonzero(which == e)[0]
-                if sel.size:
-                    ends[sel] = ev.ends_at(t_acc[now[sel]], y_ev[:, sel])
-            done[now[ends]] = True
-            restart[now[~ends]] = True
-            res.event_index[lane[now[ends]]] = which[ends]
-        if defer.any():
-            d = np.nonzero(defer)[0]
-            later.append((lane[d], t[d], y[:, d], ynew[:, d], h[d], k[:, :, d],
-                          g1[:, d], fired[:, d], signs[:, d]))
-        rec = ok & ~defer
-        recs.add(lane[rec], t_acc[rec], y_acc[:, rec])
+        if not np.count_nonzero(fired):
+            done = ok & last
+            if n_ok == lane.size:
+                recs.add(lane, tn, ynew)
+            else:
+                recs.add(lane[ok], tn[ok], ynew[:, ok])
+        else:
+            hit = fired.any(axis=0)
+            defer = hit & ~(fired & ~final).any(axis=0)
+            now = np.nonzero(hit & ~defer)[0]
+            done = (ok & last & ~hit) | defer
+            restart = np.zeros(lane.size, dtype=bool)
+            if now.size:
+                which, tau, y_ev = _locate_batch(
+                    f, events, fired[:, now], t[now], y[:, now], ynew[:, now],
+                    h[now], k[:, :, now], g0[:, now], g1[:, now],
+                    signs[:, now], event_tol)
+                t_acc, y_acc = tn.copy(), ynew.copy()
+                t_acc[now] = t[now] + tau
+                y_acc[:, now] = y_ev
+                ends = np.zeros(now.size, dtype=bool)
+                for e, ev in enumerate(events):
+                    sel = np.nonzero(which == e)[0]
+                    if sel.size:
+                        ends[sel] = ev.ends_at(t_acc[now[sel]], y_ev[:, sel])
+                done[now[ends]] = True
+                restart[now[~ends]] = True
+                res.event_index[lane[now[ends]]] = which[ends]
+            if defer.any():
+                d = np.nonzero(defer)[0]
+                later.append((lane[d], t[d], y[:, d], ynew[:, d], h[d],
+                              k[:, :, d], g0[:, d], g1[:, d], fired[:, d],
+                              signs[:, d]))
+            rec = ok & ~defer
+            recs.add(lane[rec], t_acc[rec], y_acc[:, rec])
 
         # accepted lanes without an event move on under the PI controller
-        move = ok & ~done & ~restart
-        if move.any():
-            e_ok = np.where(err > 0.0, err, 1.0)
-            fac = np.where(err > 0.0,
-                           _SAFETY * e_ok ** -_ALPHA * err_prev ** _BETA,
-                           _MAX_FACTOR)
-            t = np.where(move, tn, t)
-            y = np.where(move, ynew, y)
-            k[0] = np.where(move, k[6], k[0])
-            signs = np.where(move & (s1 != 0.0), s1, signs)
-            h = np.where(move, np.minimum(
+        move = ok & ~done
+        if restart is not None:
+            move &= ~restart
+        n_move = np.count_nonzero(move)
+        if n_move:
+            pos = err > 0.0
+            fac = np.where(pos, _SAFETY * np.where(pos, err, 1.0) ** -_ALPHA
+                           * err_prev ** _BETA, _MAX_FACTOR)
+            h_next = np.minimum(
                 h * np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, fac)),
-                t_end - t), h)
-            err_prev = np.where(move, np.maximum(err, _ERR_FLOOR), err_prev)
-        if restart.any():
+                t_end - tn)
+            err_next = np.maximum(err, _ERR_FLOOR)
+            s_next = np.where(s1 != 0.0, s1, signs)
+            if n_move == lane.size:
+                t, y, h, err_prev, g0, signs = tn, ynew, h_next, err_next, g1, s_next
+                k[0] = k[6]
+            else:
+                for dst, src in ((t, tn), (y, ynew), (k[0], k[6]), (g0, g1),
+                                 (signs, s_next), (h, h_next),
+                                 (err_prev, err_next)):
+                    np.copyto(dst, src, where=move)
+        if restart is not None and restart.any():
             r = np.nonzero(restart)[0]
             restarts[r] += 1
             if restarts.max() > max_restarts:
@@ -744,13 +818,13 @@ def integrate_batch(
             if not np.all(t_end > t_acc[r]):
                 raise NonConvergence(
                     f"empty integration span ending at {t_end!r}")
-            t[r] = t_acc[r]
-            y[:, r] = y_acc[:, r]
-            k[0][:, r] = f(t[r], y[:, r])
-            h[r] = _first_steps(y[:, r], k[0][:, r], scale[:, r], t[r], t_end)
+            tr, yr = t_acc[r], y_acc[:, r]
+            t[r], y[:, r], k[0][:, r] = tr, yr, f(tr, yr)
+            gr = _event_values(events, tr, yr, r.size)
+            h[r] = _first_steps(yr, k[0][:, r], scale[:, r], tr, t_end)
             err_prev[r] = 1.0
             steps[r] = 0
-            signs[:, r] = np.sign(_event_values(events, t[r], y[:, r], r.size))
+            g0[:, r], signs[:, r] = gr, np.sign(gr)
 
         if done.any():
             fin = lane[done]
@@ -762,15 +836,16 @@ def integrate_batch(
             keep = ~done
             lane, t, y, h = lane[keep], t[keep], y[:, keep], h[keep]
             k = k[:, :, keep]
-            scale, acc, signs = scale[:, keep], acc[:, keep], signs[:, keep]
+            scale, acc = scale[:, keep], acc[:, keep]
+            g0, signs = g0[:, keep], signs[:, keep]
             err_prev, steps = err_prev[keep], steps[keep]
             total, restarts = total[keep], restarts[keep]
 
     if later:
-        ids, tl, yl, ynl, hl, kl, gl, fl, sl = (
+        ids, tl, yl, ynl, hl, kl, g0l, g1l, fl, sl = (
             np.concatenate(part, axis=-1) for part in zip(*later))
         which, tau, y_ev = _locate_batch(f, events, fl, tl, yl, ynl, hl, kl,
-                                         gl, sl, event_tol)
+                                         g0l, g1l, sl, event_tol)
         res.event_index[ids] = which
         res.t[ids] = tl + tau
         res.y[:, ids] = y_ev

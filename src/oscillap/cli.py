@@ -193,8 +193,43 @@ def _reject_constant(name: str):
     raise ConfigError(f"config is not valid JSON: {name} is not a number")
 
 
+#: command-line overrides: (flag, config section or None for the top
+#: level, key, commands that read it)
+_OVERRIDES = (
+    ("points", "scan", "points", ("diagram",)),
+    ("lambda_star", "scan", "lambda_star", ("diagram",)),
+    ("tol_ode", "tolerances", "tol_ode", ("shoot", "pucci-shoot", "diagram")),
+    ("seed", None, "seed", None),
+)
+
+
+def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
+    """Write the command's flag overrides into the config, so the schema
+    checks them with the file's values.
+
+    A flag for a section the command does not read is ignored, and the
+    scan values only replace those of a scan section the file has (the
+    command reports a missing one).  JSON has no NaN or Infinity, so a flag
+    carrying one is refused here, as in the file.
+    """
+    for flag, section, key, commands in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is None or (commands is not None
+                             and args.command not in commands):
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            if not math.isfinite(v):
+                raise ConfigError(f"--{flag.replace('_', '-')} {v!r} is not "
+                                  f"a finite number")
+        if section == "tolerances" and section not in cfg:
+            cfg[section] = {}   # optional: its keys have defaults
+        target = cfg if section is None else cfg.get(section)
+        if isinstance(target, dict):
+            target[key] = value
+
+
 class Run:
-    """One validated config plus the CLI overrides that apply to it."""
+    """One validated config, with the CLI overrides written into it."""
 
     def __init__(self, args: argparse.Namespace):
         self.out_dir = args.out
@@ -208,6 +243,8 @@ class Run:
             cfg = json.loads(raw, parse_constant=_reject_constant)
         except json.JSONDecodeError as ex:
             raise ConfigError(f"config is not valid JSON: {ex}")
+        if isinstance(cfg, dict):
+            _apply_overrides(cfg, args)
         errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg),
                         key=lambda e: list(e.absolute_path))
         if errors:
@@ -232,9 +269,7 @@ class Run:
         #: its ``calculus`` gives the run's primitives
         self.shooter = shooter(self.operator.parameter, self.N, 1.0)
 
-        tol = dict(cfg.get("tolerances", {}))
-        if args.tol_ode is not None:
-            tol["tol_ode"] = args.tol_ode
+        tol = cfg.get("tolerances", {})
         self.tol_ode = float(tol.get("tol_ode", 1e-8))
         self.event_tol = float(tol.get("event_tol", 1e-10))
         self.r_max = float(tol.get("r_max", 50.0))
@@ -243,9 +278,7 @@ class Run:
                                         DEFAULT_ENERGY_RESIDUAL_TOL))
         self.slack_tol = float(tol.get("bound_slack", DEFAULT_BOUND_SLACK_TOL))
 
-        self.points_override = args.points
-        self.lambda_star = args.lambda_star
-        self.seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        self.seed = int(cfg.get("seed", 0))
         self.zeros_count = int(cfg.get("zeros", 12))
         if self.out_dir is None:
             self.out_dir = cfg.get("output", {}).get("dir", ".")
@@ -269,8 +302,7 @@ class Run:
             raise ConfigError("this command needs a 'scan' section")
         scan = self.cfg["scan"]
         lo, hi = float(scan["c_min"]), float(scan["c_max"])
-        n = int(self.points_override if self.points_override is not None
-                else scan["points"])
+        n = int(scan["points"])
         if n == 0:
             raise ConfigError("scan has zero points")
         if not lo <= hi:
@@ -280,8 +312,6 @@ class Run:
         return np.linspace(lo, hi, n)
 
     def stars(self) -> List[float]:
-        if self.lambda_star is not None:
-            return self.lambda_star
         return [float(v) for v in self.cfg.get("scan", {}).get("lambda_star", [])]
 
 
@@ -411,10 +441,11 @@ def cmd_diagram(run: Run) -> int:
     zeros = find_zeros(run.nl, run.zeros_count)
     diag = BifurcationDiagram.scan(run.shoot_config(grid[0]), run.nl, run.R,
                                    grid, zeros)
+    stars = run.stars()
+    unresolved: List[List[UnresolvedBracket]] = []
+    found = diag.solutions_at(stars, unresolved) if stars else []
     star_report = {}
-    for star in run.stars():
-        unresolved: List[UnresolvedBracket] = []
-        crossings = diag.solutions_at(star, unresolved)
+    for star, crossings, missed in zip(stars, found, unresolved):
         star_report[f"{star:.17g}"] = {
             "count": len(crossings),
             "crossings": [
@@ -422,7 +453,7 @@ def cmd_diagram(run: Run) -> int:
                  "zero_interval_index": x.zero_interval_index}
                 for x in crossings
             ],
-            "unresolved": [dataclasses.asdict(b) for b in unresolved],
+            "unresolved": [dataclasses.asdict(b) for b in missed],
         }
     summary = {**run.stamp(), "operator": run.operator.to_json(),
                "geometry": {"N": run.N, "R": run.R},

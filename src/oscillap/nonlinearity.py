@@ -57,7 +57,9 @@ class Nonlinearity:
     structural queries the primitive calculus needs: where f changes sign
     (running extrema of its antiderivative live there), where the integrand
     has kinks (quadrature panels must not straddle them), and where its zeros
-    accumulate.
+    accumulate.  ``eval_many`` extends f below 0 by f(0), as the radial
+    equations do once a trajectory passes its zero, so the batched
+    right-hand sides call it on any state.
     """
 
     kind: str = "abstract"
@@ -122,11 +124,8 @@ class PowerTimesOnePlusSin(Nonlinearity):
         return s**self.r * (1.0 + math.sin(s))
 
     def eval_many(self, s):
-        s = np.asarray(s, dtype=float)
-        pos = s > 0.0
-        with np.errstate(invalid="ignore"):
-            out = np.where(pos, s, 1.0) ** self.r * (1.0 + np.sin(s))
-        return np.where(pos, out, 0.0)
+        s = np.where(s > 0.0, s, 0.0)
+        return s ** self.r * (1.0 + np.sin(s))
 
     @property
     def nonneg(self) -> bool:
@@ -203,7 +202,7 @@ class PureSine(Nonlinearity):
         return math.sin(s)
 
     def eval_many(self, s):
-        return np.sin(np.asarray(s, dtype=float))
+        return np.sin(np.where(s > 0.0, s, 0.0))
 
     @property
     def zero_accumulation(self) -> str:
@@ -335,7 +334,7 @@ class EnvelopeTimesOnePlusSin(_TableMixin, Nonlinearity):
         return self._interp(s) * (1.0 + math.sin(s))
 
     def eval_many(self, s):
-        s = np.asarray(s, dtype=float)
+        s = np.where(s > 0.0, s, 0.0)
         return self._interp_many(s) * (1.0 + np.sin(s))
 
     @property

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import (TYPE_CHECKING, ClassVar, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, ClassVar, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity, ZeroSequence
 from .primitives import PrimitiveCalculus
-from .thresholds import per_solution_lower_bound
+from .thresholds import bound_from_Fbar, per_solution_lower_bound
 
 if TYPE_CHECKING:
     from .shoot_pucci import PucciDiagnostics, PucciShootConfig
@@ -130,14 +130,14 @@ class ShootConfig:
         pq = 1.0 + q  # p/(p-1)
         nm1 = self.N - 1
         if batched:
-            def f_of(v):
-                return np.where(v > 0.0, nl.eval_many(v), f0)
+            f_of = nl.eval_many   # f(0) below 0 already
 
             def rhs(r, y):
                 v, w = y[0], y[1]
                 aw = np.abs(w)
-                return (np.copysign(aw ** q, w), -lam * f_of(v) - nm1 * w / r,
-                        nm1 * aw ** pq / r)
+                # at p = 2 the flux is the slope: copysign(|w|, w) is w
+                vp = w if q == 1.0 else np.copysign(aw ** q, w)
+                return (vp, -lam * f_of(v) - nm1 * w / r, nm1 * aw ** pq / r)
         else:
             feval = nl.eval
 
@@ -160,15 +160,13 @@ class ShootConfig:
     def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
         return PrimitiveCalculus(nl, p=self.p)
 
-    def Fbar(self, pc: PrimitiveCalculus, c: float) -> float:
-        return pc.Fbar(c)
+    def heights(self, pc: PrimitiveCalculus, cs: Sequence[float],
+                R: float) -> List[HeightPrimitives]:
+        return _plap_heights(pc, cs, self.p, R)
 
-    def lower_bound(self, pc: PrimitiveCalculus, c: float, R: float) -> float:
-        return per_solution_lower_bound(pc, c, self.p, R)
-
-    def audit(self, res: ShootResult, pc: PrimitiveCalculus,
-              R: float) -> Diagnostics:
-        return check_necessary_conditions(res, pc, self.p, R)
+    def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
+              at: Optional[HeightPrimitives] = None) -> Diagnostics:
+        return check_necessary_conditions(res, pc, self.p, R, at)
 
 
 @dataclass(frozen=True)
@@ -210,6 +208,46 @@ class Diagnostics:
     def residual(self) -> float:
         """What a diagram row reports as its energy residual."""
         return self.energy_residual_max
+
+
+class HeightPrimitives(NamedTuple):
+    """What a diagram row and its audit take from the primitives at one
+    height c: F(c), the operator's Fbar(c) and per-solution bound (nan
+    where Fbar(c) <= 0), and its own primitive G (F, or F_Lambda for
+    Pucci) at c with the max of G on [0, c]."""
+
+    F: float
+    Fbar: float
+    bound: float
+    G: float
+    Gmax: float
+
+
+def _height_rows(cs, F, Fbar, G, Gmax, bound, param: float,
+                 R: float) -> List[HeightPrimitives]:
+    """One ``HeightPrimitives`` per height from the operator's arrays;
+    ``bound(c, Fbar, param, R)`` is its per-solution bound formula."""
+    if not R > 0.0:
+        raise DomainError(f"radius must be positive, got {R!r}")
+    out = []
+    for c, *vals in zip(cs, F, Fbar, G, Gmax):
+        if not c > 0.0:
+            raise DomainError(f"height must be positive, got {c!r}")
+        f, fb, g, gmax = (float(x) for x in vals)
+        try:
+            b = bound(c, fb, param, R)
+        except NonpositiveFbar:
+            b = math.nan
+        out.append(HeightPrimitives(f, fb, b, g, gmax))
+    return out
+
+
+def _plap_heights(pc: PrimitiveCalculus, cs: Sequence[float], p: float,
+                  R: float) -> List[HeightPrimitives]:
+    """p-Laplacian ``HeightPrimitives`` of every height, from F and its extrema."""
+    F = pc.F_each(cs)
+    lo, hi = pc.extrema_many(cs, F)
+    return _height_rows(cs, F, F - lo, F, hi, bound_from_Fbar, p, R)
 
 
 @dataclass
@@ -305,7 +343,8 @@ def shoot_batch(cfg, heights: Sequence[float],
 def _shots(cfg, heights: Sequence[float],
            nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
     """``shoot_batch``'s results one at a time, so a caller that audits and
-    drops each trajectory never holds all of them."""
+    drops each trajectory never holds all of them.  The batch itself runs
+    (and raises) on the call, before the first result is taken."""
     cfgs = [replace(cfg, c=float(c)) for c in heights]
     lanes, starts, scales = [], [], []
     for i, lane_cfg in enumerate(cfgs):
@@ -317,15 +356,20 @@ def _shots(cfg, heights: Sequence[float],
         starts.append(start)
         scales.append(scale)
     if not lanes:
-        yield from (None for _ in cfgs)
-        return
+        return iter([None] * len(cfgs))
 
     rhs, events = cfg.system(nl, batched=True)
     res = integrate_batch(rhs, np.full(len(lanes), r0), np.array(starts).T,
                           cfg.r_max, cfg.tol_ode, np.array(scales).T,
                           events=events, max_restarts=cfg.max_restarts,
                           event_tol=cfg.event_tol)
+    return _results(cfgs, lanes, starts, r0, res)
 
+
+def _results(cfgs, lanes: List[int], starts: list, r0: float,
+             res) -> Iterator[Optional[ShootResult]]:
+    """The ``ShootResult`` of each shot config in turn: config ``lanes[j]``
+    ran as lane j of the batch ``res`` from ``starts[j]``; the others stalled."""
     lane_of = {i: j for j, i in enumerate(lanes)}
     for i, lane_cfg in enumerate(cfgs):
         if i not in lane_of:
@@ -362,16 +406,19 @@ def rescale_to_ball(res: ShootResult, R: float, p: float) -> float:
     return lam
 
 
-def energy_residual(res: ShootResult, pc: PrimitiveCalculus) -> float:
+def energy_residual(res: ShootResult, pc: PrimitiveCalculus,
+                    Fc: Optional[float] = None) -> float:
     """Worst relative defect of the radial energy identity along the samples.
 
     The identity equates (p-1)/p |v'|^p plus the accumulated path term
     with lambda (F(c) - F(v(r))), lambda the shooting parameter; its
-    residual is the integrator's primary self-check.
+    residual is the integrator's primary self-check.  ``Fc`` is F(c)
+    when the caller has it.
     """
     lam = res.config.lambda_shoot
     p = res.config.p
-    Fc = pc.F(res.config.c)
+    if Fc is None:
+        Fc = pc.F(res.config.c)
     v = np.clip(res.v, 0.0, None)  # event overshoot may leave v at -event_tol
     lhs = (p - 1.0) / p * np.abs(res.vp) ** p + res.z
     rhs = lam * (Fc - pc.F_many(v))
@@ -387,18 +434,28 @@ def _sign_and_area_ok(Gc: float, Gmax: float) -> Tuple[bool, bool]:
 
 
 def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
-                               p: float, R: float) -> Diagnostics:
+                               p: float, R: float,
+                               at: Optional[HeightPrimitives] = None
+                               ) -> Diagnostics:
     """Audit a zero-hitting trajectory against the solvability conditions.
 
     Fills ``res.diagnostics`` with: the energy-identity residual, the sign
     and area conditions (``_sign_and_area_ok``), and the slack of the
-    per-solution lower bound on the rescaled lambda.
+    per-solution lower bound on the rescaled lambda.  ``at`` holds the
+    primitives at the trajectory's height when the caller has them.
     """
     lam = rescale_to_ball(res, R, p)
     c = res.config.c
-    sign_ok, area_ok = _sign_and_area_ok(pc.F(c), pc.running_max(c))
-    slack = lam - per_solution_lower_bound(pc, c, p, R)
-    energy = energy_residual(res, pc)
+    if at is None:
+        Fc = pc.F(c)
+        sign_ok, area_ok = _sign_and_area_ok(Fc, pc.running_max(c))
+        bound = per_solution_lower_bound(pc, c, p, R)
+    else:
+        Fc = at.F
+        sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
+        bound = bound_from_Fbar(c, at.Fbar, p, R)
+    slack = lam - bound
+    energy = energy_residual(res, pc, Fc)
     d = Diagnostics(energy, sign_ok, area_ok, float(slack))
     res.diagnostics = d
     return d
@@ -486,8 +543,15 @@ class BifurcationDiagram:
         if pc is None:
             pc = op.calculus(nl)
         heights = [float(c) for c in c_grid]
-        rows = tuple(_diagram_row(c, res, op, pc, zeros, R)
-                     for c, res in zip(heights, _shots(op, heights, nl)))
+        shots = _shots(op, heights, nl)
+        if pc.pointwise:
+            prims = op.heights(pc, heights, R)
+        else:
+            # a panel cache answers by the order of its queries: ask height
+            # by height, each just before its row's audit, as rows always did
+            prims = (op.heights(pc, [c], R)[0] for c in heights)
+        rows = tuple(_diagram_row(c, res, op, pc, zeros, R, at)
+                     for c, res, at in zip(heights, shots, prims))
         return cls(rows, zeros, nl, pc, op, R)
 
     def branches(self) -> List[Tuple[int, int]]:
@@ -512,69 +576,24 @@ class BifurcationDiagram:
             if res is not None and isinstance(res.outcome, HitZero) else math.nan
             for res in _shots(self.op, heights, self.nl)])
 
-    def _pole_brackets(self, lambda_star: float, rows, unresolved) -> list:
-        """Brackets between rows below the level and heights next to their zeros.
+    def _level_brackets(self, lambda_star: float, found: List[Crossing]):
+        """Where adjacent zero-hitting rows bracket the level.
 
-        ``rows`` holds (row, zero, -1 when the row lies below the zero or
-        +1 above it).  The candidates alpha -/+ alpha 10^-j are shot in one
-        batch; the first one (from the row toward the zero) that hits zero
-        above the level closes the bracket, the last one below the level
-        (or the row) opens it.
+        Rows exactly on the level go to ``found``.  Returns the brackets of
+        rows in one zero gap, and the pole rows: (row, zero, -1 when the row
+        lies below the zero or +1 above it) for each row below the level
+        whose neighbour across a zero lies above it.
         """
-        heights = [a * (1.0 + sgn * d) for row, a, sgn in rows
-                   for d in POLE_OFFSETS
-                   if (a * (1.0 + sgn * d) - row.c) * sgn < 0.0]
-        lams = dict(zip(heights, self._lambdas(heights))) if heights else {}
-        out = []
-        for row, a, sgn in rows:
-            path = [(row.c, 1.0 - lambda_star / row.lam)]
-            for d in POLE_OFFSETS:
-                c = a * (1.0 + sgn * d)
-                if (c - row.c) * sgn < 0.0 and not math.isnan(lams[c]):
-                    path.append((c, 1.0 - lambda_star / lams[c]))
-            up = next((k for k, (_, g) in enumerate(path) if g > 0.0), None)
-            if up is None:
-                unresolved.append(UnresolvedBracket(
-                    min(row.c, a), max(row.c, a), row.zero_interval_index))
-                continue
-            out.append(_Bracket.on_path(path, up - 1))
-        return out
-
-    def solutions_at(self, lambda_star: float,
-                     unresolved: Optional[List[UnresolvedBracket]] = None
-                     ) -> List[Crossing]:
-        """All heights where the diagram crosses the level lambda_star, by height.
-
-        Adjacent zero-hitting rows of one zero gap whose lambdas bracket
-        the level are refined together: each round shoots the heights
-        proposed by every open bracket in one batch (see ``_Bracket``).
-        Refinement works on g = 1 - lambda_star / lambda, which stays smooth
-        up to the poles of lambda(c).  The first estimate interpolates the
-        bracketing grid rows and their neighbours (while lambda stays
-        monotone), and the lambda of the best iterate of the last round is
-        reported, without a further shot.  A zero alpha of f between
-        adjacent rows is a pole of lambda(c), so such rows never form a
-        bracket; instead each of them below the level is bracketed against
-        the first height alpha -/+ alpha 10^-j (j = 2..7) whose shot hits
-        zero above the level.  Brackets that cannot be closed that way, or
-        whose refinement shots all miss zero, are appended to
-        ``unresolved`` (when given) instead of failing.
-        """
-        if not lambda_star > 0.0:
-            raise DomainError(f"level must be positive, got {lambda_star!r}")
-        if unresolved is None:
-            unresolved = []
         asc = self.zeros.ascending()
-        out: List[Crossing] = []
         brackets: List[_Bracket] = []
-        pole_rows = []  # (row, zero, -1 below the zero or +1 above it)
+        pole_rows = []
         for i0, i1 in self.branches():
             for i in range(i0, i1):
                 row = self.rows[i]
                 g0 = row.lam - lambda_star
                 if g0 == 0.0:
-                    out.append(Crossing(row.c, row.lam, row.rho,
-                                        row.zero_interval_index))
+                    found.append(Crossing(row.c, row.lam, row.rho,
+                                          row.zero_interval_index))
                     continue
                 if i + 1 >= i1:
                     continue
@@ -593,34 +612,113 @@ class BifurcationDiagram:
                 else:
                     low = max(row, nxt, key=lambda x: x.c)
                     pole_rows.append((low, asc[low.zero_interval_index - 2], 1))
-        if pole_rows:
-            brackets += self._pole_brackets(lambda_star, pole_rows, unresolved)
-        for _ in range(REFINE_MAX_ITER):
-            if not brackets:
-                break
-            heights = [b.proposals() for b in brackets]
-            lams = self._lambdas([c for hs in heights for c in hs])
-            live = []
-            start = 0
-            for b, hs in zip(brackets, heights):
-                own = lams[start:start + len(hs)]
-                start += len(hs)
-                shots = [(c, 1.0 - lambda_star / lam, lam)
-                         for c, lam in zip(hs, own) if not math.isnan(lam)]
+        return brackets, pole_rows
+
+    @staticmethod
+    def _pole_heights(row, a: float, sgn: int) -> List[float]:
+        """Heights a -/+ a 10^-j between a pole row and its zero, row side first."""
+        return [a * (1.0 + sgn * d) for d in POLE_OFFSETS
+                if (a * (1.0 + sgn * d) - row.c) * sgn < 0.0]
+
+    def _pole_brackets(self, lambda_star: float, rows, lams: dict,
+                       unresolved: List[UnresolvedBracket]) -> List[_Bracket]:
+        """Brackets between rows below the level and heights next to their zeros.
+
+        ``rows`` are the pole rows of ``_level_brackets`` and ``lams`` the
+        lambda of each of their ``_pole_heights``.  The first such height
+        (from the row toward the zero) that hits zero above the level closes
+        the bracket, the last one below the level (or the row) opens it.
+        """
+        out = []
+        for row, a, sgn in rows:
+            path = [(row.c, 1.0 - lambda_star / row.lam)]
+            for c in self._pole_heights(row, a, sgn):
+                if not math.isnan(lams[c]):
+                    path.append((c, 1.0 - lambda_star / lams[c]))
+            up = next((k for k, (_, g) in enumerate(path) if g > 0.0), None)
+            if up is None:
+                unresolved.append(UnresolvedBracket(
+                    min(row.c, a), max(row.c, a), row.zero_interval_index))
+                continue
+            out.append(_Bracket.on_path(path, up - 1))
+        return out
+
+    def solutions_at(self, lambda_star, unresolved=None):
+        """All heights where the diagram crosses the level lambda_star, by height.
+
+        ``lambda_star`` is one level or a sequence of levels.  For a
+        sequence the result is one crossing list per level, and
+        ``unresolved`` (when given) receives one list per level.
+        Adjacent zero-hitting rows of one zero gap whose lambdas bracket
+        the level are refined, all levels together: each round shoots the
+        heights proposed by every open bracket of every level in one batch
+        (see ``_Bracket``), and each bracket's proposals depend on its own
+        shots only, so a level gets the same crossings alone or with others.
+        Refinement works on g = 1 - lambda_star / lambda, which stays smooth
+        up to the poles of lambda(c).  The first estimate interpolates the
+        bracketing grid rows and their neighbours (while lambda stays
+        monotone), and the lambda of the best iterate of the last round is
+        reported, without a further shot.  A zero alpha of f between
+        adjacent rows is a pole of lambda(c), so such rows never form a
+        bracket; instead each of them below the level is bracketed against
+        the first height alpha -/+ alpha 10^-j (j = 2..7) whose shot hits
+        zero above the level.  Those heights ride in the first round's
+        batch, and their brackets join from the second round on.  Brackets
+        that cannot be closed that way, or whose refinement shots all miss
+        zero, are reported as unresolved instead of failing.
+        """
+        single = np.ndim(lambda_star) == 0
+        levels = [lambda_star] if single else list(lambda_star)
+        for level in levels:
+            if not level > 0.0:
+                raise DomainError(f"level must be positive, got {level!r}")
+        found: List[List[Crossing]] = [[] for _ in levels]
+        missed: List[List[UnresolvedBracket]] = [[] for _ in levels]
+        late: List[list] = [[] for _ in levels]  # (round, rank, bracket) missed in refinement
+        live = []    # (level index, rank among the level's brackets, bracket)
+        poles = []   # (level index, its pole rows, its first pole rank)
+        for k, level in enumerate(levels):
+            brackets, pole_rows = self._level_brackets(level, found[k])
+            live += [(k, rank, b) for rank, b in enumerate(brackets)]
+            if pole_rows:
+                poles.append((k, pole_rows, len(brackets)))
+        cands = [c for _, rows, _ in poles for pole in rows
+                 for c in self._pole_heights(*pole)]
+        while live or cands:
+            proposals = [b.proposals() for _, _, b in live]
+            heights = cands + [c for hs in proposals for c in hs]
+            lams = iter(self._lambdas(heights) if heights else ())
+            if cands:   # the first round: close the pole brackets
+                known = dict(zip(cands, lams))
+                for k, rows, first in poles:
+                    closed = self._pole_brackets(levels[k], rows, known, missed[k])
+                    live += [(k, first + i, b) for i, b in enumerate(closed)]
+                cands = []
+            going = []
+            for (k, rank, b), hs in zip(live, proposals):
+                shots = [(c, 1.0 - levels[k] / lam, lam)
+                         for c, lam in zip(hs, lams) if not math.isnan(lam)]
+                b.rounds += 1
                 if not shots:
-                    unresolved.append(UnresolvedBracket(
-                        b.c_lo, b.c_hi, self.zeros.interval_index(b.c_lo)))
+                    late[k].append((b.rounds, rank, UnresolvedBracket(
+                        b.c_lo, b.c_hi, self.zeros.interval_index(b.c_lo))))
                     continue
                 c, _, lam = min(shots, key=lambda x: abs(x[1]))
                 if b.update(shots, REFINE_RTOL):
                     rho = self.R * (lam / self.op.lambda_shoot) ** (
                         1.0 / self.op.exponent)
-                    out.append(Crossing(float(c), float(lam), float(rho),
-                                        self.zeros.interval_index(float(c))))
-                else:
-                    live.append(b)
-            brackets = live
-        return sorted(out, key=lambda x: x.c)
+                    found[k].append(Crossing(float(c), float(lam), float(rho),
+                                             self.zeros.interval_index(float(c))))
+                elif b.rounds < REFINE_MAX_ITER:
+                    going.append((k, rank, b))
+            live = going + live[len(proposals):]
+        # a level alone meets its brackets' misses round by round, in rank order
+        for k, entries in enumerate(late):
+            missed[k] += [u for _, _, u in sorted(entries, key=lambda e: e[:2])]
+        crossings = [sorted(xs, key=lambda x: x.c) for xs in found]
+        if unresolved is not None:
+            unresolved.extend(missed[0] if single else missed)
+        return crossings[0] if single else crossings
 
 
 def _interpolated_root(pts: list, a: float, b: float) -> float:
@@ -658,6 +756,7 @@ class _Bracket:
         self.a, self.ga, self.b, self.gb = a, ga, b, gb
         self.c_lo, self.c_hi = sorted((a, b))
         self.pts = pts
+        self.rounds = 0   # refinement rounds taken
 
     @classmethod
     def on_path(cls, path: list, k: int) -> "_Bracket":
@@ -724,29 +823,24 @@ class _Bracket:
 
 
 def _diagram_row(c: float, res: Optional[ShootResult], op,
-                 pc: PrimitiveCalculus, zeros: ZeroSequence,
-                 R: float) -> DiagramRow:
-    """CSV row of one height from its shot (None where f(c) = 0)."""
-    F_c = pc.F(c)
-    Fbar_c = op.Fbar(pc, c)
+                 pc: PrimitiveCalculus, zeros: ZeroSequence, R: float,
+                 at: HeightPrimitives) -> DiagramRow:
+    """CSV row of one height from its shot (None where f(c) = 0) and its
+    primitives."""
     idx = zeros.interval_index(c)
-    try:
-        bound = op.lower_bound(pc, c, R)
-    except NonpositiveFbar:
-        bound = math.nan
     switches = (0 if res is None else res.q_sign_changes) \
         if op.reports_switches else None
     if res is None:
-        return DiagramRow(c, "Stalled", math.nan, math.nan, F_c, Fbar_c,
-                          bound, math.nan, None, idx, switches)
+        return DiagramRow(c, "Stalled", math.nan, math.nan, at.F, at.Fbar,
+                          at.bound, math.nan, None, idx, switches)
     if isinstance(res.outcome, HitZero):
-        d = op.audit(res, pc, R)
+        d = op.audit(res, pc, R, at)
         return DiagramRow(c, "HitZero", res.outcome.rho,
-                          res.lambda_rescaled, F_c, Fbar_c, bound, d.residual,
-                          bool(d.F_at_max_ok and d.area_condition_ok), idx,
-                          switches)
-    return DiagramRow(c, res.outcome.kind, math.nan, math.nan, F_c,
-                      Fbar_c, bound, math.nan, None, idx, switches)
+                          res.lambda_rescaled, at.F, at.Fbar, at.bound,
+                          d.residual, bool(d.F_at_max_ok and d.area_condition_ok),
+                          idx, switches)
+    return DiagramRow(c, res.outcome.kind, math.nan, math.nan, at.F,
+                      at.Fbar, at.bound, math.nan, None, idx, switches)
 
 
 def diagram(nl: Nonlinearity, p: float, N: int, R: float,

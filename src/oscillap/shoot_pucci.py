@@ -40,15 +40,17 @@ from .shoot_plap import (
     CSV_COLUMNS,
     BifurcationDiagram,
     DiagramRow,
+    HeightPrimitives,
     ShootResult,
     _check_controls,
     _csv_lines,
+    _height_rows,
     _sign_and_area_ok,
     rescale_to_ball,
     shoot,
     shoot_batch,
 )
-from .thresholds import pucci_per_solution_lower_bound
+from .thresholds import pucci_bound_from_Fbar, pucci_per_solution_lower_bound
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,8 @@ class PucciShootConfig:
         Lam, lam, f0 = self.Lambda, self.lambda_shoot, nl.f0
         nm1 = self.N - 1
         if batched:
-            def qval(r, y):
-                v, u = y[0], y[1]
-                fv = np.where(v > 0.0, nl.eval_many(v), f0)
-                return lam * fv + nm1 * u / (Lam * r)
+            def qval(r, y):   # eval_many is f(0) below 0 already
+                return lam * nl.eval_many(y[0]) + nm1 * y[1] / (Lam * r)
 
             def rhs(r, y):
                 q = qval(r, y)
@@ -140,15 +140,13 @@ class PucciShootConfig:
     def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
         return PrimitiveCalculus(nl, p=2.0, Lambda=self.Lambda)
 
-    def Fbar(self, pc: PrimitiveCalculus, c: float) -> float:
-        return pc.Fbar_Lambda(c)
+    def heights(self, pc: PrimitiveCalculus, cs: Sequence[float],
+                R: float) -> List[HeightPrimitives]:
+        return _pucci_heights(pc, cs, self.Lambda, R)
 
-    def lower_bound(self, pc: PrimitiveCalculus, c: float, R: float) -> float:
-        return pucci_per_solution_lower_bound(pc, c, self.Lambda, R)
-
-    def audit(self, res: ShootResult, pc: PrimitiveCalculus,
-              R: float) -> PucciDiagnostics:
-        return pucci_inequality_check(res, pc, R=R)
+    def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
+              at: Optional[HeightPrimitives] = None) -> PucciDiagnostics:
+        return pucci_inequality_check(res, pc, R=R, at=at)
 
 
 @dataclass
@@ -178,8 +176,19 @@ def pucci_rescale(res: ShootResult, R: float) -> float:
     return rescale_to_ball(res, R, res.config.exponent)
 
 
+def _pucci_heights(pc: PrimitiveCalculus, cs: Sequence[float], Lambda: float,
+                   R: float) -> List[HeightPrimitives]:
+    """Pucci ``HeightPrimitives`` of every height: F, and F_Lambda with its
+    extrema (asked for in the order a row asks for them)."""
+    F = pc.F_each(cs)
+    lo, hi, FL = pc.extrema_Lambda_many(cs)
+    return _height_rows(cs, F, FL - lo, FL, hi, pucci_bound_from_Fbar, Lambda, R)
+
+
 def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
-                           R: float = 1.0) -> PucciDiagnostics:
+                           R: float = 1.0,
+                           at: Optional[HeightPrimitives] = None
+                           ) -> PucciDiagnostics:
     """Audit the Lambda-weighted decay inequality along the trajectory.
 
     Pointwise: (1/(2 Lambda)) v'^2 <= lam (F_Lambda(c) - F_Lambda(v)),
@@ -188,21 +197,29 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
     inequality holds).  Also audits the rescaled per-solution bound
     lambda >= c^2/(2 Lambda R^2 Fbar_Lambda(c)) on the radius-R ball and
     the sign/area necessary conditions, and fills ``res.diagnostics``.
+    ``at`` holds the primitives at the trajectory's height when the caller
+    has them.
     """
     lam = res.config.lambda_shoot
     Lam = res.config.Lambda
     c = res.config.c
+    G = pc.F_Lambda(c) if at is None else at.G
     v = np.clip(res.v, 0.0, None)
     lhs = res.vp ** 2 / (2.0 * Lam)
-    rhs = lam * (pc.F_Lambda(c) - pc.F_Lambda_many(v))
+    rhs = lam * (G - pc.F_Lambda_many(v))
     slack = rhs - lhs
     min_slack = float(slack.min())
     residual = float(np.max(np.maximum(0.0, -slack) / (1.0 + np.abs(rhs))))
 
     lam_R = pucci_rescale(res, R)
-    bound_slack = lam_R - pucci_per_solution_lower_bound(pc, c, Lam, R)
-    sign_ok, area_ok = _sign_and_area_ok(pc.F_Lambda(c),
-                                         pc.running_max_Lambda(c))
+    if at is None:
+        bound = pucci_per_solution_lower_bound(pc, c, Lam, R)
+        Gmax = pc.running_max_Lambda(c)
+    else:
+        bound = pucci_bound_from_Fbar(c, at.Fbar, Lam, R)
+        Gmax = at.Gmax
+    bound_slack = lam_R - bound
+    sign_ok, area_ok = _sign_and_area_ok(G, Gmax)
     d = PucciDiagnostics(min_slack, residual, float(bound_slack),
                          sign_ok, area_ok)
     res.diagnostics = d

@@ -303,7 +303,11 @@ def per_solution_lower_bound(pc: PrimitiveCalculus, c: float, p: float,
         raise DomainError(f"exponent must exceed 1, got {p!r}")
     if not (R > 0.0):
         raise DomainError(f"radius must be positive, got {R!r}")
-    fb = pc.Fbar(c)
+    return bound_from_Fbar(c, pc.Fbar(c), p, R)
+
+
+def bound_from_Fbar(c: float, fb: float, p: float, R: float) -> float:
+    """``per_solution_lower_bound`` at height c from Fbar(c) = fb."""
     if not fb > 0.0:
         raise NonpositiveFbar(
             f"primitive range at height {c!r} is {fb!r}; no finite bound")
@@ -319,7 +323,12 @@ def pucci_per_solution_lower_bound(pc: PrimitiveCalculus, c: float,
         raise DomainError(f"ellipticity ratio must be >= 1, got {Lambda!r}")
     if not (R > 0.0):
         raise DomainError(f"radius must be positive, got {R!r}")
-    fb = pc.Fbar_Lambda(c)
+    return pucci_bound_from_Fbar(c, pc.Fbar_Lambda(c), Lambda, R)
+
+
+def pucci_bound_from_Fbar(c: float, fb: float, Lambda: float,
+                          R: float) -> float:
+    """``pucci_per_solution_lower_bound`` at height c from Fbar_Lambda(c) = fb."""
     if not fb > 0.0:
         raise NonpositiveFbar(
             f"weighted primitive range at height {c!r} is {fb!r}; no finite bound")

@@ -6,23 +6,35 @@ lambdas to well inside the integration tolerance, lane by lane.
 """
 
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscillap import _rk, shoot_plap
 from oscillap._rk import Event, integrate, integrate_batch
-from oscillap.errors import NonConvergence, StalledAtCriticalPoint
+from oscillap.cli import main
+from oscillap.errors import (
+    NonConvergence,
+    NonintegrableStep,
+    StalledAtCriticalPoint,
+)
 from oscillap.nonlinearity import (
     CustomTable,
+    EnvelopeTimesOnePlusSin,
     PowerTimesOnePlusSin,
     PureSine,
+    ReciprocalOscillation,
     ZeroSequence,
     find_zeros,
+    nonlinearity_from_json,
 )
 from oscillap.primitives import PrimitiveCalculus
 from oscillap.shoot_plap import (
+    BifurcationDiagram,
     HitZero,
     ShootConfig,
     diagram,
@@ -275,3 +287,220 @@ def test_refined_crossings_sit_on_the_level():
             ref = _scalar_lambda(ShootConfig(2.0, 1, x.c, tol_ode=TOL_ODE,
                                              event_tol=1e-10), CANONICAL)
             assert ref[1] == pytest.approx(level, rel=ROW_RTOL)
+
+
+def _levels_together_and_alone(dg, levels, monkeypatch):
+    """(crossings, unresolved, batches) of refining ``levels`` together and
+    of refining each alone, counting ``integrate_batch`` calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(shoot_plap, "integrate_batch", counted)
+    unresolved = []
+    together = dg.solutions_at(levels, unresolved)
+    shared = len(calls)
+    alone = []
+    for level in levels:
+        calls.clear()
+        missed = []
+        alone.append((dg.solutions_at(level, missed), missed, len(calls)))
+    return (together, unresolved, shared), alone
+
+
+def _assert_shared_rounds_change_nothing(dg, levels, monkeypatch):
+    (together, unresolved, shared), alone = _levels_together_and_alone(
+        dg, levels, monkeypatch)
+    assert together == [xs for xs, _, _ in alone]
+    assert unresolved == [missed for _, missed, _ in alone]
+    assert shared <= max(batches for _, _, batches in alone)
+    return together, unresolved
+
+
+def test_shared_rounds_match_levels_alone_through_a_pole(monkeypatch):
+    # 41.93 brackets a crossing against a height next to alpha_2 (a pole
+    # bracket, its heights shot in the first round); 5.0 has none
+    grid = np.linspace(0.4845, 29.788, 200)
+    dg = diagram(CANONICAL, 2.0, 1, 1.0, grid, find_zeros(CANONICAL, 12),
+                 tol_ode=TOL_ODE)
+    together, _ = _assert_shared_rounds_change_nothing(dg, [41.93, 5.0],
+                                                       monkeypatch)
+    assert all(together)
+
+
+def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
+    op = PucciShootConfig(2.0, 2, 1.0, tol_ode=TOL_ODE)
+    dg = BifurcationDiagram.scan(op, CANONICAL, 1.0, np.linspace(0.5, 20.0, 60),
+                                 find_zeros(CANONICAL, 8))
+    together, _ = _assert_shared_rounds_change_nothing(dg, [5.0, 20.0],
+                                                       monkeypatch)
+    assert all(len(xs) >= 5 for xs in together)
+
+
+def test_shared_rounds_keep_unclosable_brackets_apart(monkeypatch):
+    # the doctored rows of test_unclosable_pole_bracket_is_reported_not_raised
+    dg = diagram(CANONICAL, 2.0, 1, 1.0, [4.0, 5.5], CANONICAL_ZEROS,
+                 tol_ode=TOL_ODE)
+    dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
+               dataclasses.replace(dg.rows[1], lam=2e12))
+    together, unresolved = _assert_shared_rounds_change_nothing(
+        dg, [1e12, 1.5e12], monkeypatch)
+    assert together == [[], []]
+    assert [len(missed) for missed in unresolved] == [1, 1]
+
+
+# -- lean right-hand sides and one error state ---------------------------------
+
+def _reference_eval(nl, v):
+    """f(v) at v > 0, guarded by its own ``errstate`` and ``where``: the
+    reference the lean ``eval_many`` must match bit for bit."""
+    s = np.asarray(v, dtype=float)
+    if isinstance(nl, PowerTimesOnePlusSin):
+        pos = s > 0.0
+        with np.errstate(invalid="ignore"):
+            out = np.where(pos, s, 1.0) ** nl.r * (1.0 + np.sin(s))
+        return np.where(pos, out, 0.0)
+    if isinstance(nl, ReciprocalOscillation):
+        safe = np.where(s > 0.0, s, 1.0)
+        out = safe ** nl.exponent * (1.0 + np.sin(1.0 / safe))
+        return np.where(s > 0.0, out, 0.0)
+    if isinstance(nl, PureSine):
+        return np.sin(s)
+    if isinstance(nl, EnvelopeTimesOnePlusSin):
+        return nl._interp_many(s) * (1.0 + np.sin(s))
+    return nl._interp_many(s)
+
+
+def _reference_system(op, nl):
+    """(rhs, event functions, ends of the turning-point event or None) of
+    the radial equations with f(0) below 0 by an explicit ``where``: the
+    reference for ``system(nl, batched=True)``."""
+    lam, f0, nm1 = op.lambda_shoot, nl.f0, op.N - 1
+
+    def f_of(v):
+        return np.where(v > 0.0, _reference_eval(nl, v), f0)
+
+    if isinstance(op, ShootConfig):
+        q = 1.0 / (op.p - 1.0)
+        pq = 1.0 + q
+
+        def rhs(r, y):
+            v, w = y[0], y[1]
+            aw = np.abs(w)
+            return (np.copysign(aw ** q, w), -lam * f_of(v) - nm1 * w / r,
+                    nm1 * aw ** pq / r)
+        return (rhs, [lambda t, y: y[0], lambda t, y: y[1]],
+                lambda t, y: f_of(y[0]) <= 0.0)
+    Lam = op.Lambda
+
+    def qval(r, y):
+        return lam * f_of(y[0]) + nm1 * y[1] / (Lam * r)
+
+    def rhs(r, y):
+        q = qval(r, y)
+        return (y[1], np.where(q >= 0.0, -Lam * q, -q / Lam))
+    gs = [lambda t, y: y[0], lambda t, y: y[1]] + [qval] * (Lam > 1.0)
+    return rhs, gs, None
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_table_samples = st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=6).map(
+    lambda ys: [[2.0 * i, y] for i, y in enumerate(ys)])
+_catalog = st.one_of(
+    st.builds(lambda r: {"kind": "power_sin", "r": r},
+              st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])),
+    st.builds(lambda r: {"kind": "reciprocal_sin", "r": r},
+              st.sampled_from([0.5, 1.0, 2.0])),
+    st.just({"kind": "pure_sine"}),
+    st.builds(lambda ys: {"kind": "envelope_sin",
+                          "samples": [[2.0 * i, y] for i, y in enumerate(ys)]},
+              st.lists(st.floats(0.1, 2.0), min_size=2, max_size=6).map(sorted)),
+    st.builds(lambda s: {"kind": "table", "samples": s}, _table_samples))
+_shot_ops = st.one_of(
+    st.builds(lambda p, N, lam: ShootConfig(p, N, 1.0, lambda_shoot=lam),
+              st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 3),
+              st.floats(0.1, 50.0)),
+    st.builds(lambda L, N, lam: PucciShootConfig(L, N, 1.0, lambda_shoot=lam),
+              st.sampled_from([1.0, 2.0]), st.integers(1, 3),
+              st.floats(0.1, 50.0)))
+_values = st.one_of(st.floats(-5.0, 40.0),
+                    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_catalog, op=_shot_ops,
+       lanes=st.lists(st.tuples(_values, _values, st.floats(1e-6, 10.0)),
+                      min_size=1, max_size=8))
+def test_lean_right_hand_sides_give_the_same_bits(spec, op, lanes):
+    nl = nonlinearity_from_json(spec)
+    # every state also has v <= 0 and w = 0 lanes, which give q = 0 where f(0) = 0
+    lanes = lanes + [(-1.0, 0.0, 0.5), (0.0, 0.0, 1.0), (-0.0, -0.0, 2.0)]
+    v, w, r = (np.array(col) for col in zip(*lanes))
+    y = np.array([v, w, np.abs(w)])[:2 if isinstance(op, PucciShootConfig) else 3]
+    rhs, events = op.system(nl, batched=True)
+    ref_rhs, ref_gs, ref_ends = _reference_system(op, nl)
+    with np.errstate(all="ignore"):
+        got, want = rhs(r, y), ref_rhs(r, y)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+        assert len(events) == len(ref_gs)
+        for ev, g in zip(events, ref_gs):
+            assert _same_bits(ev.g(r, y), g(r, y))
+        if ref_ends is not None:
+            assert _same_bits(events[1].ends_at(r, y), ref_ends(r, y))
+
+
+def test_batch_restores_the_error_state(monkeypatch):
+    # the batch runs under its own error state and hands the caller's back,
+    # also when it raises
+    events = [Event(lambda t, y: y[0], 0, ends=False)]
+
+    def run(**kwargs):
+        return integrate_batch(_oscillator, np.zeros(2),
+                               np.array([[1.0, 1.0], [0.0, 0.0]]),
+                               10.0, 1e-10, 1.0, events=events, **kwargs)
+
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        run()
+        assert np.geterr() == before
+        with pytest.raises(NonConvergence, match="restarts"):
+            run(max_restarts=1)
+        assert np.geterr() == before
+        with monkeypatch.context() as m:
+            m.setattr(_rk, "_MAX_STEPS", 5)
+            with pytest.raises(NonConvergence, match="steps"):
+                run()
+        assert np.geterr() == before
+        with warnings.catch_warnings(), pytest.raises(NonintegrableStep):
+            warnings.simplefilter("ignore")
+            # y' = y^2 from y(0) = 1 blows up at t = 1
+            integrate_batch(lambda t, y: (y[0] * y[0],), np.zeros(1),
+                            np.ones((1, 1)), 2.0, 1e-10, 1.0)
+        assert np.geterr() == before
+
+
+@pytest.mark.parametrize("operator, N, tol_ode", [
+    ({"plap": {"p": 2.0}}, 1, 1e-10),
+    ({"plap": {"p": 3.0}}, 2, 1e-12),
+    ({"pucci": {"Lambda": 2.0}}, 2, 1e-10),
+])
+def test_scan_diagrams_raise_no_runtime_warning(tmp_path, operator, N, tol_ode):
+    # the three 200-height diagrams of the scan benchmark, warnings as errors
+    cfg = {"nonlinearity": {"kind": "power_sin", "r": 1.0}, "operator": operator,
+           "geometry": {"N": N, "R": 1.0}, "tolerances": {"tol_ode": tol_ode},
+           "scan": {"c_min": 0.5, "c_max": 30.0, "points": 200}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagram", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0

@@ -486,19 +486,50 @@ def _configs(command):
 _runs = st.sampled_from(["shoot", "pucci-shoot", "diagram"]).flatmap(
     lambda command: st.tuples(st.just(command), _configs(command)))
 
+_NOT_FINITE = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+#: flag -> (values the schema accepts, values it must refuse, commands that read it)
+_FLAGS = {
+    "--points": (st.integers(0, 8), st.integers(-5, -1), ("diagram",)),
+    "--tol-ode": (st.floats(1e-10, 1e-4), _NOT_FINITE,
+                  ("shoot", "pucci-shoot", "diagram")),
+    "--lambda-star": (st.lists(_pos(1e4), min_size=1, max_size=2),
+                      st.lists(_NOT_FINITE, min_size=1, max_size=2),
+                      ("diagram",)),
+    "--seed": (st.integers(0, 5), st.integers(-5, -1),
+               ("shoot", "pucci-shoot", "diagram")),
+}
+#: half the examples draw only acceptable flags, so most configs still run
+_flags = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        flag: good.map(lambda v: (v, True))
+        for flag, (good, _, _) in _FLAGS.items()}),
+    st.fixed_dictionaries({}, optional={
+        flag: st.one_of(good.map(lambda v: (v, True)),
+                        bad.map(lambda v: (v, False)))
+        for flag, (good, bad, _) in _FLAGS.items()}))
 
-@settings(max_examples=40, deadline=None)
-@given(run=_runs)
-def test_exit_codes_for_schema_valid_configs(run):
+
+def _flag_text(value) -> str:
+    return ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_runs, flags=_flags)
+def test_exit_codes_for_schema_valid_configs(run, flags):
     # whatever the schema accepts ends in a documented exit code: no
-    # exception escapes ``main``
+    # exception escapes ``main``; a flag the command reads is checked like
+    # the config value it overrides, so a bad one exits 2 up front
     command, config = run
+    argv = [f"{flag}={_flag_text(value)}" for flag, (value, _) in flags.items()]
+    refused = any(not good and command in _FLAGS[flag][2]
+                  for flag, (_, good) in flags.items())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
-        rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
-    assert rc in (0, 2, 3, 4)
+        rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")]
+                  + argv)
+    assert rc == 2 if refused else rc in (0, 2, 3, 4)
 
 
 _variational_configs = st.fixed_dictionaries({
