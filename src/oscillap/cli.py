@@ -194,28 +194,27 @@ def _reject_constant(name: str):
 
 
 #: command-line overrides: (flag, config section or None for the top
-#: level, key, commands that read it)
+#: level, key)
 _OVERRIDES = (
-    ("points", "scan", "points", ("diagram",)),
-    ("lambda_star", "scan", "lambda_star", ("diagram",)),
-    ("tol_ode", "tolerances", "tol_ode", ("shoot", "pucci-shoot", "diagram")),
-    ("seed", None, "seed", None),
+    ("points", "scan", "points"),
+    ("lambda_star", "scan", "lambda_star"),
+    ("tol_ode", "tolerances", "tol_ode"),
+    ("seed", None, "seed"),
 )
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    """Write the command's flag overrides into the config, so the schema
-    checks them with the file's values.
+    """Write the flag overrides into the config, so the schema checks them
+    with the file's values.
 
-    A flag for a section the command does not read is ignored, and the
-    scan values only replace those of a scan section the file has (the
-    command reports a missing one).  JSON has no NaN or Infinity, so a flag
-    carrying one is refused here, as in the file.
+    Every command takes every flag, whether or not it reads the value.
+    The scan values only replace those of a scan section the file has (a
+    command that needs one reports a missing one).  JSON has no NaN or
+    Infinity, so a flag carrying one is refused here, as in the file.
     """
-    for flag, section, key, commands in _OVERRIDES:
+    for flag, section, key in _OVERRIDES:
         value = getattr(args, flag)
-        if value is None or (commands is not None
-                             and args.command not in commands):
+        if value is None:
             continue
         for v in value if isinstance(value, list) else [value]:
             if not math.isfinite(v):
@@ -441,11 +440,12 @@ def cmd_diagram(run: Run) -> int:
     zeros = find_zeros(run.nl, run.zeros_count)
     diag = BifurcationDiagram.scan(run.shoot_config(grid[0]), run.nl, run.R,
                                    grid, zeros)
-    stars = run.stars()
-    unresolved: List[List[UnresolvedBracket]] = []
-    found = diag.solutions_at(stars, unresolved) if stars else []
+    stars = list(dict.fromkeys(run.stars()))   # a repeated level once
+    unresolved: List[UnresolvedBracket] = []
+    found = diag.solutions_at(stars, unresolved)
     star_report = {}
-    for star, crossings, missed in zip(stars, found, unresolved):
+    for star in stars:
+        crossings = [x for x in found if x.level == star]
         star_report[f"{star:.17g}"] = {
             "count": len(crossings),
             "crossings": [
@@ -453,7 +453,9 @@ def cmd_diagram(run: Run) -> int:
                  "zero_interval_index": x.zero_interval_index}
                 for x in crossings
             ],
-            "unresolved": [dataclasses.asdict(b) for b in missed],
+            "unresolved": [{"c_lo": b.c_lo, "c_hi": b.c_hi,
+                            "zero_interval_index": b.zero_interval_index}
+                           for b in unresolved if b.level == star],
         }
     summary = {**run.stamp(), "operator": run.operator.to_json(),
                "geometry": {"N": run.N, "R": run.R},

@@ -465,27 +465,6 @@ class _ExtremaTable:
             hi = max(hi, float(premax[k - 1]))
         return lo, hi
 
-    def extrema_many(self, s: np.ndarray, fs: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``extrema`` at every point of s, with the primitive there: fs
-        when given, else its values taken after the table is extended, in
-        ``extrema``'s order.  Returns (min, max, primitive at s).
-
-        The comparisons are those of ``extrema``'s min and max, so each
-        point gets the same values."""
-        _, pts, premin, premax = self._ensure(float(np.max(s)))
-        if fs is None:
-            fs = np.asarray(self._value_many(s), dtype=float)
-        lo = np.where(fs < 0.0, fs, 0.0)
-        hi = np.where(fs > 0.0, fs, 0.0)
-        if pts.size:
-            k = np.searchsorted(pts, s, side="right")
-            seen = k > 0
-            pmin, pmax = premin[k - 1], premax[k - 1]
-            lo = np.where(seen & (pmin < lo), pmin, lo)
-            hi = np.where(seen & (pmax > hi), pmax, hi)
-        return lo, hi, fs
-
 
 _CLASSIFICATIONS = ("FinitePair", "PlusInfinite", "MinusInfinite", "BothZero")
 
@@ -668,12 +647,6 @@ class PrimitiveCalculus:
 
             self._Fplus_many, self._Fminus_many = part(1.0), part(-1.0)
 
-        #: whether every primitive value is a function of its point alone
-        #: (a sign-changing f other than a table always gets panel caches):
-        #: a panel cache places its checkpoints by the heights asked for and
-        #: sums a panel per point by matmul, so its values also depend on
-        #: the order and grouping of the queries
-        self.pointwise = not isinstance(backend, CachedPrefix)
         self._extrema_F = _ExtremaTable(self.F, self.F_many, nl.sign_change_points)
         self._extrema_FL = _ExtremaTable(self.F_Lambda, self.F_Lambda_many,
                                          nl.sign_change_points)
@@ -691,14 +664,6 @@ class PrimitiveCalculus:
         if np.any(s < 0.0):
             raise DomainError("primitives are defined on s >= 0")
         return np.asarray(self.backend.F_many(s), dtype=float)
-
-    def F_each(self, s) -> np.ndarray:
-        """``F`` at every point of s, in order.  ``F_many`` is the same where
-        the primitives are ``pointwise``; a panel cache's ``F`` refines
-        adaptively where its ``F_many`` takes one panel per point."""
-        if self.pointwise:
-            return self.F_many(s)
-        return np.array([self.F(float(x)) for x in s])
 
     def Fplus(self, s: float) -> float:
         return float(self._Fplus_many(np.array([float(s)]))[0])
@@ -718,6 +683,14 @@ class PrimitiveCalculus:
 
     # -- running extrema and derived primitives ------------------------------
 
+    def extrema(self, s: float) -> tuple[float, float]:
+        """(min, max) of F over [0, s]."""
+        return self._extrema_F.extrema(s)
+
+    def extrema_Lambda(self, s: float) -> tuple[float, float]:
+        """(min, max) of F_Lambda over [0, s]."""
+        return self._extrema_FL.extrema(s)
+
     def running_min(self, s: float) -> float:
         """min of F over [0, s]; never exceeds min(0, F(s))."""
         return self._extrema_F.extrema(s)[0]
@@ -728,15 +701,6 @@ class PrimitiveCalculus:
     def running_max_Lambda(self, s: float) -> float:
         """max of F_Lambda over [0, s]."""
         return self._extrema_FL.extrema(s)[1]
-
-    def extrema_many(self, s, Fs) -> tuple[np.ndarray, np.ndarray]:
-        """(min, max) of F over [0, s] at every point of s, with Fs = F(s)."""
-        return self._extrema_F.extrema_many(np.asarray(s, dtype=float), Fs)[:2]
-
-    def extrema_Lambda_many(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(min, max) of F_Lambda over [0, s] and F_Lambda(s), at every
-        point of s."""
-        return self._extrema_FL.extrema_many(np.asarray(s, dtype=float))
 
     def Fbar(self, s: float) -> float:
         """Fbar(s) = F(s) - min over [0, s] of F; always >= max(0, F(s))."""

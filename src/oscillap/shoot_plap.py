@@ -39,7 +39,7 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity, ZeroSequence
 from .primitives import PrimitiveCalculus
-from .thresholds import bound_from_Fbar, per_solution_lower_bound
+from .thresholds import bound_from_Fbar
 
 if TYPE_CHECKING:
     from .shoot_pucci import PucciDiagnostics, PucciShootConfig
@@ -160,9 +160,9 @@ class ShootConfig:
     def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
         return PrimitiveCalculus(nl, p=self.p)
 
-    def heights(self, pc: PrimitiveCalculus, cs: Sequence[float],
-                R: float) -> List[HeightPrimitives]:
-        return _plap_heights(pc, cs, self.p, R)
+    def primitives_at(self, pc: PrimitiveCalculus, c: float,
+                      R: float) -> HeightPrimitives:
+        return _plap_at(pc, c, self.p, R)
 
     def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
               at: Optional[HeightPrimitives] = None) -> Diagnostics:
@@ -223,31 +223,31 @@ class HeightPrimitives(NamedTuple):
     Gmax: float
 
 
-def _height_rows(cs, F, Fbar, G, Gmax, bound, param: float,
-                 R: float) -> List[HeightPrimitives]:
-    """One ``HeightPrimitives`` per height from the operator's arrays;
+def _height_primitives(c: float, F: float, Fbar: float, G: float,
+                       Gmax: float, bound, param: float,
+                       R: float) -> HeightPrimitives:
+    """``HeightPrimitives`` at c from the operator's values there;
     ``bound(c, Fbar, param, R)`` is its per-solution bound formula."""
     if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R!r}")
-    out = []
-    for c, *vals in zip(cs, F, Fbar, G, Gmax):
-        if not c > 0.0:
-            raise DomainError(f"height must be positive, got {c!r}")
-        f, fb, g, gmax = (float(x) for x in vals)
-        try:
-            b = bound(c, fb, param, R)
-        except NonpositiveFbar:
-            b = math.nan
-        out.append(HeightPrimitives(f, fb, b, g, gmax))
-    return out
+    if not c > 0.0:
+        raise DomainError(f"height must be positive, got {c!r}")
+    try:
+        b = bound(c, Fbar, param, R)
+    except NonpositiveFbar:
+        b = math.nan
+    return HeightPrimitives(F, Fbar, b, G, Gmax)
 
 
-def _plap_heights(pc: PrimitiveCalculus, cs: Sequence[float], p: float,
-                  R: float) -> List[HeightPrimitives]:
-    """p-Laplacian ``HeightPrimitives`` of every height, from F and its extrema."""
-    F = pc.F_each(cs)
-    lo, hi = pc.extrema_many(cs, F)
-    return _height_rows(cs, F, F - lo, F, hi, bound_from_Fbar, p, R)
+def _plap_at(pc: PrimitiveCalculus, c: float, p: float,
+             R: float) -> HeightPrimitives:
+    """p-Laplacian ``HeightPrimitives`` at c, from F and its extrema.
+
+    F(c) is asked for first: a panel cache extends to the first height it
+    is asked for, and its values depend on where it was extended."""
+    F = pc.F(c)
+    lo, hi = pc.extrema(c)
+    return _height_primitives(c, F, F - lo, F, hi, bound_from_Fbar, p, R)
 
 
 @dataclass
@@ -343,8 +343,7 @@ def shoot_batch(cfg, heights: Sequence[float],
 def _shots(cfg, heights: Sequence[float],
            nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
     """``shoot_batch``'s results one at a time, so a caller that audits and
-    drops each trajectory never holds all of them.  The batch itself runs
-    (and raises) on the call, before the first result is taken."""
+    drops each trajectory never holds all of them."""
     cfgs = [replace(cfg, c=float(c)) for c in heights]
     lanes, starts, scales = [], [], []
     for i, lane_cfg in enumerate(cfgs):
@@ -356,20 +355,15 @@ def _shots(cfg, heights: Sequence[float],
         starts.append(start)
         scales.append(scale)
     if not lanes:
-        return iter([None] * len(cfgs))
+        yield from (None for _ in cfgs)
+        return
 
     rhs, events = cfg.system(nl, batched=True)
     res = integrate_batch(rhs, np.full(len(lanes), r0), np.array(starts).T,
                           cfg.r_max, cfg.tol_ode, np.array(scales).T,
                           events=events, max_restarts=cfg.max_restarts,
                           event_tol=cfg.event_tol)
-    return _results(cfgs, lanes, starts, r0, res)
 
-
-def _results(cfgs, lanes: List[int], starts: list, r0: float,
-             res) -> Iterator[Optional[ShootResult]]:
-    """The ``ShootResult`` of each shot config in turn: config ``lanes[j]``
-    ran as lane j of the batch ``res`` from ``starts[j]``; the others stalled."""
     lane_of = {i: j for j, i in enumerate(lanes)}
     for i, lane_cfg in enumerate(cfgs):
         if i not in lane_of:
@@ -447,15 +441,10 @@ def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
     lam = rescale_to_ball(res, R, p)
     c = res.config.c
     if at is None:
-        Fc = pc.F(c)
-        sign_ok, area_ok = _sign_and_area_ok(Fc, pc.running_max(c))
-        bound = per_solution_lower_bound(pc, c, p, R)
-    else:
-        Fc = at.F
-        sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
-        bound = bound_from_Fbar(c, at.Fbar, p, R)
-    slack = lam - bound
-    energy = energy_residual(res, pc, Fc)
+        at = _plap_at(pc, c, p, R)
+    sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
+    slack = lam - bound_from_Fbar(c, at.Fbar, p, R)
+    energy = energy_residual(res, pc, at.F)
     d = Diagnostics(energy, sign_ok, area_ok, float(slack))
     res.diagnostics = d
     return d
@@ -483,21 +472,24 @@ class DiagramRow:
 
 @dataclass(frozen=True)
 class Crossing:
-    """One solution of lambda(c) = lambda_star located inside a branch."""
+    """One solution of lambda(c) = level located inside a branch."""
 
     c: float
     lam: float
     rho: float
     zero_interval_index: int
+    level: float
 
 
 @dataclass(frozen=True)
 class UnresolvedBracket:
-    """Heights between which a crossing is expected but was not located."""
+    """Heights between which a crossing of the level is expected but was
+    not located."""
 
     c_lo: float
     c_hi: float
     zero_interval_index: int
+    level: float
 
 
 #: refinement stops once |lambda - level| <= REFINE_RTOL * lambda ...
@@ -543,15 +535,8 @@ class BifurcationDiagram:
         if pc is None:
             pc = op.calculus(nl)
         heights = [float(c) for c in c_grid]
-        shots = _shots(op, heights, nl)
-        if pc.pointwise:
-            prims = op.heights(pc, heights, R)
-        else:
-            # a panel cache answers by the order of its queries: ask height
-            # by height, each just before its row's audit, as rows always did
-            prims = (op.heights(pc, [c], R)[0] for c in heights)
-        rows = tuple(_diagram_row(c, res, op, pc, zeros, R, at)
-                     for c, res, at in zip(heights, shots, prims))
+        rows = tuple(_diagram_row(c, res, op, pc, zeros, R)
+                     for c, res in zip(heights, _shots(op, heights, nl)))
         return cls(rows, zeros, nl, pc, op, R)
 
     def branches(self) -> List[Tuple[int, int]]:
@@ -593,7 +578,7 @@ class BifurcationDiagram:
                 g0 = row.lam - lambda_star
                 if g0 == 0.0:
                     found.append(Crossing(row.c, row.lam, row.rho,
-                                          row.zero_interval_index))
+                                          row.zero_interval_index, lambda_star))
                     continue
                 if i + 1 >= i1:
                     continue
@@ -638,22 +623,26 @@ class BifurcationDiagram:
             up = next((k for k, (_, g) in enumerate(path) if g > 0.0), None)
             if up is None:
                 unresolved.append(UnresolvedBracket(
-                    min(row.c, a), max(row.c, a), row.zero_interval_index))
+                    min(row.c, a), max(row.c, a), row.zero_interval_index,
+                    lambda_star))
                 continue
             out.append(_Bracket.on_path(path, up - 1))
         return out
 
-    def solutions_at(self, lambda_star, unresolved=None):
-        """All heights where the diagram crosses the level lambda_star, by height.
+    def solutions_at(self, lambda_star,
+                     unresolved: Optional[List[UnresolvedBracket]] = None
+                     ) -> List[Crossing]:
+        """All heights where the diagram crosses the level lambda_star.
 
-        ``lambda_star`` is one level or a sequence of levels.  For a
-        sequence the result is one crossing list per level, and
-        ``unresolved`` (when given) receives one list per level.
-        Adjacent zero-hitting rows of one zero gap whose lambdas bracket
-        the level are refined, all levels together: each round shoots the
-        heights proposed by every open bracket of every level in one batch
-        (see ``_Bracket``), and each bracket's proposals depend on its own
-        shots only, so a level gets the same crossings alone or with others.
+        ``lambda_star`` is one level or a sequence of levels.  The result
+        holds each level's crossings by height, level after level, each
+        tagged with its level; ``unresolved`` (when given) receives the
+        unresolved brackets the same way.  Adjacent zero-hitting rows of
+        one zero gap whose lambdas bracket the level are refined, all
+        levels together: each round shoots the heights proposed by every
+        open bracket of every level in one batch (see ``_Bracket``), and
+        each bracket's proposals depend on its own shots only, so a level
+        gets the same crossings alone or with others.
         Refinement works on g = 1 - lambda_star / lambda, which stays smooth
         up to the poles of lambda(c).  The first estimate interpolates the
         bracketing grid rows and their neighbours (while lambda stays
@@ -667,8 +656,7 @@ class BifurcationDiagram:
         that cannot be closed that way, or whose refinement shots all miss
         zero, are reported as unresolved instead of failing.
         """
-        single = np.ndim(lambda_star) == 0
-        levels = [lambda_star] if single else list(lambda_star)
+        levels = [float(x) for x in np.atleast_1d(lambda_star)]
         for level in levels:
             if not level > 0.0:
                 raise DomainError(f"level must be positive, got {level!r}")
@@ -682,8 +670,9 @@ class BifurcationDiagram:
             live += [(k, rank, b) for rank, b in enumerate(brackets)]
             if pole_rows:
                 poles.append((k, pole_rows, len(brackets)))
-        cands = [c for _, rows, _ in poles for pole in rows
-                 for c in self._pole_heights(*pole)]
+        # two levels may share a pole row: shoot each height once
+        cands = list(dict.fromkeys(c for _, rows, _ in poles for pole in rows
+                                   for c in self._pole_heights(*pole)))
         while live or cands:
             proposals = [b.proposals() for _, _, b in live]
             heights = cands + [c for hs in proposals for c in hs]
@@ -701,24 +690,26 @@ class BifurcationDiagram:
                 b.rounds += 1
                 if not shots:
                     late[k].append((b.rounds, rank, UnresolvedBracket(
-                        b.c_lo, b.c_hi, self.zeros.interval_index(b.c_lo))))
+                        b.c_lo, b.c_hi, self.zeros.interval_index(b.c_lo),
+                        levels[k])))
                     continue
                 c, _, lam = min(shots, key=lambda x: abs(x[1]))
                 if b.update(shots, REFINE_RTOL):
                     rho = self.R * (lam / self.op.lambda_shoot) ** (
                         1.0 / self.op.exponent)
                     found[k].append(Crossing(float(c), float(lam), float(rho),
-                                             self.zeros.interval_index(float(c))))
+                                             self.zeros.interval_index(float(c)),
+                                             levels[k]))
                 elif b.rounds < REFINE_MAX_ITER:
                     going.append((k, rank, b))
             live = going + live[len(proposals):]
-        # a level alone meets its brackets' misses round by round, in rank order
-        for k, entries in enumerate(late):
-            missed[k] += [u for _, _, u in sorted(entries, key=lambda e: e[:2])]
-        crossings = [sorted(xs, key=lambda x: x.c) for xs in found]
         if unresolved is not None:
-            unresolved.extend(missed[0] if single else missed)
-        return crossings[0] if single else crossings
+            # a level alone meets its brackets' misses round by round, in
+            # rank order
+            for k, entries in enumerate(late):
+                unresolved += missed[k] + [
+                    u for _, _, u in sorted(entries, key=lambda e: e[:2])]
+        return [x for xs in found for x in sorted(xs, key=lambda x: x.c)]
 
 
 def _interpolated_root(pts: list, a: float, b: float) -> float:
@@ -823,10 +814,10 @@ class _Bracket:
 
 
 def _diagram_row(c: float, res: Optional[ShootResult], op,
-                 pc: PrimitiveCalculus, zeros: ZeroSequence, R: float,
-                 at: HeightPrimitives) -> DiagramRow:
-    """CSV row of one height from its shot (None where f(c) = 0) and its
-    primitives."""
+                 pc: PrimitiveCalculus, zeros: ZeroSequence,
+                 R: float) -> DiagramRow:
+    """CSV row of one height from its shot (None where f(c) = 0)."""
+    at = op.primitives_at(pc, c, R)
     idx = zeros.interval_index(c)
     switches = (0 if res is None else res.q_sign_changes) \
         if op.reports_switches else None

@@ -44,13 +44,13 @@ from .shoot_plap import (
     ShootResult,
     _check_controls,
     _csv_lines,
-    _height_rows,
+    _height_primitives,
     _sign_and_area_ok,
     rescale_to_ball,
     shoot,
     shoot_batch,
 )
-from .thresholds import pucci_bound_from_Fbar, pucci_per_solution_lower_bound
+from .thresholds import pucci_bound_from_Fbar
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ class PucciShootConfig:
     def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
         return PrimitiveCalculus(nl, p=2.0, Lambda=self.Lambda)
 
-    def heights(self, pc: PrimitiveCalculus, cs: Sequence[float],
-                R: float) -> List[HeightPrimitives]:
-        return _pucci_heights(pc, cs, self.Lambda, R)
+    def primitives_at(self, pc: PrimitiveCalculus, c: float,
+                      R: float) -> HeightPrimitives:
+        return _pucci_at(pc, c, self.Lambda, R)
 
     def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
               at: Optional[HeightPrimitives] = None) -> PucciDiagnostics:
@@ -176,13 +176,15 @@ def pucci_rescale(res: ShootResult, R: float) -> float:
     return rescale_to_ball(res, R, res.config.exponent)
 
 
-def _pucci_heights(pc: PrimitiveCalculus, cs: Sequence[float], Lambda: float,
-                   R: float) -> List[HeightPrimitives]:
-    """Pucci ``HeightPrimitives`` of every height: F, and F_Lambda with its
-    extrema (asked for in the order a row asks for them)."""
-    F = pc.F_each(cs)
-    lo, hi, FL = pc.extrema_Lambda_many(cs)
-    return _height_rows(cs, F, FL - lo, FL, hi, pucci_bound_from_Fbar, Lambda, R)
+def _pucci_at(pc: PrimitiveCalculus, c: float, Lambda: float,
+              R: float) -> HeightPrimitives:
+    """Pucci ``HeightPrimitives`` at c: F, and F_Lambda with its extrema
+    (F first, as for the p-Laplacian)."""
+    F = pc.F(c)
+    lo, hi = pc.extrema_Lambda(c)
+    G = pc.F_Lambda(c)
+    return _height_primitives(c, F, G - lo, G, hi, pucci_bound_from_Fbar,
+                              Lambda, R)
 
 
 def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
@@ -203,23 +205,18 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
     lam = res.config.lambda_shoot
     Lam = res.config.Lambda
     c = res.config.c
-    G = pc.F_Lambda(c) if at is None else at.G
+    if at is None:
+        at = _pucci_at(pc, c, Lam, R)
     v = np.clip(res.v, 0.0, None)
     lhs = res.vp ** 2 / (2.0 * Lam)
-    rhs = lam * (G - pc.F_Lambda_many(v))
+    rhs = lam * (at.G - pc.F_Lambda_many(v))
     slack = rhs - lhs
     min_slack = float(slack.min())
     residual = float(np.max(np.maximum(0.0, -slack) / (1.0 + np.abs(rhs))))
 
     lam_R = pucci_rescale(res, R)
-    if at is None:
-        bound = pucci_per_solution_lower_bound(pc, c, Lam, R)
-        Gmax = pc.running_max_Lambda(c)
-    else:
-        bound = pucci_bound_from_Fbar(c, at.Fbar, Lam, R)
-        Gmax = at.Gmax
-    bound_slack = lam_R - bound
-    sign_ok, area_ok = _sign_and_area_ok(G, Gmax)
+    bound_slack = lam_R - pucci_bound_from_Fbar(c, at.Fbar, Lam, R)
+    sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
     d = PucciDiagnostics(min_slack, residual, float(bound_slack),
                          sign_ok, area_ok)
     res.diagnostics = d

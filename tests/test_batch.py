@@ -313,8 +313,8 @@ def _levels_together_and_alone(dg, levels, monkeypatch):
 def _assert_shared_rounds_change_nothing(dg, levels, monkeypatch):
     (together, unresolved, shared), alone = _levels_together_and_alone(
         dg, levels, monkeypatch)
-    assert together == [xs for xs, _, _ in alone]
-    assert unresolved == [missed for _, missed, _ in alone]
+    assert together == [x for xs, _, _ in alone for x in xs]
+    assert unresolved == [u for _, missed, _ in alone for u in missed]
     assert shared <= max(batches for _, _, batches in alone)
     return together, unresolved
 
@@ -327,7 +327,28 @@ def test_shared_rounds_match_levels_alone_through_a_pole(monkeypatch):
                  tol_ode=TOL_ODE)
     together, _ = _assert_shared_rounds_change_nothing(dg, [41.93, 5.0],
                                                        monkeypatch)
-    assert all(together)
+    assert [x.level for x in together] == sorted(
+        (x.level for x in together), reverse=True)
+    assert {x.level for x in together} == {41.93, 5.0}
+
+
+def test_levels_sharing_a_pole_row_shoot_its_heights_once(monkeypatch):
+    # both levels lie between the pole rows' lambdas and their neighbours
+    # across alpha_2, so they propose the same heights next to it
+    grid = np.linspace(0.4845, 29.788, 200)
+    dg = diagram(CANONICAL, 2.0, 1, 1.0, grid, find_zeros(CANONICAL, 12),
+                 tol_ode=TOL_ODE)
+    shot = []
+    lambdas = dg._lambdas
+
+    def counted(heights):
+        shot.append(list(heights))
+        return lambdas(heights)
+
+    monkeypatch.setattr(dg, "_lambdas", counted)
+    together = dg.solutions_at([41.93, 41.95])
+    assert {x.level for x in together} == {41.93, 41.95}
+    assert all(len(set(hs)) == len(hs) for hs in shot)
 
 
 def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
@@ -336,7 +357,8 @@ def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
                                  find_zeros(CANONICAL, 8))
     together, _ = _assert_shared_rounds_change_nothing(dg, [5.0, 20.0],
                                                        monkeypatch)
-    assert all(len(xs) >= 5 for xs in together)
+    assert all(sum(x.level == level for x in together) >= 5
+               for level in (5.0, 20.0))
 
 
 def test_shared_rounds_keep_unclosable_brackets_apart(monkeypatch):
@@ -347,8 +369,8 @@ def test_shared_rounds_keep_unclosable_brackets_apart(monkeypatch):
                dataclasses.replace(dg.rows[1], lam=2e12))
     together, unresolved = _assert_shared_rounds_change_nothing(
         dg, [1e12, 1.5e12], monkeypatch)
-    assert together == [[], []]
-    assert [len(missed) for missed in unresolved] == [1, 1]
+    assert together == []
+    assert [u.level for u in unresolved] == [1e12, 1.5e12]
 
 
 # -- lean right-hand sides and one error state ---------------------------------

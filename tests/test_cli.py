@@ -191,6 +191,21 @@ def test_tol_ode_override_changes_digits(tmp_path):
     assert la == pytest.approx(lb, rel=1e-3)
 
 
+def test_every_command_checks_every_flag(tmp_path, capsys):
+    # analyze reads neither the tolerance nor the scan, yet refuses bad
+    # values of both like the file's; a scan flag without a scan section
+    # has nothing to replace
+    cfg = write_cfg(tmp_path, scan={"c_min": 1.0, "c_max": 2.0, "points": 3})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "a"),
+                 "--tol-ode", "0"]) == 2
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--points=-5"]) == 2
+    assert "config rejected" in capsys.readouterr().err
+    bare = write_cfg(tmp_path, name="bare.json")
+    assert main(["analyze", "--config", bare, "--out", str(tmp_path / "c"),
+                 "--points=-5"]) == 0
+
+
 # -- diagram + certify (one shared scan) ------------------------------------
 
 @pytest.fixture(scope="module")
@@ -487,16 +502,14 @@ _runs = st.sampled_from(["shoot", "pucci-shoot", "diagram"]).flatmap(
     lambda command: st.tuples(st.just(command), _configs(command)))
 
 _NOT_FINITE = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
-#: flag -> (values the schema accepts, values it must refuse, commands that read it)
+#: flag -> (values the schema accepts, values it must refuse, the config
+#: section it replaces a value of only where the file has it, or None)
 _FLAGS = {
-    "--points": (st.integers(0, 8), st.integers(-5, -1), ("diagram",)),
-    "--tol-ode": (st.floats(1e-10, 1e-4), _NOT_FINITE,
-                  ("shoot", "pucci-shoot", "diagram")),
+    "--points": (st.integers(0, 8), st.integers(-5, -1), "scan"),
+    "--tol-ode": (st.floats(1e-10, 1e-4), _NOT_FINITE, None),
     "--lambda-star": (st.lists(_pos(1e4), min_size=1, max_size=2),
-                      st.lists(_NOT_FINITE, min_size=1, max_size=2),
-                      ("diagram",)),
-    "--seed": (st.integers(0, 5), st.integers(-5, -1),
-               ("shoot", "pucci-shoot", "diagram")),
+                      st.lists(_NOT_FINITE, min_size=1, max_size=2), "scan"),
+    "--seed": (st.integers(0, 5), st.integers(-5, -1), None),
 }
 #: half the examples draw only acceptable flags, so most configs still run
 _flags = st.one_of(
@@ -517,11 +530,11 @@ def _flag_text(value) -> str:
 @given(run=_runs, flags=_flags)
 def test_exit_codes_for_schema_valid_configs(run, flags):
     # whatever the schema accepts ends in a documented exit code: no
-    # exception escapes ``main``; a flag the command reads is checked like
-    # the config value it overrides, so a bad one exits 2 up front
+    # exception escapes ``main``; every flag is checked like the config
+    # value it overrides, so a bad one exits 2 up front
     command, config = run
     argv = [f"{flag}={_flag_text(value)}" for flag, (value, _) in flags.items()]
-    refused = any(not good and command in _FLAGS[flag][2]
+    refused = any(not good and _FLAGS[flag][2] in (None, *config)
                   for flag, (_, good) in flags.items())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
