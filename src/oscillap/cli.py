@@ -194,27 +194,31 @@ def _reject_constant(name: str):
 
 
 #: command-line overrides: (flag, config section or None for the top
-#: level, key)
+#: level, key, commands that read it, or None for all).  The ``Run``
+#: accessors that read an overridden value check that their command is
+#: listed (``Run._reads``), so a command that starts reading one fails
+#: loudly until it is listed here instead of ignoring the flag.
 _OVERRIDES = (
-    ("points", "scan", "points"),
-    ("lambda_star", "scan", "lambda_star"),
-    ("tol_ode", "tolerances", "tol_ode"),
-    ("seed", None, "seed"),
+    ("points", "scan", "points", ("diagram",)),
+    ("lambda_star", "scan", "lambda_star", ("diagram",)),
+    ("tol_ode", "tolerances", "tol_ode", ("shoot", "pucci-shoot", "diagram")),
+    ("seed", None, "seed", None),
 )
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    """Write the flag overrides into the config, so the schema checks them
-    with the file's values.
+    """Write the command's flag overrides into the config, so the schema
+    checks them with the file's values.
 
-    Every command takes every flag, whether or not it reads the value.
-    The scan values only replace those of a scan section the file has (a
-    command that needs one reports a missing one).  JSON has no NaN or
-    Infinity, so a flag carrying one is refused here, as in the file.
+    A flag for a section the command does not read is ignored, and the
+    scan values only replace those of a scan section the file has (the
+    command reports a missing one).  JSON has no NaN or Infinity, so a flag
+    carrying one is refused here, as in the file.
     """
-    for flag, section, key in _OVERRIDES:
+    for flag, section, key, commands in _OVERRIDES:
         value = getattr(args, flag)
-        if value is None:
+        if value is None or (commands is not None
+                             and args.command not in commands):
             continue
         for v in value if isinstance(value, list) else [value]:
             if not math.isfinite(v):
@@ -231,6 +235,7 @@ class Run:
     """One validated config, with the CLI overrides written into it."""
 
     def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         self.out_dir = args.out
         try:
             with open(args.config, "rb") as fh:
@@ -290,13 +295,23 @@ class Run:
         return {"version": __version__, "config_sha256": self.sha256,
                 "seed": self.seed}
 
+    def _reads(self, flag: str) -> None:
+        """Guard of an accessor that reads the value ``flag`` overrides."""
+        commands = next(cmds for f, _, _, cmds in _OVERRIDES if f == flag)
+        if commands is not None and self.command not in commands:
+            raise RuntimeError(f"{self.command} reads the value of --"
+                               f"{flag.replace('_', '-')} but is not listed "
+                               f"for it in _OVERRIDES")
+
     def shoot_config(self, c: float, lambda_shoot: float = 1.0):
         """The operator's shot config at height c with this run's controls."""
+        self._reads("tol_ode")
         return dataclasses.replace(
             self.shooter, c=float(c), lambda_shoot=lambda_shoot,
             r_max=self.r_max, tol_ode=self.tol_ode, event_tol=self.event_tol)
 
     def scan_grid(self) -> np.ndarray:
+        self._reads("points")
         if "scan" not in self.cfg:
             raise ConfigError("this command needs a 'scan' section")
         scan = self.cfg["scan"]
@@ -311,6 +326,7 @@ class Run:
         return np.linspace(lo, hi, n)
 
     def stars(self) -> List[float]:
+        self._reads("lambda_star")
         return [float(v) for v in self.cfg.get("scan", {}).get("lambda_star", [])]
 
 

@@ -18,7 +18,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillap import __version__
+from oscillap import __version__, cli
 from oscillap.cli import main
 
 FIRST_ZERO = 1.5 * math.pi
@@ -191,19 +191,22 @@ def test_tol_ode_override_changes_digits(tmp_path):
     assert la == pytest.approx(lb, rel=1e-3)
 
 
-def test_every_command_checks_every_flag(tmp_path, capsys):
-    # analyze reads neither the tolerance nor the scan, yet refuses bad
-    # values of both like the file's; a scan flag without a scan section
-    # has nothing to replace
+def test_flags_a_command_does_not_read_are_ignored(tmp_path):
+    # analyze reads neither the tolerance nor the scan
     cfg = write_cfg(tmp_path, scan={"c_min": 1.0, "c_max": 2.0, "points": 3})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "a"),
-                 "--tol-ode", "0"]) == 2
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "b"),
-                 "--points=-5"]) == 2
-    assert "config rejected" in capsys.readouterr().err
-    bare = write_cfg(tmp_path, name="bare.json")
-    assert main(["analyze", "--config", bare, "--out", str(tmp_path / "c"),
-                 "--points=-5"]) == 0
+                 "--tol-ode", "0", "--points=-5", "--lambda-star", "nan"]) == 0
+
+
+def test_reading_an_unlisted_override_fails_loudly(tmp_path, monkeypatch):
+    # a command that reads a value a flag overrides must be listed for the
+    # flag, or the flag would be silently ignored
+    monkeypatch.setattr(cli, "_OVERRIDES", tuple(
+        (flag, section, key, ("diagram",) if flag == "tol_ode" else cmds)
+        for flag, section, key, cmds in cli._OVERRIDES))
+    cfg = write_cfg(tmp_path, shoot={"c": 1.0})
+    with pytest.raises(RuntimeError, match="tol-ode"):
+        main(["shoot", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
 # -- diagram + certify (one shared scan) ------------------------------------
@@ -502,14 +505,16 @@ _runs = st.sampled_from(["shoot", "pucci-shoot", "diagram"]).flatmap(
     lambda command: st.tuples(st.just(command), _configs(command)))
 
 _NOT_FINITE = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
-#: flag -> (values the schema accepts, values it must refuse, the config
-#: section it replaces a value of only where the file has it, or None)
+#: flag -> (values the schema accepts, values it must refuse, commands that read it)
 _FLAGS = {
-    "--points": (st.integers(0, 8), st.integers(-5, -1), "scan"),
-    "--tol-ode": (st.floats(1e-10, 1e-4), _NOT_FINITE, None),
+    "--points": (st.integers(0, 8), st.integers(-5, -1), ("diagram",)),
+    "--tol-ode": (st.floats(1e-10, 1e-4), _NOT_FINITE,
+                  ("shoot", "pucci-shoot", "diagram")),
     "--lambda-star": (st.lists(_pos(1e4), min_size=1, max_size=2),
-                      st.lists(_NOT_FINITE, min_size=1, max_size=2), "scan"),
-    "--seed": (st.integers(0, 5), st.integers(-5, -1), None),
+                      st.lists(_NOT_FINITE, min_size=1, max_size=2),
+                      ("diagram",)),
+    "--seed": (st.integers(0, 5), st.integers(-5, -1),
+               ("shoot", "pucci-shoot", "diagram")),
 }
 #: half the examples draw only acceptable flags, so most configs still run
 _flags = st.one_of(
@@ -530,11 +535,11 @@ def _flag_text(value) -> str:
 @given(run=_runs, flags=_flags)
 def test_exit_codes_for_schema_valid_configs(run, flags):
     # whatever the schema accepts ends in a documented exit code: no
-    # exception escapes ``main``; every flag is checked like the config
-    # value it overrides, so a bad one exits 2 up front
+    # exception escapes ``main``; a flag the command reads is checked like
+    # the config value it overrides, so a bad one exits 2 up front
     command, config = run
     argv = [f"{flag}={_flag_text(value)}" for flag, (value, _) in flags.items()]
-    refused = any(not good and _FLAGS[flag][2] in (None, *config)
+    refused = any(not good and command in _FLAGS[flag][2]
                   for flag, (_, good) in flags.items())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
