@@ -22,7 +22,6 @@ import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .errors import EmptyGrid, OscillapError, StalledAtCriticalPoint
@@ -168,6 +167,67 @@ CONFIG_SCHEMA = {
 }
 
 
+def _has_type(value, name: str) -> bool:
+    """JSON Schema's types: true is not a number, and 3.0 is an integer."""
+    if name in ("number", "integer"):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (name == "number" or isinstance(value, int)
+                     or value.is_integer()))
+    return isinstance(value, {"object": dict, "array": list, "string": str,
+                              "boolean": bool}[name])
+
+
+def schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Implements, with JSON Schema (draft 2020-12) semantics, exactly the
+    keywords ``CONFIG_SCHEMA`` uses; any other keyword raises ValueError
+    whatever the value.  A keyword checks only values of the type it
+    constrains, and errors come in the schema's key order.
+    """
+    is_object = isinstance(value, dict)
+    for key, want in schema.items():
+        if key == "type":
+            if not _has_type(value, want):
+                yield path, f"{value!r} is not of type {want!r}"
+        elif key == "enum":   # of strings, where == is JSON's equality
+            if value not in want:
+                yield path, f"{value!r} is not one of {want!r}"
+        elif key in ("minimum", "exclusiveMinimum"):
+            strict = key == "exclusiveMinimum"
+            if _has_type(value, "number") and (value <= want if strict
+                                               else value < want):
+                yield path, (f"{value!r} is less than {'or equal to ' * strict}"
+                             f"the minimum of {want!r}")
+        elif key == "required":
+            for name in want if is_object else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in want.items() if is_object else ():
+                if name in value:
+                    yield from schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and want is False:
+            extra = sorted(set(value) - set(schema.get("properties", {}))
+                           if is_object else ())
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} {verb} "
+                             f"unexpected)")
+        elif key in ("minProperties", "maxProperties"):
+            few = key == "minProperties"
+            if is_object and (len(value) < want if few else len(value) > want):
+                yield path, (f"{value!r} has too {'few' if few else 'many'} "
+                             f"properties")
+        elif key == "items":
+            for i, item in enumerate(value if isinstance(value, list) else ()):
+                yield from schema_errors(item, want, path + (i,))
+        elif key != "$schema":
+            raise ValueError(f"schema keyword {key!r}: {want!r} is not "
+                             f"implemented")
+
+
 class ConfigError(Exception):
     """Anything wrong with the config file or its interpretation."""
 
@@ -249,11 +309,11 @@ class Run:
             raise ConfigError(f"config is not valid JSON: {ex}")
         if isinstance(cfg, dict):
             _apply_overrides(cfg, args)
-        errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg),
-                        key=lambda e: list(e.absolute_path))
+        errors = sorted(schema_errors(cfg, CONFIG_SCHEMA), key=lambda e: e[0])
         if errors:
-            where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
-            raise ConfigError(f"config rejected at {where}: {errors[0].message}")
+            where, message = errors[0]
+            where = "/".join(str(p) for p in where) or "<root>"
+            raise ConfigError(f"config rejected at {where}: {message}")
         self.cfg = cfg
 
         try:

@@ -102,6 +102,84 @@ def test_schema_rejection_names_path(tmp_path, capsys):
     assert "config rejected at" in capsys.readouterr().err
 
 
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_checker_implements_every_schema_keyword():
+    # the checker raises on a keyword it does not implement, whatever the
+    # value, so a schema edit it cannot check fails here, not silently
+    with pytest.raises(ValueError, match="maximum"):
+        list(cli.schema_errors(1, {"maximum": 3}))
+    with pytest.raises(ValueError, match="additionalProperties"):
+        list(cli.schema_errors({}, {"additionalProperties": {}}))
+    for sub in _subschemas(cli.CONFIG_SCHEMA):
+        for value in (None, True, 0, 1.5, "x", [], [1], {}, {"x": 1}):
+            list(cli.schema_errors(value, sub))
+
+
+_FULL = {"scan": {"c_min": 1.0, "c_max": 10.0, "points": 12.0},
+         "shoot": {"c": 3.0},
+         "minimize": {"K": 3.0, "lambda": 200.0, "grid_cells": 40},
+         "zeros": 6.0, "seed": 0.0}
+_REPORTS = {"analyze": "analysis.json", "shoot": "trajectory.json",
+            "pucci-shoot": "trajectory.json",
+            "diagram": "diagram_summary.json", "minimize": "minimize.json",
+            "certify": "certificate.json"}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_integer_valued_floats_are_integers(tmp_path, command):
+    # JSON Schema counts 3.0 as an integer; every command runs on them
+    operator = ({"pucci": {"Lambda": 2.0}} if command == "pucci-shoot"
+                else {"plap": {"p": 2.0}})
+    cfg = write_cfg(tmp_path, operator=operator, geometry={"N": 2.0, "R": 1.0},
+                    **_FULL)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out / _REPORTS[command])["seed"] == 0
+
+
+@pytest.mark.parametrize("command, sections, argv, rejected", [
+    ("analyze", {"geometry": {"N": True, "R": 1.0}}, [],
+     "geometry/N: True is not of type 'integer'"),
+    ("analyze", {"geometry": {"N": 1, "R": True}}, [],
+     "geometry/R: True is not of type 'number'"),
+    ("analyze", {"operator": {"plap": {"p": True}}}, [],
+     "operator/plap/p: True is not of type 'number'"),
+    ("analyze", {"seed": True}, [], "seed: True is not of type 'integer'"),
+    ("analyze", {"minimize": {"K": 1, "lambda": False}}, [],
+     "minimize/lambda: False is not of type 'number'"),
+    ("analyze", {"geometry": {"N": 1, "R": 0}}, [],
+     "geometry/R: 0 is less than or equal to the minimum of 0"),
+    ("analyze", {"operator": {"plap": {"p": 1}}}, [],
+     "operator/plap/p: 1 is less than or equal to the minimum of 1"),
+    ("analyze", {"operator": {"pucci": {"Lambda": 1}}}, [], None),
+    ("analyze", {"minimize": {"K": 1, "lambda": 0}}, [], None),
+    ("diagram", {"scan": {"c_min": 1.0, "c_max": 2.0, "points": 3,
+                          "lambda_star": [3.0, -1.0]}}, [],
+     "scan/lambda_star/1: -1.0 is less than or equal to the minimum of 0"),
+    ("diagram", {"scan": {"c_min": 1.0, "c_max": 2.0, "points": 3}},
+     ["--lambda-star", "3,-1"],
+     "scan/lambda_star/1: -1.0 is less than or equal to the minimum of 0"),
+], ids=["N-true", "R-true", "p-true", "seed-true", "lambda-false", "R-0", "p-1",
+        "Lambda-1", "lambda-0", "star-item", "star-flag"])
+def test_schema_boundaries(tmp_path, capsys, command, sections, argv, rejected):
+    # true is no number; exclusiveMinimum is strict and minimum inclusive;
+    # a list item is named by its index, also when a flag supplied it
+    cfg = write_cfg(tmp_path, **sections)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")] + argv)
+    if rejected is None:
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert f"config rejected at {rejected}" in capsys.readouterr().err
+
+
 def test_empty_scan_grid_exits_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scan={"c_min": 1.0, "c_max": 10.0, "points": 0})
     rc = main(["diagram", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -598,12 +676,13 @@ def test_module_entry_matches_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """The runtime needs numpy and jsonschema only; scipy is a test extra."""
+def test_cli_import_leaves_test_extras_unloaded():
+    """The runtime needs numpy only; scipy and jsonschema are test extras."""
+    test_only = ("scipy", "jsonschema", "referencing", "rpds", "attrs", "attr")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, oscillap.cli; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
+         f"if m.split('.')[0] in {test_only!r}))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
