@@ -253,6 +253,15 @@ def _reject_constant(name: str):
     raise ConfigError(f"config is not valid JSON: {name} is not a number")
 
 
+def _in_float_range(text: str) -> str:
+    """A JSON number's text, refused beyond the float range: the program
+    computes with every config number as a float."""
+    if math.isinf(float(text)):
+        raise ConfigError(f"config number {text[:20]}{'...' * (len(text) > 20)}"
+                          f" is too large for a float")
+    return text
+
+
 #: command-line overrides: (flag, config section or None for the top
 #: level, key, commands that read it, or None for all).  The ``Run``
 #: accessors that read an overridden value check that their command is
@@ -304,7 +313,9 @@ class Run:
             raise ConfigError(f"cannot read config: {ex}")
         self.sha256 = hashlib.sha256(raw).hexdigest()
         try:
-            cfg = json.loads(raw, parse_constant=_reject_constant)
+            cfg = json.loads(raw, parse_constant=_reject_constant,
+                             parse_int=lambda t: int(_in_float_range(t)),
+                             parse_float=lambda t: float(_in_float_range(t)))
         except json.JSONDecodeError as ex:
             raise ConfigError(f"config is not valid JSON: {ex}")
         if isinstance(cfg, dict):

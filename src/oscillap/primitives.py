@@ -11,8 +11,9 @@ Everything downstream consumes antiderivatives of f rather than f itself:
 plus tail growth estimates ``liminf/limsup F(s)/s^p`` toward the oscillation
 limit (0 or infinity).
 
-F comes from one of four backends, each answering ``F(s)`` and the
-vectorized ``F_many(s)``; which one serves a nonlinearity depends on its kind:
+F comes from one of four backends, each answering the vectorized
+``F_many(s)``, whose one-point case serves every single-point primitive;
+which one serves a nonlinearity depends on its kind:
 
 * ``CustomTable``: the interpolant is piecewise linear, so F is piecewise
   quadratic and every primitive (including the sign-split parts) is computed
@@ -29,8 +30,9 @@ vectorized ``F_many(s)``; which one serves a nonlinearity depends on its kind:
 * everything else, ``ClippedBelowFirstZero`` wrappers included: adaptive
   panel quadrature with a prefix checkpoint cache, so the millions of F
   evaluations issued during shooting extend an existing prefix instead of
-  recomputing from 0.  Panels compare embedded Gauss rules (21 vs 10 nodes)
-  and bisect on disagreement.
+  recomputing from 0.  Panels on a fixed lattice compare embedded Gauss
+  rules (21 vs 10 nodes) and bisect on disagreement; F at a point does
+  not depend on which points were asked for before it.
 
 Running extrema of F are tracked at the sign changes of f (the only interior
 points where F can turn around) plus the endpoints, which makes Fbar and
@@ -72,10 +74,13 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 class CachedPrefix:
     """Prefix antiderivative cache with embedded-pair panel quadrature.
 
-    Checkpoints 0 = t_0 < t_1 < ... < t_m carry exact-prefix values
-    I_k ~ integral_0^{t_k} f.  A query at s reuses the largest checkpoint
-    below s and integrates only the remainder, which by construction contains
-    no kink of the integrand and spans at most one panel width.
+    Panels sit on the lattice k * PANEL_WIDTH, split at the kinks of the
+    integrand, and are bisected until accepted.  Each accepted leaf ends
+    in a checkpoint t_k with prefix value I_k ~ integral_0^{t_k} f, summed
+    left to right.  A query at s adds one GL21 panel over the remainder,
+    which lies inside one leaf.  Checkpoints depend only on the integrand
+    and each panel sum only on its own row, so F at a point has the same
+    bits whatever was asked before it and whatever shares its call.
 
     Thread-safe for concurrent reads: extensions are serialized by a lock
     and publish the checkpoints and prefix values together as one tuple, and
@@ -92,8 +97,8 @@ class CachedPrefix:
 
     # -- panel machinery ------------------------------------------------
 
-    def _panel_pair(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (GL21, accepted) over consecutive edge pairs.
+    def _panel_pair(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized (GL21, accepted) over the panels [a, b].
 
         A panel is accepted when |GL21 - GL10| meets the tolerance or lies
         within the rounding level of the GL21 sum.  That level has two
@@ -102,78 +107,73 @@ class CachedPrefix:
         eps |mid| of its exact place).  Bisecting cannot shrink a
         disagreement at that level; it only spends panels and depth.
         """
-        a, b = edges[:-1], edges[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        n21 = mid[:, None] + half[:, None] * _X21[None, :]
-        n10 = mid[:, None] + half[:, None] * _X10[None, :]
-        f21 = np.asarray(self._fvec(n21.ravel()), dtype=float).reshape(n21.shape)
-        f10 = np.asarray(self._fvec(n10.ravel()), dtype=float).reshape(n10.shape)
-        g21 = half * (f21 @ _W21)
-        g10 = half * (f10 @ _W10)
-        err = np.abs(g21 - g10)
-        rounding = _ROUNDING * (half * (np.abs(f21) @ _W21)
+        f21 = self._at_nodes(mid, half, _X21)
+        f10 = self._at_nodes(mid, half, _X10)
+        g21 = half * _row_sums(f21, _W21)
+        err = np.abs(g21 - half * _row_sums(f10, _W10))
+        rounding = _ROUNDING * (half * _row_sums(np.abs(f21), _W21)
                                 + np.abs(mid) * np.abs(np.diff(f21, axis=1)).sum(axis=1))
         return g21, (err <= self.tol * np.maximum(1.0, np.abs(g21))) | (err <= rounding)
 
-    def _refine(self, a: float, b: float, depth: int) -> float:
-        if depth > self.max_depth:
-            raise QuadratureFailure(
-                f"panel [{a!r}, {b!r}] exceeded subdivision depth {self.max_depth}"
-            )
-        g21, ok = self._panel_pair(np.array([a, b]))
-        if ok[0]:
-            return float(g21[0])
-        m = 0.5 * (a + b)
-        if not (a < m < b):
-            raise QuadratureFailure(f"panel [{a!r}, {b!r}] underflowed while refining")
-        return self._refine(a, m, depth + 1) + self._refine(m, b, depth + 1)
+    def _at_nodes(self, mid: np.ndarray, half: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """f at the Gauss nodes x of each panel, one row per panel."""
+        nodes = mid[:, None] + half[:, None] * x[None, :]
+        return np.asarray(self._fvec(nodes.ravel()), dtype=float).reshape(nodes.shape)
+
+    def _leaves(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Accepted bisection leaves of the panels [a, b], as (right ends,
+        GL21 values) from left to right."""
+        ends, vals = [], []
+        for depth in range(self.max_depth + 1):
+            g21, ok = self._panel_pair(a, b)
+            ends.append(b[ok])
+            vals.append(g21[ok])
+            a, b = a[~ok], b[~ok]
+            if not a.size:
+                break
+            if depth == self.max_depth:
+                raise QuadratureFailure(f"panel [{a[0]!r}, {b[0]!r}] exceeded "
+                                        f"subdivision depth {self.max_depth}")
+            m = 0.5 * (a + b)
+            if not np.all((a < m) & (m < b)):
+                raise QuadratureFailure(f"a panel in [{a[0]!r}, {b[-1]!r}] "
+                                        f"underflowed while refining")
+            a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        ends, vals = np.concatenate(ends), np.concatenate(vals)
+        order = np.argsort(ends)
+        return ends[order], vals[order]
 
     def _extend(self, target: float) -> tuple:
         """Checkpoints reaching at least ``target``; returns the (t, I) snapshot."""
         with self._lock:
             t_old, I_old = self._state
-            a = float(t_old[-1])
+            a = float(t_old[-1])  # a lattice point
             if target <= a:
                 return self._state
-            n = max(1, int(math.ceil((target - a) / PANEL_WIDTH)))
-            edges = np.linspace(a, target, n + 1)
-            ks = [k for k in self._kinks(a, target) if a < k < target]
+            k = math.floor(target / PANEL_WIDTH) + 1  # k * PANEL_WIDTH > target
+            edges = np.arange(round(a / PANEL_WIDTH), k + 1) * PANEL_WIDTH
+            ks = [x for x in self._kinks(a, edges[-1]) if a < x < edges[-1]]
             if ks:
                 edges = np.unique(np.concatenate([edges, np.asarray(ks, dtype=float)]))
-            vals = np.empty(len(edges) - 1)
+            ends, vals = [], [I_old[-1:]]
             chunk = 32768
-            for lo in range(0, len(vals), chunk):
-                hi = min(lo + chunk, len(vals))
-                g21, ok = self._panel_pair(edges[lo:hi + 1])
-                for j in np.nonzero(~ok)[0]:
-                    g21[j] = self._refine(float(edges[lo + j]), float(edges[lo + j + 1]), 0)
-                vals[lo:hi] = g21
-            self._state = (np.concatenate([t_old, edges[1:]]),
-                           np.concatenate([I_old, I_old[-1] + np.cumsum(vals)]))
+            for lo in range(0, len(edges) - 1, chunk):
+                e = edges[lo:lo + chunk + 1]
+                t, v = self._leaves(e[:-1], e[1:])
+                ends.append(t)
+                vals.append(v)
+            self._state = (np.concatenate([t_old, *ends]),
+                           np.concatenate([I_old, np.cumsum(np.concatenate(vals))[1:]]))
             return self._state
 
     # -- queries ----------------------------------------------------------
-
-    def F(self, s: float) -> float:
-        if s < 0.0:
-            raise DomainError(f"prefix integral asked at negative s = {s!r}")
-        if s == 0.0:
-            return 0.0
-        t, I = self._state
-        if s > t[-1]:
-            t, I = self._extend(s)
-        i = int(np.searchsorted(t, s, side="right")) - 1
-        t_i = float(t[i])
-        base = float(I[i])
-        if t_i == s:
-            return base
-        return base + self._refine(t_i, s, 0)
 
     def F_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.size == 0:
             return np.zeros_like(s)
-        if np.any(s < 0.0):
+        if s.min() < 0.0:
             raise DomainError("prefix integral asked at negative s")
         smax = float(s.max())
         t, I = self._state
@@ -182,15 +182,18 @@ class CachedPrefix:
         idx = np.searchsorted(t, s, side="right") - 1
         a = t[idx]
         out = I[idx].copy()
-        h = s - a
-        live = h > 0.0
+        half = 0.5 * (s - a)
+        live = half > 0.0
         if np.any(live):
-            al, hl = a[live], h[live]
-            half = 0.5 * hl
-            nodes = (al + half)[:, None] + half[:, None] * _X21[None, :]
-            fv = np.asarray(self._fvec(nodes.ravel()), dtype=float).reshape(nodes.shape)
-            out[live] += half * (fv @ _W21)
+            hl = half[live]
+            fv = self._at_nodes(a[live] + hl, hl, _X21)
+            out[live] += hl * _row_sums(fv, _W21)
         return out
+
+
+def _row_sums(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """fv @ w with row bits independent of the row count, unlike BLAS's."""
+    return np.einsum("ij,j->i", fv, w)
 
 
 class _ExactTablePrefix:
@@ -253,9 +256,6 @@ class _ExactTablePrefix:
 
     def F_many(self, s):
         return self._eval(s, self.P, 0)
-
-    def F(self, s: float) -> float:
-        return float(self.F_many(np.array([s]))[0])
 
     def Fplus_many(self, s):
         return self._eval(s, self.Pp, +1)
@@ -343,17 +343,14 @@ class _ReciprocalPrimitive:
             return self._gl_sb(x, float(self._edge[k])) + float(self._edge_vals[k])
         return self._series(x) + self._sb1
 
-    def F(self, s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        return s ** (self.a + 1.0) / (self.a + 1.0) + self.Sb(1.0 / s)
-
     def F_many(self, s):
         s = np.asarray(s, dtype=float)
         out = np.empty(s.shape)
         flat, res = s.ravel(), out.ravel()
         for i in range(flat.size):
-            res[i] = self.F(float(flat[i]))
+            x = float(flat[i])
+            res[i] = (0.0 if x <= 0.0
+                      else x ** (self.a + 1.0) / (self.a + 1.0) + self.Sb(1.0 / x))
         return out
 
 
@@ -408,9 +405,6 @@ class _PowerSinPrimitive:
             out[small] = lead[small] + xs ** (self.n + 2) * np.polyval(self._series, xs * xs)
         return out.reshape(s.shape)
 
-    def F(self, s: float) -> float:
-        return float(self.F_many(np.array([s]))[0])
-
 
 class _ExtremaTable:
     """Running extrema of a primitive, cached at the sign changes of f.
@@ -421,8 +415,7 @@ class _ExtremaTable:
     minima, prefix maxima) as one tuple; each query reads one snapshot.
     """
 
-    def __init__(self, value_fn, value_many_fn, sign_changes_fn):
-        self._value = value_fn
+    def __init__(self, value_many_fn, sign_changes_fn):
         self._value_many = value_many_fn
         self._sign_changes = sign_changes_fn
         empty = np.array([], dtype=float)
@@ -456,7 +449,7 @@ class _ExtremaTable:
     def extrema(self, s: float) -> tuple[float, float]:
         """(min, max) of the primitive over [0, s], both including endpoints."""
         _, pts, premin, premax = self._ensure(s)
-        fs = self._value(s)
+        fs = float(self._value_many(np.array([s], dtype=float))[0])
         lo = min(0.0, fs)
         hi = max(0.0, fs)
         k = int(np.searchsorted(pts, s, side="right"))
@@ -647,21 +640,18 @@ class PrimitiveCalculus:
 
             self._Fplus_many, self._Fminus_many = part(1.0), part(-1.0)
 
-        self._extrema_F = _ExtremaTable(self.F, self.F_many, nl.sign_change_points)
-        self._extrema_FL = _ExtremaTable(self.F_Lambda, self.F_Lambda_many,
-                                         nl.sign_change_points)
+        self._extrema_F = _ExtremaTable(self.F_many, nl.sign_change_points)
+        self._extrema_FL = _ExtremaTable(self.F_Lambda_many, nl.sign_change_points)
 
     # -- plain primitives ---------------------------------------------------
 
     def F(self, s: float) -> float:
-        """F(s) = integral_0^s f, with F(0) = 0."""
-        if s < 0.0:
-            raise DomainError(f"primitives are defined on s >= 0, got {s!r}")
-        return float(self.backend.F(s))
+        """F(s) = integral_0^s f, with F(0) = 0: the one-point ``F_many``."""
+        return float(self.F_many(np.array([s], dtype=float))[0])
 
     def F_many(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
+        if s.size and s.min() < 0.0:
             raise DomainError("primitives are defined on s >= 0")
         return np.asarray(self.backend.F_many(s), dtype=float)
 
@@ -673,7 +663,7 @@ class PrimitiveCalculus:
 
     def F_Lambda(self, s: float) -> float:
         """F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-."""
-        return self.Fplus(s) - self.Fminus(s) / (self.Lambda * self.Lambda)
+        return float(self.F_Lambda_many(np.array([s], dtype=float))[0])
 
     def F_Lambda_many(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)

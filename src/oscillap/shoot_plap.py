@@ -141,15 +141,16 @@ class ShootConfig:
         else:
             feval = nl.eval
 
+            # v = +inf gives NaN, as in eval_many, so the step is rejected
             def f_of(v):
-                return feval(v) if v > 0.0 else f0
+                return feval(v) if 0.0 < v < math.inf else (math.nan if v > 0.0 else f0)
 
             def rhs(r: float, y: Tuple[float, ...]) -> Tuple[float, float, float]:
                 v, w, _ = y
                 aw = abs(w)
                 avp = aw ** q
                 vp = avp if w >= 0.0 else -avp
-                fv = feval(v) if v > 0.0 else f0
+                fv = feval(v) if 0.0 < v < math.inf else (math.nan if v > 0.0 else f0)
                 dw = -lam * fv - nm1 * w / r
                 dz = nm1 * aw ** pq / r
                 return (vp, dw, dz)
@@ -241,10 +242,7 @@ def _height_primitives(c: float, F: float, Fbar: float, G: float,
 
 def _plap_at(pc: PrimitiveCalculus, c: float, p: float,
              R: float) -> HeightPrimitives:
-    """p-Laplacian ``HeightPrimitives`` at c, from F and its extrema.
-
-    F(c) is asked for first: a panel cache extends to the first height it
-    is asked for, and its values depend on where it was extended."""
+    """p-Laplacian ``HeightPrimitives`` at c, from F and its extrema."""
     F = pc.F(c)
     lo, hi = pc.extrema(c)
     return _height_primitives(c, F, F - lo, F, hi, bound_from_Fbar, p, R)

@@ -25,6 +25,7 @@ shared path of ``shoot_plap``; the ``pucci_*`` names are that path's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
@@ -124,8 +125,8 @@ class PucciShootConfig:
             feval = nl.eval
 
             def qval(r: float, y: Tuple[float, ...]) -> float:
-                v, u = y
-                fv = feval(v) if v > 0.0 else f0
+                v, u = y  # v = +inf gives NaN, as in eval_many
+                fv = feval(v) if 0.0 < v < math.inf else (math.nan if v > 0.0 else f0)
                 return lam * fv + nm1 * u / (Lam * r)
 
             def rhs(r: float, y: Tuple[float, ...]) -> Tuple[float, float]:
@@ -178,8 +179,7 @@ def pucci_rescale(res: ShootResult, R: float) -> float:
 
 def _pucci_at(pc: PrimitiveCalculus, c: float, Lambda: float,
               R: float) -> HeightPrimitives:
-    """Pucci ``HeightPrimitives`` at c: F, and F_Lambda with its extrema
-    (F first, as for the p-Laplacian)."""
+    """Pucci ``HeightPrimitives`` at c: F, and F_Lambda with its extrema."""
     F = pc.F(c)
     lo, hi = pc.extrema_Lambda(c)
     G = pc.F_Lambda(c)

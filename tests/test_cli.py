@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscillap import __version__, cli
 from oscillap.cli import main
@@ -71,6 +71,22 @@ def test_non_json_constants_exit_config(tmp_path, capsys, command, section,
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"{literal} is not a number" in capsys.readouterr().err
+
+
+_HUGE = 10 ** 400  # a valid JSON number that no float holds
+
+
+@pytest.mark.parametrize("section", [
+    {"geometry": {"N": 1, "R": _HUGE}},
+    {"operator": {"plap": {"p": _HUGE}}},
+    {"nonlinearity": {"kind": "power_sin", "r": _HUGE}},
+    {"tolerances": {"tol_ode": _HUGE}},
+], ids=["R", "p", "r", "tol_ode"])
+def test_numbers_beyond_float_range_exit_config(tmp_path, capsys, section):
+    cfg = write_cfg(tmp_path, **section)
+    rc = main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "is too large for a float" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_config(tmp_path, capsys):
@@ -326,6 +342,19 @@ def test_diagram_summary_counts_crossings(scan_run):
     for x in near["crossings"]:
         assert x["lambda"] == pytest.approx(100.0, rel=1e-6)
     assert rep["lambda_star"]["500"]["count"] == 0
+
+
+def test_fractional_power_sin_diagram_passes_its_audit(tmp_path):
+    """Panel-cache primitives are accurate at every height of a scan, so
+    the energy identity of each row holds well inside the 1e-6 audit."""
+    cfg = write_cfg(tmp_path, nonlinearity={"kind": "power_sin", "r": 0.5},
+                    scan={"c_min": 0.5, "c_max": 20.0, "points": 60},
+                    tolerances={"tol_ode": 1e-10})
+    out = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out)]) == 0
+    audit = read_json(out / "diagram_summary.json")["audit"]
+    assert audit["pass"]
+    assert audit["max_energy_residual"] < 1e-6
 
 
 def test_lambda_star_brackets_straddling_a_zero(tmp_path):
@@ -611,6 +640,12 @@ def _flag_text(value) -> str:
 
 @settings(max_examples=80, deadline=None)
 @given(run=_runs, flags=_flags)
+# p just above 1 overflows the state to inf, where math.sin raises
+@example(run=("shoot", {"nonlinearity": {"kind": "envelope_sin",
+                                         "samples": [[0.0, 0.5], [1.0, 1.0]]},
+                        "operator": {"plap": {"p": 1.0000000000000002}},
+                        "geometry": {"N": 1, "R": 1.0}, "shoot": {"c": 0.25}}),
+         flags={})
 def test_exit_codes_for_schema_valid_configs(run, flags):
     # whatever the schema accepts ends in a documented exit code: no
     # exception escapes ``main``; a flag the command reads is checked like

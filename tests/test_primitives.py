@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscillap.errors import DomainError, QuadratureFailure
 from oscillap.nonlinearity import (
@@ -16,6 +16,7 @@ from oscillap.nonlinearity import (
     ReciprocalOscillation,
 )
 from oscillap.primitives import (
+    TOL_QUAD,
     CachedPrefix,
     LimitEstimate,
     PrimitiveCalculus,
@@ -223,11 +224,12 @@ def test_prefix_extension_stops_at_rounding_level():
     until their values drop below 1 made this one extension take about 50 s.
     """
     cache = CachedPrefix(lambda s: s ** 3 * (1.0 + np.sin(s)), tol=1e-12)
-    cache.F(6370.0)
+    cache.F_many(np.array([6370.0]))
     start = time.perf_counter()
-    got = cache.F(9128.0)
+    got = cache.F_many(np.array([9128.0]))
     assert time.perf_counter() - start < 2.0
-    assert got == pytest.approx(_PowerSinPrimitive(3).F(9128.0), rel=1e-12)
+    np.testing.assert_allclose(got, _PowerSinPrimitive(3).F_many(np.array([9128.0])),
+                               rtol=1e-12)
 
 
 def test_prefix_at_tight_tolerance_passes_a_double_zero():
@@ -241,7 +243,8 @@ def test_prefix_at_tight_tolerance_passes_a_double_zero():
     s = np.linspace(7000.0, 7100.0, 41)
     np.testing.assert_allclose(cache.F_many(s), ps.F_many(s), rtol=1e-12)
     for x in (7048.0, 7048.163118328701, 7048.3):
-        assert cache.F(x) == pytest.approx(ps.F(x), rel=1e-12)
+        np.testing.assert_allclose(cache.F_many(np.array([x])),
+                                   ps.F_many(np.array([x])), rtol=1e-12)
 
 
 def test_limit_estimate_power_sin(pc_power):
@@ -318,14 +321,13 @@ def test_concurrent_reads_match_serial():
         t.start()
     for t in threads:
         t.join()
-    np.testing.assert_allclose(out, serial, rtol=1e-12)
+    np.testing.assert_array_equal(out, serial)
 
 
 def test_fresh_cache_reads_race_extensions():
     """Readers racing the first extensions of a fresh cache read one
     consistent (checkpoints, prefix values) snapshot: no index past the
-    prefix array, and the serial values.  Extension order changes the
-    checkpoint layout, so values agree to quadrature rounding."""
+    prefix array, and the serial values bit for bit."""
     s = np.linspace(0.1, 60.0, 97)
     ref = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
     serial = np.array([ref.F(float(x)) for x in s])
@@ -352,7 +354,7 @@ def test_fresh_cache_reads_race_extensions():
                 t.join(timeout=60.0)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            np.testing.assert_allclose(out, serial, rtol=1e-12)
+            np.testing.assert_array_equal(out, serial)
     finally:
         sys.setswitchinterval(old)
 
@@ -365,3 +367,77 @@ def test_fbar_nonnegative_property(s):
     fb = _PROPERTY_PC.Fbar(s)
     assert fb >= -1e-12
     assert fb >= _PROPERTY_PC.F(s) - 1e-12
+
+
+# nonlinearities whose F comes from panel caches: sign-changing (split
+# caches), smooth, with a root kink at 0, and with table kinks
+_PANEL_CACHE_CASES = {
+    "pure_sine": PureSine(),
+    "power_sin r=0.5": PowerTimesOnePlusSin(0.5),
+    "power_sin r=1.5": PowerTimesOnePlusSin(1.5),
+    "envelope_sin": EnvelopeTimesOnePlusSin(
+        np.array([[0.0, 1.0], [7.3, 2.5], [19.1, 2.6], [50.0, 4.0]])),
+}
+_QUANTITIES = ("F", "F_Lambda", "extrema", "extrema_Lambda")
+
+
+def _batched(pc, quantity, xs):
+    if quantity in ("F", "F_Lambda"):
+        return [float(v) for v in getattr(pc, quantity + "_many")(np.array(xs))]
+    return [getattr(pc, quantity)(x) for x in xs]   # extrema have no batch form
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_PANEL_CACHE_CASES)),
+       s=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=10),
+       data=st.data())
+def test_primitive_values_do_not_depend_on_query_order(case, s, data):
+    """F, F_Lambda and the running extrema at a point have the same bits
+    whatever was asked before, in whatever groups, by one-point or batched
+    calls."""
+    nl = _PANEL_CACHE_CASES[case]
+    ref = PrimitiveCalculus(nl, p=2.0, Lambda=2.0)
+    want = {(q, x): getattr(ref, q)(x) for x in s for q in _QUANTITIES}
+    pc = PrimitiveCalculus(nl, p=2.0, Lambda=2.0)
+    order = data.draw(st.permutations(s))
+    got = {}
+    while order:
+        k = data.draw(st.integers(1, len(order)))
+        group, order = order[:k], order[k:]
+        batched = data.draw(st.booleans())
+        for q in data.draw(st.permutations(_QUANTITIES)):
+            vals = (_batched(pc, q, group) if batched
+                    else [getattr(pc, q)(x) for x in group])
+            got.update(((q, x), v) for x, v in zip(group, vals))
+    assert got == want
+
+
+_TIGHT_POWER_HALF = CachedPrefix(PowerTimesOnePlusSin(0.5).eval_many, tol=1e-15)
+
+# (nonlinearity, oracle for F, interval checked)
+_CACHE_ORACLES = {
+    "pure_sine": (PureSine(), lambda s: 1.0 - np.cos(s), (0.0, 60.0)),
+    "power_sin r=1": (PowerTimesOnePlusSin(1.0), _PowerSinPrimitive(1).F_many,
+                      (0.0, 60.0)),
+    "power_sin r=0.5": (PowerTimesOnePlusSin(0.5), _TIGHT_POWER_HALF.F_many,
+                        (1e-4, 30.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_CACHE_ORACLES)),
+       prior=st.lists(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4),
+                      max_size=4),
+       s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(case="power_sin r=0.5", prior=[[1.0]], s=[0.01, 0.0233])
+def test_cached_prefix_matches_oracles_after_any_queries(case, prior, s):
+    """Earlier queries leave a panel cache within the quadrature tolerance
+    of its oracle at every later point (s scaled onto the interval)."""
+    nl, oracle, (lo, hi) = _CACHE_ORACLES[case]
+    cache = CachedPrefix(nl.eval_many, kinks=nl.kink_points)
+    for group in prior:
+        cache.F_many(np.array(group))
+    x = lo + (hi - lo) * np.array(s)
+    got, want = cache.F_many(x), oracle(x)
+    bound = np.maximum(TOL_QUAD * np.maximum(1.0, np.abs(want)), 1e-13)
+    assert np.all(np.abs(got - want) <= bound), (x, got - want)
