@@ -3,21 +3,19 @@
 At Lambda = 1 the extremal operator collapses to the Laplacian, so the two
 integrators must agree; at Lambda = 2 the switched equation bends the
 profile and shifts the first-zero radius.  The demo also prints both
-nonexistence thresholds from the same estimated primitive limits.
+nonexistence thresholds from the same primitive limits: ``Operator`` owns
+the one closed form, with exponent and weight (p, 1) or (2, Lambda).
 
 Run:  python3 demos/operator_comparison.py
 """
 
-import numpy as np
-
 from oscillap import (
     HitZero,
+    LimitEstimate,
+    Operator,
     PowerTimesOnePlusSin,
-    PrimitiveCalculus,
     PucciShootConfig,
     ShootConfig,
-    lambda_under_plap,
-    lambda_under_pucci,
     pucci_inequality_check,
     pucci_shoot,
     shoot,
@@ -35,7 +33,7 @@ for c in (1.0, 3.0, 8.0, 13.0, 20.0):
           f"{bent.outcome.rho:12.7f} {bent.q_sign_changes:9d}")
 
 # the Lambda-weighted decay inequality audited along one trajectory
-pcL = PrimitiveCalculus(nl, p=2.0, Lambda=2.0)
+pcL = Operator.pucci(2.0).calculus(nl)
 res = pucci_shoot(PucciShootConfig(2.0, 2, 8.0, tol_ode=1e-10), nl)
 check = pucci_inequality_check(res, pcL, R=1.0)
 print(f"\nLambda=2, c=8: min inequality slack {check.min_pointwise_slack:.3e} "
@@ -43,9 +41,10 @@ print(f"\nLambda=2, c=8: min inequality slack {check.min_pointwise_slack:.3e} "
 
 # thresholds from the same limits L- = L+ = 1/2 of F(s)/s^2
 Lm = Lp = 0.5
+limits = LimitEstimate(Lm, Lp, window=(), classification="FinitePair")
 print(f"\nlambda_under, R=1, limits ({Lm}, {Lp}):")
-print(f"  p-Laplacian (p=2): {lambda_under_plap(2.0, 1.0, Lm, Lp)}")
+print(f"  p-Laplacian (p=2): {Operator.p_laplacian(2.0).lambda_under(1.0, limits)}")
 for Lam in (1.0, 2.0, 4.0):
-    print(f"  Pucci Lambda={Lam}:    {lambda_under_pucci(Lam, 1.0, Lm, Lp)}")
+    print(f"  Pucci Lambda={Lam}:    {Operator.pucci(Lam).lambda_under(1.0, limits)}")
 print("\nlarger Lambda widens the operator envelope and lowers the bar a"
       "\nsolution must clear, exactly by the 1/Lambda factor in the formula.")

@@ -36,11 +36,6 @@ from .shoot_plap import (
     shoot,
 )
 from .shoot_pucci import PucciShootConfig
-
-# Not called here (both operators scan through ``BifurcationDiagram.scan``);
-# the names stay because perfbench/tracing.py spans them in this module.
-from .shoot_plap import diagram  # noqa: F401
-from .shoot_pucci import pucci_scan  # noqa: F401
 from .thresholds import BallGeometry, Operator, compute_thresholds
 from .variational import (
     Potential,
@@ -336,13 +331,12 @@ class Run:
         op = cfg["operator"]
         if "plap" in op:
             self.operator = Operator.p_laplacian(float(op["plap"]["p"]))
-            shooter = ShootConfig
         else:
             self.operator = Operator.pucci(float(op["pucci"]["Lambda"]))
-            shooter = PucciShootConfig
-        #: the operator's shot config at unit height and default controls;
-        #: its ``calculus`` gives the run's primitives
-        self.shooter = shooter(self.operator.parameter, self.N, 1.0)
+        #: the operator's shot config at unit height and default controls
+        self.shooter = (ShootConfig if self.operator.kind == "p_laplacian"
+                        else PucciShootConfig)(self.operator.parameter,
+                                               self.N, 1.0)
 
         tol = cfg.get("tolerances", {})
         self.tol_ode = float(tol.get("tol_ode", 1e-8))
@@ -404,7 +398,7 @@ class Run:
 def cmd_analyze(run: Run) -> int:
     # both operators' thresholds: the one the config did not choose is
     # taken at p = 2 or Lambda = 1, where the two coincide
-    pc = run.shooter.calculus(run.nl)
+    pc = run.operator.calculus(run.nl)
     plap = (run.operator if run.operator.kind == "p_laplacian"
             else Operator.p_laplacian(2.0))
     pucci = run.operator if run.operator.kind == "pucci" else Operator.pucci(1.0)
@@ -486,7 +480,7 @@ def _shoot(run: Run, kind: str, wrong_operator: str) -> int:
     extra = {"kind": out.kind, **dataclasses.asdict(out)}
     if isinstance(out, HitZero):
         extra["diagnostics"] = dataclasses.asdict(
-            cfg.audit(res, cfg.calculus(run.nl), run.R))
+            cfg.audit(res, run.operator.calculus(run.nl), run.R))
     _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
     print(f"trajectory.json: outcome={out.kind}")
     return EXIT_OK
@@ -573,7 +567,7 @@ def cmd_minimize(run: Run) -> int:
     cells = int(sec.get("grid_cells", 200))
     grading = float(sec.get("grading", 2.0))
     p = run.operator.parameter
-    pc = run.shooter.calculus(run.nl)
+    pc = run.operator.calculus(run.nl)
     zeros = find_zeros(run.nl, max(K + 1, run.zeros_count))
     report = compute_thresholds(pc, BallGeometry(run.N, run.R),
                                 run.nl.direction, count=max(K, 4),
@@ -628,7 +622,7 @@ def _read_diagram_csv(path: str) -> List[dict]:
 
 
 def cmd_certify(run: Run) -> int:
-    limits = run.shooter.calculus(run.nl).estimate_limits(
+    limits = run.operator.calculus(run.nl).estimate_limits(
         which=run.operator.which, direction=run.nl.direction)
     under = run.operator.lambda_under(run.R, limits)
     cert = {

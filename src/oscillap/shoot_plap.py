@@ -7,13 +7,15 @@ the problem on the radius-R ball with lambda = (rho/R)^e, e the operator's
 rescaling exponent.  A scan over c yields the bifurcation diagram lambda(c)
 whose level sets are the solutions at a given parameter.
 
-One shooting path serves both radial operators.  A shot config is the
-operator: ``ShootConfig`` here for the p-Laplacian, ``PucciShootConfig``
-in ``shoot_pucci`` for the maximal Pucci operator.  Each supplies its
-origin series, its scalar and batched right-hand sides, its events with
-their end-or-restart rules, its w -> v' map and rescaling exponent, and its
-weighted Fbar, per-solution bound and audit; ``shoot``, ``shoot_batch``,
-the diagram rows, the CSV and the lambda-star refinement are shared.
+One shooting path serves both radial operators.  A shot config holds
+one operator's ODE: ``ShootConfig`` here for the p-Laplacian,
+``PucciShootConfig`` in ``shoot_pucci`` for the maximal Pucci operator.
+Each supplies its origin series, its scalar and batched right-hand sides,
+its events with their end-or-restart rules, its w -> v' map and its
+audit, and names its ``thresholds.Operator``, which owns the rest (the
+rescaling exponent, the primitives and the per-solution bound);
+``shoot``, ``shoot_batch``, the diagram rows, the CSV and the lambda-star
+refinement are shared.
 
 The p-Laplacian state is (v, w, z) with w = |v'|^{p-2} v' the flux (the
 equation is smooth in w even where the operator degenerates at v' = 0)
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity, ZeroSequence
 from .primitives import PrimitiveCalculus
-from .thresholds import bound_from_Fbar
+from .thresholds import Operator
 
 if TYPE_CHECKING:
     from .shoot_pucci import PucciDiagnostics, PucciShootConfig
@@ -87,15 +89,12 @@ class ShootConfig:
     reports_switches: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise DomainError(f"exponent must exceed 1, got {self.p!r}")
+        Operator.p_laplacian(self.p)   # validates p
         _check_controls(self)
 
     @property
-    def exponent(self) -> float:
-        """Rescaling exponent: lambda on the radius-R ball is
-        lambda_shoot (rho/R)^exponent."""
-        return self.p
+    def operator(self) -> Operator:
+        return Operator.p_laplacian(self.p)
 
     def series_start(self, fc: float):
         """(r0, (v, w, z) at r0, error scales) of a shot with f(c) = fc.
@@ -158,16 +157,9 @@ class ShootConfig:
                      Event(lambda t, y: y[1], direction=0,
                            ends=lambda t, y: f_of(y[0]) <= 0.0)]
 
-    def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
-        return PrimitiveCalculus(nl, p=self.p)
-
-    def primitives_at(self, pc: PrimitiveCalculus, c: float,
-                      R: float) -> HeightPrimitives:
-        return _plap_at(pc, c, self.p, R)
-
     def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
               at: Optional[HeightPrimitives] = None) -> Diagnostics:
-        return check_necessary_conditions(res, pc, self.p, R, at)
+        return check_necessary_conditions(res, pc, R, at)
 
 
 @dataclass(frozen=True)
@@ -213,9 +205,10 @@ class Diagnostics:
 
 class HeightPrimitives(NamedTuple):
     """What a diagram row and its audit take from the primitives at one
-    height c: F(c), the operator's Fbar(c) and per-solution bound (nan
-    where Fbar(c) <= 0), and its own primitive G (F, or F_Lambda for
-    Pucci) at c with the max of G on [0, c]."""
+    height c: F(c), the operator's own primitive G (``Operator.which``: F,
+    or F_Lambda for Pucci) at c with its range Gbar(c) and its max Gmax on
+    [0, c], and the operator's per-solution bound (nan where Gbar(c) <= 0).
+    ``Fbar`` is Gbar, by the name the diagram rows give it."""
 
     F: float
     Fbar: float
@@ -223,29 +216,20 @@ class HeightPrimitives(NamedTuple):
     G: float
     Gmax: float
 
-
-def _height_primitives(c: float, F: float, Fbar: float, G: float,
-                       Gmax: float, bound, param: float,
-                       R: float) -> HeightPrimitives:
-    """``HeightPrimitives`` at c from the operator's values there;
-    ``bound(c, Fbar, param, R)`` is its per-solution bound formula."""
-    if not R > 0.0:
-        raise DomainError(f"radius must be positive, got {R!r}")
-    if not c > 0.0:
-        raise DomainError(f"height must be positive, got {c!r}")
-    try:
-        b = bound(c, Fbar, param, R)
-    except NonpositiveFbar:
-        b = math.nan
-    return HeightPrimitives(F, Fbar, b, G, Gmax)
-
-
-def _plap_at(pc: PrimitiveCalculus, c: float, p: float,
-             R: float) -> HeightPrimitives:
-    """p-Laplacian ``HeightPrimitives`` at c, from F and its extrema."""
-    F = pc.F(c)
-    lo, hi = pc.extrema(c)
-    return _height_primitives(c, F, F - lo, F, hi, bound_from_Fbar, p, R)
+    @classmethod
+    def at(cls, op: Operator, pc: PrimitiveCalculus, c: float,
+           R: float) -> HeightPrimitives:
+        """The primitives of ``op`` at height c on the radius-R ball."""
+        F = pc.F(c)
+        if op.which == "F":
+            G, (lo, hi) = F, pc.extrema(c)
+        else:
+            G, (lo, hi) = pc.F_Lambda(c), pc.extrema_Lambda(c)
+        try:
+            b = op.bound(c, G - lo, R)
+        except NonpositiveFbar:
+            b = math.nan
+        return cls(F, G - lo, b, G, hi)
 
 
 @dataclass
@@ -382,18 +366,19 @@ def _shots(cfg, heights: Sequence[float],
                       int(res.restarts[j]))
 
 
-def rescale_to_ball(res: ShootResult, R: float, p: float) -> float:
+def rescale_to_ball(res: ShootResult, R: float) -> float:
     """Parameter on the radius-R ball for this trajectory's profile.
 
     The rescaled profile u(r) = v(rho r / R) keeps the same maximum c and
-    solves the problem at lambda = lambda_shoot * (rho/R)^p, with p the
-    operator's rescaling exponent (``res.config.exponent``).
+    solves the problem at lambda = lambda_shoot * (rho/R)^e, with e the
+    operator's rescaling exponent (``res.config.operator.exponent``).
     """
     if not isinstance(res.outcome, HitZero):
         raise NotAZeroHit(f"cannot rescale a {res.outcome.kind} trajectory")
     if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R!r}")
-    lam = res.config.lambda_shoot * (res.outcome.rho / R) ** p
+    e = res.config.operator.exponent
+    lam = res.config.lambda_shoot * (res.outcome.rho / R) ** e
     res.lambda_rescaled = lam
     return lam
 
@@ -426,7 +411,7 @@ def _sign_and_area_ok(Gc: float, Gmax: float) -> Tuple[bool, bool]:
 
 
 def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
-                               p: float, R: float,
+                               R: float,
                                at: Optional[HeightPrimitives] = None
                                ) -> Diagnostics:
     """Audit a zero-hitting trajectory against the solvability conditions.
@@ -436,12 +421,12 @@ def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
     per-solution lower bound on the rescaled lambda.  ``at`` holds the
     primitives at the trajectory's height when the caller has them.
     """
-    lam = rescale_to_ball(res, R, p)
-    c = res.config.c
+    lam = rescale_to_ball(res, R)
+    op, c = res.config.operator, res.config.c
     if at is None:
-        at = _plap_at(pc, c, p, R)
+        at = HeightPrimitives.at(op, pc, c, R)
     sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
-    slack = lam - bound_from_Fbar(c, at.Fbar, p, R)
+    slack = lam - op.bound(c, at.Fbar, R)
     energy = energy_residual(res, pc, at.F)
     d = Diagnostics(energy, sign_ok, area_ok, float(slack))
     res.diagnostics = d
@@ -531,7 +516,7 @@ class BifurcationDiagram:
         if len(c_grid) == 0:
             raise EmptyGrid("a scan needs at least one height")
         if pc is None:
-            pc = op.calculus(nl)
+            pc = op.operator.calculus(nl)
         heights = [float(c) for c in c_grid]
         rows = tuple(_diagram_row(c, res, op, pc, zeros, R)
                      for c, res in zip(heights, _shots(op, heights, nl)))
@@ -555,7 +540,7 @@ class BifurcationDiagram:
     def _lambdas(self, heights: Sequence[float]) -> np.ndarray:
         """lambda on the ball at each height from one batch; nan without a zero."""
         return np.array([
-            rescale_to_ball(res, self.R, self.op.exponent)
+            rescale_to_ball(res, self.R)
             if res is not None and isinstance(res.outcome, HitZero) else math.nan
             for res in _shots(self.op, heights, self.nl)])
 
@@ -694,7 +679,7 @@ class BifurcationDiagram:
                 c, _, lam = min(shots, key=lambda x: abs(x[1]))
                 if b.update(shots, REFINE_RTOL):
                     rho = self.R * (lam / self.op.lambda_shoot) ** (
-                        1.0 / self.op.exponent)
+                        1.0 / self.op.operator.exponent)
                     found[k].append(Crossing(float(c), float(lam), float(rho),
                                              self.zeros.interval_index(float(c)),
                                              levels[k]))
@@ -815,7 +800,7 @@ def _diagram_row(c: float, res: Optional[ShootResult], op,
                  pc: PrimitiveCalculus, zeros: ZeroSequence,
                  R: float) -> DiagramRow:
     """CSV row of one height from its shot (None where f(c) = 0)."""
-    at = op.primitives_at(pc, c, R)
+    at = HeightPrimitives.at(op.operator, pc, c, R)
     idx = zeros.interval_index(c)
     switches = (0 if res is None else res.q_sign_changes) \
         if op.reports_switches else None

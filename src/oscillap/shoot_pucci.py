@@ -17,48 +17,40 @@ Decay is structural here: trajectories whose v' returns to zero at a
 positive height are classified Bounced outright (the radial solutions
 this equation models decay strictly until their first zero).
 
-This module holds only what is Pucci-specific: the operator config (its
+This module holds only what is Pucci-specific: the shot config (its
 switched right-hand side, origin series and events), its diagnostics and
 the inequality audit.  Shots, batches, scans, rows and CSV run on the
-shared path of ``shoot_plap``; the ``pucci_*`` names are that path's.
+shared path of ``shoot_plap``, and ``thresholds.Operator`` owns the
+rescaling exponent, the weighted primitives and the per-solution bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-# ``integrate`` is not called here (the shared ``shoot`` integrates); the
-# name stays because perfbench/tracing.py spans it in this module.
-from ._rk import Event, integrate  # noqa: F401
-from .errors import DomainError
-from .nonlinearity import Nonlinearity, ZeroSequence
+from ._rk import Event
+from .nonlinearity import Nonlinearity
 from .primitives import PrimitiveCalculus
 from .shoot_plap import (
-    CSV_COLUMNS,
-    BifurcationDiagram,
-    DiagramRow,
     HeightPrimitives,
     ShootResult,
     _check_controls,
-    _csv_lines,
-    _height_primitives,
     _sign_and_area_ok,
     rescale_to_ball,
     shoot,
-    shoot_batch,
 )
-from .thresholds import pucci_bound_from_Fbar
+from .thresholds import Operator
 
 
 @dataclass(frozen=True)
 class PucciShootConfig:
     """One radial Pucci shot: ellipticity ratio, height, and controls.
 
-    The operator object of the shared shooting path (see ``shoot_plap``).
+    The Pucci shot config of the shared shooting path (see ``shoot_plap``).
     """
 
     Lambda: float
@@ -73,14 +65,14 @@ class PucciShootConfig:
     max_restarts: ClassVar[int] = 10_000
     #: whether results and rows report the restarts as q sign changes
     reports_switches: ClassVar[bool] = True
-    #: the operator is positively 1-homogeneous in the Hessian, so the
-    #: rescaling exponent is 2 regardless of Lambda
-    exponent: ClassVar[float] = 2.0
 
     def __post_init__(self):
-        if not self.Lambda >= 1.0:
-            raise DomainError(f"ellipticity ratio must be >= 1, got {self.Lambda!r}")
+        Operator.pucci(self.Lambda)   # validates Lambda
         _check_controls(self)
+
+    @property
+    def operator(self) -> Operator:
+        return Operator.pucci(self.Lambda)
 
     def series_start(self, fc: float):
         """(r0, (v, v') at r0, error scales) of a shot with f(c) = fc.
@@ -138,13 +130,6 @@ class PucciShootConfig:
             events.append(Event(qval, direction=0, ends=False))  # diffusion switch
         return rhs, events
 
-    def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
-        return PrimitiveCalculus(nl, p=2.0, Lambda=self.Lambda)
-
-    def primitives_at(self, pc: PrimitiveCalculus, c: float,
-                      R: float) -> HeightPrimitives:
-        return _pucci_at(pc, c, self.Lambda, R)
-
     def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
               at: Optional[HeightPrimitives] = None) -> PucciDiagnostics:
         return pucci_inequality_check(res, pc, R=R, at=at)
@@ -166,25 +151,9 @@ class PucciDiagnostics:
         return self.residual_max
 
 
-#: ``shoot`` and ``shoot_batch`` run either operator; these are their
-#: names for a ``PucciShootConfig``
+#: ``shoot`` runs either operator; this is its name for a
+#: ``PucciShootConfig``
 pucci_shoot = shoot
-pucci_shoot_batch = shoot_batch
-
-
-def pucci_rescale(res: ShootResult, R: float) -> float:
-    """Parameter on the radius-R ball: dilation scales lambda by (rho/R)^2."""
-    return rescale_to_ball(res, R, res.config.exponent)
-
-
-def _pucci_at(pc: PrimitiveCalculus, c: float, Lambda: float,
-              R: float) -> HeightPrimitives:
-    """Pucci ``HeightPrimitives`` at c: F, and F_Lambda with its extrema."""
-    F = pc.F(c)
-    lo, hi = pc.extrema_Lambda(c)
-    G = pc.F_Lambda(c)
-    return _height_primitives(c, F, G - lo, G, hi, pucci_bound_from_Fbar,
-                              Lambda, R)
 
 
 def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
@@ -204,9 +173,9 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
     """
     lam = res.config.lambda_shoot
     Lam = res.config.Lambda
-    c = res.config.c
+    op, c = res.config.operator, res.config.c
     if at is None:
-        at = _pucci_at(pc, c, Lam, R)
+        at = HeightPrimitives.at(op, pc, c, R)
     v = np.clip(res.v, 0.0, None)
     lhs = res.vp ** 2 / (2.0 * Lam)
     rhs = lam * (at.G - pc.F_Lambda_many(v))
@@ -214,30 +183,9 @@ def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
     min_slack = float(slack.min())
     residual = float(np.max(np.maximum(0.0, -slack) / (1.0 + np.abs(rhs))))
 
-    lam_R = pucci_rescale(res, R)
-    bound_slack = lam_R - pucci_bound_from_Fbar(c, at.Fbar, Lam, R)
+    bound_slack = rescale_to_ball(res, R) - op.bound(c, at.Fbar, R)
     sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
     d = PucciDiagnostics(min_slack, residual, float(bound_slack),
                          sign_ok, area_ok)
     res.diagnostics = d
     return d
-
-
-PUCCI_CSV_COLUMNS = CSV_COLUMNS + ("q_sign_changes",)
-
-
-def pucci_scan(nl: Nonlinearity, Lambda: float, N: int, R: float,
-               c_grid: Sequence[float], zeros: ZeroSequence,
-               pc: Optional[PrimitiveCalculus] = None,
-               lambda_shoot: float = 1.0, tol_ode: float = 1e-8,
-               event_tol: float = 1e-10,
-               r_max: float = 50.0) -> List[DiagramRow]:
-    """Rows of the Pucci ``BifurcationDiagram.scan`` of the grid."""
-    op = PucciShootConfig(Lambda, N, 1.0, lambda_shoot=lambda_shoot,
-                          r_max=r_max, tol_ode=tol_ode, event_tol=event_tol)
-    return list(BifurcationDiagram.scan(op, nl, R, c_grid, zeros, pc).rows)
-
-
-def pucci_csv_lines(rows: Sequence[DiagramRow]) -> List[str]:
-    """``diagram_csv_lines`` of Pucci rows, with the q_sign_changes column."""
-    return _csv_lines(rows, True)

@@ -86,9 +86,12 @@ class BallGeometry:
 class Operator:
     """Which radial operator the thresholds refer to.
 
-    It owns the threshold rules that depend on the operator: the primitive
-    its limits use (``which``) and its nonexistence threshold and formula
-    (``lambda_under``, ``under_formula``).
+    It owns everything outside the ODE that tells the two operators apart:
+    the rescaling exponent e and the weight w (``exponent``, ``weight``:
+    (p, 1) for the p-Laplacian, (2, Lambda) for Pucci), the primitive G its
+    limits use (``which``: F, or F_Lambda), the primitives themselves
+    (``calculus``), and the two closed forms the nonexistence argument
+    gives in (e, w, G): ``lambda_under`` and the per-solution ``bound``.
     """
 
     kind: str        # "p_laplacian" or "pucci"
@@ -115,10 +118,26 @@ class Operator:
         return {"kind": self.kind, key: self.parameter}
 
     @property
+    def exponent(self) -> float:
+        """Rescaling exponent e: lambda on the radius-R ball is
+        lambda_shoot (rho/R)^e.  Pucci is positively 1-homogeneous in the
+        Hessian, so its e is 2 whatever Lambda."""
+        return self.parameter if self.kind == "p_laplacian" else 2.0
+
+    @property
+    def weight(self) -> float:
+        """Weight w of the closed forms: 1, or Lambda for Pucci."""
+        return 1.0 if self.kind == "p_laplacian" else self.parameter
+
+    @property
     def which(self) -> str:
-        """The primitive behind its limits and existence sequence: the
-        plain ``"F"`` or the sign-weighted ``"F_Lambda"``."""
+        """The primitive G behind its limits, existence sequence and bound:
+        the plain ``"F"`` or the sign-weighted ``"F_Lambda"``."""
         return "F" if self.kind == "p_laplacian" else "F_Lambda"
+
+    def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
+        """The primitives of ``nl`` for this operator's e and w."""
+        return PrimitiveCalculus(nl, p=self.exponent, Lambda=self.weight)
 
     @property
     def under_formula(self) -> str:
@@ -129,18 +148,40 @@ class Operator:
 
     def lambda_under(self, R: float, limits: LimitEstimate) -> float:
         """Nonexistence threshold on the radius-R ball from the limits of
-        its primitive (``which``): the closed form for a finite pair, inf
-        when both limits vanish, and 0 when a limit diverges (no window
-        is certified)."""
+        G(s)/s^e (G = ``which``): below (e-1)/(e w R^e (L_plus - min(0,
+        L_minus))) no positive radial solution exists.  inf when both
+        limits vanish or the limsup is negative (no positive solution for
+        any parameter), and 0 when a limit diverges (no window is
+        certified)."""
         if limits.classification == "BothZero":
             return math.inf
         if limits.classification != "FinitePair":
             return 0.0
-        if self.kind == "p_laplacian":
-            return lambda_under_plap(self.parameter, R, limits.L_minus,
-                                     limits.L_plus)
-        return lambda_under_pucci(self.parameter, R, limits.L_minus,
-                                  limits.L_plus)
+        if not R > 0.0:
+            raise DomainError(f"radius must be positive, got {R!r}")
+        L_minus, L_plus = limits.L_minus, limits.L_plus
+        if not (math.isfinite(L_minus) and math.isfinite(L_plus)):
+            raise DomainError(
+                f"closed-form threshold needs finite limits, got ({L_minus!r}, {L_plus!r})")
+        if L_plus < 0.0 or (L_minus == 0.0 and L_plus == 0.0):
+            return math.inf
+        e = self.exponent
+        return (e - 1.0) / (e * self.weight * R ** e * (L_plus - min(0.0, L_minus)))
+
+    def bound(self, c: float, Gbar: float, R: float) -> float:
+        """Per-solution bound: a radial solution of max height c on the
+        radius-R ball has lambda >= (e-1) c^e / (e w R^e Gbar), with
+        Gbar = Gbar(c) the range of G on [0, c] (``PrimitiveCalculus.Fbar``
+        or ``Fbar_Lambda``).  Raises NonpositiveFbar when Gbar <= 0."""
+        if not c > 0.0:
+            raise DomainError(f"height must be positive, got {c!r}")
+        if not R > 0.0:
+            raise DomainError(f"radius must be positive, got {R!r}")
+        if not Gbar > 0.0:
+            raise NonpositiveFbar(
+                f"range of {self.which} at height {c!r} is {Gbar!r}; no finite bound")
+        e = self.exponent
+        return (e - 1.0) * c ** e / (e * self.weight * R ** e * Gbar)
 
 
 class ThresholdRow(NamedTuple):
@@ -158,51 +199,6 @@ class ReducedNonlinearity(NamedTuple):
 
     nl: Nonlinearity
     applied: bool
-
-
-def _check_limits(L_minus: float, L_plus: float) -> None:
-    if math.isnan(L_minus) or math.isnan(L_plus):
-        raise DomainError("limit estimates must not be NaN")
-    if not (math.isfinite(L_minus) and math.isfinite(L_plus)):
-        raise DomainError(
-            f"closed-form threshold needs finite limits, got ({L_minus!r}, {L_plus!r})")
-    if L_minus > L_plus:
-        raise DomainError(
-            f"liminf exceeds limsup: {L_minus!r} > {L_plus!r}")
-
-
-def lambda_under_plap(p: float, R: float, L_minus: float, L_plus: float) -> float:
-    """Nonexistence threshold for the p-Laplacian on a ball of radius R.
-
-    Below the returned value no positive radial solution exists.  Returns
-    ``inf`` in the degenerate cases (limsup negative, or both limits zero)
-    where no positive solution exists for any parameter.
-    """
-    if not (p > 1.0):
-        raise DomainError(f"exponent must exceed 1, got {p!r}")
-    if not (R > 0.0):
-        raise DomainError(f"radius must be positive, got {R!r}")
-    _check_limits(L_minus, L_plus)
-    if L_plus < 0.0 or (L_minus == 0.0 and L_plus == 0.0):
-        return math.inf
-    return (p - 1.0) / (p * R ** p * (L_plus - min(0.0, L_minus)))
-
-
-def lambda_under_pucci(Lambda: float, R: float, L_minus_L: float,
-                       L_plus_L: float) -> float:
-    """Nonexistence threshold for the maximal Pucci operator on a ball.
-
-    The limits are those of the sign-weighted primitive F_Lambda(s)/s^2.
-    At Lambda = 1 this coincides with ``lambda_under_plap`` at p = 2.
-    """
-    if not (Lambda >= 1.0):
-        raise DomainError(f"ellipticity ratio must be >= 1, got {Lambda!r}")
-    if not (R > 0.0):
-        raise DomainError(f"radius must be positive, got {R!r}")
-    _check_limits(L_minus_L, L_plus_L)
-    if L_plus_L < 0.0 or (L_minus_L == 0.0 and L_plus_L == 0.0):
-        return math.inf
-    return 1.0 / (2.0 * Lambda * R ** 2 * (L_plus_L - min(0.0, L_minus_L)))
 
 
 def _kappa(M: float, ell: str) -> float:
@@ -288,51 +284,6 @@ def lambda_bar_estimate(rows: Sequence[ThresholdRow]) -> Tuple[float, bool]:
     tol = 1e-12 * np.abs(lams[:-1])
     monotone = bool(len(d) == 0 or np.all(d >= -tol) or np.all(d <= tol))
     return bar, monotone
-
-
-def per_solution_lower_bound(pc: PrimitiveCalculus, c: float, p: float,
-                             R: float) -> float:
-    """Bound every radial solution of max height c must satisfy.
-
-    A p-Laplacian solution with max height c on the ball of radius R forces
-    lambda >= (p-1) c^p / (p R^p Fbar(c)); diagrams are audited against it.
-    """
-    if not (c > 0.0):
-        raise DomainError(f"height must be positive, got {c!r}")
-    if not (p > 1.0):
-        raise DomainError(f"exponent must exceed 1, got {p!r}")
-    if not (R > 0.0):
-        raise DomainError(f"radius must be positive, got {R!r}")
-    return bound_from_Fbar(c, pc.Fbar(c), p, R)
-
-
-def bound_from_Fbar(c: float, fb: float, p: float, R: float) -> float:
-    """``per_solution_lower_bound`` at height c from Fbar(c) = fb."""
-    if not fb > 0.0:
-        raise NonpositiveFbar(
-            f"primitive range at height {c!r} is {fb!r}; no finite bound")
-    return (p - 1.0) * c ** p / (p * R ** p * fb)
-
-
-def pucci_per_solution_lower_bound(pc: PrimitiveCalculus, c: float,
-                                   Lambda: float, R: float) -> float:
-    """Pucci analogue: lambda >= c^2 / (2 Lambda R^2 Fbar_Lambda(c))."""
-    if not (c > 0.0):
-        raise DomainError(f"height must be positive, got {c!r}")
-    if not (Lambda >= 1.0):
-        raise DomainError(f"ellipticity ratio must be >= 1, got {Lambda!r}")
-    if not (R > 0.0):
-        raise DomainError(f"radius must be positive, got {R!r}")
-    return pucci_bound_from_Fbar(c, pc.Fbar_Lambda(c), Lambda, R)
-
-
-def pucci_bound_from_Fbar(c: float, fb: float, Lambda: float,
-                          R: float) -> float:
-    """``pucci_per_solution_lower_bound`` at height c from Fbar_Lambda(c) = fb."""
-    if not fb > 0.0:
-        raise NonpositiveFbar(
-            f"weighted primitive range at height {c!r} is {fb!r}; no finite bound")
-    return c * c / (2.0 * Lambda * R ** 2 * fb)
 
 
 def reduce_negative_f0(nl: Nonlinearity) -> ReducedNonlinearity:
@@ -559,21 +510,17 @@ def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
     ``gammas`` defaults to maximizers of Fbar(s)/s^p between the first
     ``count + 1`` zeros of f; ``M`` defaults to the sampled dip constant.
     ``operator`` defaults to the p-Laplacian of ``pc.p`` and gives
-    lambda_under (``Operator.lambda_under``); a p-Laplacian of another
-    exponent is refused, and so is a Pucci operator unless ``pc`` has
-    p = 2 and the operator's Lambda (its weighted primitive F_Lambda).
+    lambda_under (``Operator.lambda_under``); it is refused unless ``pc``
+    has its exponent, and for Pucci its weight (``Operator.calculus``).
     """
     if operator is None:
         operator = Operator.p_laplacian(pc.p)
-    if operator.kind == "p_laplacian" and operator.parameter != pc.p:
+    if pc.p != operator.exponent or (operator.which == "F_Lambda"
+                                     and pc.Lambda != operator.weight):
         raise DomainError(
-            f"operator exponent {operator.parameter!r} differs from the "
-            f"primitives' p = {pc.p!r}")
-    if operator.kind == "pucci" and (pc.p, pc.Lambda) != (2.0, operator.parameter):
-        raise DomainError(
-            f"Pucci operator with Lambda = {operator.parameter!r} needs "
-            f"primitives with p = 2 and that Lambda, got p = {pc.p!r}, "
-            f"Lambda = {pc.Lambda!r}")
+            f"operator {operator.to_json()} needs primitives with p = "
+            f"{operator.exponent!r} (and Lambda = {operator.weight!r} for "
+            f"F_Lambda), got p = {pc.p!r}, Lambda = {pc.Lambda!r}")
 
     limits = pc.estimate_limits(which=operator.which, direction=direction)
     under = operator.lambda_under(geom.R, limits)

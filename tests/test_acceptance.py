@@ -17,6 +17,7 @@ from oscillap import (
     EnvelopeTimesOnePlusSin,
     GridFunction,
     HitZero,
+    LimitEstimate,
     Operator,
     Potential,
     PowerTimesOnePlusSin,
@@ -34,8 +35,6 @@ from oscillap import (
     energy_gradient,
     find_zeros,
     lambda_n_sequence,
-    lambda_under_plap,
-    lambda_under_pucci,
     minimize,
     negativity_test,
     propose_gammas,
@@ -132,7 +131,8 @@ def test_criterion_4_nonexistence_threshold_respected(nonexistence_scan):
     """With both primitive limits 1/2 the threshold formula gives exactly 1,
     and every solution on [10, 1e4] sits above it and above the
     per-solution bound (p-1) c^p / (p R^p Fbar(c))."""
-    assert lambda_under_plap(2.0, 1.0, 0.5, 0.5) == 1.0
+    halves = LimitEstimate(0.5, 0.5, (1.0, 10.0), "FinitePair")
+    assert Operator.p_laplacian(2.0).lambda_under(1.0, halves) == 1.0
 
     pc, diag = nonexistence_scan
     hits = [r for r in diag.rows if r.outcome == "HitZero"]
@@ -188,8 +188,9 @@ def test_criterion_6_pucci_consistency():
     # threshold formulas coincide exactly at Lambda = 1, p = 2
     for R, Lm, Lp in [(1.0, 0.5, 0.5), (2.0, 0.5, 0.5),
                       (1.0, -0.25, 0.75), (3.0, 0.0, 2.0)]:
-        assert lambda_under_pucci(1.0, R, Lm, Lp) == \
-            lambda_under_plap(2.0, R, Lm, Lp)
+        limits = LimitEstimate(Lm, Lp, (1.0, 10.0), "FinitePair")
+        assert Operator.pucci(1.0).lambda_under(R, limits) == \
+            Operator.p_laplacian(2.0).lambda_under(R, limits)
 
 
 def test_criterion_7_variational_mechanism():
@@ -220,7 +221,7 @@ def test_criterion_7_variational_mechanism():
 
     # the minimizer's height shot back through the ODE recovers lambda
     bridge = shoot(ShootConfig(2.0, 1, res.u.sup_norm, tol_ode=1e-10), NL)
-    lam_hat = rescale_to_ball(bridge, 1.0, 2.0)
+    lam_hat = rescale_to_ball(bridge, 1.0)
     assert abs(lam_hat - lam) <= 0.02 * lam
 
 

@@ -42,12 +42,7 @@ from oscillap.shoot_plap import (
     shoot,
     shoot_batch,
 )
-from oscillap.shoot_pucci import (
-    PucciShootConfig,
-    pucci_scan,
-    pucci_shoot,
-    pucci_shoot_batch,
-)
+from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
 
 CANONICAL = PowerTimesOnePlusSin(1.0)
 CANONICAL_ZEROS = find_zeros(CANONICAL, 6)
@@ -141,7 +136,7 @@ def _scalar_lambda(cfg, nl, R=1.0):
     except StalledAtCriticalPoint:
         return None
     if isinstance(res.outcome, HitZero):
-        return res.outcome.kind, rescale_to_ball(res, R, cfg.p)
+        return res.outcome.kind, rescale_to_ball(res, R)
     return res.outcome.kind, math.nan
 
 
@@ -213,7 +208,7 @@ def test_batched_rows_match_scalar_through_bounces():
 def test_pucci_batch_matches_scalar_shots():
     heights = np.linspace(0.5, 30.0, 23)
     cfg = PucciShootConfig(2.0, 2, 1.0, tol_ode=TOL_ODE)
-    for c, res in zip(heights, pucci_shoot_batch(cfg, heights, CANONICAL)):
+    for c, res in zip(heights, shoot_batch(cfg, heights, CANONICAL)):
         ref = pucci_shoot(PucciShootConfig(2.0, 2, float(c), tol_ode=TOL_ODE),
                           CANONICAL)
         assert res.outcome.kind == ref.outcome.kind
@@ -228,8 +223,9 @@ def test_pucci_at_unit_ellipticity_matches_laplacian_batch(N, heights):
     heights = [c for c in heights if _away_from(CANONICAL_ZEROS.alphas)(c)]
     if not heights:
         return
-    pucci = pucci_scan(CANONICAL, 1.0, N, 1.0, heights, CANONICAL_ZEROS,
-                       tol_ode=TOL_ODE)
+    pucci = BifurcationDiagram.scan(
+        PucciShootConfig(1.0, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10),
+        CANONICAL, 1.0, heights, CANONICAL_ZEROS).rows
     plap = diagram(CANONICAL, 2.0, N, 1.0, heights, CANONICAL_ZEROS,
                    tol_ode=TOL_ODE).rows
     for a, b in zip(pucci, plap):

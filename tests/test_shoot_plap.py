@@ -56,7 +56,7 @@ def test_linear_first_zero_and_profile():
 
 def test_linear_eigenvalue_on_unit_ball():
     res = shoot(ShootConfig(2.0, 1, 2.5, tol_ode=1e-10), LINEAR)
-    lam = rescale_to_ball(res, 1.0, 2.0)
+    lam = rescale_to_ball(res, 1.0)
     assert abs(lam - math.pi ** 2 / 4) <= 1e-9 * math.pi ** 2
     assert res.lambda_rescaled == lam
 
@@ -84,18 +84,18 @@ def test_degenerate_diffusion_constant_source():
 def test_rescale_exponent_and_identity():
     res = shoot(ShootConfig(3.0, 1, 1.0, tol_ode=1e-10), CONSTANT)
     rho = res.outcome.rho
-    assert rescale_to_ball(res, rho, 3.0) == pytest.approx(1.0, rel=1e-12)
+    assert rescale_to_ball(res, rho) == pytest.approx(1.0, rel=1e-12)
     # halving the ball radius scales lambda by 2^p
-    assert rescale_to_ball(res, rho / 2.0, 3.0) == pytest.approx(8.0, rel=1e-12)
+    assert rescale_to_ball(res, rho / 2.0) == pytest.approx(8.0, rel=1e-12)
     with pytest.raises(DomainError):
-        rescale_to_ball(res, -1.0, 3.0)
+        rescale_to_ball(res, -1.0)
 
 
 def test_rescale_rejects_non_hits():
     res = shoot(ShootConfig(2.0, 1, 4.5, r_max=100.0), PureSine())
     assert isinstance(res.outcome, Bounced)
     with pytest.raises(NotAZeroHit):
-        rescale_to_ball(res, 1.0, 2.0)
+        rescale_to_ball(res, 1.0)
 
 
 def test_stall_at_critical_height():
@@ -147,7 +147,7 @@ def test_energy_residual_flags_corruption(pc_canonical):
 
 def test_necessary_conditions_on_canonical(pc_canonical):
     res = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
-    d = check_necessary_conditions(res, pc_canonical, 2.0, 1.0)
+    d = check_necessary_conditions(res, pc_canonical, 1.0)
     assert d.F_at_max_ok and d.area_condition_ok
     assert d.lower_bound_slack >= -1e-8
     assert d.energy_residual_max <= 1e-8

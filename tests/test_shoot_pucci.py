@@ -14,19 +14,18 @@ from oscillap.nonlinearity import (
 )
 from oscillap.primitives import PrimitiveCalculus
 from oscillap.shoot_plap import (
+    CSV_COLUMNS,
     BifurcationDiagram,
     Bounced,
     HitZero,
     ShootConfig,
+    diagram_csv_lines,
+    rescale_to_ball,
     shoot,
 )
 from oscillap.shoot_pucci import (
-    PUCCI_CSV_COLUMNS,
     PucciShootConfig,
-    pucci_csv_lines,
     pucci_inequality_check,
-    pucci_rescale,
-    pucci_scan,
     pucci_shoot,
 )
 
@@ -64,10 +63,10 @@ def test_ratio_two_parabola():
 def test_rescale_exponent_is_two():
     res = pucci_shoot(PucciShootConfig(2.0, 1, 1.0, tol_ode=1e-10), CONSTANT)
     rho = res.outcome.rho
-    assert pucci_rescale(res, rho) == pytest.approx(1.0, rel=1e-12)
-    assert pucci_rescale(res, rho / 3.0) == pytest.approx(9.0, rel=1e-12)
+    assert rescale_to_ball(res, rho) == pytest.approx(1.0, rel=1e-12)
+    assert rescale_to_ball(res, rho / 3.0) == pytest.approx(9.0, rel=1e-12)
     with pytest.raises(DomainError):
-        pucci_rescale(res, 0.0)
+        rescale_to_ball(res, 0.0)
 
 
 def test_origin_series_positive_f():
@@ -117,7 +116,7 @@ def test_regression_canonical_height_three():
     # frozen from a tol=1e-11 run of the same configuration
     res = pucci_shoot(PucciShootConfig(2.0, 2, 3.0, tol_ode=1e-9), CANONICAL)
     assert res.outcome.rho == pytest.approx(1.3255479888303856, rel=1e-6)
-    assert pucci_rescale(res, 1.0) == pytest.approx(1.75707747069228, rel=1e-6)
+    assert rescale_to_ball(res, 1.0) == pytest.approx(1.75707747069228, rel=1e-6)
 
 
 def test_bounce_and_stall():
@@ -126,7 +125,7 @@ def test_bounce_and_stall():
     assert isinstance(res.outcome, Bounced)
     assert res.outcome.v_turn > 0.0
     with pytest.raises(NotAZeroHit):
-        pucci_rescale(res, 1.0)
+        rescale_to_ball(res, 1.0)
     with pytest.raises(StalledAtCriticalPoint):
         pucci_shoot(PucciShootConfig(1.0, 1, math.pi), PureSine())
 
@@ -134,21 +133,23 @@ def test_bounce_and_stall():
 def test_scan_rows_and_csv():
     zeros = find_zeros(CANONICAL, 4)
     alpha1 = zeros.ascending()[0]
-    rows = pucci_scan(CANONICAL, 2.0, 2, 1.0, [3.0, float(alpha1), 7.0],
-                      zeros, tol_ode=1e-9)
+    op = PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-9, event_tol=1e-10)
+    diag = BifurcationDiagram.scan(op, CANONICAL, 1.0,
+                                   [3.0, float(alpha1), 7.0], zeros)
+    rows = diag.rows
     assert [r.outcome for r in rows] == ["HitZero", "Stalled", "HitZero"]
     assert rows[1].q_sign_changes == 0
     assert rows[0].energy_residual <= 1e-10  # inequality violation, not defect
     assert rows[0].area_ok is True and rows[1].area_ok is None
-    lines = pucci_csv_lines(rows)
-    assert lines[0] == ",".join(PUCCI_CSV_COLUMNS)
-    assert lines[0].endswith("q_sign_changes")
+    lines = diagram_csv_lines(diag)
+    columns = CSV_COLUMNS + ("q_sign_changes",)
+    assert lines[0] == ",".join(columns)
     parts = lines[1].split(",")
-    assert len(parts) == len(PUCCI_CSV_COLUMNS)
+    assert len(parts) == len(columns)
     assert float(parts[3]) == rows[0].lam
-    rows2 = pucci_scan(CANONICAL, 2.0, 2, 1.0, [3.0, float(alpha1), 7.0],
-                       zeros, tol_ode=1e-9)
-    assert pucci_csv_lines(rows2) == lines
+    diag2 = BifurcationDiagram.scan(op, CANONICAL, 1.0,
+                                    [3.0, float(alpha1), 7.0], zeros)
+    assert diagram_csv_lines(diag2) == lines
 
 
 def test_area_condition_uses_weighted_primitive():
@@ -178,7 +179,7 @@ def test_lambda_star_crossings_on_pucci_scan():
         assert len(crossings) >= 5 and not unresolved
         for x in crossings:
             res = pucci_shoot(PucciShootConfig(2.0, 2, x.c, tol_ode=1e-12), CANONICAL)
-            assert pucci_rescale(res, 1.0) == pytest.approx(level, rel=1e-6)
+            assert rescale_to_ball(res, 1.0) == pytest.approx(level, rel=1e-6)
 
 
 def test_config_validation():

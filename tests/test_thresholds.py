@@ -16,11 +16,7 @@ from oscillap.thresholds import (
     estimate_M,
     lambda_bar_estimate,
     lambda_n_sequence,
-    lambda_under_plap,
-    lambda_under_pucci,
-    per_solution_lower_bound,
     propose_gammas,
-    pucci_per_solution_lower_bound,
     reduce_negative_f0,
 )
 
@@ -59,32 +55,75 @@ def test_ball_geometry_validation():
         BallGeometry(1, 1.0).boundary_layer_measure
 
 
+def _pair(L_minus, L_plus):
+    """A finite limit pair as ``estimate_limits`` reports it."""
+    return LimitEstimate(L_minus, L_plus, (1.0, 10.0), "FinitePair")
+
+
 def test_lambda_under_plap_formula_and_degenerate_cases():
-    assert lambda_under_plap(2, 1, 0.5, 0.5) == pytest.approx(1.0, rel=1e-15)
-    assert lambda_under_plap(2, 1, -0.5, -0.3) == math.inf
-    assert lambda_under_plap(3, 2, 0.0, 0.0) == math.inf
+    plap2 = Operator.p_laplacian(2)
+    assert plap2.lambda_under(1, _pair(0.5, 0.5)) == pytest.approx(1.0, rel=1e-15)
+    assert plap2.lambda_under(1, _pair(-0.5, -0.3)) == math.inf
+    assert Operator.p_laplacian(3).lambda_under(2, _pair(0.0, 0.0)) == math.inf
     # negative liminf widens the denominator
-    assert lambda_under_plap(2, 1, -0.5, 0.5) == pytest.approx(0.5, rel=1e-15)
+    assert plap2.lambda_under(1, _pair(-0.5, 0.5)) == pytest.approx(0.5, rel=1e-15)
     with pytest.raises(DomainError):
-        lambda_under_plap(2, 1, 0.7, 0.5)
+        plap2.lambda_under(1, _pair(0.7, 0.5))
     with pytest.raises(DomainError):
-        lambda_under_plap(2, 1, 0.5, math.inf)
+        plap2.lambda_under(1, _pair(0.5, math.inf))
     with pytest.raises(DomainError):
-        lambda_under_plap(1.0, 1, 0.4, 0.5)
+        Operator.p_laplacian(1.0).lambda_under(1, _pair(0.4, 0.5))
 
 
 def test_lambda_under_pucci_formula():
-    assert lambda_under_pucci(1, 1, 0.5, 0.5) == pytest.approx(1.0, rel=1e-15)
-    assert lambda_under_pucci(2, 1, 0.0, 1.0) == pytest.approx(0.25, rel=1e-15)
-    assert lambda_under_pucci(2, 1, -0.1, -0.05) == math.inf
+    assert Operator.pucci(1).lambda_under(1, _pair(0.5, 0.5)) == pytest.approx(
+        1.0, rel=1e-15)
+    assert Operator.pucci(2).lambda_under(1, _pair(0.0, 1.0)) == pytest.approx(
+        0.25, rel=1e-15)
+    assert Operator.pucci(2).lambda_under(1, _pair(-0.1, -0.05)) == math.inf
     with pytest.raises(DomainError):
-        lambda_under_pucci(0.5, 1, 0.4, 0.5)
+        Operator.pucci(0.5).lambda_under(1, _pair(0.4, 0.5))
 
 
 @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0))
 def test_pucci_matches_plap_at_unit_ellipticity(L, R):
-    assert lambda_under_pucci(1.0, R, L, L) == pytest.approx(
-        lambda_under_plap(2.0, R, L, L), rel=1e-12)
+    assert Operator.pucci(1.0).lambda_under(R, _pair(L, L)) == pytest.approx(
+        Operator.p_laplacian(2.0).lambda_under(R, _pair(L, L)), rel=1e-12)
+
+
+def _within_ulp(a: float, b: float) -> bool:
+    """a is b or a neighbour of b."""
+    return a == b or abs(a - b) <= math.ulp(b)
+
+
+_finite = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@given(p=st.floats(1.05, 6.0), Lambda=st.floats(1.0, 8.0),
+       R=st.floats(0.05, 20.0), L=st.tuples(_finite, _finite),
+       c=st.floats(1e-3, 1e4), Gbar=st.floats(1e-6, 1e8))
+def test_operator_closed_forms_match_the_per_operator_formulas(p, Lambda, R, L,
+                                                               c, Gbar):
+    # the four closed forms, written out per operator
+    L_minus, L_plus = sorted(L)
+    plap, pucci = Operator.p_laplacian(p), Operator.pucci(Lambda)
+    limits = _pair(L_minus, L_plus)
+    if L_plus > 0.0:    # otherwise both are inf
+        width = L_plus - min(0.0, L_minus)
+        assert _within_ulp(plap.lambda_under(R, limits),
+                           (p - 1.0) / (p * R ** p * width))
+        assert _within_ulp(pucci.lambda_under(R, limits),
+                           1.0 / (2.0 * Lambda * R ** 2 * width))
+    assert _within_ulp(plap.bound(c, Gbar, R),
+                       (p - 1.0) * c ** p / (p * R ** p * Gbar))
+    assert _within_ulp(pucci.bound(c, Gbar, R),
+                       c * c / (2.0 * Lambda * R ** 2 * Gbar))
+
+    # Pucci at Lambda = 1 is the Laplacian, bit for bit
+    one, two = Operator.pucci(1.0), Operator.p_laplacian(2.0)
+    assert (one.exponent, one.weight) == (two.exponent, two.weight)
+    assert one.bound(c, Gbar, R) == two.bound(c, Gbar, R)
+    assert one.lambda_under(R, limits) == two.lambda_under(R, limits)
 
 
 def test_lambda_n_sequence_regression(pc_power, canonical_gammas):
@@ -151,8 +190,8 @@ def test_per_solution_bound_linear_oracle():
     pc = PrimitiveCalculus(lin, p=2.0)
     # Fbar(c) = c^2/2 exactly, so the bound is 1 for every height
     for c in (0.5, 3.0, 20.0):
-        assert per_solution_lower_bound(pc, c, 2.0, 1.0) == pytest.approx(
-            1.0, rel=1e-12)
+        assert Operator.p_laplacian(2.0).bound(c, pc.Fbar(c), 1.0) == \
+            pytest.approx(1.0, rel=1e-12)
     # the actual 1D principal eigenvalue pi^2/4 clears the bound
     assert PI ** 2 / 4 >= 1.0
 
@@ -164,31 +203,33 @@ def test_per_solution_bound_exact_power_cancellation():
     pc = PrimitiveCalculus(tab, p=p)
     want = (p - 1) / p
     for c in (0.8, 4.0, 17.0):
-        assert per_solution_lower_bound(pc, c, p, 1.0) == pytest.approx(
-            want, rel=1e-6)
+        assert Operator.p_laplacian(p).bound(c, pc.Fbar(c), 1.0) == \
+            pytest.approx(want, rel=1e-6)
 
 
 def test_per_solution_bound_scales_inversely_with_f():
     k = 3.0
     a = PrimitiveCalculus(CustomTable.from_function(lambda s: s, 50.0, 2001), p=2.0)
     b = PrimitiveCalculus(CustomTable.from_function(lambda s: k * s, 50.0, 2001), p=2.0)
-    ca = per_solution_lower_bound(a, 7.0, 2.0, 1.0)
-    cb = per_solution_lower_bound(b, 7.0, 2.0, 1.0)
+    plap = Operator.p_laplacian(2.0)
+    ca = plap.bound(7.0, a.Fbar(7.0), 1.0)
+    cb = plap.bound(7.0, b.Fbar(7.0), 1.0)
     assert cb == pytest.approx(ca / k, rel=1e-12)
 
 
 def test_pucci_bound_matches_plap_at_unit_ellipticity():
     lin = CustomTable.from_function(lambda s: s, 50.0, 2001)
     pc = PrimitiveCalculus(lin, p=2.0, Lambda=1.0)
-    assert pucci_per_solution_lower_bound(pc, 7.0, 1.0, 1.0) == pytest.approx(
-        per_solution_lower_bound(pc, 7.0, 2.0, 1.0), rel=1e-12)
+    assert Operator.pucci(1.0).bound(7.0, pc.Fbar_Lambda(7.0), 1.0) == \
+        pytest.approx(Operator.p_laplacian(2.0).bound(7.0, pc.Fbar(7.0), 1.0),
+                      rel=1e-12)
 
 
 def test_per_solution_bound_needs_positive_fbar():
     z = CustomTable(np.array([[0.0, 0.0], [9.0, 0.0]]))
     pc = PrimitiveCalculus(z, p=2.0)
     with pytest.raises(NonpositiveFbar):
-        per_solution_lower_bound(pc, 1.0, 2.0, 1.0)
+        Operator.p_laplacian(2.0).bound(1.0, pc.Fbar(1.0), 1.0)
 
 
 def test_estimate_m_zero_for_nonnegative(pc_power):
