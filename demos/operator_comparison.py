@@ -16,7 +16,7 @@ from oscillap import (
     PowerTimesOnePlusSin,
     PucciShootConfig,
     ShootConfig,
-    pucci_inequality_check,
+    check_necessary_conditions,
     pucci_shoot,
     shoot,
 )
@@ -35,8 +35,8 @@ for c in (1.0, 3.0, 8.0, 13.0, 20.0):
 # the Lambda-weighted decay inequality audited along one trajectory
 pcL = Operator.pucci(2.0).calculus(nl)
 res = pucci_shoot(PucciShootConfig(2.0, 2, 8.0, tol_ode=1e-10), nl)
-check = pucci_inequality_check(res, pcL, R=1.0)
-print(f"\nLambda=2, c=8: min inequality slack {check.min_pointwise_slack:.3e} "
+check = check_necessary_conditions(res, pcL, 1.0)
+print(f"\nLambda=2, c=8: min inequality slack {check.min_slack:.3e} "
       f"(negative would refute the bound)")
 
 # thresholds from the same limits L- = L+ = 1/2 of F(s)/s^2

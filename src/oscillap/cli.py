@@ -32,6 +32,7 @@ from .shoot_plap import (
     HitZero,
     ShootConfig,
     UnresolvedBracket,
+    check_necessary_conditions,
     diagram_csv_lines,
     shoot,
 )
@@ -480,7 +481,8 @@ def _shoot(run: Run, kind: str, wrong_operator: str) -> int:
     extra = {"kind": out.kind, **dataclasses.asdict(out)}
     if isinstance(out, HitZero):
         extra["diagnostics"] = dataclasses.asdict(
-            cfg.audit(res, run.operator.calculus(run.nl), run.R))
+            check_necessary_conditions(res, run.operator.calculus(run.nl),
+                                       run.R))
     _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
     print(f"trajectory.json: outcome={out.kind}")
     return EXIT_OK

@@ -388,69 +388,6 @@ class CustomTable(_TableMixin, Nonlinearity):
         return [x for x in self._crossings() if 0.0 < x <= s]
 
 
-class ClippedBelowFirstZero(Nonlinearity):
-    """Auxiliary g with g = max(f, 0) on [0, alpha1] and g = f beyond.
-
-    This is the standard reduction for f(0) < 0: the thresholds computed for g
-    transfer back to f, and the primitives of g and f differ by a constant for
-    s >= alpha1, so the growth limits agree.  Not part of the JSON input
-    catalog; serialized only for audit output.
-    """
-
-    kind = "clipped"
-
-    def __init__(self, base: Nonlinearity, alpha1: float):
-        super().__init__(base.direction)
-        if not (alpha1 > 0):
-            raise DomainError("alpha1 must be positive")
-        self.base = base
-        self.alpha1 = float(alpha1)
-
-    def eval(self, s: float) -> float:
-        v = self.base.eval(s)
-        if s <= self.alpha1 and v < 0.0:
-            return 0.0
-        return v
-
-    def eval_many(self, s):
-        s = np.asarray(s, dtype=float)
-        v = self.base.eval_many(s)
-        return np.where((s <= self.alpha1) & (v < 0.0), 0.0, v)
-
-    @property
-    def nonneg(self) -> bool:
-        return self.base.nonneg
-
-    @property
-    def zero_accumulation(self) -> str | None:
-        return self.base.zero_accumulation
-
-    def analytic_zeros(self, count: int):
-        return self.base.analytic_zeros(count)
-
-    def sign_change_points(self, s: float) -> list[float]:
-        # clipping removes every sign change at or below alpha1
-        return [x for x in self.base.sign_change_points(s) if x > self.alpha1]
-
-    def kink_points(self, a: float, b: float) -> list[float]:
-        pts = set(self.base.kink_points(a, b))
-        if a < self.alpha1 < b:
-            pts.add(self.alpha1)
-        # max(f, 0) has kinks wherever f crosses zero below alpha1
-        for x in self.base.sign_change_points(self.alpha1):
-            if a < x < b:
-                pts.add(float(x))
-        return sorted(pts)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha1": self.alpha1,
-            "base": self.base.to_json(),
-            "direction": self.direction,
-        }
-
-
 @dataclass(frozen=True)
 class ZeroSequence:
     """The first ``count`` positive zeros of f, ordered toward the limit.
@@ -542,10 +479,9 @@ def find_zeros(
         if nl.direction == DIRECTION_ZERO:
             zeros = sorted(zeros, reverse=True)
     else:
-        base = nl.base if isinstance(nl, ClippedBelowFirstZero) else nl
-        if not isinstance(base, CustomTable):
+        if not isinstance(nl, CustomTable):
             raise NoZerosFound(f"no zero enumeration available for kind {nl.kind!r}")
-        zeros = base.table_zeros()
+        zeros = nl.table_zeros()
         if nl.direction == DIRECTION_ZERO:
             zeros = sorted(zeros, reverse=True)
         if len(zeros) < count:

@@ -27,10 +27,9 @@ which one serves a nonlinearity depends on its kind:
   integration by parts gives F in closed form, with the sine series below
   s = n/2 where the closed form cancels.  Non-integer r takes the panel
   quadrature below.
-* everything else, ``ClippedBelowFirstZero`` wrappers included: adaptive
-  panel quadrature with a prefix checkpoint cache, so the millions of F
-  evaluations issued during shooting extend an existing prefix instead of
-  recomputing from 0.  Panels on a fixed lattice compare embedded Gauss
+* everything else: adaptive panel quadrature with a prefix checkpoint
+  cache, so the millions of F evaluations issued during shooting extend an
+  existing prefix instead of recomputing from 0.  Panels on a fixed lattice compare embedded Gauss
   rules (21 vs 10 nodes) and bisect on disagreement; F at a point does
   not depend on which points were asked for before it.
 

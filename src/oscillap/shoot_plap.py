@@ -11,11 +11,11 @@ One shooting path serves both radial operators.  A shot config holds
 one operator's ODE: ``ShootConfig`` here for the p-Laplacian,
 ``PucciShootConfig`` in ``shoot_pucci`` for the maximal Pucci operator.
 Each supplies its origin series, its scalar and batched right-hand sides,
-its events with their end-or-restart rules, its w -> v' map and its
-audit, and names its ``thresholds.Operator``, which owns the rest (the
-rescaling exponent, the primitives and the per-solution bound);
-``shoot``, ``shoot_batch``, the diagram rows, the CSV and the lambda-star
-refinement are shared.
+its events with their end-or-restart rules and its w -> v' map, and names
+its ``thresholds.Operator``, which owns the rest (the rescaling exponent,
+the primitives and the per-solution bound); ``shoot``, ``shoot_batch``,
+the necessary-conditions audit, the diagram rows, the CSV and the
+lambda-star refinement are shared.
 
 The p-Laplacian state is (v, w, z) with w = |v'|^{p-2} v' the flux (the
 equation is smooth in w even where the operator degenerates at v' = 0)
@@ -44,7 +44,7 @@ from .primitives import PrimitiveCalculus
 from .thresholds import Operator
 
 if TYPE_CHECKING:
-    from .shoot_pucci import PucciDiagnostics, PucciShootConfig
+    from .shoot_pucci import PucciShootConfig
 
 #: |f(c)| at or below this (scaled) means the trajectory never leaves c
 STALL_TOL = 1e-12
@@ -157,10 +157,6 @@ class ShootConfig:
                      Event(lambda t, y: y[1], direction=0,
                            ends=lambda t, y: f_of(y[0]) <= 0.0)]
 
-    def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
-              at: Optional[HeightPrimitives] = None) -> Diagnostics:
-        return check_necessary_conditions(res, pc, R, at)
-
 
 @dataclass(frozen=True)
 class HitZero:
@@ -192,15 +188,13 @@ Outcome = Union[HitZero, Bounced, HorizonExceeded]
 
 @dataclass
 class Diagnostics:
-    energy_residual_max: float
+    """The necessary conditions audited along one zero-hitting shot."""
+
+    residual: float        # normalized worst violation of the energy relation
+    min_slack: float       # worst pointwise slack of that relation
+    bound_slack: float     # lambda on the ball minus the per-solution bound
     F_at_max_ok: bool
     area_condition_ok: bool
-    lower_bound_slack: float
-
-    @property
-    def residual(self) -> float:
-        """What a diagram row reports as its energy residual."""
-        return self.energy_residual_max
 
 
 class HeightPrimitives(NamedTuple):
@@ -219,12 +213,12 @@ class HeightPrimitives(NamedTuple):
     @classmethod
     def at(cls, op: Operator, pc: PrimitiveCalculus, c: float,
            R: float) -> HeightPrimitives:
-        """The primitives of ``op`` at height c on the radius-R ball."""
+        """The primitives of ``op`` at height c on the radius-R ball;
+        refuses primitives of another Lambda (``Operator.primitive``)."""
+        G_many, extrema = op.primitive(pc)
         F = pc.F(c)
-        if op.which == "F":
-            G, (lo, hi) = F, pc.extrema(c)
-        else:
-            G, (lo, hi) = pc.F_Lambda(c), pc.extrema_Lambda(c)
+        G = F if op.which == "F" else float(G_many(np.array([c], float))[0])
+        lo, hi = extrema(c)
         try:
             b = op.bound(c, G - lo, R)
         except NonpositiveFbar:
@@ -245,7 +239,7 @@ class ShootResult:
     n_steps: int
     rho_error_estimate: float
     lambda_rescaled: Optional[float] = None
-    diagnostics: Optional[Union[Diagnostics, PucciDiagnostics]] = None
+    diagnostics: Optional[Diagnostics] = None
     q_sign_changes: int = 0  # diffusion switches; 0 unless the operator reports them
 
 
@@ -383,52 +377,43 @@ def rescale_to_ball(res: ShootResult, R: float) -> float:
     return lam
 
 
-def energy_residual(res: ShootResult, pc: PrimitiveCalculus,
-                    Fc: Optional[float] = None) -> float:
-    """Worst relative defect of the radial energy identity along the samples.
-
-    The identity equates (p-1)/p |v'|^p plus the accumulated path term
-    with lambda (F(c) - F(v(r))), lambda the shooting parameter; its
-    residual is the integrator's primary self-check.  ``Fc`` is F(c)
-    when the caller has it.
-    """
-    lam = res.config.lambda_shoot
-    p = res.config.p
-    if Fc is None:
-        Fc = pc.F(res.config.c)
-    v = np.clip(res.v, 0.0, None)  # event overshoot may leave v at -event_tol
-    lhs = (p - 1.0) / p * np.abs(res.vp) ** p + res.z
-    rhs = lam * (Fc - pc.F_many(v))
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
-
-
-def _sign_and_area_ok(Gc: float, Gmax: float) -> Tuple[bool, bool]:
-    """The necessary conditions on a solution of max height c, up to
-    AUDIT_TOL, from the operator's own primitive G (F for the
-    p-Laplacian, F_Lambda for Pucci): G(c) >= 0, and the area condition
-    G(c) >= Gmax, the max of G on [0, c] (exact from the tracked extrema)."""
-    return (bool(Gc >= -AUDIT_TOL), bool((Gc - Gmax) >= -AUDIT_TOL))
-
-
 def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
                                R: float,
                                at: Optional[HeightPrimitives] = None
                                ) -> Diagnostics:
-    """Audit a zero-hitting trajectory against the solvability conditions.
+    """Audit a zero-hitting trajectory of either operator against the
+    necessary conditions on a solution of max height c.
 
-    Fills ``res.diagnostics`` with: the energy-identity residual, the sign
-    and area conditions (``_sign_and_area_ok``), and the slack of the
-    per-solution lower bound on the rescaled lambda.  ``at`` holds the
-    primitives at the trajectory's height when the caller has them.
+    The energy relation, with e, w and G the operator's exponent, weight
+    and primitive (``thresholds.Operator``) and lam the shooting parameter,
+
+        (e-1)/(e w) |v'|^e + z  =  lam (G(c) - G(v))   along the samples,
+
+    is the p-Laplacian energy identity (z its accumulated path term) and,
+    as ``<=`` with z = 0, the Pucci decay inequality.  The residual is its
+    worst violation relative to 1 + |rhs|: both ways for the identity, only
+    lhs > rhs for the inequality.  Also audited: the sign and area
+    conditions G(c) >= 0 and G(c) >= max of G on [0, c] (up to AUDIT_TOL),
+    and the slack of lambda on the radius-R ball over the per-solution
+    bound (nan where Gbar(c) <= 0).  Fills ``res.diagnostics``; ``at``
+    holds the primitives at the trajectory's height when the caller has
+    them.
     """
     lam = rescale_to_ball(res, R)
     op, c = res.config.operator, res.config.c
+    G_many, _ = op.primitive(pc)
     if at is None:
         at = HeightPrimitives.at(op, pc, c, R)
-    sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
-    slack = lam - op.bound(c, at.Fbar, R)
-    energy = energy_residual(res, pc, at.F)
-    d = Diagnostics(energy, sign_ok, area_ok, float(slack))
+    e = op.exponent
+    v = np.clip(res.v, 0.0, None)  # event overshoot may leave v at -event_tol
+    lhs = np.abs(res.vp) ** e * ((e - 1.0) / e) / op.weight + res.z
+    rhs = res.config.lambda_shoot * (at.G - G_many(v))
+    slack = rhs - lhs
+    violation = np.abs(slack) if op.which == "F" else np.maximum(0.0, -slack)
+    d = Diagnostics(float(np.max(violation / (1.0 + np.abs(rhs)))),
+                    float(slack.min()), float(lam - at.bound),
+                    bool(at.G >= -AUDIT_TOL),
+                    bool((at.G - at.Gmax) >= -AUDIT_TOL))
     res.diagnostics = d
     return d
 
@@ -511,7 +496,8 @@ class BifurcationDiagram:
         """One shot per grid height, all heights in one lockstep batch, in grid order.
 
         Heights where f vanishes are recorded as Stalled rows rather than
-        failing the scan.  ``pc`` defaults to the operator's primitives.
+        failing the scan.  ``pc`` defaults to the operator's primitives;
+        primitives of another Lambda are refused (``Operator.primitive``).
         """
         if len(c_grid) == 0:
             raise EmptyGrid("a scan needs at least one height")
@@ -808,7 +794,7 @@ def _diagram_row(c: float, res: Optional[ShootResult], op,
         return DiagramRow(c, "Stalled", math.nan, math.nan, at.F, at.Fbar,
                           at.bound, math.nan, None, idx, switches)
     if isinstance(res.outcome, HitZero):
-        d = op.audit(res, pc, R, at)
+        d = check_necessary_conditions(res, pc, R, at)
         return DiagramRow(c, "HitZero", res.outcome.rho,
                           res.lambda_rescaled, at.F, at.Fbar, at.bound,
                           d.residual, bool(d.F_at_max_ok and d.area_condition_ok),

@@ -18,31 +18,24 @@ positive height are classified Bounced outright (the radial solutions
 this equation models decay strictly until their first zero).
 
 This module holds only what is Pucci-specific: the shot config (its
-switched right-hand side, origin series and events), its diagnostics and
-the inequality audit.  Shots, batches, scans, rows and CSV run on the
-shared path of ``shoot_plap``, and ``thresholds.Operator`` owns the
-rescaling exponent, the weighted primitives and the per-solution bound.
+switched right-hand side, origin series and events).  Shots, batches,
+the audit of the Lambda-weighted decay inequality, scans, rows and CSV
+run on the shared path of ``shoot_plap``, and ``thresholds.Operator``
+owns the rescaling exponent, the weighted primitives and the
+per-solution bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
 from ._rk import Event
 from .nonlinearity import Nonlinearity
-from .primitives import PrimitiveCalculus
-from .shoot_plap import (
-    HeightPrimitives,
-    ShootResult,
-    _check_controls,
-    _sign_and_area_ok,
-    rescale_to_ball,
-    shoot,
-)
+from .shoot_plap import _check_controls, shoot
 from .thresholds import Operator
 
 
@@ -130,62 +123,7 @@ class PucciShootConfig:
             events.append(Event(qval, direction=0, ends=False))  # diffusion switch
         return rhs, events
 
-    def audit(self, res: ShootResult, pc: PrimitiveCalculus, R: float,
-              at: Optional[HeightPrimitives] = None) -> PucciDiagnostics:
-        return pucci_inequality_check(res, pc, R=R, at=at)
-
-
-@dataclass
-class PucciDiagnostics:
-    """Slack of the Lambda-weighted decay inequality and its consequences."""
-
-    min_pointwise_slack: float       # worst slack of the pointwise inequality
-    residual_max: float              # normalized worst violation (0 if it holds)
-    rescaled_bound_slack: float      # lambda minus the per-solution bound
-    F_at_max_ok: bool
-    area_condition_ok: bool
-
-    @property
-    def residual(self) -> float:
-        """What a diagram row reports as its energy residual."""
-        return self.residual_max
-
 
 #: ``shoot`` runs either operator; this is its name for a
 #: ``PucciShootConfig``
 pucci_shoot = shoot
-
-
-def pucci_inequality_check(res: ShootResult, pc: PrimitiveCalculus,
-                           R: float = 1.0,
-                           at: Optional[HeightPrimitives] = None
-                           ) -> PucciDiagnostics:
-    """Audit the Lambda-weighted decay inequality along the trajectory.
-
-    Pointwise: (1/(2 Lambda)) v'^2 <= lam (F_Lambda(c) - F_Lambda(v)),
-    with lam the shooting parameter of the trajectory's own frame; the
-    recorded residual is the normalized violation (zero when the
-    inequality holds).  Also audits the rescaled per-solution bound
-    lambda >= c^2/(2 Lambda R^2 Fbar_Lambda(c)) on the radius-R ball and
-    the sign/area necessary conditions, and fills ``res.diagnostics``.
-    ``at`` holds the primitives at the trajectory's height when the caller
-    has them.
-    """
-    lam = res.config.lambda_shoot
-    Lam = res.config.Lambda
-    op, c = res.config.operator, res.config.c
-    if at is None:
-        at = HeightPrimitives.at(op, pc, c, R)
-    v = np.clip(res.v, 0.0, None)
-    lhs = res.vp ** 2 / (2.0 * Lam)
-    rhs = lam * (at.G - pc.F_Lambda_many(v))
-    slack = rhs - lhs
-    min_slack = float(slack.min())
-    residual = float(np.max(np.maximum(0.0, -slack) / (1.0 + np.abs(rhs))))
-
-    bound_slack = rescale_to_ball(res, R) - op.bound(c, at.Fbar, R)
-    sign_ok, area_ok = _sign_and_area_ok(at.G, at.Gmax)
-    d = PucciDiagnostics(min_slack, residual, float(bound_slack),
-                         sign_ok, area_ok)
-    res.diagnostics = d
-    return d

@@ -27,7 +27,6 @@ from .errors import DomainError, InfeasibleDelta, NonpositiveFbar
 from .nonlinearity import (
     DIRECTION_INFINITY,
     DIRECTION_ZERO,
-    ClippedBelowFirstZero,
     Nonlinearity,
     ZeroSequence,
     find_zeros,
@@ -139,6 +138,23 @@ class Operator:
         """The primitives of ``nl`` for this operator's e and w."""
         return PrimitiveCalculus(nl, p=self.exponent, Lambda=self.weight)
 
+    def weight_matches(self, pc: PrimitiveCalculus) -> bool:
+        """Whether ``pc`` holds this operator's G: F has no weight, and
+        F_Lambda needs primitives of Lambda = ``weight``."""
+        return self.which == "F" or pc.Lambda == self.weight
+
+    def primitive(self, pc: PrimitiveCalculus):
+        """G in ``pc`` as (G at many points, (min, max) of G on [0, s]):
+        ``F_many`` and ``extrema``, or their F_Lambda forms.  Refuses
+        primitives of another Lambda (``weight_matches``)."""
+        if not self.weight_matches(pc):
+            raise DomainError(
+                f"operator {self.to_json()} needs primitives with Lambda = "
+                f"{self.weight!r}, got Lambda = {pc.Lambda!r}")
+        if self.which == "F":
+            return pc.F_many, pc.extrema
+        return pc.F_Lambda_many, pc.extrema_Lambda
+
     @property
     def under_formula(self) -> str:
         """The closed form of ``lambda_under`` as reports state it."""
@@ -192,13 +208,6 @@ class ThresholdRow(NamedTuple):
     C1: float
     C2: float
     lam: float
-
-
-class ReducedNonlinearity(NamedTuple):
-    """Result of the negative-f(0) reduction."""
-
-    nl: Nonlinearity
-    applied: bool
 
 
 def _kappa(M: float, ell: str) -> float:
@@ -284,24 +293,6 @@ def lambda_bar_estimate(rows: Sequence[ThresholdRow]) -> Tuple[float, bool]:
     tol = 1e-12 * np.abs(lams[:-1])
     monotone = bool(len(d) == 0 or np.all(d >= -tol) or np.all(d <= tol))
     return bar, monotone
-
-
-def reduce_negative_f0(nl: Nonlinearity) -> ReducedNonlinearity:
-    """Replace f by its positive part below the first zero when f(0) < 0.
-
-    Thresholds computed for the clipped nonlinearity transfer back to f:
-    the primitives differ by a constant beyond the first zero, so the
-    asymptotic limits agree.  When f(0) >= 0 the input is returned with
-    ``applied = False``.
-    """
-    f0 = nl.f0
-    if f0 >= 0.0:
-        return ReducedNonlinearity(nl, False)
-    if nl.zero_accumulation == DIRECTION_ZERO:
-        raise DomainError(
-            "f(0) < 0 is incompatible with zeros accumulating at 0")
-    alpha1 = find_zeros(nl, 1).alphas[0]
-    return ReducedNonlinearity(ClippedBelowFirstZero(nl, alpha1), True)
 
 
 class ScalarMinimum(NamedTuple):
@@ -515,8 +506,7 @@ def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
     """
     if operator is None:
         operator = Operator.p_laplacian(pc.p)
-    if pc.p != operator.exponent or (operator.which == "F_Lambda"
-                                     and pc.Lambda != operator.weight):
+    if pc.p != operator.exponent or not operator.weight_matches(pc):
         raise DomainError(
             f"operator {operator.to_json()} needs primitives with p = "
             f"{operator.exponent!r} (and Lambda = {operator.weight!r} for "

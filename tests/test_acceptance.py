@@ -29,6 +29,7 @@ from oscillap import (
     StalledAtCriticalPoint,
     TruncatedNonlinearity,
     assemble_energy,
+    check_necessary_conditions,
     clustered_heights,
     compute_thresholds,
     diagram,
@@ -38,7 +39,6 @@ from oscillap import (
     minimize,
     negativity_test,
     propose_gammas,
-    pucci_inequality_check,
     pucci_shoot,
     radial_grid,
     rescale_to_ball,
@@ -180,8 +180,8 @@ def test_criterion_6_pucci_consistency():
         except StalledAtCriticalPoint:
             continue
         if isinstance(res.outcome, HitZero):
-            d = pucci_inequality_check(res, pcL, R=1.0)
-            assert d.min_pointwise_slack >= -1e-8
+            d = check_necessary_conditions(res, pcL, 1.0)
+            assert d.min_slack >= -1e-8
             checked += 1
     assert checked >= 30
 

@@ -232,6 +232,10 @@ def test_pucci_at_unit_ellipticity_matches_laplacian_batch(N, heights):
         assert a.outcome == b.outcome
         if a.outcome == "HitZero":
             assert a.lam == pytest.approx(b.lam, rel=ROW_RTOL)
+        # the one audit reads F_Lambda at Lambda = 1, which is F
+        assert a.Fbar_c == pytest.approx(b.Fbar_c, rel=ROW_RTOL)
+        assert a.lower_bound == pytest.approx(b.lower_bound, rel=ROW_RTOL)
+        assert a.area_ok == b.area_ok
 
 
 _GRID = np.linspace(0.5, 30.0, 199)

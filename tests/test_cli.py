@@ -257,7 +257,7 @@ def test_shoot_trajectory_report(tmp_path):
     assert rep["outcome"]["rho"] > 0.0
     assert len(rep["r"]) == len(rep["v"]) == len(rep["vp"])
     assert rep["lambda_rescaled"] == pytest.approx(1.4201503793857124, rel=1e-9)
-    assert rep["outcome"]["diagnostics"]["energy_residual_max"] <= 1e-6
+    assert rep["outcome"]["diagnostics"]["residual"] <= 1e-6
 
 
 def test_stalled_shoot_is_reported_not_fatal(tmp_path):

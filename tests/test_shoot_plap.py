@@ -29,7 +29,6 @@ from oscillap.shoot_plap import (
     clustered_heights,
     diagram,
     diagram_csv_lines,
-    energy_residual,
     rescale_to_ball,
     shoot,
 )
@@ -68,7 +67,7 @@ def test_constant_source_three_dims():
     assert abs(res.outcome.rho - math.sqrt(6.0)) <= 1e-9
     assert np.max(np.abs(res.v - (1.0 - res.r ** 2 / 6.0))) <= 1e-9
     pc = PrimitiveCalculus(CONSTANT, p=2.0)
-    assert energy_residual(res, pc) <= 1e-10
+    assert check_necessary_conditions(res, pc, 1.0).residual <= 1e-10
 
 
 def test_degenerate_diffusion_constant_source():
@@ -78,7 +77,7 @@ def test_degenerate_diffusion_constant_source():
     assert isinstance(res.outcome, HitZero)
     assert abs(res.outcome.rho - rho_exact) <= 1e-7 * rho_exact
     pc = PrimitiveCalculus(CONSTANT, p=3.0)
-    assert energy_residual(res, pc) <= 1e-7
+    assert check_necessary_conditions(res, pc, 1.0).residual <= 1e-7
 
 
 def test_rescale_exponent_and_identity():
@@ -140,17 +139,17 @@ def test_refinement_consistent_with_error_estimate():
 
 def test_energy_residual_flags_corruption(pc_canonical):
     res = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
-    assert energy_residual(res, pc_canonical) <= 1e-8
+    assert check_necessary_conditions(res, pc_canonical, 1.0).residual <= 1e-8
     res.vp = res.vp * 1.1
-    assert energy_residual(res, pc_canonical) > 0.01
+    assert check_necessary_conditions(res, pc_canonical, 1.0).residual > 0.01
 
 
 def test_necessary_conditions_on_canonical(pc_canonical):
     res = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
     d = check_necessary_conditions(res, pc_canonical, 1.0)
     assert d.F_at_max_ok and d.area_condition_ok
-    assert d.lower_bound_slack >= -1e-8
-    assert d.energy_residual_max <= 1e-8
+    assert d.bound_slack >= -1e-8
+    assert d.residual <= 1e-8
     assert res.diagnostics is d
 
 

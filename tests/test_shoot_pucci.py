@@ -19,15 +19,12 @@ from oscillap.shoot_plap import (
     Bounced,
     HitZero,
     ShootConfig,
+    check_necessary_conditions,
     diagram_csv_lines,
     rescale_to_ball,
     shoot,
 )
-from oscillap.shoot_pucci import (
-    PucciShootConfig,
-    pucci_inequality_check,
-    pucci_shoot,
-)
+from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
 
 LINEAR = CustomTable.from_function(lambda s: s, 30.0, 30000)
 CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
@@ -41,10 +38,10 @@ def test_unit_ratio_linear_is_cosine():
     assert abs(res.outcome.rho - math.pi / 2) <= 1e-9
     assert res.q_sign_changes == 0
     pc = PrimitiveCalculus(LINEAR, p=2.0, Lambda=1.0)
-    d = pucci_inequality_check(res, pc, R=1.0)
+    d = check_necessary_conditions(res, pc, 1.0)
     # the decay inequality is an identity for this profile
-    assert d.residual_max <= 1e-12
-    assert d.min_pointwise_slack >= -1e-12
+    assert d.residual <= 1e-12
+    assert d.min_slack >= -1e-12
 
 
 def test_ratio_two_parabola():
@@ -54,10 +51,10 @@ def test_ratio_two_parabola():
     assert abs(res.outcome.rho - 1.0) <= 1e-12
     assert np.max(np.abs(res.v - (1.0 - res.r ** 2))) <= 1e-12
     pc = PrimitiveCalculus(CONSTANT, p=2.0, Lambda=2.0)
-    d = pucci_inequality_check(res, pc, R=2.0)
-    assert d.residual_max <= 1e-12
+    d = check_necessary_conditions(res, pc, 2.0)
+    assert d.residual <= 1e-12
     assert res.lambda_rescaled == pytest.approx(0.25, rel=1e-12)
-    assert d.rescaled_bound_slack >= -1e-8
+    assert d.bound_slack >= -1e-8
 
 
 def test_rescale_exponent_is_two():
@@ -160,11 +157,31 @@ def test_area_condition_uses_weighted_primitive():
     res = pucci_shoot(PucciShootConfig(2.0, 2, c), PureSine())
     assert isinstance(res.outcome, HitZero)
     pc = PrimitiveCalculus(PureSine(), p=2.0, Lambda=2.0)
-    d = pucci_inequality_check(res, pc, R=1.0)
-    assert d.residual_max == 0.0
+    d = check_necessary_conditions(res, pc, 1.0)
+    assert d.residual == 0.0
     assert d.F_at_max_ok and d.area_condition_ok
     assert pc.F(c) < pc.running_max(c) - 0.2
     assert pc.F_Lambda(c) == pytest.approx(pc.running_max_Lambda(c), rel=1e-12)
+
+
+def test_primitives_of_another_lambda_are_refused():
+    """Lambda = 1 primitives would give a Lambda = 2 shot the wrong
+    F_Lambda: at this height the audit would fail the area condition with
+    residual 0.339, and a scan would write Fbar_c 1.726 for 3.226.  Both
+    refuse them; p-Laplacian rows read only F, which no Lambda changes."""
+    c = 8.6667
+    cfg = PucciShootConfig(2.0, 2, c)
+    wrong = PrimitiveCalculus(PureSine(), p=2.0, Lambda=1.0)
+    res = pucci_shoot(cfg, PureSine())
+    assert isinstance(res.outcome, HitZero)
+    with pytest.raises(DomainError):
+        check_necessary_conditions(res, wrong, 1.0)
+    with pytest.raises(DomainError):
+        BifurcationDiagram.scan(cfg, PureSine(), 1.0, [c],
+                                find_zeros(PureSine(), 4), wrong)
+    plap = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
+    weighted = PrimitiveCalculus(CANONICAL, p=2.0, Lambda=2.0)
+    assert check_necessary_conditions(plap, weighted, 1.0).residual <= 1e-8
 
 
 def test_lambda_star_crossings_on_pucci_scan():

@@ -17,7 +17,6 @@ from oscillap.thresholds import (
     lambda_bar_estimate,
     lambda_n_sequence,
     propose_gammas,
-    reduce_negative_f0,
 )
 
 PI = math.pi
@@ -244,36 +243,6 @@ def test_estimate_m_cosine_dip():
     assert got == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(DomainError):
         estimate_M(pc, [2 * PI])  # F(gamma) = 0 while the dip is -1
-
-
-def test_reduce_negative_f0_clips_below_first_zero():
-    tab = CustomTable.from_function(lambda s: math.sin(s) - 0.1, 40.0, 8001)
-    red = reduce_negative_f0(tab)
-    assert red.applied is True
-    a1 = math.asin(0.1)
-    assert red.nl.eval(0.0) == 0.0
-    assert red.nl.eval(0.5 * a1) == 0.0
-    for s in (1.0, 2.0, 7.0):
-        assert red.nl.eval(s) == pytest.approx(tab.eval(s), rel=1e-12)
-
-
-def test_reduce_negative_f0_identity_when_nonnegative(pc_power):
-    red = reduce_negative_f0(pc_power.nl)
-    assert red.applied is False
-    assert red.nl is pc_power.nl
-
-
-def test_reduce_preserves_asymptotics():
-    # primitives of f and its clipped version differ by a constant beyond
-    # the first zero, so the growth limits coincide
-    tab = CustomTable.from_function(lambda s: math.sin(s) - 0.1, 40.0, 8001)
-    red = reduce_negative_f0(tab)
-    pf = PrimitiveCalculus(tab, p=2.0)
-    pg = PrimitiveCalculus(red.nl, p=2.0)
-    d1 = pg.F(5.0) - pf.F(5.0)
-    d2 = pg.F(31.0) - pf.F(31.0)
-    assert d1 > 0.0
-    assert d2 == pytest.approx(d1, abs=1e-9)
 
 
 def test_propose_gammas_interleave_zeros(pc_power):
