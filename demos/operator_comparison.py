@@ -14,6 +14,7 @@ from oscillap import (
     LimitEstimate,
     Operator,
     PowerTimesOnePlusSin,
+    PrimitiveCalculus,
     PucciShootConfig,
     ShootConfig,
     check_necessary_conditions,
@@ -33,9 +34,8 @@ for c in (1.0, 3.0, 8.0, 13.0, 20.0):
           f"{bent.outcome.rho:12.7f} {bent.q_sign_changes:9d}")
 
 # the Lambda-weighted decay inequality audited along one trajectory
-pcL = Operator.pucci(2.0).calculus(nl)
 res = pucci_shoot(PucciShootConfig(2.0, 2, 8.0, tol_ode=1e-10), nl)
-check = check_necessary_conditions(res, pcL, 1.0)
+check = check_necessary_conditions(res, PrimitiveCalculus(nl), 1.0)
 print(f"\nLambda=2, c=8: min inequality slack {check.min_slack:.3e} "
       f"(negative would refute the bound)")
 

@@ -26,14 +26,14 @@ from oscillap import (
 )
 
 nl = PowerTimesOnePlusSin(1.0)
-pc = PrimitiveCalculus(nl, p=2.0)
+pc = PrimitiveCalculus(nl)
 zeros = find_zeros(nl, 12)
 
 print("zeros of f:", ", ".join(f"{z:.4f}" for z in zeros.ascending()[:6]), "...")
 
 # thresholds on the unit interval (N = 1, R = 1)
-report = compute_thresholds(pc, BallGeometry(1, 1.0), "infinity",
-                            operator=Operator.p_laplacian(2.0))
+report = compute_thresholds(Operator.p_laplacian(2.0), pc, BallGeometry(1, 1.0),
+                            "infinity")
 print(f"nonexistence below  lambda_under = {report.lambda_under:.6f}")
 print(f"existence beyond    lambda_bar   = {report.lambda_bar:.6f}")
 

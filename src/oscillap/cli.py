@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import EmptyGrid, OscillapError, StalledAtCriticalPoint
 from .nonlinearity import find_zeros, nonlinearity_from_json
-from .primitives import extended_real
+from .primitives import PrimitiveCalculus, extended_real
 from .shoot_plap import (
     BifurcationDiagram,
     HitZero,
@@ -398,19 +398,19 @@ class Run:
 
 def cmd_analyze(run: Run) -> int:
     # both operators' thresholds: the one the config did not choose is
-    # taken at p = 2 or Lambda = 1, where the two coincide
-    pc = run.operator.calculus(run.nl)
+    # taken at p = 2 or Lambda = 1, where the two coincide; the config's
+    # limits are those of its threshold report
+    pc = PrimitiveCalculus(run.nl)
     plap = (run.operator if run.operator.kind == "p_laplacian"
             else Operator.p_laplacian(2.0))
     pucci = run.operator if run.operator.kind == "pucci" else Operator.pucci(1.0)
-    lim_plain = pc.estimate_limits(which=plap.which, direction=run.nl.direction)
-    lim_weighted = pc.estimate_limits(which=pucci.which,
-                                      direction=run.nl.direction)
-    zeros = find_zeros(run.nl, run.zeros_count)
-    asc = zeros.ascending()
-    report = compute_thresholds(pc, BallGeometry(run.N, run.R),
-                                run.nl.direction, count=run.zeros_count,
-                                operator=run.operator)
+    other = pucci if run.operator is plap else plap
+    other_limits = other.limits(pc)
+    asc = find_zeros(run.nl, run.zeros_count).ascending()
+    report = compute_thresholds(run.operator, pc, BallGeometry(run.N, run.R),
+                                run.nl.direction, count=run.zeros_count)
+    limits = {run.operator.which: report.limits, other.which: other_limits}
+    lim_plain, lim_weighted = limits["F"], limits["F_Lambda"]
     s = np.geomspace(min(asc) / 10.0, max(asc), 64)
     payload = {
         **run.stamp(),
@@ -420,7 +420,7 @@ def cmd_analyze(run: Run) -> int:
             "s": [float(v) for v in s],
             "F": [float(v) for v in pc.F_many(s)],
             "Fbar": [float(pc.Fbar(float(v))) for v in s],
-            "F_Lambda": [float(v) for v in pc.F_Lambda_many(s)],
+            "F_Lambda": [float(v) for v in pc.F_Lambda_many(s, pucci.weight)],
         },
         "limits": {"F": lim_plain.to_json(), "F_Lambda": lim_weighted.to_json()},
         "lambda_under": {
@@ -481,8 +481,7 @@ def _shoot(run: Run, kind: str, wrong_operator: str) -> int:
     extra = {"kind": out.kind, **dataclasses.asdict(out)}
     if isinstance(out, HitZero):
         extra["diagnostics"] = dataclasses.asdict(
-            check_necessary_conditions(res, run.operator.calculus(run.nl),
-                                       run.R))
+            check_necessary_conditions(res, PrimitiveCalculus(run.nl), run.R))
     _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
     print(f"trajectory.json: outcome={out.kind}")
     return EXIT_OK
@@ -569,11 +568,10 @@ def cmd_minimize(run: Run) -> int:
     cells = int(sec.get("grid_cells", 200))
     grading = float(sec.get("grading", 2.0))
     p = run.operator.parameter
-    pc = run.operator.calculus(run.nl)
+    pc = PrimitiveCalculus(run.nl)
     zeros = find_zeros(run.nl, max(K + 1, run.zeros_count))
-    report = compute_thresholds(pc, BallGeometry(run.N, run.R),
-                                run.nl.direction, count=max(K, 4),
-                                operator=run.operator)
+    report = compute_thresholds(run.operator, pc, BallGeometry(run.N, run.R),
+                                run.nl.direction, count=max(K, 4))
     gammas = [row.gamma for row in report.rows]
     delta = report.rows[0].delta
     grid = radial_grid(run.R, cells, delta=delta, grading=grading)
@@ -624,8 +622,7 @@ def _read_diagram_csv(path: str) -> List[dict]:
 
 
 def cmd_certify(run: Run) -> int:
-    limits = run.operator.calculus(run.nl).estimate_limits(
-        which=run.operator.which, direction=run.nl.direction)
+    limits = run.operator.limits(PrimitiveCalculus(run.nl))
     under = run.operator.lambda_under(run.R, limits)
     cert = {
         **run.stamp(),

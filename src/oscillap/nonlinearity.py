@@ -390,16 +390,15 @@ class CustomTable(_TableMixin, Nonlinearity):
 
 @dataclass(frozen=True)
 class ZeroSequence:
-    """The first ``count`` positive zeros of f, ordered toward the limit.
+    """The first positive zeros of f, ordered toward the limit.
 
     ``alphas`` decreases toward 0 for direction "zero" and increases toward
-    infinity for direction "infinity".  Every entry satisfies
-    |f(alpha_n)| <= zero_tolerance at construction time.
+    infinity for direction "infinity".  ``find_zeros`` checks every entry
+    against |f(alpha_n)| <= ZERO_TOLERANCE.
     """
 
     alphas: tuple
     direction: str
-    zero_tolerance: float = ZERO_TOLERANCE
 
     def __post_init__(self):
         _check_direction(self.direction)
@@ -415,10 +414,6 @@ class ZeroSequence:
             if not np.all(diffs < 0.0):
                 raise DomainError("zeros must strictly decrease toward zero")
 
-    @property
-    def count(self) -> int:
-        return len(self.alphas)
-
     def ascending(self) -> tuple:
         """The same zeros sorted increasingly (useful for interval lookups)."""
         if self.direction == DIRECTION_INFINITY:
@@ -428,7 +423,7 @@ class ZeroSequence:
     def interval_index(self, c: float) -> int:
         """1-based k with alpha_{k-1} < c <= alpha_k in ascending order (alpha_0 := 0).
 
-        Heights above the last stored zero get index count + 1.
+        Heights above the last stored zero get index len(alphas) + 1.
         """
         if c <= 0.0:
             raise DomainError("height must be positive")
@@ -449,11 +444,7 @@ def _polish_crossing(nl: Nonlinearity, seed: float, halfwidth: float) -> float:
     return brentq(nl.eval, lo, hi, xtol=1e-15, rtol=1e-15)
 
 
-def find_zeros(
-    nl: Nonlinearity,
-    count: int,
-    zero_tolerance: float = ZERO_TOLERANCE,
-) -> ZeroSequence:
+def find_zeros(nl: Nonlinearity, count: int) -> ZeroSequence:
     """Locate the first ``count`` positive zeros of f in the direction of ell.
 
     Catalog kinds use analytic zero locations (crossing zeros polished by a
@@ -490,12 +481,12 @@ def find_zeros(
             )
         zeros = zeros[:count]
 
-    bad = [z for z in zeros if abs(nl.eval(z)) > zero_tolerance]
+    bad = [z for z in zeros if abs(nl.eval(z)) > ZERO_TOLERANCE]
     if bad:
         raise NoZerosFound(
-            f"candidate zeros failed |f| <= {zero_tolerance:g} at {bad[:3]}"
+            f"candidate zeros failed |f| <= {ZERO_TOLERANCE:g} at {bad[:3]}"
         )
-    return ZeroSequence(tuple(zeros), nl.direction, zero_tolerance)
+    return ZeroSequence(tuple(zeros), nl.direction)
 
 
 # -- JSON interface ----------------------------------------------------------

@@ -4,12 +4,15 @@ Everything downstream consumes antiderivatives of f rather than f itself:
 
 * ``F(s)   = integral_0^s f(t) dt``
 * ``Fbar(s) = F(s) - min over [0, s] of F``   (drawdown from the running minimum)
-* ``F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-``  and its Fbar analogue
+* ``F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-``, with the weight
+  Lambda an argument of each call, and its running extrema
 * ``F_under(s1, s2) = min over t in [0, s1] of integral_t^{s2} f
                     = F(s2) - max over [0, s1] of F``
 
-plus tail growth estimates ``liminf/limsup F(s)/s^p`` toward the oscillation
-limit (0 or infinity).
+plus tail growth estimates ``liminf/limsup G(s)/s^e`` toward the oscillation
+limit (0 or infinity).  All of them describe f alone: the exponent e, the
+weight Lambda and the primitive G come from the operator
+(``thresholds.Operator``).
 
 F comes from one of four backends, each answering the vectorized
 ``F_many(s)``, whose one-point case serves every single-point primitive;
@@ -591,20 +594,13 @@ class PrimitiveCalculus:
     Parameters
     ----------
     nl : Nonlinearity
-    p : growth exponent of the comparison power s^p (p > 1)
-    Lambda : ellipticity constant for the F_Lambda family (1 when unused)
     tol_quad : relative quadrature tolerance
+    max_depth : panel bisections allowed before the quadrature fails
     """
 
-    def __init__(self, nl: Nonlinearity, p: float, Lambda: float = 1.0,
-                 tol_quad: float = TOL_QUAD, max_depth: int = 28):
-        if not (p > 1.0):
-            raise DomainError(f"growth exponent p must exceed 1, got {p!r}")
-        if not (Lambda >= 1.0):
-            raise DomainError(f"Lambda must be >= 1, got {Lambda!r}")
+    def __init__(self, nl: Nonlinearity, tol_quad: float = TOL_QUAD,
+                 max_depth: int = 28):
         self.nl = nl
-        self.p = float(p)
-        self.Lambda = float(Lambda)
 
         if isinstance(nl, CustomTable):
             backend = _ExactTablePrefix(nl.xs, nl.ys)
@@ -640,7 +636,8 @@ class PrimitiveCalculus:
             self._Fplus_many, self._Fminus_many = part(1.0), part(-1.0)
 
         self._extrema_F = _ExtremaTable(self.F_many, nl.sign_change_points)
-        self._extrema_FL = _ExtremaTable(self.F_Lambda_many, nl.sign_change_points)
+        #: Lambda -> running extrema of F_Lambda
+        self._extrema_FL: dict = {}
 
     # -- plain primitives ---------------------------------------------------
 
@@ -660,15 +657,15 @@ class PrimitiveCalculus:
     def Fminus(self, s: float) -> float:
         return float(self._Fminus_many(np.array([float(s)]))[0])
 
-    def F_Lambda(self, s: float) -> float:
+    def F_Lambda(self, s: float, Lambda: float) -> float:
         """F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-."""
-        return float(self.F_Lambda_many(np.array([s], dtype=float))[0])
+        return float(self.F_Lambda_many(np.array([s], dtype=float), Lambda)[0])
 
-    def F_Lambda_many(self, s) -> np.ndarray:
+    def F_Lambda_many(self, s, Lambda: float) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         return (np.asarray(self._Fplus_many(s), dtype=float)
                 - np.asarray(self._Fminus_many(s), dtype=float)
-                / (self.Lambda * self.Lambda))
+                / (Lambda * Lambda))
 
     # -- running extrema and derived primitives ------------------------------
 
@@ -676,9 +673,13 @@ class PrimitiveCalculus:
         """(min, max) of F over [0, s]."""
         return self._extrema_F.extrema(s)
 
-    def extrema_Lambda(self, s: float) -> tuple[float, float]:
+    def extrema_Lambda(self, s: float, Lambda: float) -> tuple[float, float]:
         """(min, max) of F_Lambda over [0, s]."""
-        return self._extrema_FL.extrema(s)
+        table = self._extrema_FL.get(Lambda)
+        if table is None:   # one table per Lambda, whichever thread adds it
+            table = self._extrema_FL.setdefault(Lambda, _ExtremaTable(
+                lambda x: self.F_Lambda_many(x, Lambda), self.nl.sign_change_points))
+        return table.extrema(s)
 
     def running_min(self, s: float) -> float:
         """min of F over [0, s]; never exceeds min(0, F(s))."""
@@ -687,18 +688,10 @@ class PrimitiveCalculus:
     def running_max(self, s: float) -> float:
         return self._extrema_F.extrema(s)[1]
 
-    def running_max_Lambda(self, s: float) -> float:
-        """max of F_Lambda over [0, s]."""
-        return self._extrema_FL.extrema(s)[1]
-
     def Fbar(self, s: float) -> float:
         """Fbar(s) = F(s) - min over [0, s] of F; always >= max(0, F(s))."""
         lo, _ = self._extrema_F.extrema(s)
         return self.F(s) - lo
-
-    def Fbar_Lambda(self, s: float) -> float:
-        lo, _ = self._extrema_FL.extrema(s)
-        return self.F_Lambda(s) - lo
 
     def F_under(self, s1: float, s2: float) -> float:
         """min over t in [0, s1] of integral_t^{s2} f = F(s2) - max over [0, s1] F."""
@@ -711,9 +704,11 @@ class PrimitiveCalculus:
 
     # -- tail growth estimates ------------------------------------------------
 
-    def estimate_limits(self, which: str = "F",
-                        direction: str | None = None) -> LimitEstimate:
-        """Estimate liminf/limsup of F(s)/s^p (or F_Lambda(s)/s^2) toward ell.
+    def estimate_limits(self, G_many, exponent: float, which: str,
+                        direction: str) -> LimitEstimate:
+        """Estimate liminf/limsup of G(s)/s^exponent toward ``direction``,
+        with ``which`` the name of G in the result; ``Operator.limits``
+        passes an operator's G, exponent and name.
 
         Samples a geometric grid of 200 abscissae spanning six decades that
         ends (direction "infinity") or starts (direction "zero") at s = 1;
@@ -721,17 +716,11 @@ class PrimitiveCalculus:
         limit (``classify_ratio_samples``).  The result is an estimate and
         is flagged as such in serialized reports.
         """
-        if which not in ("F", "F_Lambda"):
-            raise DomainError(f"which must be 'F' or 'F_Lambda', got {which!r}")
-        direction = direction or self.nl.direction
         if direction == DIRECTION_INFINITY:
             svals = np.geomspace(1.0, 10.0**_LIMIT_DECADES, _LIMIT_POINTS)
         elif direction == DIRECTION_ZERO:
             svals = np.geomspace(10.0**-_LIMIT_DECADES, 1.0, _LIMIT_POINTS)
         else:
             raise DomainError(f"unknown direction {direction!r}")
-        if which == "F":
-            ratios = self.F_many(svals) / svals**self.p
-        else:
-            ratios = self.F_Lambda_many(svals) / svals**2
+        ratios = G_many(svals) / svals**exponent
         return classify_ratio_samples(svals, ratios, direction, which=which)

@@ -213,8 +213,7 @@ class HeightPrimitives(NamedTuple):
     @classmethod
     def at(cls, op: Operator, pc: PrimitiveCalculus, c: float,
            R: float) -> HeightPrimitives:
-        """The primitives of ``op`` at height c on the radius-R ball;
-        refuses primitives of another Lambda (``Operator.primitive``)."""
+        """The primitives of ``op`` at height c on the radius-R ball."""
         G_many, extrema = op.primitive(pc)
         F = pc.F(c)
         G = F if op.which == "F" else float(G_many(np.array([c], float))[0])
@@ -496,13 +495,12 @@ class BifurcationDiagram:
         """One shot per grid height, all heights in one lockstep batch, in grid order.
 
         Heights where f vanishes are recorded as Stalled rows rather than
-        failing the scan.  ``pc`` defaults to the operator's primitives;
-        primitives of another Lambda are refused (``Operator.primitive``).
+        failing the scan.  ``pc`` defaults to the primitives of ``nl``.
         """
         if len(c_grid) == 0:
             raise EmptyGrid("a scan needs at least one height")
         if pc is None:
-            pc = op.operator.calculus(nl)
+            pc = PrimitiveCalculus(nl)
         heights = [float(c) for c in c_grid]
         rows = tuple(_diagram_row(c, res, op, pc, zeros, R)
                      for c, res in zip(heights, _shots(op, heights, nl)))

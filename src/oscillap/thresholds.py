@@ -27,7 +27,6 @@ from .errors import DomainError, InfeasibleDelta, NonpositiveFbar
 from .nonlinearity import (
     DIRECTION_INFINITY,
     DIRECTION_ZERO,
-    Nonlinearity,
     ZeroSequence,
     find_zeros,
 )
@@ -42,16 +41,10 @@ DELTA_GRID_POINTS = 64
 
 @dataclass(frozen=True)
 class BallGeometry:
-    """Ball of radius R in dimension N with an optional boundary layer.
-
-    The boundary layer is the annulus of width ``delta`` along the sphere;
-    existence constants need its measure, nonexistence ones do not, so
-    ``delta`` may be left unset.
-    """
+    """Ball of radius R in dimension N."""
 
     N: int
     R: float
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
@@ -59,9 +52,6 @@ class BallGeometry:
         object.__setattr__(self, "N", int(self.N))
         if not (self.R > 0.0 and math.isfinite(self.R)):
             raise DomainError(f"radius must be positive and finite, got {self.R!r}")
-        if self.delta is not None and not (0.0 < self.delta < self.R):
-            raise DomainError(
-                f"boundary layer width must lie in (0, R), got {self.delta!r}")
 
     @property
     def unit_ball_volume(self) -> float:
@@ -73,13 +63,6 @@ class BallGeometry:
         """Volume of the ball."""
         return self.unit_ball_volume * self.R ** self.N
 
-    @property
-    def boundary_layer_measure(self) -> float:
-        """Volume of the annulus within delta of the boundary."""
-        if self.delta is None:
-            raise DomainError("boundary layer width is unset")
-        return self.unit_ball_volume * (self.R ** self.N - (self.R - self.delta) ** self.N)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -87,10 +70,13 @@ class Operator:
 
     It owns everything outside the ODE that tells the two operators apart:
     the rescaling exponent e and the weight w (``exponent``, ``weight``:
-    (p, 1) for the p-Laplacian, (2, Lambda) for Pucci), the primitive G its
-    limits use (``which``: F, or F_Lambda), the primitives themselves
-    (``calculus``), and the two closed forms the nonexistence argument
-    gives in (e, w, G): ``lambda_under`` and the per-solution ``bound``.
+    (p, 1) for the p-Laplacian, (2, Lambda) for Pucci), the primitive G of
+    a nonlinearity's ``PrimitiveCalculus`` it reads (``which``: F, or
+    F_Lambda at Lambda = w; ``primitive``, ``Gbar``), the limits of
+    G(s)/s^e (``limits``), and the two closed forms the nonexistence
+    argument gives in (e, w, G): ``lambda_under`` and the per-solution
+    ``bound``.  The primitives describe f alone; this is the one place
+    that knows e and w.
     """
 
     kind: str        # "p_laplacian" or "pucci"
@@ -134,26 +120,29 @@ class Operator:
         the plain ``"F"`` or the sign-weighted ``"F_Lambda"``."""
         return "F" if self.kind == "p_laplacian" else "F_Lambda"
 
-    def calculus(self, nl: Nonlinearity) -> PrimitiveCalculus:
-        """The primitives of ``nl`` for this operator's e and w."""
-        return PrimitiveCalculus(nl, p=self.exponent, Lambda=self.weight)
-
-    def weight_matches(self, pc: PrimitiveCalculus) -> bool:
-        """Whether ``pc`` holds this operator's G: F has no weight, and
-        F_Lambda needs primitives of Lambda = ``weight``."""
-        return self.which == "F" or pc.Lambda == self.weight
-
     def primitive(self, pc: PrimitiveCalculus):
         """G in ``pc`` as (G at many points, (min, max) of G on [0, s]):
-        ``F_many`` and ``extrema``, or their F_Lambda forms.  Refuses
-        primitives of another Lambda (``weight_matches``)."""
-        if not self.weight_matches(pc):
-            raise DomainError(
-                f"operator {self.to_json()} needs primitives with Lambda = "
-                f"{self.weight!r}, got Lambda = {pc.Lambda!r}")
+        ``F_many`` and ``extrema``, or their F_Lambda forms at Lambda = w."""
         if self.which == "F":
             return pc.F_many, pc.extrema
-        return pc.F_Lambda_many, pc.extrema_Lambda
+        w = self.weight
+        return (lambda s: pc.F_Lambda_many(s, w)), (lambda s: pc.extrema_Lambda(s, w))
+
+    def Gbar(self, pc: PrimitiveCalculus, s: float) -> float:
+        """Range of G on [0, s]: G(s) - min over [0, s] of G
+        (``PrimitiveCalculus.Fbar`` for the p-Laplacian)."""
+        if self.which == "F":
+            return pc.Fbar(s)
+        lo, _ = pc.extrema_Lambda(s, self.weight)
+        return pc.F_Lambda(s, self.weight) - lo
+
+    def limits(self, pc: PrimitiveCalculus,
+               direction: Optional[str] = None) -> LimitEstimate:
+        """Estimated liminf/limsup of G(s)/s^e toward ``direction``, by
+        default the nonlinearity's (``PrimitiveCalculus.estimate_limits``)."""
+        G_many, _ = self.primitive(pc)
+        return pc.estimate_limits(G_many, self.exponent, self.which,
+                                  direction or pc.nl.direction)
 
     @property
     def under_formula(self) -> str:
@@ -187,8 +176,8 @@ class Operator:
     def bound(self, c: float, Gbar: float, R: float) -> float:
         """Per-solution bound: a radial solution of max height c on the
         radius-R ball has lambda >= (e-1) c^e / (e w R^e Gbar), with
-        Gbar = Gbar(c) the range of G on [0, c] (``PrimitiveCalculus.Fbar``
-        or ``Fbar_Lambda``).  Raises NonpositiveFbar when Gbar <= 0."""
+        Gbar = Gbar(c) the range of G on [0, c] (``Gbar``).  Raises
+        NonpositiveFbar when Gbar <= 0."""
         if not c > 0.0:
             raise DomainError(f"height must be positive, got {c!r}")
         if not R > 0.0:
@@ -218,20 +207,20 @@ def _kappa(M: float, ell: str) -> float:
     return 1.0 / (2.0 * (1.0 + M))
 
 
-def lambda_n_sequence(pc: PrimitiveCalculus, geom: BallGeometry,
-                      gammas: Sequence[float], M: float = 0.0,
-                      beta: float = 1.0, ell: str = DIRECTION_INFINITY,
-                      which: str = "F") -> List[ThresholdRow]:
-    """Existence sequence lambda_n = (C2/C1) gamma_n^p / Fbar(gamma_n).
+def lambda_n_sequence(operator: Operator, pc: PrimitiveCalculus,
+                      geom: BallGeometry, gammas: Sequence[float],
+                      M: float = 0.0, beta: float = 1.0,
+                      ell: str = DIRECTION_INFINITY) -> List[ThresholdRow]:
+    """Existence sequence lambda_n = (C2/C1) gamma_n^p / Gbar(gamma_n).
 
     For each height gamma_n the boundary-layer width delta is chosen on a
     geometric grid to minimize lambda_n subject to C1 > 0, where
 
         C1 = kappa*|B| - |layer|,   C2 = (beta/p)*|B|/delta^p,
 
-    with kappa = 1/(1+M) toward zero and 1/(2(1+M)) toward infinity.
-    ``which`` selects the plain primitive range ``"F"`` or the
-    sign-weighted ``"F_Lambda"`` used by the Pucci variant.
+    with kappa = 1/(1+M) toward zero and 1/(2(1+M)) toward infinity, p the
+    operator's exponent and Gbar its primitive range (``Operator.Gbar``):
+    plain Fbar, or the sign-weighted one of the Pucci variant.
     """
     if M < 0.0 or not math.isfinite(M):
         raise DomainError(f"M must be finite and >= 0, got {M!r}")
@@ -239,13 +228,11 @@ def lambda_n_sequence(pc: PrimitiveCalculus, geom: BallGeometry,
         raise DomainError(f"beta must be positive, got {beta!r}")
     if ell not in (DIRECTION_ZERO, DIRECTION_INFINITY):
         raise DomainError(f"unknown accumulation direction {ell!r}")
-    if which not in ("F", "F_Lambda"):
-        raise DomainError(f"which must be 'F' or 'F_Lambda', got {which!r}")
 
-    p = pc.p
+    p = operator.exponent
     N, R = geom.N, geom.R
     omega = geom.unit_ball_volume
-    measure = omega * R ** N
+    measure = geom.measure
 
     kappa = _kappa(M, ell)
     # C1(delta) > 0  <=>  (R - delta)^N > (1 - kappa) R^N
@@ -264,12 +251,11 @@ def lambda_n_sequence(pc: PrimitiveCalculus, geom: BallGeometry,
     # the delta dependence factorizes out of lambda_n, so one grid minimum serves
     j = int(np.argmin(ratio))
 
-    fbar = pc.Fbar if which == "F" else pc.Fbar_Lambda
     rows: List[ThresholdRow] = []
     for g in gammas:
         if not (g > 0.0 and math.isfinite(g)):
             raise DomainError(f"heights must be positive and finite, got {g!r}")
-        fb = fbar(g)
+        fb = operator.Gbar(pc, g)
         if not fb > 0.0:
             raise NonpositiveFbar(
                 f"primitive range at height {g!r} is {fb!r}; threshold undefined")
@@ -379,7 +365,7 @@ def minimize_scalar(func: Callable[[float], float], bounds: Tuple[float, float],
     return ScalarMinimum(xf, fx, num)
 
 
-def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence,
+def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, p: float,
                    count: Optional[int] = None) -> List[float]:
     """Candidate heights: maximizers of Fbar(s)/s^p between successive zeros.
 
@@ -395,7 +381,6 @@ def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence,
     else:
         gaps = list(zip(asc[:-1], asc[1:]))[::-1]  # march toward 0
 
-    p = pc.p
     out: List[float] = []
     for lo, hi in gaps:
         if count is not None and len(out) >= count:
@@ -491,40 +476,32 @@ class ThresholdReport:
         }
 
 
-def compute_thresholds(pc: PrimitiveCalculus, geom: BallGeometry,
-                       direction: str, gammas: Optional[Sequence[float]] = None,
+def compute_thresholds(operator: Operator, pc: PrimitiveCalculus,
+                       geom: BallGeometry, direction: str,
+                       gammas: Optional[Sequence[float]] = None,
                        count: int = 12, M: Optional[float] = None,
-                       beta: float = 1.0,
-                       operator: Optional[Operator] = None) -> ThresholdReport:
+                       beta: float = 1.0) -> ThresholdReport:
     """Assemble the full report: limits, both thresholds, and the sequence.
 
-    ``gammas`` defaults to maximizers of Fbar(s)/s^p between the first
-    ``count + 1`` zeros of f; ``M`` defaults to the sampled dip constant.
-    ``operator`` defaults to the p-Laplacian of ``pc.p`` and gives
-    lambda_under (``Operator.lambda_under``); it is refused unless ``pc``
-    has its exponent, and for Pucci its weight (``Operator.calculus``).
+    ``operator`` gives the exponent e, the limits of G(s)/s^e and
+    lambda_under (``Operator.lambda_under``) and the primitive range of the
+    sequence.  ``gammas`` defaults to maximizers of the plain Fbar(s)/s^e
+    between the first ``count + 1`` zeros of f, for either operator; ``M``
+    defaults to the sampled dip constant.
     """
-    if operator is None:
-        operator = Operator.p_laplacian(pc.p)
-    if pc.p != operator.exponent or not operator.weight_matches(pc):
-        raise DomainError(
-            f"operator {operator.to_json()} needs primitives with p = "
-            f"{operator.exponent!r} (and Lambda = {operator.weight!r} for "
-            f"F_Lambda), got p = {pc.p!r}, Lambda = {pc.Lambda!r}")
-
-    limits = pc.estimate_limits(which=operator.which, direction=direction)
+    limits = operator.limits(pc, direction)
     under = operator.lambda_under(geom.R, limits)
 
     if gammas is None:
         zeros = find_zeros(pc.nl, count + 1)
-        gammas = propose_gammas(pc, zeros, count=count)
+        gammas = propose_gammas(pc, zeros, operator.exponent, count=count)
     if not gammas:
         raise DomainError("no usable heights: every zero gap had Fbar <= 0")
     if M is None:
         M = estimate_M(pc, gammas)
 
-    rows = lambda_n_sequence(pc, geom, gammas, M=M, beta=beta,
-                             ell=direction, which=operator.which)
+    rows = lambda_n_sequence(operator, pc, geom, gammas, M=M, beta=beta,
+                             ell=direction)
     bar, monotone = lambda_bar_estimate(rows)
     return ThresholdReport(under, bar, tuple(rows), float(M), limits,
                            operator, geom, float(beta), direction, monotone)

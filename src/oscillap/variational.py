@@ -47,7 +47,7 @@ class TruncatedNonlinearity:
                 f"truncation level {alpha_n!r} is not a zero: f = {f_alpha!r}")
         self.base = base
         self.alpha_n = float(alpha_n)
-        self.pc = pc if pc is not None else PrimitiveCalculus(base, p=2.0)
+        self.pc = pc if pc is not None else PrimitiveCalculus(base)
         self._F_alpha = self.pc.F(self.alpha_n)
         self._f0 = base.f0
 
@@ -568,7 +568,7 @@ def run_sequence(nl: Nonlinearity, pot: Potential, lam: float,
             f"lambda = {lam!r} is not above the existence threshold "
             f"{lambda_bar!r}; nontriviality is not guaranteed", stacklevel=2)
     if pc is None:
-        pc = PrimitiveCalculus(nl, p=pot.p)
+        pc = PrimitiveCalculus(nl)
     asc = zeros.ascending()
     if len(asc) < K:
         raise DomainError(f"need {K} zeros, got {len(asc)}")

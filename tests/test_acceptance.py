@@ -56,9 +56,9 @@ CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
 @pytest.fixture(scope="module")
 def existence_scan():
     """Clustered-height diagram for the canonical instance, p=2, N=1, R=1."""
-    pc = PrimitiveCalculus(NL, p=2.0)
-    report = compute_thresholds(pc, BallGeometry(1, 1.0), "infinity",
-                                operator=Operator.p_laplacian(2.0))
+    pc = PrimitiveCalculus(NL)
+    report = compute_thresholds(Operator.p_laplacian(2.0), pc,
+                                BallGeometry(1, 1.0), "infinity")
     heights = clustered_heights(ZEROS, c_max=40.0)
     diag = diagram(NL, 2.0, 1, 1.0, heights, ZEROS, pc=pc)
     return report, diag
@@ -67,7 +67,7 @@ def existence_scan():
 @pytest.fixture(scope="module")
 def nonexistence_scan():
     """Log-spaced scan of large heights, c in [10, 1e4]."""
-    pc = PrimitiveCalculus(NL, p=2.0)
+    pc = PrimitiveCalculus(NL)
     grid = np.geomspace(10.0, 1e4, 240)
     diag = diagram(NL, 2.0, 1, 1.0, grid, ZEROS, pc=pc)
     return pc, diag
@@ -95,7 +95,7 @@ def test_criterion_2_energy_identity_across_scan():
     """Energy identity residual stays under 1e-6 on 500-point scans."""
     grid = np.linspace(0.5, 30.0, 500)
     for p in (2.0, 3.0):
-        pc = PrimitiveCalculus(NL, p=p)
+        pc = PrimitiveCalculus(NL)
         for N in (1, 2, 3):
             diag = diagram(NL, p, N, 1.0, grid, ZEROS, pc=pc, tol_ode=1e-12)
             hits = [r for r in diag.rows if r.outcome == "HitZero"]
@@ -171,7 +171,7 @@ def test_criterion_6_pucci_consistency():
     assert worst <= 1e-7
 
     # the weighted decay inequality holds along every Lambda = 2 trajectory
-    pcL = PrimitiveCalculus(NL, p=2.0, Lambda=2.0)
+    pcL = PrimitiveCalculus(NL)
     checked = 0
     for c in np.linspace(0.5, 25.0, 40):
         try:
@@ -206,10 +206,11 @@ def test_criterion_7_variational_mechanism():
     assert math.log2(errs[1] / errs[2]) >= 1.9
 
     # canonical instance truncated at the third zero, lambda = 2 lambda_3
-    pc = PrimitiveCalculus(NL, p=2.0)
+    pc = PrimitiveCalculus(NL)
     zeros8 = find_zeros(NL, 8)
-    gammas = propose_gammas(pc, zeros8, count=6)
-    row = lambda_n_sequence(pc, BallGeometry(1, 1.0), gammas)[2]
+    gammas = propose_gammas(pc, zeros8, 2.0, count=6)
+    row = lambda_n_sequence(Operator.p_laplacian(2.0), pc, BallGeometry(1, 1.0),
+                            gammas)[2]
     lam = 2.0 * row.lam
     grid = radial_grid(1.0, 200, delta=row.delta)
     tnc = TruncatedNonlinearity(NL, ALPHA_3, pc=pc)
@@ -227,32 +228,32 @@ def test_criterion_7_variational_mechanism():
 
 def test_criterion_8_primitive_calculus():
     # closed forms at 1e-8 relative
-    pc_power = PrimitiveCalculus(NL, p=2.0)
+    pc_power = PrimitiveCalculus(NL)
     s = np.linspace(0.05, 40.0, 200)
     want = s * s / 2 + np.sin(s) - s * np.cos(s)
     np.testing.assert_allclose(pc_power.F_many(s), want, rtol=1e-8)
 
     unit = PrimitiveCalculus(
-        EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [50.0, 1.0]])), p=2.0)
+        EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [50.0, 1.0]])))
     assert unit.F(2 * PI) == pytest.approx(2 * PI, rel=1e-8)
     assert unit.F(PI / 3) == pytest.approx(PI / 3 + 0.5, rel=1e-8)
 
     cos_tab = PrimitiveCalculus(
-        CustomTable.from_function(math.cos, 7.0, 60001), p=2.0)
+        CustomTable.from_function(math.cos, 7.0, 60001))
     assert cos_tab.Fbar(2 * PI) == pytest.approx(1.0, rel=1e-8)
 
-    sine = PrimitiveCalculus(PureSine(), p=2.0, Lambda=2.0)
-    assert sine.F_Lambda(2 * PI) == pytest.approx(1.5, rel=1e-8)
+    sine = PrimitiveCalculus(PureSine())
+    assert sine.F_Lambda(2 * PI, 2.0) == pytest.approx(1.5, rel=1e-8)
     assert sine.F_under(PI, 2 * PI) == pytest.approx(-2.0, abs=1e-8)
 
     # threshold ordering lambda_under <= lambda_bar on both model instances
-    rep = compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
-                             operator=Operator.p_laplacian(2.0))
+    rep = compute_thresholds(Operator.p_laplacian(2.0), pc_power,
+                             BallGeometry(1, 1.0), "infinity")
     assert 0.0 < rep.lambda_under <= rep.lambda_bar < math.inf
 
-    rec = PrimitiveCalculus(ReciprocalOscillation(2.0), p=1.5)
-    rep2 = compute_thresholds(rec, BallGeometry(1, 1.0), "zero", count=6,
-                              operator=Operator.p_laplacian(1.5))
+    rec = PrimitiveCalculus(ReciprocalOscillation(2.0))
+    rep2 = compute_thresholds(Operator.p_laplacian(1.5), rec, BallGeometry(1, 1.0),
+                              "zero", count=6)
     assert 0.0 < rep2.lambda_under <= rep2.lambda_bar < math.inf
 
 

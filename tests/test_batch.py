@@ -141,7 +141,7 @@ def _scalar_lambda(cfg, nl, R=1.0):
 
 
 def _assert_rows_match_scalar(nl, p, N, heights, zeros):
-    pc = PrimitiveCalculus(nl, p=p)
+    pc = PrimitiveCalculus(nl)
     dg = diagram(nl, p, N, 1.0, heights, zeros, pc=pc, tol_ode=TOL_ODE)
     for row in dg.rows:
         ref = _scalar_lambda(ShootConfig(p, N, row.c, tol_ode=TOL_ODE,
@@ -197,7 +197,7 @@ def test_batched_rows_match_scalar_through_bounces():
     # bounce, kpi stalls; every outcome kind must match the scalar shot
     heights = [0.7, 2.0, math.pi, 3.6, 4.4, 5.2, 6.0, 7.5, 9.0]
     nl = PureSine()
-    pc = PrimitiveCalculus(nl, p=2.0)
+    pc = PrimitiveCalculus(nl)
     dg = diagram(nl, 2.0, 2, 1.0, heights, find_zeros(nl, 4), pc=pc,
                  tol_ode=TOL_ODE)
     kinds = {row.outcome for row in dg.rows}

@@ -120,7 +120,7 @@ def test_bounded_minimizer_matches_scipy(coefs, a, width, log_xatol):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_bounded_minimizer_matches_scipy_on_threshold_gaps(p):
     """The call shape of propose_gammas: -Fbar(s)/s^p between zeros."""
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=p)
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
     asc = list(find_zeros(pc.nl, 6).ascending())
     for lo, hi in zip([0.0] + asc[:-1], asc):
         a = lo + 1e-12 * (hi - lo) if lo == 0.0 else lo

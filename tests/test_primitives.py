@@ -23,6 +23,7 @@ from oscillap.primitives import (
     _PowerSinPrimitive,
     classify_ratio_samples,
 )
+from oscillap.thresholds import Operator
 
 PI = math.pi
 
@@ -33,12 +34,12 @@ def F_power1(s):
 
 @pytest.fixture(scope="module")
 def pc_power():
-    return PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+    return PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
 
 
 @pytest.fixture(scope="module")
 def pc_sine():
-    return PrimitiveCalculus(PureSine(), p=2.0, Lambda=2.0)
+    return PrimitiveCalculus(PureSine())
 
 
 def test_primitive_closed_form_power_sin(pc_power):
@@ -68,17 +69,17 @@ _QUADRATURE_REFERENCE = {n: _quadrature_reference(n) for n in (1, 2, 3)}
        s=st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=8))
 def test_power_sin_closed_form_matches_quadrature(n, s):
     """Integer r takes the closed form; it matches 1e-12 panel quadrature."""
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(float(n)), p=2.0)
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(float(n)))
     s = np.array(s)
     want = _QUADRATURE_REFERENCE[n].F_many(s)
     np.testing.assert_allclose(pc.F_many(s), want, rtol=1e-12)
     assert pc.F(float(s[0])) == pytest.approx(want[0], rel=1e-12)
-    np.testing.assert_array_equal(pc.F_Lambda_many(s), pc.F_many(s))
+    np.testing.assert_array_equal(pc.F_Lambda_many(s, 1.0), pc.F_many(s))
 
 
 def test_primitive_zero_function():
     z = CustomTable(np.array([[0.0, 0.0], [40.0, 0.0]]))
-    pc = PrimitiveCalculus(z, p=2.0)
+    pc = PrimitiveCalculus(z)
     for s in (0.0, 1.0, 17.3):
         assert pc.F(s) == 0.0
         assert pc.Fbar(s) == 0.0
@@ -86,7 +87,7 @@ def test_primitive_zero_function():
 
 def test_primitive_one_plus_sin_envelope():
     nl = EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [50.0, 1.0]]))
-    pc = PrimitiveCalculus(nl, p=2.0)
+    pc = PrimitiveCalculus(nl)
     # F(s) = s + 1 - cos s for the unit envelope
     assert pc.F(2 * PI) == pytest.approx(2 * PI, rel=1e-10)
     assert pc.F(PI / 3) == pytest.approx(PI / 3 + 0.5, rel=1e-10)
@@ -102,7 +103,7 @@ def test_fbar_equals_f_for_nonnegative(pc_power):
 def test_fbar_cos_table():
     # F = sin s dips to -1 at 3pi/2, so Fbar(2pi) = 0 - (-1) = 1
     tab = CustomTable.from_function(math.cos, 7.0, 60001)
-    pc = PrimitiveCalculus(tab, p=2.0)
+    pc = PrimitiveCalculus(tab)
     assert pc.Fbar(2 * PI) == pytest.approx(1.0, rel=1e-8)
     assert pc.Fbar(0.0) == 0.0
 
@@ -122,31 +123,31 @@ def test_fbar_nondecreasing_for_nonnegative_f(pc_power):
 
 
 def test_f_lambda_identity_at_one():
-    pc = PrimitiveCalculus(PureSine(), p=2.0, Lambda=1.0)
+    pc = PrimitiveCalculus(PureSine())
     for s in np.linspace(0.0, 20.0, 80):
         F = pc.F(float(s))
-        assert abs(pc.F_Lambda(float(s)) - F) <= 1e-10 * (1 + abs(F))
+        assert abs(pc.F_Lambda(float(s), 1.0) - F) <= 1e-10 * (1 + abs(F))
 
 
 def test_f_lambda_equals_f_for_nonnegative():
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0, Lambda=3.0)
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
     for s in (0.5, 3.0, 11.0):
-        assert pc.F_Lambda(s) == pytest.approx(pc.F(s), rel=1e-12)
+        assert pc.F_Lambda(s, 3.0) == pytest.approx(pc.F(s), rel=1e-12)
 
 
 def test_f_lambda_sine_closed_form(pc_sine):
     # over [0, 2pi]: int f+ = 2, int f- = 2, so F_Lambda = 2 - 2/4 = 1.5
-    assert pc_sine.F_Lambda(2 * PI) == pytest.approx(1.5, rel=1e-8)
+    assert pc_sine.F_Lambda(2 * PI, 2.0) == pytest.approx(1.5, rel=1e-8)
 
 
 def test_f_splits_into_signed_parts():
     rng = np.random.default_rng(7)
     tab = CustomTable.from_function(lambda s: math.sin(1.3 * s) - 0.2, 30.0, 3001)
     cases = [
-        PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0),
-        PrimitiveCalculus(PureSine(), p=2.0),
-        PrimitiveCalculus(ReciprocalOscillation(2.0), p=1.5),
-        PrimitiveCalculus(tab, p=2.0),
+        PrimitiveCalculus(PowerTimesOnePlusSin(1.0)),
+        PrimitiveCalculus(PureSine()),
+        PrimitiveCalculus(ReciprocalOscillation(2.0)),
+        PrimitiveCalculus(tab),
     ]
     for pc in cases:
         for s in rng.uniform(0.0, 25.0, 100):
@@ -200,7 +201,7 @@ def test_reciprocal_primitive_frozen_oracle():
         50.0: 248.1736247698129,
         2000.0: 59716.25103482023,
     }
-    pc = PrimitiveCalculus(ReciprocalOscillation(2.0), p=1.5)
+    pc = PrimitiveCalculus(ReciprocalOscillation(2.0))
     for s, want in frozen.items():
         assert pc.F(s) == pytest.approx(want, rel=5e-13)
     # vectorized path agrees with the scalar path
@@ -210,7 +211,7 @@ def test_reciprocal_primitive_frozen_oracle():
 
 
 def test_quadrature_budget_exhaustion_raises():
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(0.5), p=2.0,
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(0.5),
                            tol_quad=1e-16, max_depth=3)
     with pytest.raises(QuadratureFailure):
         pc.F(10.0)
@@ -248,7 +249,7 @@ def test_prefix_at_tight_tolerance_passes_a_double_zero():
 
 
 def test_limit_estimate_power_sin(pc_power):
-    est = pc_power.estimate_limits(direction="infinity")
+    est = Operator.p_laplacian(2.0).limits(pc_power, "infinity")
     assert est.classification == "FinitePair"
     assert est.L_minus == pytest.approx(0.5, abs=0.02)
     assert est.L_plus == pytest.approx(0.5, abs=0.02)
@@ -261,7 +262,7 @@ def test_limit_estimate_constant_ratio_exact():
     # piecewise-linear tables reproduce f(s) = 2 c s exactly, so F/s^2 == c
     c = 0.7
     tab = CustomTable(np.array([[0.0, 0.0], [5e5, 2 * c * 5e5], [1e6, 2 * c * 1e6]]))
-    est = PrimitiveCalculus(tab, p=2.0).estimate_limits(direction="infinity")
+    est = Operator.p_laplacian(2.0).limits(PrimitiveCalculus(tab), "infinity")
     assert est.classification == "FinitePair"
     assert est.L_minus == pytest.approx(c, rel=1e-13)
     assert est.L_plus == pytest.approx(c, rel=1e-13)
@@ -270,7 +271,7 @@ def test_limit_estimate_constant_ratio_exact():
 def test_limit_estimate_cubic_toward_zero():
     tab = CustomTable.from_function(lambda s: s ** 3, 1.0, 20001,
                                     direction="zero")
-    est = PrimitiveCalculus(tab, p=2.0).estimate_limits(direction="zero")
+    est = Operator.p_laplacian(2.0).limits(PrimitiveCalculus(tab), "zero")
     assert est.classification == "BothZero"
     assert abs(est.L_minus) <= 1e-5
     assert abs(est.L_plus) <= 1e-5
@@ -305,23 +306,33 @@ def test_limit_estimate_validates_classification():
 UNIT_ENVELOPE = EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [100.0, 1.0]]))
 
 
+#: one-point reads that threads share: F, and the running extrema of
+#: F_Lambda at two Lambda, whose tables the first reader of each creates
+_SHARED_READS = (lambda pc, x: pc.F(x),
+                 lambda pc, x: pc.extrema_Lambda(x, 1.5),
+                 lambda pc, x: pc.extrema_Lambda(x, 2.0))
+
+
 def test_concurrent_reads_match_serial():
     s = np.linspace(0.1, 35.0, 137)
-    serial = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0).F_many(s)
-    fresh = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
-    out = np.empty_like(serial)
-    chunks = np.array_split(np.arange(len(s)), 8)
+    for nl in (UNIT_ENVELOPE, PureSine()):
+        serial = [[read(PrimitiveCalculus(nl), float(x)) for x in s]
+                  for read in _SHARED_READS]
+        fresh = PrimitiveCalculus(nl)
+        out = [[None] * len(s) for _ in _SHARED_READS]
+        chunks = np.array_split(np.arange(len(s)), 8)
 
-    def work(ix):
-        for i in ix:
-            out[i] = fresh.F(float(s[i]))
+        def work(ix):
+            for i in ix:
+                for k, read in enumerate(_SHARED_READS):
+                    out[k][i] = read(fresh, float(s[i]))
 
-    threads = [threading.Thread(target=work, args=(ix,)) for ix in chunks]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    np.testing.assert_array_equal(out, serial)
+        threads = [threading.Thread(target=work, args=(ix,)) for ix in chunks]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert out == serial
 
 
 def test_fresh_cache_reads_race_extensions():
@@ -329,13 +340,13 @@ def test_fresh_cache_reads_race_extensions():
     consistent (checkpoints, prefix values) snapshot: no index past the
     prefix array, and the serial values bit for bit."""
     s = np.linspace(0.1, 60.0, 97)
-    ref = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
+    ref = PrimitiveCalculus(UNIT_ENVELOPE)
     serial = np.array([ref.F(float(x)) for x in s])
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            fresh = PrimitiveCalculus(UNIT_ENVELOPE, p=2.0)
+            fresh = PrimitiveCalculus(UNIT_ENVELOPE)
             out = np.full(len(s), np.nan)
             errors = []
 
@@ -359,7 +370,7 @@ def test_fresh_cache_reads_race_extensions():
         sys.setswitchinterval(old)
 
 
-_PROPERTY_PC = PrimitiveCalculus(PureSine(), p=2.0)
+_PROPERTY_PC = PrimitiveCalculus(PureSine())
 
 
 @given(st.floats(min_value=0.0, max_value=60.0, allow_nan=False))
@@ -370,21 +381,31 @@ def test_fbar_nonnegative_property(s):
 
 
 # nonlinearities whose F comes from panel caches: sign-changing (split
-# caches), smooth, with a root kink at 0, and with table kinks
+# caches), smooth, with a root kink at 0, and with table kinks; and a
+# sign-changing table, whose sign parts are exact
 _PANEL_CACHE_CASES = {
     "pure_sine": PureSine(),
     "power_sin r=0.5": PowerTimesOnePlusSin(0.5),
     "power_sin r=1.5": PowerTimesOnePlusSin(1.5),
     "envelope_sin": EnvelopeTimesOnePlusSin(
         np.array([[0.0, 1.0], [7.3, 2.5], [19.1, 2.6], [50.0, 4.0]])),
+    "cos table": CustomTable.from_function(lambda s: math.cos(s) + 0.3, 40.0, 801),
 }
 _QUANTITIES = ("F", "F_Lambda", "extrema", "extrema_Lambda")
+_LAMBDAS = (1.0, 1.5, 2.0)
 
 
-def _batched(pc, quantity, xs):
-    if quantity in ("F", "F_Lambda"):
-        return [float(v) for v in getattr(pc, quantity + "_many")(np.array(xs))]
-    return [getattr(pc, quantity)(x) for x in xs]   # extrema have no batch form
+def _query(pc, quantity, xs, batched, Lambda):
+    """``quantity`` at each x (at ``Lambda`` for the F_Lambda family), by
+    one batched call or one call per point."""
+    args = () if Lambda is None else (Lambda,)
+    if batched and quantity in ("F", "F_Lambda"):
+        return [float(v) for v in getattr(pc, quantity + "_many")(np.array(xs), *args)]
+    return [getattr(pc, quantity)(x, *args) for x in xs]   # extrema have no batch form
+
+
+def _lambdas(quantity):
+    return _LAMBDAS if quantity.endswith("_Lambda") else (None,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,12 +414,16 @@ def _batched(pc, quantity, xs):
        data=st.data())
 def test_primitive_values_do_not_depend_on_query_order(case, s, data):
     """F, F_Lambda and the running extrema at a point have the same bits
-    whatever was asked before, in whatever groups, by one-point or batched
-    calls."""
+    whatever was asked before, in whatever groups, at whatever Lambda, by
+    one-point or batched calls: one PrimitiveCalculus serves every Lambda
+    as a fresh one per Lambda does."""
     nl = _PANEL_CACHE_CASES[case]
-    ref = PrimitiveCalculus(nl, p=2.0, Lambda=2.0)
-    want = {(q, x): getattr(ref, q)(x) for x in s for q in _QUANTITIES}
-    pc = PrimitiveCalculus(nl, p=2.0, Lambda=2.0)
+    want = {}
+    for q in _QUANTITIES:
+        for lam in _lambdas(q):
+            vals = _query(PrimitiveCalculus(nl), q, s, False, lam)
+            want.update(((q, lam, x), v) for x, v in zip(s, vals))
+    pc = PrimitiveCalculus(nl)
     order = data.draw(st.permutations(s))
     got = {}
     while order:
@@ -406,10 +431,10 @@ def test_primitive_values_do_not_depend_on_query_order(case, s, data):
         group, order = order[:k], order[k:]
         batched = data.draw(st.booleans())
         for q in data.draw(st.permutations(_QUANTITIES)):
-            vals = (_batched(pc, q, group) if batched
-                    else [getattr(pc, q)(x) for x in group])
-            got.update(((q, x), v) for x, v in zip(group, vals))
-    assert got == want
+            lam = data.draw(st.sampled_from(_lambdas(q)))
+            vals = _query(pc, q, group, batched, lam)
+            got.update(((q, lam, x), v) for x, v in zip(group, vals))
+    assert got == {key: want[key] for key in got}
 
 
 _TIGHT_POWER_HALF = CachedPrefix(PowerTimesOnePlusSin(0.5).eval_many, tol=1e-15)

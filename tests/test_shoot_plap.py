@@ -40,7 +40,7 @@ CANONICAL = PowerTimesOnePlusSin(1.0)
 
 @pytest.fixture(scope="module")
 def pc_canonical():
-    return PrimitiveCalculus(CANONICAL, p=2.0)
+    return PrimitiveCalculus(CANONICAL)
 
 
 def test_linear_first_zero_and_profile():
@@ -66,7 +66,7 @@ def test_constant_source_three_dims():
     assert isinstance(res.outcome, HitZero)
     assert abs(res.outcome.rho - math.sqrt(6.0)) <= 1e-9
     assert np.max(np.abs(res.v - (1.0 - res.r ** 2 / 6.0))) <= 1e-9
-    pc = PrimitiveCalculus(CONSTANT, p=2.0)
+    pc = PrimitiveCalculus(CONSTANT)
     assert check_necessary_conditions(res, pc, 1.0).residual <= 1e-10
 
 
@@ -76,7 +76,7 @@ def test_degenerate_diffusion_constant_source():
     rho_exact = 1.5 ** (2.0 / 3.0)
     assert isinstance(res.outcome, HitZero)
     assert abs(res.outcome.rho - rho_exact) <= 1e-7 * rho_exact
-    pc = PrimitiveCalculus(CONSTANT, p=3.0)
+    pc = PrimitiveCalculus(CONSTANT)
     assert check_necessary_conditions(res, pc, 1.0).residual <= 1e-7
 
 
@@ -156,7 +156,7 @@ def test_necessary_conditions_on_canonical(pc_canonical):
 def test_diagram_flat_for_linear_source():
     """lambda(c) is constant when f is linear: every height rescales alike."""
     zs = ZeroSequence(np.array([1e6]), "infinity")
-    pc = PrimitiveCalculus(LINEAR, p=2.0)
+    pc = PrimitiveCalculus(LINEAR)
     dg = diagram(LINEAR, 2.0, 1, 1.0, np.linspace(1.0, 25.0, 8), zs, pc=pc,
                  tol_ode=1e-9)
     lams = np.array([row.lam for row in dg.rows])

@@ -25,6 +25,7 @@ from oscillap.shoot_plap import (
     shoot,
 )
 from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
+from oscillap.thresholds import BallGeometry, Operator, compute_thresholds
 
 LINEAR = CustomTable.from_function(lambda s: s, 30.0, 30000)
 CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
@@ -37,7 +38,7 @@ def test_unit_ratio_linear_is_cosine():
     assert isinstance(res.outcome, HitZero)
     assert abs(res.outcome.rho - math.pi / 2) <= 1e-9
     assert res.q_sign_changes == 0
-    pc = PrimitiveCalculus(LINEAR, p=2.0, Lambda=1.0)
+    pc = PrimitiveCalculus(LINEAR)
     d = check_necessary_conditions(res, pc, 1.0)
     # the decay inequality is an identity for this profile
     assert d.residual <= 1e-12
@@ -50,7 +51,7 @@ def test_ratio_two_parabola():
     assert isinstance(res.outcome, HitZero)
     assert abs(res.outcome.rho - 1.0) <= 1e-12
     assert np.max(np.abs(res.v - (1.0 - res.r ** 2))) <= 1e-12
-    pc = PrimitiveCalculus(CONSTANT, p=2.0, Lambda=2.0)
+    pc = PrimitiveCalculus(CONSTANT)
     d = check_necessary_conditions(res, pc, 2.0)
     assert d.residual <= 1e-12
     assert res.lambda_rescaled == pytest.approx(0.25, rel=1e-12)
@@ -156,32 +157,60 @@ def test_area_condition_uses_weighted_primitive():
     c = 8.6667
     res = pucci_shoot(PucciShootConfig(2.0, 2, c), PureSine())
     assert isinstance(res.outcome, HitZero)
-    pc = PrimitiveCalculus(PureSine(), p=2.0, Lambda=2.0)
+    pc = PrimitiveCalculus(PureSine())
     d = check_necessary_conditions(res, pc, 1.0)
     assert d.residual == 0.0
     assert d.F_at_max_ok and d.area_condition_ok
     assert pc.F(c) < pc.running_max(c) - 0.2
-    assert pc.F_Lambda(c) == pytest.approx(pc.running_max_Lambda(c), rel=1e-12)
+    assert pc.F_Lambda(c, 2.0) == pytest.approx(pc.extrema_Lambda(c, 2.0)[1],
+                                                rel=1e-12)
 
 
-def test_primitives_of_another_lambda_are_refused():
-    """Lambda = 1 primitives would give a Lambda = 2 shot the wrong
-    F_Lambda: at this height the audit would fail the area condition with
-    residual 0.339, and a scan would write Fbar_c 1.726 for 3.226.  Both
-    refuse them; p-Laplacian rows read only F, which no Lambda changes."""
+def test_primitives_of_any_lambda_serve_a_pucci_shot():
+    """One PrimitiveCalculus serves every Lambda: after Lambda = 1 queries
+    it still gives a Lambda = 2 shot its own F_Lambda.  Lambda = 1 values
+    would fail the area condition at this height with residual 0.339, and
+    a scan would write Fbar_c 1.726 for 3.226 and lower_bound 10.88 for
+    5.82.  p-Laplacian audits read F from the same primitives."""
     c = 8.6667
     cfg = PucciShootConfig(2.0, 2, c)
-    wrong = PrimitiveCalculus(PureSine(), p=2.0, Lambda=1.0)
+    pc = PrimitiveCalculus(PureSine())
+    pc.F_Lambda(c, 1.0), pc.extrema_Lambda(c, 1.0)
     res = pucci_shoot(cfg, PureSine())
     assert isinstance(res.outcome, HitZero)
-    with pytest.raises(DomainError):
-        check_necessary_conditions(res, wrong, 1.0)
-    with pytest.raises(DomainError):
-        BifurcationDiagram.scan(cfg, PureSine(), 1.0, [c],
-                                find_zeros(PureSine(), 4), wrong)
+    d = check_necessary_conditions(res, pc, 1.0)
+    assert d.residual == 0.0
+    assert d.area_condition_ok
+    row, = BifurcationDiagram.scan(cfg, PureSine(), 1.0, [c],
+                                   find_zeros(PureSine(), 4), pc).rows
+    assert row.Fbar_c == pytest.approx(3.226, abs=5e-4)
+    assert row.lower_bound == pytest.approx(5.82, abs=5e-3)
     plap = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
-    weighted = PrimitiveCalculus(CANONICAL, p=2.0, Lambda=2.0)
+    weighted = PrimitiveCalculus(CANONICAL)
+    weighted.extrema_Lambda(7.0, 2.0)
     assert check_necessary_conditions(plap, weighted, 1.0).residual <= 1e-8
+
+
+def test_shared_primitives_match_fresh_ones():
+    """A p = 2 scan, a Pucci Lambda = 2 scan and both operators' thresholds
+    on one PrimitiveCalculus give the rows and reports of fresh ones."""
+    nl = PureSine()
+    zeros = find_zeros(nl, 8)
+    heights = np.linspace(0.5, 12.0, 24)
+    shots = (ShootConfig(2.0, 2, 1.0, tol_ode=1e-9),
+             PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-9))
+    operators = (Operator.p_laplacian(2.0), Operator.pucci(2.0))
+    geom = BallGeometry(2, 1.0)
+
+    def outputs(primitives):
+        rows = [diagram_csv_lines(BifurcationDiagram.scan(
+            cfg, nl, 1.0, heights, zeros, primitives())) for cfg in shots]
+        reports = [compute_thresholds(op, primitives(), geom, "infinity",
+                                      count=6).to_json() for op in operators]
+        return rows, reports
+
+    shared = PrimitiveCalculus(nl)
+    assert outputs(lambda: shared) == outputs(lambda: PrimitiveCalculus(nl))
 
 
 def test_lambda_star_crossings_on_pucci_scan():

@@ -20,11 +20,12 @@ from oscillap.thresholds import (
 )
 
 PI = math.pi
+PLAP2 = Operator.p_laplacian(2.0)
 
 
 @pytest.fixture(scope="module")
 def pc_power():
-    return PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0)
+    return PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +35,9 @@ def canonical_gammas():
 
 
 def test_ball_geometry_measures():
-    g = BallGeometry(3, 2.0, 0.5)
+    g = BallGeometry(3, 2.0)
     assert g.unit_ball_volume == pytest.approx(4 * PI / 3, rel=1e-14)
     assert g.measure == pytest.approx(4 * PI / 3 * 8, rel=1e-14)
-    assert g.boundary_layer_measure == pytest.approx(
-        4 * PI / 3 * (8 - 1.5 ** 3), rel=1e-14)
     # 1D ball of radius R is the interval (-R, R)
     assert BallGeometry(1, 1.0).measure == pytest.approx(2.0, rel=1e-15)
 
@@ -48,10 +47,6 @@ def test_ball_geometry_validation():
         BallGeometry(0, 1.0)
     with pytest.raises(DomainError):
         BallGeometry(2, -1.0)
-    with pytest.raises(DomainError):
-        BallGeometry(2, 1.0, 1.5)
-    with pytest.raises(DomainError):
-        BallGeometry(1, 1.0).boundary_layer_measure
 
 
 def _pair(L_minus, L_plus):
@@ -127,8 +122,8 @@ def test_operator_closed_forms_match_the_per_operator_formulas(p, Lambda, R, L,
 
 def test_lambda_n_sequence_regression(pc_power, canonical_gammas):
     geom = BallGeometry(1, 1.0)
-    rows = lambda_n_sequence(pc_power, geom, canonical_gammas, M=0.0,
-                             beta=1.0, ell="infinity")
+    rows = lambda_n_sequence(PLAP2, pc_power, geom, canonical_gammas,
+                             M=0.0, beta=1.0, ell="infinity")
     r0 = rows[0]
     assert r0.gamma == pytest.approx(2 * PI + PI / 2, rel=1e-15)
     assert r0.delta == pytest.approx(0.322398358266072, rel=1e-12)
@@ -144,8 +139,8 @@ def test_lambda_n_sequence_regression(pc_power, canonical_gammas):
 
 
 def test_lambda_bar_last_quartile(pc_power, canonical_gammas):
-    rows = lambda_n_sequence(pc_power, BallGeometry(1, 1.0), canonical_gammas,
-                             M=0.0, ell="infinity")
+    rows = lambda_n_sequence(PLAP2, pc_power, BallGeometry(1, 1.0),
+                             canonical_gammas, M=0.0, ell="infinity")
     bar, monotone = lambda_bar_estimate(rows)
     assert bar == pytest.approx(54.14904412558528, rel=1e-11)
     assert monotone is True
@@ -154,10 +149,10 @@ def test_lambda_bar_last_quartile(pc_power, canonical_gammas):
 
 
 def test_lambda_n_dilation_scaling(pc_power, canonical_gammas):
-    base = lambda_n_sequence(pc_power, BallGeometry(1, 1.0), canonical_gammas,
-                             M=0.0, ell="infinity")
+    base = lambda_n_sequence(PLAP2, pc_power, BallGeometry(1, 1.0),
+                             canonical_gammas, M=0.0, ell="infinity")
     for k in (2.0, 10.0):
-        scaled = lambda_n_sequence(pc_power, BallGeometry(1, k),
+        scaled = lambda_n_sequence(PLAP2, pc_power, BallGeometry(1, k),
                                    canonical_gammas, M=0.0, ell="infinity")
         for a, b in zip(scaled, base):
             assert a.lam == pytest.approx(b.lam / k ** 2, rel=1e-12)
@@ -166,8 +161,8 @@ def test_lambda_n_dilation_scaling(pc_power, canonical_gammas):
 def test_lambda_n_zero_direction_c1_is_core_measure(pc_power):
     # with M = 0 toward zero, C1 = |B| - |layer| = omega_N (R - delta)^N
     geom = BallGeometry(2, 1.0)
-    rows = lambda_n_sequence(pc_power, geom, [2 * PI + PI / 2], M=0.0,
-                             ell="zero")
+    rows = lambda_n_sequence(PLAP2, pc_power, geom, [2 * PI + PI / 2],
+                             M=0.0, ell="zero")
     r = rows[0]
     assert r.C1 == pytest.approx(PI * (1 - r.delta) ** 2, rel=1e-12)
 
@@ -175,18 +170,18 @@ def test_lambda_n_zero_direction_c1_is_core_measure(pc_power):
 def test_lambda_n_rejects_bad_inputs(pc_power):
     geom = BallGeometry(1, 1.0)
     with pytest.raises(DomainError):
-        lambda_n_sequence(pc_power, geom, [1.0], M=-0.5, ell="infinity")
+        lambda_n_sequence(PLAP2, pc_power, geom, [1.0], M=-0.5, ell="infinity")
     with pytest.raises(DomainError):
-        lambda_n_sequence(pc_power, geom, [-3.0], M=0.0, ell="infinity")
+        lambda_n_sequence(PLAP2, pc_power, geom, [-3.0], M=0.0, ell="infinity")
     zero_tab = CustomTable(np.array([[0.0, 0.0], [9.0, 0.0]]))
-    pcz = PrimitiveCalculus(zero_tab, p=2.0)
+    pcz = PrimitiveCalculus(zero_tab)
     with pytest.raises(NonpositiveFbar):
-        lambda_n_sequence(pcz, geom, [5.0], M=0.0, ell="infinity")
+        lambda_n_sequence(PLAP2, pcz, geom, [5.0], M=0.0, ell="infinity")
 
 
 def test_per_solution_bound_linear_oracle():
     lin = CustomTable.from_function(lambda s: s, 50.0, 2001)
-    pc = PrimitiveCalculus(lin, p=2.0)
+    pc = PrimitiveCalculus(lin)
     # Fbar(c) = c^2/2 exactly, so the bound is 1 for every height
     for c in (0.5, 3.0, 20.0):
         assert Operator.p_laplacian(2.0).bound(c, pc.Fbar(c), 1.0) == \
@@ -199,7 +194,7 @@ def test_per_solution_bound_exact_power_cancellation():
     p = 3.0
     # f = p s^{p-1} makes Fbar(c) = c^p exactly on the table
     tab = CustomTable.from_function(lambda s: p * s ** (p - 1), 30.0, 30001)
-    pc = PrimitiveCalculus(tab, p=p)
+    pc = PrimitiveCalculus(tab)
     want = (p - 1) / p
     for c in (0.8, 4.0, 17.0):
         assert Operator.p_laplacian(p).bound(c, pc.Fbar(c), 1.0) == \
@@ -208,8 +203,8 @@ def test_per_solution_bound_exact_power_cancellation():
 
 def test_per_solution_bound_scales_inversely_with_f():
     k = 3.0
-    a = PrimitiveCalculus(CustomTable.from_function(lambda s: s, 50.0, 2001), p=2.0)
-    b = PrimitiveCalculus(CustomTable.from_function(lambda s: k * s, 50.0, 2001), p=2.0)
+    a = PrimitiveCalculus(CustomTable.from_function(lambda s: s, 50.0, 2001))
+    b = PrimitiveCalculus(CustomTable.from_function(lambda s: k * s, 50.0, 2001))
     plap = Operator.p_laplacian(2.0)
     ca = plap.bound(7.0, a.Fbar(7.0), 1.0)
     cb = plap.bound(7.0, b.Fbar(7.0), 1.0)
@@ -218,15 +213,16 @@ def test_per_solution_bound_scales_inversely_with_f():
 
 def test_pucci_bound_matches_plap_at_unit_ellipticity():
     lin = CustomTable.from_function(lambda s: s, 50.0, 2001)
-    pc = PrimitiveCalculus(lin, p=2.0, Lambda=1.0)
-    assert Operator.pucci(1.0).bound(7.0, pc.Fbar_Lambda(7.0), 1.0) == \
+    pc = PrimitiveCalculus(lin)
+    pucci = Operator.pucci(1.0)
+    assert pucci.bound(7.0, pucci.Gbar(pc, 7.0), 1.0) == \
         pytest.approx(Operator.p_laplacian(2.0).bound(7.0, pc.Fbar(7.0), 1.0),
                       rel=1e-12)
 
 
 def test_per_solution_bound_needs_positive_fbar():
     z = CustomTable(np.array([[0.0, 0.0], [9.0, 0.0]]))
-    pc = PrimitiveCalculus(z, p=2.0)
+    pc = PrimitiveCalculus(z)
     with pytest.raises(NonpositiveFbar):
         Operator.p_laplacian(2.0).bound(1.0, pc.Fbar(1.0), 1.0)
 
@@ -237,7 +233,7 @@ def test_estimate_m_zero_for_nonnegative(pc_power):
 
 def test_estimate_m_cosine_dip():
     tab = CustomTable.from_function(math.cos, 12.0, 12001)
-    pc = PrimitiveCalculus(tab, p=2.0)
+    pc = PrimitiveCalculus(tab)
     # F = sin: at gamma = 5pi/2 the dip is -1 and F(gamma) = 1, so M = 1
     got = estimate_M(pc, [2.5 * PI])
     assert got == pytest.approx(1.0, abs=1e-6)
@@ -247,7 +243,7 @@ def test_estimate_m_cosine_dip():
 
 def test_propose_gammas_interleave_zeros(pc_power):
     zeros = find_zeros(pc_power.nl, 6)
-    props = propose_gammas(pc_power, zeros, count=5)
+    props = propose_gammas(pc_power, zeros, 2.0, count=5)
     assert len(props) == 5
     assert all(x < y for x, y in zip(props, props[1:]))
     indices = [zeros.interval_index(g) for g in props]
@@ -261,7 +257,7 @@ def test_propose_gammas_interleave_zeros(pc_power):
 
 
 def test_compute_thresholds_report(pc_power, canonical_gammas):
-    rep = compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
+    rep = compute_thresholds(PLAP2, pc_power, BallGeometry(1, 1.0), "infinity",
                              gammas=canonical_gammas)
     assert rep.lambda_under == pytest.approx(1.0, abs=0.01)
     assert rep.lambda_bar == pytest.approx(54.149, rel=1e-3)
@@ -278,10 +274,9 @@ def test_compute_thresholds_report(pc_power, canonical_gammas):
 
 
 def test_compute_thresholds_pucci_operator(canonical_gammas):
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0), p=2.0, Lambda=2.0)
-    rep = compute_thresholds(pc, BallGeometry(1, 1.0), "infinity",
-                             gammas=canonical_gammas,
-                             operator=Operator.pucci(2.0))
+    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
+    rep = compute_thresholds(Operator.pucci(2.0), pc, BallGeometry(1, 1.0),
+                             "infinity", gammas=canonical_gammas)
     # f >= 0 makes F_Lambda = F, so the limits stay at 1/2 and the
     # closed form gives 1/(2*2*1*(1/2)) = 1/2
     assert rep.lambda_under == pytest.approx(0.5, abs=0.01)
@@ -305,32 +300,20 @@ def test_operator_lambda_under_by_classification(operator, closed_form):
                                              "MinusInfinite")) == 0.0
 
 
-def test_compute_thresholds_refuses_another_exponent(pc_power, canonical_gammas):
-    # the primitives are for p = 2; a p = 3 report would mix the two
-    with pytest.raises(DomainError):
-        compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
-                           gammas=canonical_gammas,
-                           operator=Operator.p_laplacian(3.0))
-
-
-def test_compute_thresholds_refuses_another_Lambda():
-    # f = cos s + 0.3 changes sign, so F_Lambda depends on Lambda: a Lambda = 2
-    # report on Lambda = 1 primitives gives lambda_bar 530.07, not 423.01
+def test_compute_thresholds_pucci_weighs_with_its_own_Lambda():
+    # f = cos s + 0.3 changes sign, so F_Lambda depends on Lambda: on one
+    # PrimitiveCalculus, Lambda = 1 gives lambda_bar 530.07 and Lambda = 2
+    # gives 423.01
     xs = np.linspace(0.0, 40.0, 801)
-    tab = CustomTable(np.column_stack([xs, np.cos(xs) + 0.3]))
-    right = compute_thresholds(PrimitiveCalculus(tab, p=2.0, Lambda=2.0),
-                               BallGeometry(1, 1.0), "infinity", count=4,
-                               operator=Operator.pucci(2.0))
-    assert right.lambda_bar == pytest.approx(423.01, rel=1e-4)
-    for pc in (PrimitiveCalculus(tab, p=2.0),
-               PrimitiveCalculus(tab, p=3.0, Lambda=2.0)):
-        with pytest.raises(DomainError):
-            compute_thresholds(pc, BallGeometry(1, 1.0), "infinity", count=4,
-                               operator=Operator.pucci(2.0))
+    pc = PrimitiveCalculus(CustomTable(np.column_stack([xs, np.cos(xs) + 0.3])))
+    for Lambda, lambda_bar in ((1.0, 530.07), (2.0, 423.01)):
+        rep = compute_thresholds(Operator.pucci(Lambda), pc, BallGeometry(1, 1.0),
+                                 "infinity", count=4)
+        assert rep.lambda_bar == pytest.approx(lambda_bar, rel=1e-4)
 
 
 def test_compute_thresholds_default_gammas(pc_power):
-    rep = compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
+    rep = compute_thresholds(PLAP2, pc_power, BallGeometry(1, 1.0), "infinity",
                              count=6)
     assert len(rep.rows) == 6
     heights = [r.gamma for r in rep.rows]
@@ -338,7 +321,7 @@ def test_compute_thresholds_default_gammas(pc_power):
 
 
 def test_threshold_report_validates_ordering(pc_power, canonical_gammas):
-    rep = compute_thresholds(pc_power, BallGeometry(1, 1.0), "infinity",
+    rep = compute_thresholds(PLAP2, pc_power, BallGeometry(1, 1.0), "infinity",
                              gammas=canonical_gammas)
     with pytest.raises(DomainError):
         ThresholdReport(rep.lambda_bar * 2, rep.lambda_bar, rep.rows, rep.M,

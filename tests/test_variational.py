@@ -14,7 +14,12 @@ from oscillap.nonlinearity import (
     find_zeros,
 )
 from oscillap.primitives import PrimitiveCalculus
-from oscillap.thresholds import BallGeometry, lambda_n_sequence, propose_gammas
+from oscillap.thresholds import (
+    BallGeometry,
+    Operator,
+    lambda_n_sequence,
+    propose_gammas,
+)
 from oscillap.variational import (
     SEQUENCE_CSV_COLUMNS,
     GridFunction,
@@ -33,19 +38,20 @@ from oscillap.variational import (
 CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
 CANONICAL = PowerTimesOnePlusSin(1.0)
 ALPHA_3 = 5.5 * math.pi  # third zero of s (1 + sin s)
+PLAP2 = Operator.p_laplacian(2.0)
 
 
 @pytest.fixture(scope="module")
 def pc_canonical():
-    return PrimitiveCalculus(CANONICAL, p=2.0)
+    return PrimitiveCalculus(CANONICAL)
 
 
 @pytest.fixture(scope="module")
 def canonical_row(pc_canonical):
     """Threshold row whose truncation level is the third zero."""
     zeros = find_zeros(CANONICAL, 8)
-    gammas = propose_gammas(pc_canonical, zeros, count=6)
-    rows = lambda_n_sequence(pc_canonical, BallGeometry(1, 1.0), gammas)
+    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=6)
+    rows = lambda_n_sequence(PLAP2, pc_canonical, BallGeometry(1, 1.0), gammas)
     row = rows[2]
     assert abs(row.gamma - 15.579236424909) <= 1e-9
     return row
@@ -61,7 +67,7 @@ def canonical_minimum(pc_canonical, canonical_row):
 
 
 def test_truncation_clamps_and_extends():
-    pc = PrimitiveCalculus(CANONICAL, p=2.0)
+    pc = PrimitiveCalculus(CANONICAL)
     tn = TruncatedNonlinearity(CANONICAL, ALPHA_3, pc=pc)
     s = np.array([-2.0, 0.0, 1.0, ALPHA_3, ALPHA_3 + 5.0])
     f = tn.eval_many(s)
@@ -162,7 +168,7 @@ def test_assemble_energy_oracle():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
     # zero profile carries zero energy when F(0) = 0
     z = GridFunction(radial_grid(1.0, 16), np.zeros(17), 1, 2.0)
-    pc = PrimitiveCalculus(CANONICAL, p=2.0)
+    pc = PrimitiveCalculus(CANONICAL)
     tnc = TruncatedNonlinearity(CANONICAL, ALPHA_3, pc=pc)
     assert assemble_energy(z, tnc, pot, 7.0) == 0.0
     with pytest.raises(DomainError):
@@ -200,7 +206,7 @@ def test_gradient_matches_difference_quotients():
 
 
 def test_minimize_zero_lambda_is_trivial():
-    pc = PrimitiveCalculus(CANONICAL, p=2.0)
+    pc = PrimitiveCalculus(CANONICAL)
     tn = TruncatedNonlinearity(CANONICAL, ALPHA_3, pc=pc)
     res = minimize(tn, Potential.p_laplacian(2.0), 0.0, radial_grid(1.0, 40))
     assert res.energy == 0.0
@@ -321,8 +327,8 @@ def test_negativity_flips_with_lambda(pc_canonical, canonical_row):
 
 def test_sequence_sup_norms_grow_toward_infinity(pc_canonical):
     zeros = find_zeros(CANONICAL, 6)
-    gammas = propose_gammas(pc_canonical, zeros, count=4)
-    rows = lambda_n_sequence(pc_canonical, BallGeometry(1, 1.0), gammas)
+    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=4)
+    rows = lambda_n_sequence(PLAP2, pc_canonical, BallGeometry(1, 1.0), gammas)
     lam_bar = max(row.lam for row in rows)
     grid = radial_grid(1.0, 120)
     items = run_sequence(CANONICAL, Potential.p_laplacian(2.0), 2.0 * lam_bar,
@@ -342,10 +348,10 @@ def test_sequence_sup_norms_grow_toward_infinity(pc_canonical):
 
 def test_sequence_sup_norms_shrink_toward_zero():
     nl = ReciprocalOscillation(0.5)
-    pc = PrimitiveCalculus(nl, p=2.0)
+    pc = PrimitiveCalculus(nl)
     zeros = find_zeros(nl, 6)
-    gammas = propose_gammas(pc, zeros, count=3)
-    rows = lambda_n_sequence(pc, BallGeometry(1, 1.0), gammas, ell="zero")
+    gammas = propose_gammas(pc, zeros, 2.0, count=3)
+    rows = lambda_n_sequence(PLAP2, pc, BallGeometry(1, 1.0), gammas, ell="zero")
     lam_bar = max(row.lam for row in rows)
     items = run_sequence(nl, Potential.p_laplacian(2.0), 2.0 * lam_bar,
                          zeros, gammas, radial_grid(1.0, 100), K=3, pc=pc,
@@ -360,7 +366,7 @@ def test_sequence_sup_norms_shrink_toward_zero():
 
 def test_sequence_warns_below_threshold(pc_canonical):
     zeros = find_zeros(CANONICAL, 3)
-    gammas = propose_gammas(pc_canonical, zeros, count=1)
+    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         items = run_sequence(CANONICAL, Potential.p_laplacian(2.0), 1.0,
@@ -374,7 +380,7 @@ def test_sequence_warns_below_threshold(pc_canonical):
 
 def test_sequence_reruns_identically(pc_canonical):
     zeros = find_zeros(CANONICAL, 3)
-    gammas = propose_gammas(pc_canonical, zeros, count=2)
+    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=2)
     grid = radial_grid(1.0, 60)
     first = run_sequence(CANONICAL, Potential.p_laplacian(2.0), 70.0,
                          zeros, gammas, grid, K=2, pc=pc_canonical)

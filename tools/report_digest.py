@@ -1,0 +1,127 @@
+"""Digest of every CLI report over a fixed set of configs.
+
+Runs each of the six commands in-process through ``oscillap.cli.main`` on
+
+* every ``demos/configs/*.json``,
+* the ``scan`` and ``minimize`` configs that ``perfbench/workloads.py``
+  makes for seeds 1-3, and
+* a fixed list of Pucci, sign-changing and non-integer configs
+  (``FIXED``),
+
+and prints, for each (config, command), the exit code, the sha256 of
+stdout and of stderr, the warnings raised (category and message, without
+file or line) and the sha256 of every report file, as one JSON object.
+Two checkouts that print the same JSON wrote the same bytes everywhere.
+It imports the package from this checkout's ``src``; a run takes about
+30 s on a 2-core VM.
+
+Run:  python3 tools/report_digest.py > digest.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from oscillap.cli import main  # noqa: E402
+from workloads import make_configs  # noqa: E402
+
+COMMANDS = ("analyze", "shoot", "pucci-shoot", "diagram", "minimize", "certify")
+SEEDS = (1, 2, 3)
+
+_COS_TABLE = {"kind": "table", "samples": [
+    [40.0 * k / 800, math.cos(40.0 * k / 800) + 0.3] for k in range(801)]}
+_TOWARD_INFINITY = {"scan": {"c_min": 0.5, "c_max": 30.0, "points": 40},
+                    "shoot": {"c": 8.6667},
+                    "minimize": {"K": 2, "lambda": 50.0, "grid_cells": 60},
+                    "zeros": 8}
+_TOWARD_ZERO = {"scan": {"c_min": 0.02, "c_max": 0.5, "points": 40},
+                "shoot": {"c": 0.3},
+                "minimize": {"K": 2, "lambda": 50.0, "grid_cells": 60},
+                "zeros": 8}
+
+
+def _fixed(nonlinearity: dict, operator: dict, sections: dict) -> dict:
+    return {"nonlinearity": nonlinearity, "operator": operator,
+            "geometry": {"N": 2, "R": 1.0}, "seed": 0, **sections}
+
+
+#: configs the demos and the benchmark leave out: Pucci at Lambda != 1 on
+#: sign-changing f, a table, a limit toward 0 and a non-integer power
+FIXED = {
+    "pure_sine-pucci2": _fixed({"kind": "pure_sine"}, {"pucci": {"Lambda": 2.0}},
+                               _TOWARD_INFINITY),
+    "cos_table-pucci2": _fixed(_COS_TABLE, {"pucci": {"Lambda": 2.0}},
+                               _TOWARD_INFINITY),
+    "cos_table-plap3": _fixed(_COS_TABLE, {"plap": {"p": 3.0}}, _TOWARD_INFINITY),
+    "reciprocal_sin-plap2": _fixed({"kind": "reciprocal_sin", "r": 2.0},
+                                   {"plap": {"p": 2.0}}, _TOWARD_ZERO),
+    "reciprocal_sin-pucci1.5": _fixed({"kind": "reciprocal_sin", "r": 2.0},
+                                      {"pucci": {"Lambda": 1.5}}, _TOWARD_ZERO),
+    "power_sin1.5-plap3": _fixed({"kind": "power_sin", "r": 1.5},
+                                 {"plap": {"p": 3.0}}, _TOWARD_INFINITY),
+}
+
+
+def config_bytes() -> dict:
+    """Config name -> the bytes of its file."""
+    out = {f"demo-{p.stem}": p.read_bytes()
+           for p in sorted((ROOT / "demos" / "configs").glob("*.json"))}
+    configs = {f"{w}{seed}-{Path(name).stem}": cfg
+               for w in ("scan", "minimize") for seed in SEEDS
+               for name, cfg in make_configs(w, seed).items()}
+    configs.update(FIXED)
+    for name, cfg in configs.items():
+        out[name] = (json.dumps(cfg, indent=2, sort_keys=True) + "\n").encode()
+    return out
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def digest_run(config: str, command: str, out: str) -> dict:
+    """Exit code and output digests of one command on one config file."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([command, "--config", config, "--out", out])
+    reports = {p.name: _sha(p.read_bytes())
+               for p in sorted(Path(out).iterdir())} if os.path.isdir(out) else {}
+    return {"exit": code, "stdout": _sha(stdout.getvalue()),
+            "stderr": _sha(stderr.getvalue()),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            "reports": reports}
+
+
+def digest() -> dict:
+    """(config, command) -> ``digest_run``, run from a scratch directory so
+    that every path the program sees is the same relative one."""
+    here = os.getcwd()
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, data in config_bytes().items():
+                config = f"{name}.json"
+                Path(config).write_bytes(data)
+                for command in COMMANDS:
+                    result[f"{name} {command}"] = digest_run(
+                        config, command, os.path.join("out", name, command))
+        finally:
+            os.chdir(here)
+    return result
+
+
+if __name__ == "__main__":
+    print(json.dumps(digest(), indent=1, sort_keys=True))
