@@ -4,26 +4,44 @@ The radial shooting problems integrate 2- or 3-component systems whose
 right-hand sides are a handful of float operations.  ``integrate`` works
 on plain tuples of floats; per-step overhead stays in the microsecond
 range, which a generic array-based solver cannot match for one
-trajectory.  Its events are located by sign change between accepted
-steps: the crossing offset is solved by bracketed root finding on the map
-``tau -> g(one RK5 step of size tau from the step start)``, which is
-smooth in tau and reuses the already-computed first stage.
-
-Both integrators apply one end-or-restart rule at a fired event: the
-event's ``ends`` either ends the trajectory there or steps exactly onto
-it and restarts with a fresh first step, up to ``max_restarts`` times
-(see ``Event``).
+trajectory.
 
 ``integrate_batch`` advances many independent trajectories (lanes) of the
 same system in lockstep on ``(components, lanes)`` arrays, so the
 per-step interpreter overhead is paid once per lockstep iteration rather
 than once per lane.  Each lane keeps its own step size and controller
 state; it shares the tableau, error norm, controller constants and
-first-step heuristic with ``integrate``.  Its events are located on the
-free 4th-order dense output of the pair (Dormand & Prince 1980; Shampine
-1986, "Some practical Runge-Kutta formulas"; Hairer-Norsett-Wanner I,
-II.6) by an Illinois iteration over the lanes of each fired event, and one
-RK5 step of the located size gives the state at the event.
+first-step heuristic with ``integrate``.
+
+Both integrators watch events by sign change between accepted steps,
+carrying each step's end values into the next step as its start values,
+and locate a fired event with one rule: ``_illinois`` (the Illinois
+modified regula falsi; Dowell & Jarratt 1971) brackets the crossing
+offset and returns the far end of its final bracket.  A fired event
+whose g does not change sign strictly across the step (g = 0 at an end,
+as when the flip is seen only through arming) keeps the step end.  Only
+the probe, the map from trial offsets to event values, differs:
+
+* ``integrate`` probes the exact map ``tau -> g(one RK5 step of size tau
+  from the step start)``, which is smooth in tau and reuses the step's
+  first stage, so the far end is past the crossing as the trajectory sees
+  it, and the state there is one more RK5 step of that size;
+* ``integrate_batch`` probes the free 4th-order dense output of the pair
+  (Dormand & Prince 1980; Shampine 1986, "Some practical Runge-Kutta
+  formulas"; Hairer-Norsett-Wanner I, II.6) for all bracketed lanes at
+  once, then takes one RK5 step of the located size and nudges the offset
+  forward where g is still on the near side there.
+
+The probes stay apart because sharing one costs accuracy or speed.  Dense
+probes in ``integrate`` put a p = 2, N = 1 shot at c = 1 and tol_ode 1e-8
+off by 3.7e-9 in lambda instead of 4.4e-12; exact probes in the batch
+raise event location on a 200-height Pucci scan from about 0.14 s to
+0.22-0.36 s (2-core VM).
+
+Both integrators apply one end-or-restart rule at a fired event: the
+event's ``ends`` either ends the trajectory there or steps exactly onto
+it and restarts with a fresh first step, up to ``max_restarts`` times
+(see ``Event``).
 
 What a lockstep iteration costs is the number of numpy calls, not the
 arithmetic, so the batch keeps that number small without changing a bit
@@ -35,15 +53,13 @@ of any lane:
 * each stage sum ``y + h * sum(a_j k_j)`` is accumulated in place, term by
   term in the order ``_stages`` adds them, and then scaled and shifted in
   place; IEEE products and sums commute, so this gives the bits of the
-  out-of-place expression (a ``tensordot`` or fused sum would not);
-* the event values at the end of an accepted step are carried into the
-  next step as its start values instead of being computed again.
+  out-of-place expression (a ``tensordot`` or fused sum would not).
 
-``brentq`` is the bracketed root finder behind ``integrate``'s events and
-the zero and crossing polishers elsewhere in the package: Brent's method
-(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4) in
-the step order of scipy's ``brentq.c``, so located roots and probe counts
-match that implementation exactly.
+``brentq`` is the bracketed root finder behind the zero and crossing
+polishers elsewhere in the package: Brent's method (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4) in the step
+order of scipy's ``brentq.c``, so located roots and probe counts match
+that implementation exactly.
 """
 
 from __future__ import annotations
@@ -190,8 +206,10 @@ def integrate(
     """Integrate y' = f(t, y) from t0 to t_end or the first ending event.
 
     ``scale`` gives per-component magnitudes; the error test uses
-    tolerance rtol*(scale_i + |y_i|) per component.  ``record`` is called
-    after every accepted step (and at every located event).  Raises
+    tolerance rtol*(scale_i + |y_i|) per component.  A fired event is
+    located on exact RK5 re-steps from the step start, within
+    ``event_tol`` and on the far side of the crossing.  ``record`` is
+    called after every accepted step (and at every located event).  Raises
     NonintegrableStep on step-size underflow and NonConvergence when the
     step budget of a (re)start or the restarts run out.
     """
@@ -225,8 +243,10 @@ def _segment(f, t0, y0, t_end, rtol, scale, events, record, event_tol):
     t, y = t0, y0
     k1 = f(t, y)
 
-    # reference signs for event arming; 0 means not yet armed
-    signs = [_sign(ev.g(t, y)) for ev in events]
+    # event values at the step start, carried over from the last step's end,
+    # and reference signs for arming; a sign of 0 means not yet armed
+    g0 = [ev.g(t, y) for ev in events]
+    signs = [_sign(g) for g in g0]
 
     def tolv(a, b):
         return tuple(rtol * (scale[i] + max(abs(a[i]), abs(b[i])))
@@ -264,20 +284,20 @@ def _segment(f, t0, y0, t_end, rtol, scale, events, record, event_tol):
             continue
 
         # event scan over the accepted span
+        g1 = [ev.g(t + h, ynew) for ev in events]
         hit_tau, hit_idx = None, None
         for idx, ev in enumerate(events):
-            g1 = ev.g(t + h, ynew)
-            s1 = _sign(g1)
             s0 = signs[idx]
-            if s0 == 0:
-                signs[idx] = s1
+            if (s0 == 0 or _sign(g1[idx]) == s0
+                    or (ev.direction != 0 and s0 != -ev.direction)):
                 continue
-            fired = (s1 != s0 and s1 != 0) or (s1 == 0)
-            if fired and ev.direction != 0 and s0 != -ev.direction:
-                fired = False
-            if not fired:
-                continue
-            tau = _locate(f, ev.g, t, y, k1, h, event_tol)
+            tau = h   # a flip seen only through arming keeps the step end
+            if g1[idx] != 0.0 and g0[idx] * g1[idx] < 0.0:
+                def probe(x, g=ev.g):   # the exact map, one lane
+                    return [float(g(t + x[0], _advance(f, t, y, x[0], k1)))]
+
+                tau = _illinois(probe, [h], [g0[idx]], [g1[idx]],
+                                [max(event_tol, 1e-15 * h)])[0]
             if hit_tau is None or tau < hit_tau:
                 hit_tau, hit_idx = tau, idx
 
@@ -291,11 +311,8 @@ def _segment(f, t0, y0, t_end, rtol, scale, events, record, event_tol):
                 record(t_ev, y_ev)
             return t_ev, y_ev, hit_idx, steps, err_accum
 
-        t, y, k1 = t + h, ynew, k7
-        for idx, ev in enumerate(events):
-            s = _sign(ev.g(t, y))
-            if s != 0:
-                signs[idx] = s
+        t, y, k1, g0 = t + h, ynew, k7, g1
+        signs = [_sign(g) or s for g, s in zip(g1, signs)]
         if record is not None:
             record(t, y)
         if last:
@@ -313,6 +330,52 @@ def _sign(x: float) -> int:
     if x < 0.0:
         return -1
     return 0
+
+
+#: Illinois iterations allowed per located event (about 5 are typical)
+_MAX_ILLINOIS = 60
+
+
+def _illinois(probe, h, glo, ghi, tol):
+    """Offsets in (0, h] just past a sign change of an event function g.
+
+    One entry per lane in every argument: ``h`` the step, ``glo`` and
+    ``ghi`` g at offsets 0 and h (of opposite signs), ``tol`` the bracket
+    width to reach.  ``probe(x)`` returns g at the trial offsets ``x``
+    (a list, one per lane), evaluated for all lanes at once.  Returns the
+    far end of each final bracket, so the offset lies on the far side of
+    the crossing as the probe sees it.
+
+    The bracket updates run on Python floats, whose arithmetic is the same
+    IEEE arithmetic numpy's would be.
+    """
+    lanes = range(len(h))
+    lo, hi, glo, ghi = [0.0] * len(h), list(h), list(glo), list(ghi)
+    side = [0] * len(h)   # endpoint replaced last: -1 lo, +1 hi
+    x = list(hi)
+    for _ in range(_MAX_ILLINOIS):
+        live = [i for i in lanes if hi[i] - lo[i] > tol[i]]
+        if not live:
+            break
+        for i in live:
+            a, b, ga, gb = lo[i], hi[i], glo[i], ghi[i]
+            # a zero denominator gives inf or nan in numpy, hence the midpoint
+            xi = b - gb * (b - a) / (gb - ga) if gb != ga else math.nan
+            x[i] = xi if a < xi < b else 0.5 * (a + b)
+        gx = probe(x)
+        for i in live:
+            gi, gb = gx[i], ghi[i]
+            if gi == 0.0:                      # on the root
+                lo[i] = hi[i] = x[i]
+            elif (gi > 0.0 and gb > 0.0) or (gi < 0.0 and gb < 0.0):  # far side
+                if side[i] == 1:   # the endpoint kept twice in a row is halved
+                    glo[i] = glo[i] * 0.5
+                ghi[i], hi[i], side[i] = gi, x[i], 1
+            else:
+                if side[i] == -1:
+                    ghi[i] = gb * 0.5
+                glo[i], lo[i], side[i] = gi, x[i], -1
+    return hi
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
@@ -374,49 +437,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
         f"root finder did not converge in {maxiter} steps near x = {xcur!r}")
 
 
-def _locate(f, g, t, y, k1, h, event_tol):
-    """Offset tau in (0, h] where g crosses zero along the step."""
-
-    def phi(tau):
-        if tau == 0.0:
-            return g(t, y)
-        return g(t + tau, _advance(f, t, y, tau, k1))
-
-    lo, hi = 0.0, h
-    flo, fhi = phi(lo), phi(hi)
-    if fhi == 0.0:
-        return hi
-    if flo == 0.0 or flo * fhi > 0.0:
-        # the sign flip came from the arming logic (start at 0); bisect a
-        # bracket by marching from the left endpoint
-        probe = h * 1e-6
-        while probe < h:
-            fp = phi(probe)
-            if fp != 0.0 and fp * fhi < 0.0:
-                lo, flo = probe, fp
-                break
-            probe *= 8.0
-        else:
-            return hi
-    tau = brentq(phi, lo, hi, xtol=max(event_tol, 1e-15), rtol=1e-15)
-    # Bias the returned offset strictly past the crossing: brentq can stop a
-    # hair on the near side, and a caller restarting there would re-detect
-    # the same crossing forever.  phi(h) is on the far side, so this ends.
-    snear = flo > 0.0
-    step = max(event_tol, 4e-16 * abs(t), 1e-15 * h)
-    while tau < h:
-        ft = phi(tau)
-        if ft == 0.0 or (ft > 0.0) != snear:
-            break
-        tau = min(h, tau + step)
-        step *= 4.0
-    return tau
-
-
 # -- batched lockstep stepper ---------------------------------------------
-
-#: Illinois iterations allowed per located event (about 5 are typical)
-_MAX_ILLINOIS = 60
 
 @dataclass
 class BatchResult:
@@ -491,58 +512,15 @@ def _rk5_to(f, t, y, k1, tau):
     return _stages_batch(f, t, y, tau, k)
 
 
-def _illinois(g, t, dense, h, glo, ghi, tol):
-    """Offsets in (0, h] just past a sign change of g along the dense output.
-
-    ``dense(theta)`` is the dense-output state at t + theta h for every
-    lane; ``glo`` and ``ghi`` are g at the step start and end, of opposite
-    signs.  Returns the far end of each final bracket, so the offset lies
-    on the far side of the crossing as the dense output sees it.
-
-    g and the dense output are evaluated for all lanes at once; the few
-    bracket updates per lane run on Python floats, whose arithmetic is the
-    same IEEE arithmetic numpy's would be.
-    """
-    lanes = range(len(h))
-    lo, hi, tol = [0.0] * len(h), h.tolist(), tol.tolist()
-    glo, ghi = glo.tolist(), ghi.tolist()
-    side = [0] * len(h)   # endpoint replaced last: -1 lo, +1 hi
-    x = list(hi)
-    for _ in range(_MAX_ILLINOIS):
-        live = [i for i in lanes if hi[i] - lo[i] > tol[i]]
-        if not live:
-            break
-        for i in live:
-            a, b, ga, gb = lo[i], hi[i], glo[i], ghi[i]
-            # a zero denominator gives inf or nan in numpy, hence the midpoint
-            xi = b - gb * (b - a) / (gb - ga) if gb != ga else math.nan
-            x[i] = xi if a < xi < b else 0.5 * (a + b)
-        xs = np.array(x)
-        gx = np.asarray(g(t + xs, dense(xs / h)), dtype=float).tolist()
-        for i in live:
-            gi, gb = gx[i], ghi[i]
-            if gi == 0.0:                      # on the root
-                lo[i] = hi[i] = x[i]
-            elif (gi > 0.0 and gb > 0.0) or (gi < 0.0 and gb < 0.0):  # far side
-                if side[i] == 1:   # the endpoint kept twice in a row is halved
-                    glo[i] = glo[i] * 0.5
-                ghi[i], hi[i], side[i] = gi, x[i], 1
-            else:
-                if side[i] == -1:
-                    ghi[i] = gb * 0.5
-                glo[i], lo[i], side[i] = gi, x[i], -1
-    return np.array(hi)
-
-
 def _locate_batch(f, events, fired, t, y, ynew, h, k, g0, g1, signs,
                   event_tol):
     """Earliest fired event per lane: (event index, offset, state at the event).
 
     ``g0`` and ``g1`` are the event values at the step start and end.
-    Offsets come from the dense output; the state is one RK5 step of the
-    located size.  Where the event function is still on the near side
-    there, the offset moves forward (as ``_locate`` does) until it is past
-    the crossing, so a restart at the event does not see it again.
+    Offsets come from ``_illinois`` on the dense output; the state is one
+    RK5 step of the located size.  Where the event function is still on
+    the near side there, the offset moves forward until it is past the
+    crossing, so a restart at the event does not see it again.
     """
     n, m = y.shape
     hk = h * k
@@ -567,11 +545,16 @@ def _locate_batch(f, events, fired, t, y, ynew, h, k, g0, g1, signs,
             L = sub[br]
             c0, c2, c3, c4, c5 = (a[:, L] for a in (y, r2, r3, r4, r5))
 
-            def dense(th):
-                return c0 + th * (c2 + (1.0 - th) * (
-                    c3 + th * (c4 + (1.0 - th) * c5)))
+            tL, hL = t[L], h[L]
 
-            te[br] = _illinois(ev.g, t[L], dense, h[L], glo[br], ghi[br], tol[L])
+            def probe(x, g=ev.g):   # the dense output, all bracketed lanes
+                xs = np.array(x)
+                th = xs / hL
+                return np.asarray(g(tL + xs, c0 + th * (c2 + (1.0 - th) * (
+                    c3 + th * (c4 + (1.0 - th) * c5)))), dtype=float).tolist()
+
+            te[br] = _illinois(probe, hL.tolist(), glo[br].tolist(),
+                               ghi[br].tolist(), tol[L].tolist())
         better = (which[sub] < 0) | (te < tau[sub])
         lanes = sub[better]
         tau[lanes] = te[better]

@@ -309,8 +309,9 @@ def shoot_batch(cfg, heights: Sequence[float],
     StalledAtCriticalPoint.  Each lane starts on the same origin series,
     follows the same step control and events as ``shoot`` (restarting
     where ``shoot`` does), and records every accepted step; only the event
-    offsets differ, because they are located on the dense output (within
-    the integration tolerance).
+    offsets differ (within the integration tolerance), because both
+    steppers bracket them with one Illinois rule but a lane probes the
+    dense output where ``shoot`` probes exact RK5 re-steps.
     """
     return list(_shots(cfg, heights, nl))
 

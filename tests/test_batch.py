@@ -70,6 +70,19 @@ def test_batch_event_matches_closed_form_zero():
     np.testing.assert_allclose(res.t, math.pi / (2.0 * w), rtol=1e-9)
 
 
+def test_scalar_event_matches_closed_form_zero():
+    # the scalar stepper brackets the crossing on exact RK5 re-steps, so at
+    # a tight tolerance the zero lands within rounding of pi / (2 w), not a
+    # fixed event_tol past it
+    events = [Event(lambda t, y: y[0], direction=-1)]
+    for w in (0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0):
+        res = integrate(lambda t, y: (y[1], -y[2] ** 2 * y[0], 0.0),
+                        0.0, (1.0, 0.0, w), 50.0, 1e-13, (1.0, 1.0, 1.0),
+                        events=events, event_tol=1e-12)
+        assert res.event_index == 0
+        assert abs(res.t - math.pi / (2.0 * w)) <= 1e-13, w
+
+
 def test_batch_lanes_finish_independently():
     # starts at different phases reach the zero at different times; lanes
     # that end early leave the batch and the others keep their own steps

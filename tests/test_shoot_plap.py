@@ -60,6 +60,26 @@ def test_linear_eigenvalue_on_unit_ball():
     assert res.lambda_rescaled == lam
 
 
+#: lambda = rho^2 of the first zero for f(s) = s (1 + sin s), p = 2, N = 1,
+#: from the time map rho^2 = (integral_0^c ds / sqrt(F(c) - F(s)))^2 / 2 with
+#: F(s) = s^2/2 + sin s - s cos s, by mpmath quadrature at 50 and at 70
+#: digits, which agree
+TIME_MAP_LAMBDA = {1.0: 1.4201503793794764, 2.5: 1.3979212211641313,
+                   4.0: 4.284217197323066, 6.0: 5.9203862642004234,
+                   9.0: 1.7085750542270205, 13.0: 3.0431036963089098,
+                   17.0: 6.110675111333477, 22.0: 2.048757284190779,
+                   28.0: 2.0108637423721943}
+
+
+def test_tight_shots_match_the_time_map():
+    errors = []
+    for c, lam in TIME_MAP_LAMBDA.items():
+        res = shoot(ShootConfig(2.0, 1, c, tol_ode=1e-13), CANONICAL)
+        errors.append(abs(rescale_to_ball(res, 1.0) / lam - 1.0))
+    assert np.median(errors) <= 6e-13
+    assert max(errors) <= 1.5e-12
+
+
 def test_constant_source_three_dims():
     """p=2, N=3, f=1 gives the parabola c - r^2/6; zero at sqrt(6c)."""
     res = shoot(ShootConfig(2.0, 3, 1.0, tol_ode=1e-10), CONSTANT)

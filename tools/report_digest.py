@@ -16,8 +16,16 @@ It imports the package from this checkout's ``src``; a run takes about
 30 s on a 2-core VM.
 
 Run:  python3 tools/report_digest.py > digest.json
+
+``--compare BEFORE.json AFTER.json`` reads two such digests and prints one
+line per (config, command) whose exit code, stdout, stderr, warnings or
+reports differ, naming the fields and the report files that differ; it
+exits 1 when any line was printed and 0 otherwise.
+
+Run:  python3 tools/report_digest.py --compare before.json after.json
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -123,5 +131,34 @@ def digest() -> dict:
     return result
 
 
+def compare(before: dict, after: dict) -> list:
+    """One line per (config, command) whose digests differ, in key order."""
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        if key not in before or key not in after:
+            lines.append(f"{key}: only in {'after' if key in after else 'before'}")
+            continue
+        old, new = before[key], after[key]
+        fields = [f for f in ("exit", "stdout", "stderr", "warnings")
+                  if old[f] != new[f]]
+        names = sorted(n for n in old["reports"].keys() | new["reports"].keys()
+                       if old["reports"].get(n) != new["reports"].get(n))
+        if names:
+            fields.append("reports " + " ".join(names))
+        if fields:
+            lines.append(f"{key}: {', '.join(fields)}")
+    return lines
+
+
 if __name__ == "__main__":
-    print(json.dumps(digest(), indent=1, sort_keys=True))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="list the runs whose digests differ")
+    args = parser.parse_args()
+    if args.compare is None:
+        print(json.dumps(digest(), indent=1, sort_keys=True))
+    else:
+        before, after = (json.loads(Path(p).read_text()) for p in args.compare)
+        differ = compare(before, after)
+        print("\n".join(differ) if differ else "no differences")
+        sys.exit(1 if differ else 0)
