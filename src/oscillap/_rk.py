@@ -15,28 +15,30 @@ first-step heuristic with ``integrate``.
 
 Both integrators watch events by sign change between accepted steps,
 carrying each step's end values into the next step as its start values,
-and locate a fired event with one rule: ``_illinois`` (the Illinois
-modified regula falsi; Dowell & Jarratt 1971) brackets the crossing
-offset and returns the far end of its final bracket.  A fired event
-whose g does not change sign strictly across the step (g = 0 at an end,
-as when the flip is seen only through arming) keeps the step end.  Only
-the probe, the map from trial offsets to event values, differs:
+and locate a fired event with one rule, ``_Illinois`` (the Illinois
+modified regula falsi; Dowell & Jarratt 1971; Shampine & Thompson 2000,
+"Event location for ordinary differential equations").  It brackets the
+crossing offset on exact RK5 steps of the trial size from the step start,
+which reuse the step's first stage, and returns the far end of its final
+bracket: the offset is past the crossing as the trajectory sees it, and
+the state there is the one the last far-side probe computed.  A fired
+event whose g does not change sign strictly across the step (g = 0 at an
+end, as when the flip is seen only through arming) keeps the step end.
+``integrate`` locates each fired event on its own and keeps the earliest;
+a batch lane brackets its fired events together and follows the earliest
+crossing.
 
-* ``integrate`` probes the exact map ``tau -> g(one RK5 step of size tau
-  from the step start)``, which is smooth in tau and reuses the step's
-  first stage, so the far end is past the crossing as the trajectory sees
-  it, and the state there is one more RK5 step of that size;
-* ``integrate_batch`` probes the free 4th-order dense output of the pair
-  (Dormand & Prince 1980; Shampine 1986, "Some practical Runge-Kutta
-  formulas"; Hairer-Norsett-Wanner I, II.6) for all bracketed lanes at
-  once, then takes one RK5 step of the located size and nudges the offset
-  forward where g is still on the near side there.
-
-The probes stay apart because sharing one costs accuracy or speed.  Dense
-probes in ``integrate`` put a p = 2, N = 1 shot at c = 1 and tol_ode 1e-8
-off by 3.7e-9 in lambda instead of 4.4e-12; exact probes in the batch
-raise event location on a 200-height Pucci scan from about 0.14 s to
-0.22-0.36 s (2-core VM).
+Where the probes run is what keeps them cheap in a batch.  A lane whose
+step fires an event stays at the step start, and its next lockstep steps
+are the probes, computed alongside the other lanes' ordinary steps; the
+far end's FSAL stage and event values then start any restart.  The same
+exact probes taken as separate re-steps after each iteration raised event
+location on a 200-height Pucci scan from about 0.14 s to 0.22-0.36 s;
+taken as lockstep steps, they brought that whole batch (Lambda = 2,
+N = 2, tol 1e-10) from 0.24-0.25 s with the dense probe to 0.15-0.17 s
+(2-core VM).  Lanes whose fired events all end them are set aside and
+probe together once the others are done, so they never keep the others
+off the no-event and all-lanes-move fast paths.
 
 Both integrators apply one end-or-restart rule at a fired event: the
 event's ``ends`` either ends the trajectory there or steps exactly onto
@@ -109,10 +111,6 @@ _A_TERMS = (((_A21, 0),), ((_A31, 0), (_A32, 1)),
 _C_NODES = (_C2, _C3, _C4, _C5)
 _B_TERMS = ((_B1, 0), (_B3, 2), (_B4, 3), (_B5, 4), (_B6, 5))
 _E_TERMS = ((_E1, 0), (_E3, 2), (_E4, 3), (_E5, 4), (_E6, 5), (_E7, 6))
-# 4th-order continuous extension (Hairer-Norsett-Wanner I, II.6 / dopri5)
-_D_TERMS = ((-12715105075 / 11282082432, 0), (87487479700 / 32700410799, 2),
-            (-10690763975 / 1880347072, 3), (701980252875 / 199316789632, 4),
-            (-1453857185 / 822651844, 5), (69997945 / 29380423, 6))
 
 
 def _stages(f, t, y, h, k1):
@@ -208,7 +206,8 @@ def integrate(
     ``scale`` gives per-component magnitudes; the error test uses
     tolerance rtol*(scale_i + |y_i|) per component.  A fired event is
     located on exact RK5 re-steps from the step start, within
-    ``event_tol`` and on the far side of the crossing.  ``record`` is
+    ``event_tol`` and on the far side of the crossing, and the state there
+    is the last far-side re-step's.  ``record`` is
     called after every accepted step (and at every located event).  Raises
     NonintegrableStep on step-size underflow and NonConvergence when the
     step budget of a (re)start or the restarts run out.
@@ -283,33 +282,31 @@ def _segment(f, t0, y0, t_end, rtol, scale, events, record, event_tol):
             h *= max(_MIN_FACTOR, _SAFETY * err ** _REJECT_EXP)
             continue
 
-        # event scan over the accepted span
+        # event scan over the accepted span: each fired event is located on
+        # its own, and the earliest wins
         g1 = [ev.g(t + h, ynew) for ev in events]
-        hit_tau, hit_idx = None, None
+        hit = None
         for idx, ev in enumerate(events):
             s0 = signs[idx]
             if (s0 == 0 or _sign(g1[idx]) == s0
                     or (ev.direction != 0 and s0 != -ev.direction)):
                 continue
-            tau = h   # a flip seen only through arming keeps the step end
-            if g1[idx] != 0.0 and g0[idx] * g1[idx] < 0.0:
-                def probe(x, g=ev.g):   # the exact map, one lane
-                    return [float(g(t + x[0], _advance(f, t, y, x[0], k1)))]
-
-                tau = _illinois(probe, [h], [g0[idx]], [g1[idx]],
-                                [max(event_tol, 1e-15 * h)])[0]
-            if hit_tau is None or tau < hit_tau:
-                hit_tau, hit_idx = tau, idx
+            br = _Illinois(h, g0, g1, [idx], max(event_tol, 1e-15 * h), ynew)
+            while not br.done:
+                x = br.trial()
+                yx = _advance(f, t, y, x, k1)
+                br.update(x, {idx: float(ev.g(t + x, yx))}, yx)
+            if hit is None or br.hi < hit.hi:
+                hit = br
 
         for i in range(n):
             err_accum[i] += abs(le[i])
 
-        if hit_tau is not None:
-            t_ev = t + hit_tau
-            y_ev = _advance(f, t, y, hit_tau, k1) if hit_tau < h else ynew
+        if hit is not None:
+            t_ev = t + hit.hi
             if record is not None:
-                record(t_ev, y_ev)
-            return t_ev, y_ev, hit_idx, steps, err_accum
+                record(t_ev, hit.at_hi)
+            return t_ev, hit.at_hi, hit.event, steps, err_accum
 
         t, y, k1, g0 = t + h, ynew, k7, g1
         signs = [_sign(g) or s for g, s in zip(g1, signs)]
@@ -334,48 +331,83 @@ def _sign(x: float) -> int:
 
 #: Illinois iterations allowed per located event (about 5 are typical)
 _MAX_ILLINOIS = 60
+#: share of the bracket width a probe moves inward from an end that the
+#: secant rounds onto
+_NUDGE = 2.0 ** -40
 
 
-def _illinois(probe, h, glo, ghi, tol):
-    """Offsets in (0, h] just past a sign change of an event function g.
+class _Illinois:
+    """Illinois modified regula falsi (Dowell & Jarratt 1971) on the
+    earliest crossing among the events fired over one step of size h.
 
-    One entry per lane in every argument: ``h`` the step, ``glo`` and
-    ``ghi`` g at offsets 0 and h (of opposite signs), ``tol`` the bracket
-    width to reach.  ``probe(x)`` returns g at the trial offsets ``x``
-    (a list, one per lane), evaluated for all lanes at once.  Returns the
-    far end of each final bracket, so the offset lies on the far side of
-    the crossing as the probe sees it.
+    The bracket [lo, hi] of offsets from the step start begins as [0, h].
+    Every candidate event is on its start side at lo and the tracked one
+    (``event``) is past its crossing at hi, so the earliest crossing lies
+    in (lo, hi].  The caller probes the offset ``trial()`` with one exact
+    RK5 step of that size from the step start, passes the event values and
+    its own state there to ``update``, and stops at ``done``.  ``hi`` is
+    then the located offset, on the far side of the crossing as the probes
+    see it, and ``at_hi`` the caller's state there.  A probe that finds
+    another candidate past its crossing while the tracked one is not moves
+    the bracket onto that earlier crossing.
 
-    The bracket updates run on Python floats, whose arithmetic is the same
-    IEEE arithmetic numpy's would be.
+    The updates run on Python floats, whose arithmetic is the same IEEE
+    arithmetic numpy's would be.
     """
-    lanes = range(len(h))
-    lo, hi, glo, ghi = [0.0] * len(h), list(h), list(glo), list(ghi)
-    side = [0] * len(h)   # endpoint replaced last: -1 lo, +1 hi
-    x = list(hi)
-    for _ in range(_MAX_ILLINOIS):
-        live = [i for i in lanes if hi[i] - lo[i] > tol[i]]
-        if not live:
-            break
-        for i in live:
-            a, b, ga, gb = lo[i], hi[i], glo[i], ghi[i]
-            # a zero denominator gives inf or nan in numpy, hence the midpoint
-            xi = b - gb * (b - a) / (gb - ga) if gb != ga else math.nan
-            x[i] = xi if a < xi < b else 0.5 * (a + b)
-        gx = probe(x)
-        for i in live:
-            gi, gb = gx[i], ghi[i]
-            if gi == 0.0:                      # on the root
-                lo[i] = hi[i] = x[i]
-            elif (gi > 0.0 and gb > 0.0) or (gi < 0.0 and gb < 0.0):  # far side
-                if side[i] == 1:   # the endpoint kept twice in a row is halved
-                    glo[i] = glo[i] * 0.5
-                ghi[i], hi[i], side[i] = gi, x[i], 1
-            else:
-                if side[i] == -1:
-                    ghi[i] = gb * 0.5
-                glo[i], lo[i], side[i] = gi, x[i], -1
-    return hi
+
+    def __init__(self, h, g0, g1, fired, tol, at_h):
+        """``g0`` and ``g1`` map each event index to its value at offsets 0
+        and h, ``fired`` lists the fired events in index order, ``tol`` is
+        the bracket width to reach and ``at_h`` the caller's state at h."""
+        # a flip seen only through arming, or onto g = 0, keeps the step end
+        self.cand = [e for e in fired if g1[e] != 0.0 and g0[e] * g1[e] < 0.0]
+        self.event = (self.cand or fired)[0]
+        self.far = {e: math.copysign(1.0, g1[e]) for e in self.cand}
+        self.lo, self.hi, self.tol = 0.0, h, tol
+        self.g_lo = g0   # every event's value at lo
+        self.glo, self.ghi = g0[self.event], g1[self.event]
+        self.side = 0    # endpoint replaced last: -1 lo, +1 hi
+        self.at_hi = at_h
+        self.probes = 0
+
+    @property
+    def done(self) -> bool:
+        return (not self.cand or self.hi - self.lo <= self.tol
+                or self.probes >= _MAX_ILLINOIS)
+
+    def trial(self) -> float:
+        a, b, ga, gb = self.lo, self.hi, self.glo, self.ghi
+        # a zero denominator gives inf or nan in numpy, hence the midpoint
+        x = b - gb * (b - a) / (gb - ga) if gb != ga else math.nan
+        if a < x < b:
+            return x
+        # a secant that rounds onto an end puts the crossing within rounding
+        # of it: a probe just inside that end closes the bracket, where the
+        # midpoint would start a bisection of log2(width / tol) probes
+        if x <= a:
+            return a + max((b - a) * _NUDGE, 2.0 * math.ulp(a))
+        if x >= b:
+            return b - max((b - a) * _NUDGE, 2.0 * math.ulp(b))
+        return 0.5 * (a + b)
+
+    def update(self, x, gx, at_x) -> None:
+        """Take the probe at offset x: ``gx`` maps each candidate event to
+        its value there, ``at_x`` is the caller's state there."""
+        self.probes += 1
+        past = [e for e in self.cand if gx[e] == 0.0 or gx[e] * self.far[e] > 0.0]
+        if not past:   # every candidate on its start side: x is the new lo
+            if self.side == -1:   # the endpoint kept twice in a row is halved
+                self.ghi *= 0.5
+            self.lo, self.glo, self.g_lo, self.side = x, gx[self.event], gx, -1
+            return
+        if self.event not in past:   # an earlier crossing of another event
+            self.event = past[0]
+            self.glo = self.g_lo[self.event]
+        elif self.side == 1:
+            self.glo *= 0.5
+        self.hi, self.ghi, self.side, self.at_hi = x, gx[self.event], 1, at_x
+        if self.ghi == 0.0:   # on the root
+            self.lo = x
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
@@ -505,88 +537,6 @@ def _stages_batch(f, t, y, h, k):
     return _shifted(y, h, _B_TERMS, k)
 
 
-def _rk5_to(f, t, y, k1, tau):
-    """RK5 solution after one step of size tau per lane (event states)."""
-    k = np.empty((7,) + y.shape)
-    k[0] = k1
-    return _stages_batch(f, t, y, tau, k)
-
-
-def _locate_batch(f, events, fired, t, y, ynew, h, k, g0, g1, signs,
-                  event_tol):
-    """Earliest fired event per lane: (event index, offset, state at the event).
-
-    ``g0`` and ``g1`` are the event values at the step start and end.
-    Offsets come from ``_illinois`` on the dense output; the state is one
-    RK5 step of the located size.  Where the event function is still on
-    the near side there, the offset moves forward until it is past the
-    crossing, so a restart at the event does not see it again.
-    """
-    n, m = y.shape
-    hk = h * k
-    r2 = ynew - y
-    r3 = hk[0] - r2
-    r4 = r2 - hk[6] - r3
-    r5 = _weighted(_D_TERMS, hk)
-    tol = np.maximum(event_tol, 1e-15 * h)
-
-    which = np.full(m, -1)
-    tau = h.copy()
-    slope = np.zeros(m)   # |g| change per unit t over the step, for nudges
-    for e, ev in enumerate(events):
-        sub = np.nonzero(fired[e])[0]
-        if sub.size == 0:
-            continue
-        ghi, glo = g1[e, sub], g0[e, sub]
-        te = h[sub].copy()
-        # a flip seen only through arming (start at g = 0) keeps the step end
-        br = np.nonzero((ghi != 0.0) & (glo * ghi < 0.0))[0]
-        if br.size:
-            L = sub[br]
-            c0, c2, c3, c4, c5 = (a[:, L] for a in (y, r2, r3, r4, r5))
-
-            tL, hL = t[L], h[L]
-
-            def probe(x, g=ev.g):   # the dense output, all bracketed lanes
-                xs = np.array(x)
-                th = xs / hL
-                return np.asarray(g(tL + xs, c0 + th * (c2 + (1.0 - th) * (
-                    c3 + th * (c4 + (1.0 - th) * c5)))), dtype=float).tolist()
-
-            te[br] = _illinois(probe, hL.tolist(), glo[br].tolist(),
-                               ghi[br].tolist(), tol[L].tolist())
-        better = (which[sub] < 0) | (te < tau[sub])
-        lanes = sub[better]
-        tau[lanes] = te[better]
-        which[lanes] = e
-        slope[lanes] = np.abs(ghi - glo)[better] / h[lanes]
-
-    y_ev = ynew.copy()
-    step = np.maximum(tol, 4e-16 * np.abs(t))
-    inner = np.nonzero(tau < h)[0]
-    while inner.size:
-        y_ev[:, inner] = _rk5_to(f, t[inner], y[:, inner], k[0][:, inner],
-                                 tau[inner])
-        g_ev = np.zeros(inner.size)
-        for e, ev in enumerate(events):
-            sel = np.nonzero(which[inner] == e)[0]
-            if sel.size:
-                lanes = inner[sel]
-                g_ev[sel] = ev.g(t[lanes] + tau[lanes], y_ev[:, lanes])
-        near = (g_ev != 0.0) & (np.sign(g_ev) == signs[which[inner], inner])
-        inner, g_ev = inner[near], g_ev[near]
-        # jump twice the linearized distance to the crossing, at least ``step``
-        jump = np.where(slope[inner] > 0.0, 2.0 * np.abs(g_ev) / slope[inner],
-                        0.0)
-        tau[inner] = np.minimum(h[inner],
-                                tau[inner] + np.maximum(step[inner], jump))
-        step[inner] *= 4.0
-        full = inner[tau[inner] >= h[inner]]
-        y_ev[:, full] = ynew[:, full]
-        inner = inner[tau[inner] < h[inner]]
-    return which, tau, y_ev
-
-
 #: initial sample capacity per lane; pages are only touched as samples
 #: arrive, and starting large avoids regrowth copies (the radial shots of
 #: a 200-height scan take 60-600 steps)
@@ -648,9 +598,13 @@ def integrate_batch(
     running; ``f`` returns one array per component.  Each lane follows
     ``integrate``'s step control on its own: error test, PI controller,
     step budget per (re)start, and the same event sign, arming and
-    end-or-restart rules.  Finished lanes leave the working set; a lane
-    whose fired events all end it unconditionally is finished at once and
-    its event is located with the others after the loop.  The whole batch
+    end-or-restart rules.  A lane whose step fires an event stays at the
+    step start and its next lockstep steps are the exact RK5 probes of
+    ``integrate``'s Illinois rule; probes are not attempted steps (not in
+    ``n_steps``), add no local error and skip the step-size check.
+    Finished lanes leave the working set; a lane whose fired events all end
+    it unconditionally leaves it at once and probes with the other such
+    lanes after the rest are done.  The whole batch
     runs under one numpy error state that ignores invalid operations and
     division by zero (``f`` and ``g`` need not guard lanes whose values are
     masked or rejected), and the caller's state is restored on return or
@@ -660,6 +614,12 @@ def integrate_batch(
     with np.errstate(invalid="ignore", divide="ignore"):
         return _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts,
                          event_tol)
+
+
+def _take(cols, at):
+    """The lanes at positions ``at`` (the last axis) of every per-lane array
+    in ``cols``; ``take`` on positions is the cheapest numpy copy of them."""
+    return [c.take(at, axis=-1) for c in cols]
 
 
 def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
@@ -677,7 +637,6 @@ def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
                       np.zeros(m, dtype=int), np.zeros(m, dtype=int),
                       np.zeros((n, m)), np.empty(0), np.empty((n, 0)), [])
     recs = _Samples(n, _SAMPLES_PER_LANE * m)
-    later = []   # steps whose events are located after the loop
 
     lane = np.arange(m, dtype=np.int32)
     k = np.empty((7, n, m))
@@ -690,14 +649,29 @@ def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
     acc = np.zeros((n, m))
     g0 = _event_values(events, t, y, m)  # event values at each lane's t
     signs = np.sign(g0)
+    # a probing lane stays at its step start and its steps are the probes
+    # of its bracket; lanes set aside all probe once the others are done
+    probing = np.zeros(m, dtype=bool)
+    brackets = {}   # lane id -> its _Illinois while it probes
+    aside = []
 
-    while lane.size:
+    while lane.size or aside:
+        if not lane.size:
+            (lane, t, y, h, k, scale, acc, g0, signs, err_prev, steps, total,
+             restarts, probing) = (np.concatenate(c, axis=-1) for c in zip(*aside))
+            aside = []
         if steps.max() >= _MAX_STEPS:
             i = int(np.argmax(steps))
             raise NonConvergence(
                 f"integration exceeded {_MAX_STEPS} steps at t={t[i]!r}",
                 best=(float(t[i]), tuple(y[:, i])))
         tiny = h < _H_UNDERFLOW * np.maximum(1.0, np.abs(t))
+        pp = np.flatnonzero(probing)
+        if pp.size:
+            probes = [brackets[i] for i in lane[pp].tolist()]
+            xs = [br.trial() for br in probes]
+            h[pp] = xs
+            tiny[pp] = False
         if tiny.any():
             i = int(np.argmax(tiny))
             raise NonintegrableStep(
@@ -716,65 +690,105 @@ def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
         tv = rtol * (scale + np.maximum(np.abs(y), np.abs(ynew)))
         err = np.sqrt(np.add.reduce((le / tv) ** 2, axis=0) / n)
         ok = err <= 1.0
+        if pp.size:   # a probe is no attempted step and adds no error
+            steps[pp] -= 1
+            total[pp] -= 1
+            ok[pp] = False
         n_ok = np.count_nonzero(ok)
         if n_ok < lane.size:
             rej = ~ok
             # fmax, like the scalar max(), shrinks a NaN-error step by the floor
             h[rej] *= np.fmax(_MIN_FACTOR, _SAFETY * err[rej] ** _REJECT_EXP)
-            if not n_ok:
+            if not n_ok and not pp.size:
                 continue
             acc += np.where(ok, np.abs(le), 0.0)
         else:
             acc += np.abs(le)
 
-        # event scan over the accepted spans
+        # event values over the accepted spans and at the probes; a bracket
+        # keeps, per lane, the state, FSAL stage and event values at its hi
         g1 = _event_values(events, tn, ynew, lane.size)
+        located = []   # (position, bracket) of every lane whose event is found
+        if pp.size:
+            gp = g1[:, pp].T.tolist()
+            at = np.concatenate((ynew, k[6], g1))[:, pp]
+            for j, (i, br) in enumerate(zip(pp.tolist(), probes)):
+                br.update(xs[j], gp[j], at[:, j])
+                if br.done:
+                    located.append((i, br))
         s1 = np.sign(g1)
         fired = ok & (signs != 0.0) & (s1 != signs)
         if np.count_nonzero(fired):
             fired &= (armed_dir == 0.0) | (signs == -armed_dir)
-        restart = None
-        t_acc, y_acc = tn, ynew
+        away = []      # positions of the lanes set aside
         if not np.count_nonzero(fired):
             done = ok & last
             if n_ok == lane.size:
                 recs.add(lane, tn, ynew)
             else:
                 recs.add(lane[ok], tn[ok], ynew[:, ok])
+            move = ok & ~done
         else:
             hit = fired.any(axis=0)
-            defer = hit & ~(fired & ~final).any(axis=0)
-            now = np.nonzero(hit & ~defer)[0]
-            done = (ok & last & ~hit) | defer
-            restart = np.zeros(lane.size, dtype=bool)
-            if now.size:
-                which, tau, y_ev = _locate_batch(
-                    f, events, fired[:, now], t[now], y[:, now], ynew[:, now],
-                    h[now], k[:, :, now], g0[:, now], g1[:, now],
-                    signs[:, now], event_tol)
-                t_acc, y_acc = tn.copy(), ynew.copy()
-                t_acc[now] = t[now] + tau
-                y_acc[:, now] = y_ev
-                ends = np.zeros(now.size, dtype=bool)
-                for e, ev in enumerate(events):
-                    sel = np.nonzero(which == e)[0]
-                    if sel.size:
-                        ends[sel] = ev.ends_at(t_acc[now[sel]], y_ev[:, sel])
-                done[now[ends]] = True
-                restart[now[~ends]] = True
-                res.event_index[lane[now[ends]]] = which[ends]
-            if defer.any():
-                d = np.nonzero(defer)[0]
-                later.append((lane[d], t[d], y[:, d], ynew[:, d], h[d],
-                              k[:, :, d], g0[:, d], g1[:, d], fired[:, d],
-                              signs[:, d]))
-            rec = ok & ~defer
-            recs.add(lane[rec], t_acc[rec], y_acc[:, rec])
+            go = ok & ~hit
+            done = go & last
+            recs.add(lane[go], tn[go], ynew[:, go])
+            move = go & ~done
+            # each firing lane stays at its step start and brackets its
+            # events; one whose fired events all end it is set aside
+            ix = np.flatnonzero(hit)
+            ending = (~(fired[:, ix] & ~final).any(axis=0)).tolist()
+            gl0, gl1 = g0[:, ix].T.tolist(), g1[:, ix].T.tolist()
+            fl = fired[:, ix].T.tolist()
+            at = np.concatenate((ynew, k[6], g1))[:, ix]
+            tol = np.maximum(event_tol, 1e-15 * h[ix]).tolist()
+            for j, i in enumerate(ix.tolist()):
+                br = _Illinois(float(h[i]), gl0[j], gl1[j],
+                               [e for e, x in enumerate(fl[j]) if x], tol[j],
+                               at[:, j])
+                if br.done:
+                    located.append((i, br))
+                    continue
+                brackets[int(lane[i])] = br
+                probing[i] = True
+                if ending[j]:
+                    away.append(i)
 
-        # accepted lanes without an event move on under the PI controller
-        move = ok & ~done
-        if restart is not None:
-            move &= ~restart
+        if located:
+            # a located lane's step ends at the far end of its bracket
+            li = np.array([i for i, _ in located])
+            brs = [br for _, br in located]
+            for j in lane[li].tolist():
+                brackets.pop(j, None)
+            probing[li] = False
+            which = np.array([br.event for br in brs])
+            at = np.array([br.at_hi for br in brs]).T
+            tn[li] = t[li] + np.array([br.hi for br in brs])
+            ynew[:, li] = at[:n]
+            recs.add(lane[li], tn[li], ynew[:, li])
+            ends = np.zeros(li.size, dtype=bool)
+            for e, ev in enumerate(events):
+                sel = np.flatnonzero(which == e)
+                if sel.size:
+                    ends[sel] = ev.ends_at(tn[li[sel]], at[:n, sel])
+            done[li[ends]] = True
+            res.event_index[lane[li[ends]]] = which[ends]
+            if not ends.all():   # the rest restart from their event
+                back = ~ends
+                r = li[back]
+                restarts[r] += 1
+                if restarts.max() > max_restarts:
+                    raise _restarts_exhausted(max_restarts)
+                if not np.all(t_end > tn[r]):
+                    raise NonConvergence(
+                        f"empty integration span ending at {t_end!r}")
+                t[r], y[:, r], k[0][:, r] = tn[r], ynew[:, r], at[n:2 * n, back]
+                h[r] = _first_steps(y[:, r], k[0][:, r], scale[:, r], t[r], t_end)
+                err_prev[r] = 1.0
+                steps[r] = 0
+                g0[:, r] = at[2 * n:, back]
+                signs[:, r] = np.sign(g0[:, r])
+
         n_move = np.count_nonzero(move)
         if n_move:
             pos = err > 0.0
@@ -793,46 +807,24 @@ def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
                                  (signs, s_next), (h, h_next),
                                  (err_prev, err_next)):
                     np.copyto(dst, src, where=move)
-        if restart is not None and restart.any():
-            r = np.nonzero(restart)[0]
-            restarts[r] += 1
-            if restarts.max() > max_restarts:
-                raise _restarts_exhausted(max_restarts)
-            if not np.all(t_end > t_acc[r]):
-                raise NonConvergence(
-                    f"empty integration span ending at {t_end!r}")
-            tr, yr = t_acc[r], y_acc[:, r]
-            t[r], y[:, r], k[0][:, r] = tr, yr, f(tr, yr)
-            gr = _event_values(events, tr, yr, r.size)
-            h[r] = _first_steps(yr, k[0][:, r], scale[:, r], tr, t_end)
-            err_prev[r] = 1.0
-            steps[r] = 0
-            g0[:, r], signs[:, r] = gr, np.sign(gr)
 
-        if done.any():
+        gone = done
+        if away:
+            gone = done.copy()
+            gone[away] = True
+        if gone.any():
             fin = lane[done]
-            res.t[fin] = t_acc[done]
-            res.y[:, fin] = y_acc[:, done]
+            res.t[fin] = tn[done]
+            res.y[:, fin] = ynew[:, done]
             res.n_steps[fin] = total[done]
             res.restarts[fin] = restarts[done]
             res.error_accum[:, fin] = acc[:, done]
-            keep = ~done
-            lane, t, y, h = lane[keep], t[keep], y[:, keep], h[keep]
-            k = k[:, :, keep]
-            scale, acc = scale[:, keep], acc[:, keep]
-            g0, signs = g0[:, keep], signs[:, keep]
-            err_prev, steps = err_prev[keep], steps[keep]
-            total, restarts = total[keep], restarts[keep]
-
-    if later:
-        ids, tl, yl, ynl, hl, kl, g0l, g1l, fl, sl = (
-            np.concatenate(part, axis=-1) for part in zip(*later))
-        which, tau, y_ev = _locate_batch(f, events, fl, tl, yl, ynl, hl, kl,
-                                         g0l, g1l, sl, event_tol)
-        res.event_index[ids] = which
-        res.t[ids] = tl + tau
-        res.y[:, ids] = y_ev
-        recs.add(ids, tl + tau, y_ev)
+            cols = (lane, t, y, h, k, scale, acc, g0, signs, err_prev, steps,
+                    total, restarts, probing)
+            if away:
+                aside.append(_take(cols, away))
+            (lane, t, y, h, k, scale, acc, g0, signs, err_prev, steps, total,
+             restarts, probing) = _take(cols, np.flatnonzero(~gone))
 
     recs.trim()
     res.rec_t, res.rec_y = recs.t, recs.y.T

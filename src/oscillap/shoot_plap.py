@@ -309,9 +309,9 @@ def shoot_batch(cfg, heights: Sequence[float],
     StalledAtCriticalPoint.  Each lane starts on the same origin series,
     follows the same step control and events as ``shoot`` (restarting
     where ``shoot`` does), and records every accepted step; only the event
-    offsets differ (within the integration tolerance), because both
-    steppers bracket them with one Illinois rule but a lane probes the
-    dense output where ``shoot`` probes exact RK5 re-steps.
+    offsets differ.  Both steppers probe events on exact RK5 steps through
+    one Illinois rule, so these differ only where numpy's array pow and
+    libm's pow round a step differently (about 1e-13 relative in rho).
     """
     return list(_shots(cfg, heights, nl))
 

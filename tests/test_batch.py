@@ -83,6 +83,107 @@ def test_scalar_event_matches_closed_form_zero():
         assert abs(res.t - math.pi / (2.0 * w)) <= 1e-13, w
 
 
+def test_batch_event_matches_closed_form_zero_tightly():
+    # the batch probes the same exact RK5 steps, each lane its own
+    w = np.array([0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0])
+    res = integrate_batch(lambda t, y: (y[1], -y[2] ** 2 * y[0], 0.0 * y[2]),
+                          np.zeros(w.size),
+                          np.array([np.ones(w.size), np.zeros(w.size), w]),
+                          50.0, 1e-13, 1.0,
+                          events=[Event(lambda t, y: y[0], direction=-1)],
+                          event_tol=1e-12)
+    assert list(res.event_index) == [0] * w.size
+    assert np.max(np.abs(res.t - math.pi / (2.0 * w))) <= 1e-13
+
+
+def test_located_event_costs_one_re_step_per_probe(monkeypatch):
+    # the state at a located event is the last far-side probe's, not one
+    # more RK5 step of the located size
+    calls = {"advance": 0, "probes": 0}
+    advance, update = _rk._advance, _rk._Illinois.update
+
+    def counted_advance(*args):
+        calls["advance"] += 1
+        return advance(*args)
+
+    def counted_update(self, *args):
+        calls["probes"] += 1
+        return update(self, *args)
+
+    monkeypatch.setattr(_rk, "_advance", counted_advance)
+    monkeypatch.setattr(_rk._Illinois, "update", counted_update)
+    res = integrate(_oscillator, 0.0, (1.0, 0.0), 10.0, 1e-10, (1.0, 1.0),
+                    events=[Event(lambda t, y: y[0], 0, ends=False),
+                            Event(lambda t, y: y[1], 1)])
+    assert (res.event_index, res.restarts) == (1, 1)   # y' turns up at pi
+    assert calls["probes"] > 0
+    assert calls["advance"] == calls["probes"]
+
+
+@pytest.mark.parametrize("root", [0.25, 0.7])
+def test_illinois_closes_a_bracket_whose_secant_rounds_onto_an_end(root):
+    # g is +1e-19 at the double `root` and negative at the next one: the
+    # first probe lands there on the near side, and every later secant
+    # rounds back onto it; bisecting from there took about 40 probes
+    def g(x):
+        return (root - x) + 1e-19
+
+    br = _rk._Illinois(1.0, [g(0.0)], [g(1.0)], [0], 1e-12, None)
+    while not br.done:
+        x = br.trial()
+        br.update(x, [g(x)], x)
+    assert br.probes <= 3
+    assert root < br.hi <= root + 1e-12 and br.at_hi == br.hi
+
+
+def _slow_oscillator(t, y):
+    # u = cos(e t), v = -sin(e t), with the rate e as a constant component
+    return (y[2] * y[1], -y[2] * y[0], 0.0 * y[2])
+
+
+def _crossing(at):
+    """Event where v falls through -sin(e * at), at t = at."""
+    return lambda t, y: y[1] + np.sin(y[2] * at)
+
+
+def _two_event_runs(events):
+    """One scalar run and one batch of rates 0.01 and 0.005 on [0, 1]: the
+    first step, 0.01 |y| / |y'| >= 1, spans [0, 1] and fires every event."""
+    rates = (0.01, 0.005)
+    one = [integrate(_slow_oscillator, 0.0, (1.0, 0.0, e), 1.0, 1e-10,
+                     (1.0, 1.0, 1.0), events=events, event_tol=1e-12)
+           for e in rates]
+    lanes = integrate_batch(_slow_oscillator, np.zeros(2),
+                            np.array([[1.0, 1.0], [0.0, 0.0], rates]), 1.0,
+                            1e-10, 1.0, events=events, event_tol=1e-12)
+    return one, lanes
+
+
+def test_step_firing_two_events_ends_at_the_earlier_crossing():
+    # event 1 crosses first, so the batch must leave event 0's bracket
+    one, lanes = _two_event_runs([Event(_crossing(0.5), -1),
+                                  Event(_crossing(0.3), -1)])
+    for j, res in enumerate(one):
+        assert res.n_steps == lanes.n_steps[j] == 1
+        assert res.event_index == lanes.event_index[j] == 1
+        assert abs(lanes.t[j] - res.t) <= 1e-12
+        assert abs(res.t - 0.3) <= 1e-9
+
+
+@pytest.mark.parametrize("early_ends", [True, False])
+def test_step_firing_an_ending_and_a_restarting_event(early_ends):
+    # the earlier crossing (0.3) decides: it ends the run, or the run
+    # restarts there and ends at the other crossing (0.5)
+    one, lanes = _two_event_runs([Event(_crossing(0.5), -1, ends=not early_ends),
+                                  Event(_crossing(0.3), -1, ends=early_ends)])
+    index, at, restarts = (1, 0.3, 0) if early_ends else (0, 0.5, 1)
+    for j, res in enumerate(one):
+        assert (res.event_index, res.restarts) == (index, restarts)
+        assert (lanes.event_index[j], lanes.restarts[j]) == (index, restarts)
+        assert abs(lanes.t[j] - res.t) <= 1e-12
+        assert abs(res.t - at) <= 1e-9
+
+
 def test_batch_lanes_finish_independently():
     # starts at different phases reach the zero at different times; lanes
     # that end early leave the batch and the others keep their own steps
@@ -227,6 +328,21 @@ def test_pucci_batch_matches_scalar_shots():
         assert res.outcome.kind == ref.outcome.kind
         assert res.q_sign_changes == ref.q_sign_changes
         assert res.outcome.rho == pytest.approx(ref.outcome.rho, rel=ROW_RTOL)
+
+
+@pytest.mark.parametrize("cfg", [
+    ShootConfig(2.0, 1, 1.0, tol_ode=1e-10, event_tol=1e-10),
+    ShootConfig(3.0, 2, 1.0, tol_ode=1e-12, event_tol=1e-10),
+    PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-10, event_tol=1e-10),
+], ids=["p2-N1", "p3-N2", "pucci2-N2"])
+def test_batch_and_scalar_probe_alike(cfg):
+    # both steppers locate every event on exact RK5 steps through one
+    # Illinois rule, so the first zeros agree far inside event_tol
+    heights = [1.0, 2.5, 4.0, 6.0, 9.0, 13.0, 17.0, 22.0, 28.0]
+    for c, res in zip(heights, shoot_batch(cfg, heights, CANONICAL)):
+        ref = shoot(dataclasses.replace(cfg, c=c), CANONICAL)
+        assert res.outcome.kind == ref.outcome.kind == "HitZero"
+        assert res.outcome.rho == pytest.approx(ref.outcome.rho, rel=1e-13), c
 
 
 @settings(max_examples=8, deadline=None)

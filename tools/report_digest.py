@@ -12,6 +12,10 @@ and prints, for each (config, command), the exit code, the sha256 of
 stdout and of stderr, the warnings raised (category and message, without
 file or line) and the sha256 of every report file, as one JSON object.
 Two checkouts that print the same JSON wrote the same bytes everywhere.
+Diagram reports also keep the numbers a change of the event location or
+the stepper moves (``VALUES``): the ``rho`` and ``lambda`` columns of
+``diagram.csv``, and ``c`` and ``lambda`` of every lambda-star crossing in
+``diagram_summary.json``.
 It imports the package from this checkout's ``src``; a run takes about
 30 s on a 2-core VM.
 
@@ -19,14 +23,16 @@ Run:  python3 tools/report_digest.py > digest.json
 
 ``--compare BEFORE.json AFTER.json`` reads two such digests and prints one
 line per (config, command) whose exit code, stdout, stderr, warnings or
-reports differ, naming the fields and the report files that differ; it
-exits 1 when any line was printed and 0 otherwise.
+reports differ, naming the fields and the report files that differ, and
+for each differing diagram report the largest relative change of each of
+its kept columns; it exits 1 when any line was printed and 0 otherwise.
 
 Run:  python3 tools/report_digest.py --compare before.json after.json
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -93,6 +99,22 @@ def config_bytes() -> dict:
     return out
 
 
+def _csv_columns(path: Path, names) -> dict:
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    return {n: [float(r[n]) if r[n] else None for r in rows] for n in names}
+
+
+def _crossing_columns(path: Path, names) -> dict:
+    levels = json.loads(path.read_text()).get("lambda_star", {})
+    found = [x for key in sorted(levels) for x in levels[key]["crossings"]]
+    return {n: [x[n] for x in found] for n in names}
+
+
+#: report file -> (reader, the columns kept as numbers)
+VALUES = {"diagram.csv": (_csv_columns, ("rho", "lambda")),
+          "diagram_summary.json": (_crossing_columns, ("c", "lambda"))}
+
+
 def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
@@ -104,12 +126,13 @@ def digest_run(config: str, command: str, out: str) -> dict:
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main([command, "--config", config, "--out", out])
-    reports = {p.name: _sha(p.read_bytes())
-               for p in sorted(Path(out).iterdir())} if os.path.isdir(out) else {}
+    files = sorted(Path(out).iterdir()) if os.path.isdir(out) else []
     return {"exit": code, "stdout": _sha(stdout.getvalue()),
             "stderr": _sha(stderr.getvalue()),
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-            "reports": reports}
+            "reports": {p.name: _sha(p.read_bytes()) for p in files},
+            "values": {p.name: VALUES[p.name][0](p, VALUES[p.name][1])
+                       for p in files if p.name in VALUES}}
 
 
 def digest() -> dict:
@@ -131,6 +154,21 @@ def digest() -> dict:
     return result
 
 
+def _largest_change(old: list, new: list) -> str:
+    """Largest |new - old| / |old| over two columns, as text; a value that
+    appears, vanishes, becomes NaN or leaves zero counts as inf."""
+    if len(old) != len(new):
+        return f"{len(old)} -> {len(new)} values"
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b or (a is not None and b is not None
+                      and math.isnan(a) and math.isnan(b)):
+            continue
+        change = abs(b - a) / abs(a) if a and b is not None else math.inf
+        worst = max(worst, change if change == change else math.inf)
+    return f"{worst:.2g}"
+
+
 def compare(before: dict, after: dict) -> list:
     """One line per (config, command) whose digests differ, in key order."""
     lines = []
@@ -145,6 +183,13 @@ def compare(before: dict, after: dict) -> list:
                        if old["reports"].get(n) != new["reports"].get(n))
         if names:
             fields.append("reports " + " ".join(names))
+        for name in names:
+            old_v = old.get("values", {}).get(name)
+            new_v = new.get("values", {}).get(name)
+            if old_v and new_v:
+                fields.append(f"{name} largest relative change " + " ".join(
+                    f"{col} {_largest_change(old_v[col], new_v[col])}"
+                    for col in old_v))
         if fields:
             lines.append(f"{key}: {', '.join(fields)}")
     return lines
