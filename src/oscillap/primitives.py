@@ -4,8 +4,11 @@ Everything downstream consumes antiderivatives of f rather than f itself:
 
 * ``F(s)   = integral_0^s f(t) dt``
 * ``Fbar(s) = F(s) - min over [0, s] of F``   (drawdown from the running minimum)
-* ``F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-``, with the weight
-  Lambda an argument of each call, and its running extrema
+* ``F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-
+                = F(s) + (1 - 1/Lambda^2) F^-(s)``, with the weight Lambda an
+  argument of each call and ``F^-(s) = integral_0^s max(-f, 0)`` the one
+  stored sign part, so F_Lambda at Lambda = 1 is F itself; and the running
+  extrema of F_Lambda, F's at the default Lambda = 1
 * ``F_under(s1, s2) = min over t in [0, s1] of integral_t^{s2} f
                     = F(s2) - max over [0, s1] of F``
 
@@ -19,8 +22,8 @@ F comes from one of four backends, each answering the vectorized
 which one serves a nonlinearity depends on its kind:
 
 * ``CustomTable``: the interpolant is piecewise linear, so F is piecewise
-  quadratic and every primitive (including the sign-split parts) is computed
-  exactly from prefix sums.  No quadrature error at all.
+  quadratic and every primitive (including the negative part F^-) is
+  computed exactly from prefix sums.  No quadrature error at all.
 * ``ReciprocalOscillation``: naive quadrature misses infinitely many
   oscillations near 0.  Substituting u = 1/t turns the oscillatory piece into
   ``S_b(x) = integral_x^infinity u^(-b) sin u du`` with b = 1/r + 2 and
@@ -36,6 +39,9 @@ which one serves a nonlinearity depends on its kind:
   rules (21 vs 10 nodes) and bisect on disagreement; F at a point does
   not depend on which points were asked for before it.
 
+F^- is zero for f >= 0, exact for a table, and otherwise one more panel
+cache on max(-f, 0).
+
 Running extrema of F are tracked at the sign changes of f (the only interior
 points where F can turn around) plus the endpoints, which makes Fbar and
 F_under exact up to the accuracy of F itself.
@@ -45,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +89,11 @@ class CachedPrefix:
     and each panel sum only on its own row, so F at a point has the same
     bits whatever was asked before it and whatever shares its call.
 
-    Thread-safe for concurrent reads: extensions are serialized by a lock
-    and publish the checkpoints and prefix values together as one tuple, and
-    each query reads one such snapshot.
+    An extension publishes the checkpoints and prefix values together as
+    one tuple, and each query reads the snapshot it was handed.  Two
+    extensions that overlap build the same checkpoints, so the later one to
+    publish may at worst shrink the cache; it never hands a reader a
+    snapshot that ends short of the reader's point.
     """
 
     def __init__(self, fvec, tol=TOL_QUAD, kinks=None, max_depth=28):
@@ -95,7 +102,6 @@ class CachedPrefix:
         self._kinks = kinks if kinks is not None else (lambda a, b: [])
         self.max_depth = int(max_depth)
         self._state = (np.array([0.0]), np.array([0.0]))  # (t, I)
-        self._lock = threading.Lock()
 
     # -- panel machinery ------------------------------------------------
 
@@ -147,27 +153,29 @@ class CachedPrefix:
         return ends[order], vals[order]
 
     def _extend(self, target: float) -> tuple:
-        """Checkpoints reaching at least ``target``; returns the (t, I) snapshot."""
-        with self._lock:
-            t_old, I_old = self._state
-            a = float(t_old[-1])  # a lattice point
-            if target <= a:
-                return self._state
-            k = math.floor(target / PANEL_WIDTH) + 1  # k * PANEL_WIDTH > target
-            edges = np.arange(round(a / PANEL_WIDTH), k + 1) * PANEL_WIDTH
-            ks = [x for x in self._kinks(a, edges[-1]) if a < x < edges[-1]]
-            if ks:
-                edges = np.unique(np.concatenate([edges, np.asarray(ks, dtype=float)]))
-            ends, vals = [], [I_old[-1:]]
-            chunk = 32768
-            for lo in range(0, len(edges) - 1, chunk):
-                e = edges[lo:lo + chunk + 1]
-                t, v = self._leaves(e[:-1], e[1:])
-                ends.append(t)
-                vals.append(v)
-            self._state = (np.concatenate([t_old, *ends]),
-                           np.concatenate([I_old, np.cumsum(np.concatenate(vals))[1:]]))
-            return self._state
+        """Checkpoints reaching at least ``target``; returns the (t, I)
+        snapshot it built, which reaches ``target`` whatever another
+        extension publishes meanwhile."""
+        state = t_old, I_old = self._state
+        a = float(t_old[-1])  # a lattice point
+        if target <= a:
+            return state
+        k = math.floor(target / PANEL_WIDTH) + 1  # k * PANEL_WIDTH > target
+        edges = np.arange(round(a / PANEL_WIDTH), k + 1) * PANEL_WIDTH
+        ks = [x for x in self._kinks(a, edges[-1]) if a < x < edges[-1]]
+        if ks:
+            edges = np.unique(np.concatenate([edges, np.asarray(ks, dtype=float)]))
+        ends, vals = [], [I_old[-1:]]
+        chunk = 32768
+        for lo in range(0, len(edges) - 1, chunk):
+            e = edges[lo:lo + chunk + 1]
+            t, v = self._leaves(e[:-1], e[1:])
+            ends.append(t)
+            vals.append(v)
+        state = (np.concatenate([t_old, *ends]),
+                 np.concatenate([I_old, np.cumsum(np.concatenate(vals))[1:]]))
+        self._state = state
+        return state
 
     # -- queries ----------------------------------------------------------
 
@@ -199,10 +207,11 @@ def _row_sums(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _ExactTablePrefix:
-    """Exact primitives of a piecewise-linear interpolant and its sign parts.
+    """Exact primitive of a piecewise-linear interpolant and of its
+    negative part.
 
     The node list is refined with every interior crossing root so that each
-    segment carries a single sign; prefix sums then make F, F+ and F- exact.
+    segment carries a single sign; prefix sums then make F and F- exact.
     Beyond the last node the integrand is clamped constant.
     """
 
@@ -221,11 +230,9 @@ class _ExactTablePrefix:
         self.ry = np.array(ry)
         h = np.diff(self.rx)
         seg = 0.5 * (self.ry[:-1] + self.ry[1:]) * h
-        sgn = np.sign(self.ry[:-1] + self.ry[1:])
-        self.seg_sign = sgn
+        self.negative = self.ry[:-1] + self.ry[1:] < 0.0
         self.P = np.concatenate([[0.0], np.cumsum(seg)])
-        self.Pp = np.concatenate([[0.0], np.cumsum(np.where(sgn > 0, seg, 0.0))])
-        self.Pm = np.concatenate([[0.0], np.cumsum(np.where(sgn < 0, -seg, 0.0))])
+        self.Pm = np.concatenate([[0.0], np.cumsum(np.where(self.negative, -seg, 0.0))])
         with np.errstate(divide="ignore", invalid="ignore"):
             self.slope = np.where(h > 0, np.diff(self.ry) / h, 0.0)
         self.y_end = float(self.ry[-1])
@@ -235,35 +242,23 @@ class _ExactTablePrefix:
         t = s - self.rx[idx]
         return idx, t
 
-    def _eval(self, s: np.ndarray, P: np.ndarray, want: int) -> np.ndarray:
-        """want = 0 for F, +1 for F_plus, -1 for F_minus."""
+    def _eval(self, s: np.ndarray, minus: bool) -> np.ndarray:
+        """F at s, or F- when ``minus``."""
         s = np.asarray(s, dtype=float)
         inside = s < self.rx[-1]
         idx, t = self._locate(np.where(inside, s, self.rx[-1]))
         part = self.ry[idx] * t + 0.5 * self.slope[idx] * t * t
-        if want == 0:
-            out = P[idx] + part
-        elif want > 0:
-            out = P[idx] + np.where(self.seg_sign[idx] > 0, part, 0.0)
-        else:
-            out = P[idx] + np.where(self.seg_sign[idx] < 0, -part, 0.0)
         tail = np.maximum(s - self.rx[-1], 0.0)
-        if want == 0:
-            out = out + self.y_end * tail
-        elif want > 0:
-            out = out + (self.y_end if self.y_end > 0 else 0.0) * tail
-        else:
-            out = out + (-self.y_end if self.y_end < 0 else 0.0) * tail
-        return out
+        if not minus:
+            return self.P[idx] + part + self.y_end * tail
+        out = self.Pm[idx] + np.where(self.negative[idx], -part, 0.0)
+        return out + max(-self.y_end, 0.0) * tail
 
     def F_many(self, s):
-        return self._eval(s, self.P, 0)
-
-    def Fplus_many(self, s):
-        return self._eval(s, self.Pp, +1)
+        return self._eval(s, False)
 
     def Fminus_many(self, s):
-        return self._eval(s, self.Pm, -1)
+        return self._eval(s, True)
 
 
 class _ReciprocalPrimitive:
@@ -413,8 +408,11 @@ class _ExtremaTable:
 
     Between consecutive sign changes F is monotone, so the running minimum and
     maximum over [0, s] are attained at 0, at a stored sign change, or at s.
-    Extensions are serialized by a lock and publish (span, points, prefix
-    minima, prefix maxima) as one tuple; each query reads one snapshot.
+    An extension publishes (span, points, prefix minima, prefix maxima) as
+    one tuple, and each query reads the snapshot it was handed.  A primitive
+    value depends only on its point, so two extensions that overlap store
+    the same entries, and the later one to publish may at worst shrink the
+    span; it never hands a reader a snapshot short of the reader's point.
     """
 
     def __init__(self, value_many_fn, sign_changes_fn):
@@ -422,31 +420,27 @@ class _ExtremaTable:
         self._sign_changes = sign_changes_fn
         empty = np.array([], dtype=float)
         self._state = (0.0, empty, empty, empty)
-        self._lock = threading.Lock()
 
     def _ensure(self, s: float) -> tuple:
-        """A snapshot covering [0, s]."""
-        state = self._state
-        if s <= state[0]:
+        """A snapshot covering [0, s]: the current one, or the one built."""
+        state = span, pts, premin, premax = self._state
+        if s <= span:
             return state
-        with self._lock:
-            span, pts, premin, premax = state = self._state
-            if s <= span:
-                return state
-            new = np.array([x for x in self._sign_changes(s) if x > span],
-                           dtype=float)
-            if new.size:
-                vals = np.asarray(self._value_many(new))
-                mins = np.minimum.accumulate(vals)
-                maxs = np.maximum.accumulate(vals)
-                if pts.size:
-                    mins = np.minimum(mins, premin[-1])
-                    maxs = np.maximum(maxs, premax[-1])
-                pts = np.concatenate([pts, new])
-                premin = np.concatenate([premin, mins])
-                premax = np.concatenate([premax, maxs])
-            self._state = (s, pts, premin, premax)
-            return self._state
+        new = np.array([x for x in self._sign_changes(s) if x > span],
+                       dtype=float)
+        if new.size:
+            vals = np.asarray(self._value_many(new))
+            mins = np.minimum.accumulate(vals)
+            maxs = np.maximum.accumulate(vals)
+            if pts.size:
+                mins = np.minimum(mins, premin[-1])
+                maxs = np.maximum(maxs, premax[-1])
+            pts = np.concatenate([pts, new])
+            premin = np.concatenate([premin, mins])
+            premax = np.concatenate([premax, maxs])
+        state = (s, pts, premin, premax)
+        self._state = state
+        return state
 
     def extrema(self, s: float) -> tuple[float, float]:
         """(min, max) of the primitive over [0, s], both including endpoints."""
@@ -614,13 +608,11 @@ class PrimitiveCalculus:
                                    kinks=nl.kink_points, max_depth=max_depth)
         self.backend = backend
 
-        # F = F+ - F-: a table splits exactly, f >= 0 has F- = 0, and
-        # anything else integrates its two sign parts separately
+        # F- = integral max(-f, 0): exact for a table, 0 for f >= 0, and
+        # otherwise a panel cache split at the sign changes of f as well
         if isinstance(backend, _ExactTablePrefix):
-            self._Fplus_many = backend.Fplus_many
             self._Fminus_many = backend.Fminus_many
         elif nl.nonneg:
-            self._Fplus_many = backend.F_many
             self._Fminus_many = lambda s: np.zeros_like(np.asarray(s, dtype=float))
         else:
             def kinks_split(a, b):
@@ -628,16 +620,12 @@ class PrimitiveCalculus:
                 ks.update(x for x in nl.sign_change_points(b) if a < x < b)
                 return sorted(ks)
 
-            def part(sign):
-                return CachedPrefix(lambda s: np.maximum(sign * nl.eval_many(s), 0.0),
-                                    tol=tol_quad, kinks=kinks_split,
-                                    max_depth=max_depth).F_many
+            self._Fminus_many = CachedPrefix(
+                lambda s: np.maximum(-nl.eval_many(s), 0.0), tol=tol_quad,
+                kinks=kinks_split, max_depth=max_depth).F_many
 
-            self._Fplus_many, self._Fminus_many = part(1.0), part(-1.0)
-
-        self._extrema_F = _ExtremaTable(self.F_many, nl.sign_change_points)
-        #: Lambda -> running extrema of F_Lambda
-        self._extrema_FL: dict = {}
+        #: Lambda -> running extrema of F_Lambda (of F at Lambda = 1)
+        self._extrema: dict = {}
 
     # -- plain primitives ---------------------------------------------------
 
@@ -651,10 +639,8 @@ class PrimitiveCalculus:
             raise DomainError("primitives are defined on s >= 0")
         return np.asarray(self.backend.F_many(s), dtype=float)
 
-    def Fplus(self, s: float) -> float:
-        return float(self._Fplus_many(np.array([float(s)]))[0])
-
     def Fminus(self, s: float) -> float:
+        """F^-(s) = integral_0^s max(-f, 0)."""
         return float(self._Fminus_many(np.array([float(s)]))[0])
 
     def F_Lambda(self, s: float, Lambda: float) -> float:
@@ -662,35 +648,32 @@ class PrimitiveCalculus:
         return float(self.F_Lambda_many(np.array([s], dtype=float), Lambda)[0])
 
     def F_Lambda_many(self, s, Lambda: float) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return (np.asarray(self._Fplus_many(s), dtype=float)
-                - np.asarray(self._Fminus_many(s), dtype=float)
-                / (Lambda * Lambda))
+        """F + (1 - 1/Lambda^2) F^-: ``F_many`` itself at Lambda = 1."""
+        F = self.F_many(s)
+        if Lambda == 1.0:
+            return F
+        return F + (1.0 - 1.0 / (Lambda * Lambda)) * self._Fminus_many(s)
 
     # -- running extrema and derived primitives ------------------------------
 
-    def extrema(self, s: float) -> tuple[float, float]:
-        """(min, max) of F over [0, s]."""
-        return self._extrema_F.extrema(s)
-
-    def extrema_Lambda(self, s: float, Lambda: float) -> tuple[float, float]:
-        """(min, max) of F_Lambda over [0, s]."""
-        table = self._extrema_FL.get(Lambda)
-        if table is None:   # one table per Lambda, whichever thread adds it
-            table = self._extrema_FL.setdefault(Lambda, _ExtremaTable(
-                lambda x: self.F_Lambda_many(x, Lambda), self.nl.sign_change_points))
+    def extrema(self, s: float, Lambda: float = 1.0) -> tuple[float, float]:
+        """(min, max) of F_Lambda over [0, s]; of F at the default Lambda."""
+        table = self._extrema.get(Lambda)
+        if table is None:
+            table = self._extrema[Lambda] = _ExtremaTable(
+                lambda x: self.F_Lambda_many(x, Lambda), self.nl.sign_change_points)
         return table.extrema(s)
 
     def running_min(self, s: float) -> float:
         """min of F over [0, s]; never exceeds min(0, F(s))."""
-        return self._extrema_F.extrema(s)[0]
+        return self.extrema(s)[0]
 
     def running_max(self, s: float) -> float:
-        return self._extrema_F.extrema(s)[1]
+        return self.extrema(s)[1]
 
     def Fbar(self, s: float) -> float:
         """Fbar(s) = F(s) - min over [0, s] of F; always >= max(0, F(s))."""
-        lo, _ = self._extrema_F.extrema(s)
+        lo, _ = self.extrema(s)
         return self.F(s) - lo
 
     def F_under(self, s1: float, s2: float) -> float:
@@ -699,7 +682,7 @@ class PrimitiveCalculus:
             raise DomainError(f"F_under needs s1 <= s2, got {s1!r} > {s2!r}")
         if s1 < 0.0:
             raise DomainError("F_under needs s1 >= 0")
-        _, hi = self._extrema_F.extrema(s1)
+        _, hi = self.extrema(s1)
         return self.F(s2) - hi
 
     # -- tail growth estimates ------------------------------------------------

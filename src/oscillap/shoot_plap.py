@@ -199,9 +199,10 @@ class Diagnostics:
 
 class HeightPrimitives(NamedTuple):
     """What a diagram row and its audit take from the primitives at one
-    height c: F(c), the operator's own primitive G (``Operator.which``: F,
-    or F_Lambda for Pucci) at c with its range Gbar(c) and its max Gmax on
-    [0, c], and the operator's per-solution bound (nan where Gbar(c) <= 0).
+    height c: F(c), the operator's own primitive G (``Operator.primitive``:
+    F_Lambda at its weight, F itself at weight 1) at c with its range
+    Gbar(c) and its max Gmax on [0, c], and the operator's per-solution
+    bound (nan where Gbar(c) <= 0).
     ``Fbar`` is Gbar, by the name the diagram rows give it."""
 
     F: float
@@ -215,8 +216,8 @@ class HeightPrimitives(NamedTuple):
            R: float) -> HeightPrimitives:
         """The primitives of ``op`` at height c on the radius-R ball."""
         G_many, extrema = op.primitive(pc)
-        F = pc.F(c)
-        G = F if op.which == "F" else float(G_many(np.array([c], float))[0])
+        G = float(G_many(np.array([c], float))[0])
+        F = G if op.weight == 1.0 else pc.F(c)
         lo, hi = extrema(c)
         try:
             b = op.bound(c, G - lo, R)
@@ -409,7 +410,7 @@ def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
     lhs = np.abs(res.vp) ** e * ((e - 1.0) / e) / op.weight + res.z
     rhs = res.config.lambda_shoot * (at.G - G_many(v))
     slack = rhs - lhs
-    violation = np.abs(slack) if op.which == "F" else np.maximum(0.0, -slack)
+    violation = np.abs(slack) if op.kind == "p_laplacian" else np.maximum(0.0, -slack)
     d = Diagnostics(float(np.max(violation / (1.0 + np.abs(rhs)))),
                     float(slack.min()), float(lam - at.bound),
                     bool(at.G >= -AUDIT_TOL),

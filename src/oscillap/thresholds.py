@@ -71,8 +71,8 @@ class Operator:
     It owns everything outside the ODE that tells the two operators apart:
     the rescaling exponent e and the weight w (``exponent``, ``weight``:
     (p, 1) for the p-Laplacian, (2, Lambda) for Pucci), the primitive G of
-    a nonlinearity's ``PrimitiveCalculus`` it reads (``which``: F, or
-    F_Lambda at Lambda = w; ``primitive``, ``Gbar``), the limits of
+    a nonlinearity's ``PrimitiveCalculus`` it reads (F_Lambda at Lambda = w,
+    which is F at w = 1; ``primitive``, ``Gbar``), the limits of
     G(s)/s^e (``limits``), and the two closed forms the nonexistence
     argument gives in (e, w, G): ``lambda_under`` and the per-solution
     ``bound``.  The primitives describe f alone; this is the one place
@@ -116,24 +116,20 @@ class Operator:
 
     @property
     def which(self) -> str:
-        """The primitive G behind its limits, existence sequence and bound:
-        the plain ``"F"`` or the sign-weighted ``"F_Lambda"``."""
+        """The name reports give G: the plain ``"F"`` of the p-Laplacian or
+        the sign-weighted ``"F_Lambda"`` of Pucci."""
         return "F" if self.kind == "p_laplacian" else "F_Lambda"
 
     def primitive(self, pc: PrimitiveCalculus):
         """G in ``pc`` as (G at many points, (min, max) of G on [0, s]):
-        ``F_many`` and ``extrema``, or their F_Lambda forms at Lambda = w."""
-        if self.which == "F":
-            return pc.F_many, pc.extrema
+        ``F_Lambda_many`` and ``extrema`` at Lambda = w."""
         w = self.weight
-        return (lambda s: pc.F_Lambda_many(s, w)), (lambda s: pc.extrema_Lambda(s, w))
+        return (lambda s: pc.F_Lambda_many(s, w)), (lambda s: pc.extrema(s, w))
 
     def Gbar(self, pc: PrimitiveCalculus, s: float) -> float:
         """Range of G on [0, s]: G(s) - min over [0, s] of G
-        (``PrimitiveCalculus.Fbar`` for the p-Laplacian)."""
-        if self.which == "F":
-            return pc.Fbar(s)
-        lo, _ = pc.extrema_Lambda(s, self.weight)
+        (``PrimitiveCalculus.Fbar`` at w = 1)."""
+        lo, _ = pc.extrema(s, self.weight)
         return pc.F_Lambda(s, self.weight) - lo
 
     def limits(self, pc: PrimitiveCalculus,
@@ -153,11 +149,10 @@ class Operator:
 
     def lambda_under(self, R: float, limits: LimitEstimate) -> float:
         """Nonexistence threshold on the radius-R ball from the limits of
-        G(s)/s^e (G = ``which``): below (e-1)/(e w R^e (L_plus - min(0,
-        L_minus))) no positive radial solution exists.  inf when both
-        limits vanish or the limsup is negative (no positive solution for
-        any parameter), and 0 when a limit diverges (no window is
-        certified)."""
+        G(s)/s^e: below (e-1)/(e w R^e (L_plus - min(0, L_minus))) no
+        positive radial solution exists.  inf when both limits vanish or
+        the limsup is negative (no positive solution for any parameter), and
+        0 when a limit diverges (no window is certified)."""
         if limits.classification == "BothZero":
             return math.inf
         if limits.classification != "FinitePair":
@@ -365,9 +360,11 @@ def minimize_scalar(func: Callable[[float], float], bounds: Tuple[float, float],
     return ScalarMinimum(xf, fx, num)
 
 
-def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, p: float,
+def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, operator: Operator,
                    count: Optional[int] = None) -> List[float]:
-    """Candidate heights: maximizers of Fbar(s)/s^p between successive zeros.
+    """Candidate heights: maximizers of Gbar(s)/s^e between successive
+    zeros, with e and Gbar the operator's (``Operator.Gbar``), so the
+    heights are those of the operator's own existence sequence.
 
     One bounded Brent search (golden section with parabolic steps) runs per
     gap between consecutive zeros of f (plus the gap from 0 for zeros
@@ -381,14 +378,15 @@ def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, p: float,
     else:
         gaps = list(zip(asc[:-1], asc[1:]))[::-1]  # march toward 0
 
+    e = operator.exponent
     out: List[float] = []
     for lo, hi in gaps:
         if count is not None and len(out) >= count:
             break
         a = lo + 1e-12 * (hi - lo) if lo == 0.0 else lo
-        g = minimize_scalar(lambda s: -pc.Fbar(s) / s ** p, (a, hi),
+        g = minimize_scalar(lambda s: -operator.Gbar(pc, s) / s ** e, (a, hi),
                             xatol=1e-10 * hi).x
-        if pc.Fbar(g) > 0.0:
+        if operator.Gbar(pc, g) > 0.0:
             out.append(g)
     return out
 
@@ -485,16 +483,16 @@ def compute_thresholds(operator: Operator, pc: PrimitiveCalculus,
 
     ``operator`` gives the exponent e, the limits of G(s)/s^e and
     lambda_under (``Operator.lambda_under``) and the primitive range of the
-    sequence.  ``gammas`` defaults to maximizers of the plain Fbar(s)/s^e
-    between the first ``count + 1`` zeros of f, for either operator; ``M``
-    defaults to the sampled dip constant.
+    sequence.  ``gammas`` defaults to maximizers of the operator's own
+    Gbar(s)/s^e between the first ``count + 1`` zeros of f
+    (``propose_gammas``); ``M`` defaults to the sampled dip constant.
     """
     limits = operator.limits(pc, direction)
     under = operator.lambda_under(geom.R, limits)
 
     if gammas is None:
         zeros = find_zeros(pc.nl, count + 1)
-        gammas = propose_gammas(pc, zeros, operator.exponent, count=count)
+        gammas = propose_gammas(pc, zeros, operator, count=count)
     if not gammas:
         raise DomainError("no usable heights: every zero gap had Fbar <= 0")
     if M is None:

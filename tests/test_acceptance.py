@@ -208,7 +208,7 @@ def test_criterion_7_variational_mechanism():
     # canonical instance truncated at the third zero, lambda = 2 lambda_3
     pc = PrimitiveCalculus(NL)
     zeros8 = find_zeros(NL, 8)
-    gammas = propose_gammas(pc, zeros8, 2.0, count=6)
+    gammas = propose_gammas(pc, zeros8, Operator.p_laplacian(2.0), count=6)
     row = lambda_n_sequence(Operator.p_laplacian(2.0), pc, BallGeometry(1, 1.0),
                             gammas)[2]
     lam = 2.0 * row.lam

@@ -23,6 +23,7 @@ from oscillap.primitives import (
     _PowerSinPrimitive,
     classify_ratio_samples,
 )
+from oscillap.shoot_plap import HeightPrimitives
 from oscillap.thresholds import Operator
 
 PI = math.pi
@@ -140,20 +141,31 @@ def test_f_lambda_sine_closed_form(pc_sine):
     assert pc_sine.F_Lambda(2 * PI, 2.0) == pytest.approx(1.5, rel=1e-8)
 
 
+def _sine_negative_part(s):
+    """integral_0^s max(-sin t, 0) dt: 2 per period, 1 + cos r past pi."""
+    k, r = divmod(s, 2 * PI)
+    return 2.0 * k + (1.0 + math.cos(r) if r > PI else 0.0)
+
+
 def test_f_splits_into_signed_parts():
+    """F- = integral max(-f, 0) against independent values: 0 for f >= 0,
+    the closed form for sin, and a dense trapezoid sum for a table."""
     rng = np.random.default_rng(7)
     tab = CustomTable.from_function(lambda s: math.sin(1.3 * s) - 0.2, 30.0, 3001)
+    grid = np.linspace(0.0, 25.0, 2_500_001)
+    neg = np.maximum(-tab.eval_many(grid), 0.0)
+    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (neg[1:] + neg[:-1])
+                                                 * np.diff(grid))])
     cases = [
-        PrimitiveCalculus(PowerTimesOnePlusSin(1.0)),
-        PrimitiveCalculus(PureSine()),
-        PrimitiveCalculus(ReciprocalOscillation(2.0)),
-        PrimitiveCalculus(tab),
+        (PrimitiveCalculus(PowerTimesOnePlusSin(1.0)), lambda s: 0.0),
+        (PrimitiveCalculus(PureSine()), _sine_negative_part),
+        (PrimitiveCalculus(ReciprocalOscillation(2.0)), lambda s: 0.0),
+        (PrimitiveCalculus(tab), lambda s: float(np.interp(s, grid, trapezoid))),
     ]
-    for pc in cases:
+    for pc, negative_part in cases:
         for s in rng.uniform(0.0, 25.0, 100):
-            split = pc.Fplus(float(s)) - pc.Fminus(float(s))
-            F = pc.F(float(s))
-            assert abs(split - F) <= 1e-8 * (1 + abs(F))
+            want = negative_part(float(s))
+            assert abs(pc.Fminus(float(s)) - want) <= 1e-8 * (1 + abs(want))
 
 
 def test_funder_closed_forms(pc_sine, pc_power):
@@ -309,8 +321,8 @@ UNIT_ENVELOPE = EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [100.0, 1.0]]))
 #: one-point reads that threads share: F, and the running extrema of
 #: F_Lambda at two Lambda, whose tables the first reader of each creates
 _SHARED_READS = (lambda pc, x: pc.F(x),
-                 lambda pc, x: pc.extrema_Lambda(x, 1.5),
-                 lambda pc, x: pc.extrema_Lambda(x, 2.0))
+                 lambda pc, x: pc.extrema(x, 1.5),
+                 lambda pc, x: pc.extrema(x, 2.0))
 
 
 def test_concurrent_reads_match_serial():
@@ -380,9 +392,9 @@ def test_fbar_nonnegative_property(s):
     assert fb >= _PROPERTY_PC.F(s) - 1e-12
 
 
-# nonlinearities whose F comes from panel caches: sign-changing (split
-# caches), smooth, with a root kink at 0, and with table kinks; and a
-# sign-changing table, whose sign parts are exact
+# nonlinearities whose F comes from panel caches: sign-changing (with an F-
+# cache), smooth, with a root kink at 0, and with table kinks; and a
+# sign-changing table, whose negative part is exact
 _PANEL_CACHE_CASES = {
     "pure_sine": PureSine(),
     "power_sin r=0.5": PowerTimesOnePlusSin(0.5),
@@ -391,8 +403,9 @@ _PANEL_CACHE_CASES = {
         np.array([[0.0, 1.0], [7.3, 2.5], [19.1, 2.6], [50.0, 4.0]])),
     "cos table": CustomTable.from_function(lambda s: math.cos(s) + 0.3, 40.0, 801),
 }
-_QUANTITIES = ("F", "F_Lambda", "extrema", "extrema_Lambda")
 _LAMBDAS = (1.0, 1.5, 2.0)
+#: each quantity and the Lambda it is asked at; None asks extrema at its default
+_QUANTITIES = {"F": (None,), "F_Lambda": _LAMBDAS, "extrema": (None,) + _LAMBDAS}
 
 
 def _query(pc, quantity, xs, batched, Lambda):
@@ -402,10 +415,6 @@ def _query(pc, quantity, xs, batched, Lambda):
     if batched and quantity in ("F", "F_Lambda"):
         return [float(v) for v in getattr(pc, quantity + "_many")(np.array(xs), *args)]
     return [getattr(pc, quantity)(x, *args) for x in xs]   # extrema have no batch form
-
-
-def _lambdas(quantity):
-    return _LAMBDAS if quantity.endswith("_Lambda") else (None,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,8 +428,8 @@ def test_primitive_values_do_not_depend_on_query_order(case, s, data):
     as a fresh one per Lambda does."""
     nl = _PANEL_CACHE_CASES[case]
     want = {}
-    for q in _QUANTITIES:
-        for lam in _lambdas(q):
+    for q, lams in _QUANTITIES.items():
+        for lam in lams:
             vals = _query(PrimitiveCalculus(nl), q, s, False, lam)
             want.update(((q, lam, x), v) for x, v in zip(s, vals))
     pc = PrimitiveCalculus(nl)
@@ -430,11 +439,41 @@ def test_primitive_values_do_not_depend_on_query_order(case, s, data):
         k = data.draw(st.integers(1, len(order)))
         group, order = order[:k], order[k:]
         batched = data.draw(st.booleans())
-        for q in data.draw(st.permutations(_QUANTITIES)):
-            lam = data.draw(st.sampled_from(_lambdas(q)))
+        for q in data.draw(st.permutations(list(_QUANTITIES))):
+            lam = data.draw(st.sampled_from(_QUANTITIES[q]))
             vals = _query(pc, q, group, batched, lam)
             got.update(((q, lam, x), v) for x, v in zip(group, vals))
     assert got == {key: want[key] for key in got}
+
+
+#: the cache cases, a limit toward 0 and a table with f(0) < 0
+_LAMBDA_ONE_CASES = {
+    **_PANEL_CACHE_CASES,
+    "reciprocal_sin": ReciprocalOscillation(2.0),
+    "sin table": CustomTable.from_function(lambda s: math.sin(1.3 * s) - 0.2,
+                                           30.0, 3001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAMBDA_ONE_CASES))
+def test_pucci_at_lambda_one_is_the_laplacian_bit_for_bit(case):
+    """At Lambda = 1, F_Lambda is F, so Pucci and the p = 2 Laplacian give
+    the same bits in every closed form: limits, lambda_under, Gbar, the
+    per-solution bound and a diagram row's primitives."""
+    pc = PrimitiveCalculus(_LAMBDA_ONE_CASES[case])
+    pucci, plap = Operator.pucci(1.0), Operator.p_laplacian(2.0)
+    a, b = pucci.limits(pc), plap.limits(pc)
+    assert (a.L_minus, a.L_plus, a.classification) == \
+        (b.L_minus, b.L_plus, b.classification)
+    assert pucci.lambda_under(1.5, a) == plap.lambda_under(1.5, b)
+    for c in (0.3, 2.5, 8.6667, 17.3, 29.0):
+        Gbar = pucci.Gbar(pc, c)
+        assert Gbar == plap.Gbar(pc, c)
+        if Gbar > 0.0:   # the sin table sits at its running min at some c
+            assert pucci.bound(c, Gbar, 1.5) == plap.bound(c, Gbar, 1.5)
+        # equal fields, with the nan bound of Gbar = 0 equal to itself
+        np.testing.assert_array_equal(HeightPrimitives.at(pucci, pc, c, 1.5),
+                                      HeightPrimitives.at(plap, pc, c, 1.5))
 
 
 _TIGHT_POWER_HALF = CachedPrefix(PowerTimesOnePlusSin(0.5).eval_many, tol=1e-15)

@@ -162,7 +162,7 @@ def test_area_condition_uses_weighted_primitive():
     assert d.residual == 0.0
     assert d.F_at_max_ok and d.area_condition_ok
     assert pc.F(c) < pc.running_max(c) - 0.2
-    assert pc.F_Lambda(c, 2.0) == pytest.approx(pc.extrema_Lambda(c, 2.0)[1],
+    assert pc.F_Lambda(c, 2.0) == pytest.approx(pc.extrema(c, 2.0)[1],
                                                 rel=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_primitives_of_any_lambda_serve_a_pucci_shot():
     c = 8.6667
     cfg = PucciShootConfig(2.0, 2, c)
     pc = PrimitiveCalculus(PureSine())
-    pc.F_Lambda(c, 1.0), pc.extrema_Lambda(c, 1.0)
+    pc.F_Lambda(c, 1.0), pc.extrema(c, 1.0)
     res = pucci_shoot(cfg, PureSine())
     assert isinstance(res.outcome, HitZero)
     d = check_necessary_conditions(res, pc, 1.0)
@@ -187,7 +187,7 @@ def test_primitives_of_any_lambda_serve_a_pucci_shot():
     assert row.lower_bound == pytest.approx(5.82, abs=5e-3)
     plap = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
     weighted = PrimitiveCalculus(CANONICAL)
-    weighted.extrema_Lambda(7.0, 2.0)
+    weighted.extrema(7.0, 2.0)
     assert check_necessary_conditions(plap, weighted, 1.0).residual <= 1e-8
 
 

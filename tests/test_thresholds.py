@@ -243,7 +243,7 @@ def test_estimate_m_cosine_dip():
 
 def test_propose_gammas_interleave_zeros(pc_power):
     zeros = find_zeros(pc_power.nl, 6)
-    props = propose_gammas(pc_power, zeros, 2.0, count=5)
+    props = propose_gammas(pc_power, zeros, PLAP2, count=5)
     assert len(props) == 5
     assert all(x < y for x, y in zip(props, props[1:]))
     indices = [zeros.interval_index(g) for g in props]
@@ -310,6 +310,32 @@ def test_compute_thresholds_pucci_weighs_with_its_own_Lambda():
         rep = compute_thresholds(Operator.pucci(Lambda), pc, BallGeometry(1, 1.0),
                                  "infinity", count=4)
         assert rep.lambda_bar == pytest.approx(lambda_bar, rel=1e-4)
+
+
+def test_pucci_heights_maximize_their_own_ratio():
+    """Pucci heights maximize Gbar_Lambda(s)/s^2, the ratio their lambda_n
+    divide by: on the cos s + 0.3 table at Lambda = 2 the third gap's
+    maximizer is 7.0245, where the plain Fbar(s)/s^2 peaks at 7.2928.  The
+    first gap is left out: f(0) > 0 puts its supremum at s -> 0."""
+    xs = np.linspace(0.0, 40.0, 801)
+    pc = PrimitiveCalculus(CustomTable(np.column_stack([xs, np.cos(xs) + 0.3])))
+    op = Operator.pucci(2.0)
+    zeros = find_zeros(pc.nl, 5)
+    gammas = propose_gammas(pc, zeros, op, count=4)
+    edges = [0.0] + list(zeros.ascending())
+    gaps = [next((a, b) for a, b in zip(edges, edges[1:]) if a < g < b)
+            for g in gammas]
+    assert len(set(gaps)) == len(gammas) == 4
+    assert gammas[2] == pytest.approx(7.0245, abs=1e-4)
+    G_many, extrema = op.primitive(pc)
+    for g, (a, b) in zip(gammas[1:], gaps[1:]):
+        best = op.Gbar(pc, g) / g ** 2
+        # G is monotone between zeros of f, so its min over [0, s] is the
+        # smaller of its min over [0, a] and G(s)
+        s = np.linspace(a, b, 20001)[1:-1]
+        G = G_many(s)
+        ratios = (G - np.minimum(extrema(a)[0], G)) / s ** 2
+        assert ratios.max() <= best * (1.0 + 1e-9)
 
 
 def test_compute_thresholds_default_gammas(pc_power):

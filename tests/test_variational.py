@@ -50,7 +50,7 @@ def pc_canonical():
 def canonical_row(pc_canonical):
     """Threshold row whose truncation level is the third zero."""
     zeros = find_zeros(CANONICAL, 8)
-    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=6)
+    gammas = propose_gammas(pc_canonical, zeros, Operator.p_laplacian(2.0), count=6)
     rows = lambda_n_sequence(PLAP2, pc_canonical, BallGeometry(1, 1.0), gammas)
     row = rows[2]
     assert abs(row.gamma - 15.579236424909) <= 1e-9
@@ -327,7 +327,7 @@ def test_negativity_flips_with_lambda(pc_canonical, canonical_row):
 
 def test_sequence_sup_norms_grow_toward_infinity(pc_canonical):
     zeros = find_zeros(CANONICAL, 6)
-    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=4)
+    gammas = propose_gammas(pc_canonical, zeros, Operator.p_laplacian(2.0), count=4)
     rows = lambda_n_sequence(PLAP2, pc_canonical, BallGeometry(1, 1.0), gammas)
     lam_bar = max(row.lam for row in rows)
     grid = radial_grid(1.0, 120)
@@ -350,7 +350,7 @@ def test_sequence_sup_norms_shrink_toward_zero():
     nl = ReciprocalOscillation(0.5)
     pc = PrimitiveCalculus(nl)
     zeros = find_zeros(nl, 6)
-    gammas = propose_gammas(pc, zeros, 2.0, count=3)
+    gammas = propose_gammas(pc, zeros, Operator.p_laplacian(2.0), count=3)
     rows = lambda_n_sequence(PLAP2, pc, BallGeometry(1, 1.0), gammas, ell="zero")
     lam_bar = max(row.lam for row in rows)
     items = run_sequence(nl, Potential.p_laplacian(2.0), 2.0 * lam_bar,
@@ -366,7 +366,7 @@ def test_sequence_sup_norms_shrink_toward_zero():
 
 def test_sequence_warns_below_threshold(pc_canonical):
     zeros = find_zeros(CANONICAL, 3)
-    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=1)
+    gammas = propose_gammas(pc_canonical, zeros, Operator.p_laplacian(2.0), count=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         items = run_sequence(CANONICAL, Potential.p_laplacian(2.0), 1.0,
@@ -380,7 +380,7 @@ def test_sequence_warns_below_threshold(pc_canonical):
 
 def test_sequence_reruns_identically(pc_canonical):
     zeros = find_zeros(CANONICAL, 3)
-    gammas = propose_gammas(pc_canonical, zeros, 2.0, count=2)
+    gammas = propose_gammas(pc_canonical, zeros, Operator.p_laplacian(2.0), count=2)
     grid = radial_grid(1.0, 60)
     first = run_sequence(CANONICAL, Potential.p_laplacian(2.0), 70.0,
                          zeros, gammas, grid, K=2, pc=pc_canonical)

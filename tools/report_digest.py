@@ -12,10 +12,11 @@ and prints, for each (config, command), the exit code, the sha256 of
 stdout and of stderr, the warnings raised (category and message, without
 file or line) and the sha256 of every report file, as one JSON object.
 Two checkouts that print the same JSON wrote the same bytes everywhere.
-Diagram reports also keep the numbers a change of the event location or
-the stepper moves (``VALUES``): the ``rho`` and ``lambda`` columns of
-``diagram.csv``, and ``c`` and ``lambda`` of every lambda-star crossing in
-``diagram_summary.json``.
+Some reports also keep their numbers (``VALUES``): the numeric columns
+of ``diagram.csv``, ``c`` and ``lambda`` of every lambda-star crossing in
+``diagram_summary.json``, and every numeric leaf of ``analysis.json`` and
+``certificate.json`` (list positions dropped from the key, so
+``thresholds.sequence.gamma`` lists every gamma).
 It imports the package from this checkout's ``src``; a run takes about
 30 s on a 2-core VM.
 
@@ -24,8 +25,9 @@ Run:  python3 tools/report_digest.py > digest.json
 ``--compare BEFORE.json AFTER.json`` reads two such digests and prints one
 line per (config, command) whose exit code, stdout, stderr, warnings or
 reports differ, naming the fields and the report files that differ, and
-for each differing diagram report the largest relative change of each of
-its kept columns; it exits 1 when any line was printed and 0 otherwise.
+for each differing report with kept numbers the largest relative change of
+each key whose numbers differ; it exits 1 when any line was printed and 0
+otherwise.
 
 Run:  python3 tools/report_digest.py --compare before.json after.json
 """
@@ -110,9 +112,33 @@ def _crossing_columns(path: Path, names) -> dict:
     return {n: [x[n] for x in found] for n in names}
 
 
-#: report file -> (reader, the columns kept as numbers)
-VALUES = {"diagram.csv": (_csv_columns, ("rho", "lambda")),
-          "diagram_summary.json": (_crossing_columns, ("c", "lambda"))}
+def _json_leaves(path: Path, names=None) -> dict:
+    """Numeric leaves of a JSON report by dotted key, list positions
+    dropped, with the extended reals "inf" and "-inf" as numbers."""
+    out: dict = {}
+
+    def walk(x, key):
+        if isinstance(x, dict):
+            for k in sorted(x):
+                walk(x[k], f"{key}.{k}" if key else k)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v, key)
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            out.setdefault(key, []).append(x)
+        elif x in ("inf", "-inf"):
+            out.setdefault(key, []).append(float(x))
+
+    walk(json.loads(path.read_text()), "")
+    return out
+
+
+#: report file -> (reader, the columns kept as numbers; None keeps all)
+VALUES = {"diagram.csv": (_csv_columns, ("rho", "lambda", "F_c", "Fbar_c",
+                                         "lower_bound", "energy_residual")),
+          "diagram_summary.json": (_crossing_columns, ("c", "lambda")),
+          "analysis.json": (_json_leaves, None),
+          "certificate.json": (_json_leaves, None)}
 
 
 def _sha(data) -> str:
@@ -187,9 +213,14 @@ def compare(before: dict, after: dict) -> list:
             old_v = old.get("values", {}).get(name)
             new_v = new.get("values", {}).get(name)
             if old_v and new_v:
-                fields.append(f"{name} largest relative change " + " ".join(
-                    f"{col} {_largest_change(old_v[col], new_v[col])}"
-                    for col in old_v))
+                changes = []
+                for k in sorted(old_v.keys() | new_v.keys()):
+                    change = _largest_change(old_v.get(k, []), new_v.get(k, []))
+                    if change != "0":
+                        changes.append(f"{k} {change}")
+                if changes:
+                    fields.append(f"{name} largest relative change "
+                                  + " ".join(changes))
         if fields:
             lines.append(f"{key}: {', '.join(fields)}")
     return lines
