@@ -412,14 +412,15 @@ def cmd_analyze(run: Run) -> int:
     limits = {run.operator.which: report.limits, other.which: other_limits}
     lim_plain, lim_weighted = limits["F"], limits["F_Lambda"]
     s = np.geomspace(min(asc) / 10.0, max(asc), 64)
+    F, F_lo, _ = pc.extrema_many(s)
     payload = {
         **run.stamp(),
         "nonlinearity": run.cfg["nonlinearity"],
         "zeros": [float(z) for z in asc],
         "samples": {
             "s": [float(v) for v in s],
-            "F": [float(v) for v in pc.F_many(s)],
-            "Fbar": [float(pc.Fbar(float(v))) for v in s],
+            "F": [float(v) for v in F],
+            "Fbar": [float(v) for v in F - F_lo],
             "F_Lambda": [float(v) for v in pc.F_Lambda_many(s, pucci.weight)],
         },
         "limits": {"F": lim_plain.to_json(), "F_Lambda": lim_weighted.to_json()},
@@ -444,12 +445,19 @@ def _trajectory_payload(run: Run, res, outcome_extra: dict) -> dict:
         # JSON has no nan: a shot without a zero has no estimate
         "rho_error_estimate": (float(res.rho_error_estimate)
                                if math.isfinite(res.rho_error_estimate) else None),
-        "lambda_rescaled": res.lambda_rescaled,
+        "lambda_rescaled": _json_real(res.lambda_rescaled),
         "r": [float(x) for x in res.r],
         "v": [float(x) for x in res.v],
         "vp": [float(x) for x in res.vp],
         "q_sign_changes": int(res.q_sign_changes),
     }
+
+
+def _json_real(x):
+    """x as JSON can hold it: null for None and nan (no bound where
+    Gbar(c) <= 0 leaves no slack over it), "inf" or "-inf" past the float
+    range."""
+    return None if x is None or x != x else extended_real(x)
 
 
 def _stalled_payload(run: Run, ex: StalledAtCriticalPoint) -> dict:
@@ -480,8 +488,9 @@ def _shoot(run: Run, kind: str, wrong_operator: str) -> int:
     out = res.outcome
     extra = {"kind": out.kind, **dataclasses.asdict(out)}
     if isinstance(out, HitZero):
-        extra["diagnostics"] = dataclasses.asdict(
-            check_necessary_conditions(res, PrimitiveCalculus(run.nl), run.R))
+        d = check_necessary_conditions(res, PrimitiveCalculus(run.nl), run.R)
+        extra["diagnostics"] = {k: _json_real(v)
+                                for k, v in dataclasses.asdict(d).items()}
     _write_json(run.path("trajectory.json"), _trajectory_payload(run, res, extra))
     print(f"trajectory.json: outcome={out.kind}")
     return EXIT_OK

@@ -212,9 +212,8 @@ class PureSine(Nonlinearity):
         return [math.pi * (k + 1) for k in range(count)]
 
     def sign_change_points(self, s: float) -> list[float]:
-        if s <= math.pi:
-            return []
-        kmax = int(math.floor(s / math.pi))
+        # s / pi may round below k at s = k pi: try one k more
+        kmax = int(math.floor(s / math.pi)) + 1
         return [math.pi * k for k in range(1, kmax + 1) if math.pi * k <= s]
 
     def to_json(self) -> dict:

@@ -8,7 +8,8 @@ Everything downstream consumes antiderivatives of f rather than f itself:
                 = F(s) + (1 - 1/Lambda^2) F^-(s)``, with the weight Lambda an
   argument of each call and ``F^-(s) = integral_0^s max(-f, 0)`` the one
   stored sign part, so F_Lambda at Lambda = 1 is F itself; and the running
-  extrema of F_Lambda, F's at the default Lambda = 1
+  extrema of F_Lambda, F's at the default Lambda = 1, batched with
+  F_Lambda itself in ``extrema_many``
 * ``F_under(s1, s2) = min over t in [0, s1] of integral_t^{s2} f
                     = F(s2) - max over [0, s1] of F``
 
@@ -333,6 +334,8 @@ class _ReciprocalPrimitive:
         return total
 
     def Sb(self, x: float) -> float:
+        if x == math.inf:   # 1/s past the float range: the tail is 0
+            return 0.0
         if x >= self._edge[-1]:
             return self._asym(x)
         if x >= 1.0:
@@ -407,7 +410,8 @@ class _ExtremaTable:
     """Running extrema of a primitive, cached at the sign changes of f.
 
     Between consecutive sign changes F is monotone, so the running minimum and
-    maximum over [0, s] are attained at 0, at a stored sign change, or at s.
+    maximum over [0, s] are attained at 0, at a stored sign change, or at s:
+    one evaluation at s and one lookup among the stored prefix extrema.
     An extension publishes (span, points, prefix minima, prefix maxima) as
     one tuple, and each query reads the snapshot it was handed.  A primitive
     value depends only on its point, so two extensions that overlap store
@@ -442,17 +446,23 @@ class _ExtremaTable:
         self._state = state
         return state
 
-    def extrema(self, s: float) -> tuple[float, float]:
-        """(min, max) of the primitive over [0, s], both including endpoints."""
-        _, pts, premin, premax = self._ensure(s)
-        fs = float(self._value_many(np.array([s], dtype=float))[0])
-        lo = min(0.0, fs)
-        hi = max(0.0, fs)
-        k = int(np.searchsorted(pts, s, side="right"))
-        if k:
-            lo = min(lo, float(premin[k - 1]))
-            hi = max(hi, float(premax[k - 1]))
-        return lo, hi
+    def extrema_many(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(value, min, max) of the primitive at each s, the extrema over
+        [0, s] including both endpoints; s >= 0 in any order."""
+        s = np.asarray(s, dtype=float)
+        G = np.asarray(self._value_many(s), dtype=float)
+        if not s.size:
+            return G, G.copy(), G.copy()
+        _, pts, premin, premax = self._ensure(float(s.max()))
+        lo = np.where(G < 0.0, G, 0.0)
+        hi = np.where(G > 0.0, G, 0.0)
+        k = np.searchsorted(pts, s, side="right") - 1
+        past = k >= 0
+        if past.any():
+            m, M = premin[k[past]], premax[k[past]]
+            lo[past] = np.where(m < lo[past], m, lo[past])
+            hi[past] = np.where(M > hi[past], M, hi[past])
+        return G, lo, hi
 
 
 _CLASSIFICATIONS = ("FinitePair", "PlusInfinite", "MinusInfinite", "BothZero")
@@ -656,13 +666,21 @@ class PrimitiveCalculus:
 
     # -- running extrema and derived primitives ------------------------------
 
-    def extrema(self, s: float, Lambda: float = 1.0) -> tuple[float, float]:
-        """(min, max) of F_Lambda over [0, s]; of F at the default Lambda."""
+    def extrema_many(self, s, Lambda: float = 1.0
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F_Lambda at each s with its (min, max) over [0, s], as three
+        arrays; F's at the default Lambda.  One ``F_Lambda_many`` call and
+        one lookup in the sign-change table serve every point."""
         table = self._extrema.get(Lambda)
         if table is None:
             table = self._extrema[Lambda] = _ExtremaTable(
                 lambda x: self.F_Lambda_many(x, Lambda), self.nl.sign_change_points)
-        return table.extrema(s)
+        return table.extrema_many(s)
+
+    def extrema(self, s: float, Lambda: float = 1.0) -> tuple[float, float]:
+        """(min, max) of F_Lambda over [0, s]: the one-point ``extrema_many``."""
+        _, lo, hi = self.extrema_many(np.array([s], dtype=float), Lambda)
+        return float(lo[0]), float(hi[0])
 
     def running_min(self, s: float) -> float:
         """min of F over [0, s]; never exceeds min(0, F(s))."""
@@ -673,8 +691,8 @@ class PrimitiveCalculus:
 
     def Fbar(self, s: float) -> float:
         """Fbar(s) = F(s) - min over [0, s] of F; always >= max(0, F(s))."""
-        lo, _ = self.extrema(s)
-        return self.F(s) - lo
+        F, lo, _ = self.extrema_many(np.array([s], dtype=float))
+        return float(F[0] - lo[0])
 
     def F_under(self, s1: float, s2: float) -> float:
         """min over t in [0, s1] of integral_t^{s2} f = F(s2) - max over [0, s1] F."""

@@ -212,18 +212,30 @@ class HeightPrimitives(NamedTuple):
     Gmax: float
 
     @classmethod
+    def many(cls, op: Operator, pc: PrimitiveCalculus, cs: Sequence[float],
+             R: float) -> List[HeightPrimitives]:
+        """The primitives of ``op`` at each height c on the radius-R ball,
+        from one ``extrema_many`` call (and one ``F_many`` call unless G is
+        F); the bound stays one Python-float call per height."""
+        cs = [float(c) for c in cs]
+        s = np.array(cs, dtype=float)
+        _, extrema_many = op.primitive(pc)
+        G, lo, hi = (x.tolist() for x in extrema_many(s))
+        F = G if op.weight == 1.0 else pc.F_many(s).tolist()
+        out = []
+        for c, f, g, low, high in zip(cs, F, G, lo, hi):
+            try:
+                b = op.bound(c, g - low, R)
+            except NonpositiveFbar:
+                b = math.nan
+            out.append(cls(f, g - low, b, g, high))
+        return out
+
+    @classmethod
     def at(cls, op: Operator, pc: PrimitiveCalculus, c: float,
            R: float) -> HeightPrimitives:
-        """The primitives of ``op`` at height c on the radius-R ball."""
-        G_many, extrema = op.primitive(pc)
-        G = float(G_many(np.array([c], float))[0])
-        F = G if op.weight == 1.0 else pc.F(c)
-        lo, hi = extrema(c)
-        try:
-            b = op.bound(c, G - lo, R)
-        except NonpositiveFbar:
-            b = math.nan
-        return cls(F, G - lo, b, G, hi)
+        """The one-point ``many``."""
+        return cls.many(op, pc, [c], R)[0]
 
 
 @dataclass
@@ -504,8 +516,9 @@ class BifurcationDiagram:
         if pc is None:
             pc = PrimitiveCalculus(nl)
         heights = [float(c) for c in c_grid]
-        rows = tuple(_diagram_row(c, res, op, pc, zeros, R)
-                     for c, res in zip(heights, _shots(op, heights, nl)))
+        ats = HeightPrimitives.many(op.operator, pc, heights, R)
+        rows = tuple(_diagram_row(c, res, at, pc, zeros, R, op.reports_switches)
+                     for c, res, at in zip(heights, _shots(op, heights, nl), ats))
         return cls(rows, zeros, nl, pc, op, R)
 
     def branches(self) -> List[Tuple[int, int]]:
@@ -782,14 +795,14 @@ class _Bracket:
                 <= REFINE_XTOL * max(1.0, abs(self.a), abs(self.b)))
 
 
-def _diagram_row(c: float, res: Optional[ShootResult], op,
-                 pc: PrimitiveCalculus, zeros: ZeroSequence,
-                 R: float) -> DiagramRow:
-    """CSV row of one height from its shot (None where f(c) = 0)."""
-    at = HeightPrimitives.at(op.operator, pc, c, R)
+def _diagram_row(c: float, res: Optional[ShootResult], at: HeightPrimitives,
+                 pc: PrimitiveCalculus, zeros: ZeroSequence, R: float,
+                 reports_switches: bool) -> DiagramRow:
+    """CSV row of one height from its shot (None where f(c) = 0) and its
+    primitives."""
     idx = zeros.interval_index(c)
     switches = (0 if res is None else res.q_sign_changes) \
-        if op.reports_switches else None
+        if reports_switches else None
     if res is None:
         return DiagramRow(c, "Stalled", math.nan, math.nan, at.F, at.Fbar,
                           at.bound, math.nan, None, idx, switches)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class Operator:
     the rescaling exponent e and the weight w (``exponent``, ``weight``:
     (p, 1) for the p-Laplacian, (2, Lambda) for Pucci), the primitive G of
     a nonlinearity's ``PrimitiveCalculus`` it reads (F_Lambda at Lambda = w,
-    which is F at w = 1; ``primitive``, ``Gbar``), the limits of
+    which is F at w = 1; ``primitive``, ``Gbar_many``), the limits of
     G(s)/s^e (``limits``), and the two closed forms the nonexistence
     argument gives in (e, w, G): ``lambda_under`` and the per-solution
     ``bound``.  The primitives describe f alone; this is the one place
@@ -121,16 +121,20 @@ class Operator:
         return "F" if self.kind == "p_laplacian" else "F_Lambda"
 
     def primitive(self, pc: PrimitiveCalculus):
-        """G in ``pc`` as (G at many points, (min, max) of G on [0, s]):
-        ``F_Lambda_many`` and ``extrema`` at Lambda = w."""
+        """G in ``pc`` as (G at many points, (G, min, max of G on [0, s]) at
+        many points): ``F_Lambda_many`` and ``extrema_many`` at Lambda = w."""
         w = self.weight
-        return (lambda s: pc.F_Lambda_many(s, w)), (lambda s: pc.extrema(s, w))
+        return (lambda s: pc.F_Lambda_many(s, w)), (lambda s: pc.extrema_many(s, w))
+
+    def Gbar_many(self, pc: PrimitiveCalculus, s) -> np.ndarray:
+        """Range of G on [0, s] at each s: G(s) - min over [0, s] of G
+        (``PrimitiveCalculus.Fbar`` at w = 1)."""
+        G, lo, _ = pc.extrema_many(s, self.weight)
+        return G - lo
 
     def Gbar(self, pc: PrimitiveCalculus, s: float) -> float:
-        """Range of G on [0, s]: G(s) - min over [0, s] of G
-        (``PrimitiveCalculus.Fbar`` at w = 1)."""
-        lo, _ = pc.extrema(s, self.weight)
-        return pc.F_Lambda(s, self.weight) - lo
+        """The one-point ``Gbar_many``."""
+        return float(self.Gbar_many(pc, np.array([s], dtype=float))[0])
 
     def limits(self, pc: PrimitiveCalculus,
                direction: Optional[str] = None) -> LimitEstimate:
@@ -214,8 +218,9 @@ def lambda_n_sequence(operator: Operator, pc: PrimitiveCalculus,
         C1 = kappa*|B| - |layer|,   C2 = (beta/p)*|B|/delta^p,
 
     with kappa = 1/(1+M) toward zero and 1/(2(1+M)) toward infinity, p the
-    operator's exponent and Gbar its primitive range (``Operator.Gbar``):
-    plain Fbar, or the sign-weighted one of the Pucci variant.
+    operator's exponent and Gbar its primitive range, taken at every height
+    by one ``Operator.Gbar_many`` call: plain Fbar, or the sign-weighted
+    one of the Pucci variant.
     """
     if M < 0.0 or not math.isfinite(M):
         raise DomainError(f"M must be finite and >= 0, got {M!r}")
@@ -246,11 +251,12 @@ def lambda_n_sequence(operator: Operator, pc: PrimitiveCalculus,
     # the delta dependence factorizes out of lambda_n, so one grid minimum serves
     j = int(np.argmin(ratio))
 
-    rows: List[ThresholdRow] = []
     for g in gammas:
         if not (g > 0.0 and math.isfinite(g)):
             raise DomainError(f"heights must be positive and finite, got {g!r}")
-        fb = operator.Gbar(pc, g)
+    rows: List[ThresholdRow] = []
+    for g, fb in zip(gammas, operator.Gbar_many(pc, np.array(gammas, dtype=float))):
+        fb = float(fb)
         if not fb > 0.0:
             raise NonpositiveFbar(
                 f"primitive range at height {g!r} is {fb!r}; threshold undefined")
@@ -276,119 +282,65 @@ def lambda_bar_estimate(rows: Sequence[ThresholdRow]) -> Tuple[float, bool]:
     return bar, monotone
 
 
-class ScalarMinimum(NamedTuple):
-    """Result of :func:`minimize_scalar`: the minimizer, f there, f calls."""
-
-    x: float
-    fun: float
-    nfev: int
-
-
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_MAX_EVALS = 500
-
-
-def minimize_scalar(func: Callable[[float], float], bounds: Tuple[float, float],
-                    xatol: float) -> ScalarMinimum:
-    """Minimize func on [a, b] by Brent's bounded search.
-
-    Golden-section steps with parabolic steps where the parabola through
-    the three best points is trusted (Brent 1973, ch. 5), in the step order
-    of scipy's ``minimize_scalar(method="bounded")``, so minimizers and
-    call counts match it.  Stops when the bracket around the best point
-    shrinks to about ``xatol`` or after 500 calls.
-    """
-    a, b = bounds
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:   # try a parabola through xf, nfc and fulc
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALS:
-            break
-    return ScalarMinimum(xf, fx, num)
+#: points of each gap's first grid of Gbar(s)/s^e ...
+HEIGHT_GRID_POINTS = 201
+#: ... then rounds of local grids of this many points around the best
+#: point, each spanning two spacings of the grid before it
+HEIGHT_POLISH_POINTS = 21
+HEIGHT_POLISH_ROUNDS = 8
 
 
 def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, operator: Operator,
                    count: Optional[int] = None) -> List[float]:
     """Candidate heights: maximizers of Gbar(s)/s^e between successive
-    zeros, with e and Gbar the operator's (``Operator.Gbar``), so the
+    zeros, with e and Gbar the operator's (``Operator.Gbar_many``), so the
     heights are those of the operator's own existence sequence.
 
-    One bounded Brent search (golden section with parabolic steps) runs per
-    gap between consecutive zeros of f (plus the gap from 0 for zeros
-    marching to infinity), so the returned heights interleave the zeros.
-    Gaps whose best ratio is not positive are skipped.  Results are ordered
-    toward the accumulation point.
+    Every gap is searched at once: the best of 201 evenly spaced points,
+    then 8 rounds of 21 points around the best so far, each round's
+    spacing a tenth of the last one's, all clipped to the gap less 1e-12
+    of its width at each end.  Each round is one ``Gbar_many`` call over
+    every gap, and the last spacing is 5e-11 of the gap's width.  Where
+    the ratio peaks at an end of its gap (at the zero that ends a gap of
+    f < 0, say), the height sits 1e-12 of the width inside it.
+
+    The returned heights interleave the zeros; gaps whose best ratio is
+    not positive are skipped.  When f(0) > 0 the gap (0, alpha_1) is
+    skipped as well: there Gbar(s)/s^e ~ f(0) s^(1-e) grows without bound
+    as s -> 0, so its supremum is no height.  Every other gap then has a
+    positive ratio (G rises from 0, so each zero where f turns negative
+    tops the running minimum), and n zeros still give n - 1 heights.
+    Results are ordered toward the accumulation point.
     """
     asc = list(zeros.ascending())
     if zeros.direction == DIRECTION_INFINITY:
         gaps = list(zip([0.0] + asc[:-1], asc))
+        if pc.nl.f0 > 0.0:
+            gaps = gaps[1:]
     else:
         gaps = list(zip(asc[:-1], asc[1:]))[::-1]  # march toward 0
-
+    if not gaps:
+        return []
+    a, b = np.array(gaps).T
+    lo, hi = a + 1e-12 * (b - a), b - 1e-12 * (b - a)   # inside the gap
     e = operator.exponent
-    out: List[float] = []
-    for lo, hi in gaps:
-        if count is not None and len(out) >= count:
-            break
-        a = lo + 1e-12 * (hi - lo) if lo == 0.0 else lo
-        g = minimize_scalar(lambda s: -operator.Gbar(pc, s) / s ** e, (a, hi),
-                            xatol=1e-10 * hi).x
-        if operator.Gbar(pc, g) > 0.0:
-            out.append(g)
-    return out
+
+    def best(s):
+        """Per gap (row of s), the point of largest ratio and that ratio."""
+        s = np.clip(s, lo[:, None], hi[:, None])
+        ratio = operator.Gbar_many(pc, s.ravel()).reshape(s.shape) / s ** e
+        k = np.argmax(ratio, axis=1)
+        rows = np.arange(len(s))
+        return s[rows, k], ratio[rows, k]
+
+    step = (hi - lo) / (HEIGHT_GRID_POINTS - 1)
+    x, ratio = best(lo[:, None] + step[:, None] * np.arange(HEIGHT_GRID_POINTS))
+    offsets = np.linspace(-1.0, 1.0, HEIGHT_POLISH_POINTS)
+    for _ in range(HEIGHT_POLISH_ROUNDS):
+        x, ratio = best(x[:, None] + step[:, None] * offsets)
+        step = step * 2.0 / (HEIGHT_POLISH_POINTS - 1)
+    out = [float(g) for g, r in zip(x, ratio) if r > 0.0]
+    return out if count is None else out[:count]
 
 
 def estimate_M(pc: PrimitiveCalculus, gammas: Sequence[float]) -> float:
@@ -396,14 +348,15 @@ def estimate_M(pc: PrimitiveCalculus, gammas: Sequence[float]) -> float:
 
     Zero when F never dips below 0 on the sampled heights.
     """
-    worst = 0.0
     for g in gammas:
         if not (g > 0.0):
             raise DomainError(f"heights must be positive, got {g!r}")
-        dip = max(0.0, -pc.running_min(g))
+    worst = 0.0
+    F, lo, _ = pc.extrema_many(np.array(gammas, dtype=float))
+    for g, Fg, low in zip(gammas, F.tolist(), lo.tolist()):
+        dip = max(0.0, -low)
         if dip == 0.0:
             continue
-        Fg = pc.F(g)
         if not Fg > 0.0:
             raise DomainError(
                 f"F({g!r}) = {Fg!r} <= 0 while F dips below zero; no finite "

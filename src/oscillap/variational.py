@@ -182,7 +182,10 @@ def radial_grid(R: float, J: int, delta: Optional[float] = None,
         if not 0.0 < delta < R:
             raise DomainError(f"delta must sit inside (0, R), got {delta!r}")
         knot = R - delta
-        r = np.unique(np.append(r, knot))
+        # sorted, adjacent duplicates dropped: np.unique without the
+        # numpy.ma import its first call costs
+        r = np.sort(np.append(r, knot))
+        r = r[np.concatenate(([True], r[1:] != r[:-1]))]
         keep = np.ones(len(r), dtype=bool)
         near = np.abs(r - knot) < 1e-12 * R
         near[np.argmin(np.abs(r - knot))] = False

@@ -646,6 +646,13 @@ def _flag_text(value) -> str:
                         "operator": {"plap": {"p": 1.0000000000000002}},
                         "geometry": {"N": 1, "R": 1.0}, "shoot": {"c": 0.25}}),
          flags={})
+# F(c) = 0 at this height: a zero hit with no per-solution bound, whose
+# nan bound slack JSON cannot hold
+@example(run=("pucci-shoot", {"nonlinearity": {"kind": "power_sin", "r": 5e-324},
+                              "operator": {"pucci": {"Lambda": 1.0}},
+                              "geometry": {"N": 1, "R": 1.0},
+                              "shoot": {"c": 5e-324, "lambda": 5e-324}}),
+         flags={})
 def test_exit_codes_for_schema_valid_configs(run, flags):
     # whatever the schema accepts ends in a documented exit code: no
     # exception escapes ``main``; a flag the command reads is checked like

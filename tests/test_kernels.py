@@ -1,10 +1,10 @@
 """The in-package numerical kernels against the scipy routines they port.
 
-``_rk.brentq``, ``thresholds.minimize_scalar`` and the tridiagonal LDL^T
-solve of ``variational`` follow scipy's ``brentq``, its bounded
-``minimize_scalar`` and LAPACK ``dptsv`` operation for operation, so every
-result must agree bit for bit, with the same number of function calls.
-scipy is a test-only dependency; without it these tests skip.
+``_rk.brentq`` and the tridiagonal LDL^T solve of ``variational`` follow
+scipy's ``brentq`` and LAPACK ``dptsv`` operation for operation, so every
+result must agree bit for bit, and the root finder with the same number of
+function calls.  scipy is a test-only dependency; without it these tests
+skip.
 """
 
 import math
@@ -18,9 +18,6 @@ scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
 
 from oscillap._rk import brentq  # noqa: E402
 from oscillap.errors import NonConvergence  # noqa: E402
-from oscillap.nonlinearity import PowerTimesOnePlusSin, find_zeros  # noqa: E402
-from oscillap.primitives import PrimitiveCalculus  # noqa: E402
-from oscillap.thresholds import minimize_scalar  # noqa: E402
 from oscillap.variational import _solve_tridiagonal  # noqa: E402
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
@@ -97,41 +94,6 @@ def test_brentq_nan_inside_the_bracket_raises_nonconvergence():
         return x - 1.0 if x in (0.0, 2.0) else math.nan
     with pytest.raises(NonConvergence):
         brentq(f, 0.0, 2.0, xtol=1e-15, rtol=1e-15)
-
-
-def _bumpy(coefs):
-    return lambda x: sum(c * x ** i for i, c in enumerate(coefs)) + math.cos(3 * x)
-
-
-@settings(max_examples=200, deadline=None)
-@given(coefs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
-       a=st.floats(-3.0, 1.0), width=st.floats(0.01, 5.0),
-       log_xatol=st.floats(-12.0, -3.0))
-def test_bounded_minimizer_matches_scipy(coefs, a, width, log_xatol):
-    f = _bumpy(coefs)
-    b = a + width
-    xatol = 10.0 ** log_xatol * max(1.0, abs(b))
-    want = scipy_optimize.minimize_scalar(
-        f, bounds=(a, b), method="bounded", options={"xatol": xatol})
-    got = minimize_scalar(f, (a, b), xatol=xatol)
-    assert (got.x, got.fun, got.nfev) == (float(want.x), float(want.fun), want.nfev)
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_bounded_minimizer_matches_scipy_on_threshold_gaps(p):
-    """The call shape of propose_gammas: -Fbar(s)/s^p between zeros."""
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
-    asc = list(find_zeros(pc.nl, 6).ascending())
-    for lo, hi in zip([0.0] + asc[:-1], asc):
-        a = lo + 1e-12 * (hi - lo) if lo == 0.0 else lo
-
-        def ratio(s):
-            return -pc.Fbar(s) / s ** p
-        want = scipy_optimize.minimize_scalar(
-            ratio, bounds=(a, hi), method="bounded",
-            options={"xatol": 1e-10 * hi})
-        got = minimize_scalar(ratio, (a, hi), xatol=1e-10 * hi)
-        assert (got.x, got.fun, got.nfev) == (float(want.x), float(want.fun), want.nfev)
 
 
 def _systems(seed, n, kind):

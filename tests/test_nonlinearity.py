@@ -61,6 +61,13 @@ def test_pure_sine_zeros():
     np.testing.assert_allclose(zs.alphas, [PI, 2 * PI, 3 * PI, 4 * PI], rtol=1e-14)
 
 
+def test_pure_sine_sign_changes_include_their_end():
+    # k pi / pi rounds below k for some k; the point k pi is still in (0, k pi]
+    for k in range(1, 200):
+        assert PureSine().sign_change_points(k * PI)[-1] == k * PI
+        assert len(PureSine().sign_change_points(k * PI)) == k
+
+
 def test_zeros_are_numerically_zeros_all_kinds():
     g = np.array([[0.0, 1.0], [10.0, 1.0], [60.0, 3.0]])
     kinds = [

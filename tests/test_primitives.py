@@ -412,9 +412,12 @@ def _query(pc, quantity, xs, batched, Lambda):
     """``quantity`` at each x (at ``Lambda`` for the F_Lambda family), by
     one batched call or one call per point."""
     args = () if Lambda is None else (Lambda,)
-    if batched and quantity in ("F", "F_Lambda"):
+    if batched and quantity == "extrema":
+        _, lo, hi = pc.extrema_many(np.array(xs), *args)
+        return list(zip(lo.tolist(), hi.tolist()))
+    if batched:
         return [float(v) for v in getattr(pc, quantity + "_many")(np.array(xs), *args)]
-    return [getattr(pc, quantity)(x, *args) for x in xs]   # extrema have no batch form
+    return [getattr(pc, quantity)(x, *args) for x in xs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,6 +477,59 @@ def test_pucci_at_lambda_one_is_the_laplacian_bit_for_bit(case):
         # equal fields, with the nan bound of Gbar = 0 equal to itself
         np.testing.assert_array_equal(HeightPrimitives.at(pucci, pc, c, 1.5),
                                       HeightPrimitives.at(plap, pc, c, 1.5))
+
+
+#: one nonlinearity per F backend: exact table, closed-form power_sin,
+#: the reciprocal primitive, and the panel cache (with an F- cache), each
+#: with its span and the points where f vanishes
+_BACKEND_CASES = {
+    "table": (_PANEL_CACHE_CASES["cos table"], 40.0),
+    "power_sin": (PowerTimesOnePlusSin(1.0), 40.0),
+    "reciprocal_sin": (ReciprocalOscillation(2.0), 0.5),
+    "pure_sine": (PureSine(), 40.0),
+}
+
+
+def _vanishing_points(nl, span):
+    if isinstance(nl, CustomTable):
+        return nl.sign_change_points(span)
+    return [z for z in nl.analytic_zeros(12) if z <= span]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_BACKEND_CASES)),
+       Lambda=st.sampled_from((1.0, 2.0)), data=st.data())
+def test_extrema_many_is_the_one_point_extrema_for_every_backend(case, Lambda, data):
+    """F_Lambda and its running (min, max) from one ``extrema_many`` call
+    have the bits of one-point calls on a fresh PrimitiveCalculus, for
+    points in any order, repeated, and on the zeros of f."""
+    nl, span = _BACKEND_CASES[case]
+    zeros = _vanishing_points(nl, span)
+    s = data.draw(st.lists(st.floats(0.0, span) | st.sampled_from(zeros),
+                           min_size=1, max_size=12))
+    s = s + data.draw(st.lists(st.sampled_from(s), max_size=4))   # repeats
+    G, lo, hi = PrimitiveCalculus(nl).extrema_many(np.array(s), Lambda)
+    one = PrimitiveCalculus(nl)
+    want = [(one.F_Lambda(x, Lambda),) + one.extrema(x, Lambda) for x in s]
+    np.testing.assert_array_equal(_bits(np.column_stack([G, lo, hi])), _bits(want))
+
+
+@pytest.mark.parametrize("op", [Operator.p_laplacian(3.0), Operator.pucci(2.0)],
+                         ids=["p_laplacian", "pucci"])
+@pytest.mark.parametrize("case", ["table", "pure_sine"])
+def test_height_primitives_batch_is_per_height(case, op):
+    """A diagram's batch of row primitives has the bits of one
+    ``HeightPrimitives.at`` per height, nan bounds included."""
+    nl, span = _BACKEND_CASES[case]
+    cs = [17.3, 0.4, 2.5] + _vanishing_points(nl, 20.0) + [8.6667, 2.5, 33.0]
+    batch = HeightPrimitives.many(op, PrimitiveCalculus(nl), cs, 1.5)
+    one = PrimitiveCalculus(nl)
+    np.testing.assert_array_equal(
+        _bits(batch), _bits([HeightPrimitives.at(op, one, c, 1.5) for c in cs]))
 
 
 _TIGHT_POWER_HALF = CachedPrefix(PowerTimesOnePlusSin(0.5).eval_many, tol=1e-15)

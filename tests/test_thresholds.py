@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oscillap._rk import brentq
 from oscillap.errors import DomainError, NonpositiveFbar
-from oscillap.nonlinearity import CustomTable, PowerTimesOnePlusSin, find_zeros
+from oscillap.nonlinearity import (CustomTable, PowerTimesOnePlusSin, PureSine,
+                                  find_zeros)
 from oscillap.primitives import LimitEstimate, PrimitiveCalculus
 from oscillap.thresholds import (
     BallGeometry,
@@ -21,6 +23,9 @@ from oscillap.thresholds import (
 
 PI = math.pi
 PLAP2 = Operator.p_laplacian(2.0)
+#: f(s) = cos s + 0.3 on [0, 40]: sign-changing, with f(0) > 0
+_XS = np.linspace(0.0, 40.0, 801)
+COS_TABLE = CustomTable(np.column_stack([_XS, np.cos(_XS) + 0.3]))
 
 
 @pytest.fixture(scope="module")
@@ -248,12 +253,83 @@ def test_propose_gammas_interleave_zeros(pc_power):
     assert all(x < y for x, y in zip(props, props[1:]))
     indices = [zeros.interval_index(g) for g in props]
     assert indices == [1, 2, 3, 4, 5]
-    # each proposal beats the midpoint of its gap
+    # each proposal beats the midpoint of its gap, well inside the gap
     asc = (0.0,) + zeros.ascending()
     for g, k in zip(props, indices):
         mid = 0.5 * (asc[k - 1] + asc[k])
         ratio = pc_power.Fbar(g) / g ** 2
         assert ratio >= pc_power.Fbar(mid) / mid ** 2 - 1e-12
+        assert min(g - asc[k - 1], asc[k] - g) >= 1e-6 * asc[k]
+
+
+def test_heights_match_the_closed_form_maximizers(pc_power):
+    """For f = s (1 + sin s), Fbar/s^2 = 1/2 + (sin s - s cos s)/s^2 peaks
+    where (s^2 - 2) sin s + 2 s cos s = 0; each height is that root within
+    1e-8 relative, about the width over which the ratio is flat to
+    rounding."""
+    def slope(s):
+        return (s * s - 2.0) * math.sin(s) + 2.0 * s * math.cos(s)
+
+    for g in propose_gammas(pc_power, find_zeros(pc_power.nl, 6), PLAP2, count=5):
+        root = brentq(slope, g - 0.5, g + 0.5, xtol=1e-15, rtol=1e-15)
+        assert abs(g - root) <= 1e-8 * root
+
+
+@pytest.mark.parametrize("op", [Operator.pucci(1.0), Operator.pucci(2.0),
+                                Operator.p_laplacian(3.0)],
+                         ids=["pucci1", "pucci2", "plap3"])
+def test_first_gap_is_skipped_when_f0_is_positive(op):
+    """With f(0) > 0, Gbar(s)/s^e ~ f(0) s^(1-e) is unbounded as s -> 0:
+    the gap (0, alpha_1) has no height, every later gap has one, so
+    ``count`` heights still come from count + 1 zeros, none of them within
+    1e-6 alpha_1 of 0 (the search used to return 1.1e-10)."""
+    pc = PrimitiveCalculus(COS_TABLE)
+    rep = compute_thresholds(op, pc, BallGeometry(1, 1.0), "infinity", count=4)
+    zeros = find_zeros(pc.nl, 8)
+    heights = [r.gamma for r in rep.rows]
+    assert [zeros.interval_index(g) for g in heights] == [2, 3, 4, 5]
+    assert min(heights) >= 1e-6 * zeros.ascending()[0]
+    assert heights == propose_gammas(pc, zeros, op, count=4)
+    assert len(propose_gammas(pc, zeros, op)) == 7
+
+
+#: (nonlinearity, operator) pairs whose every height the fine grid checks
+_GATE_CASES = {
+    "power_sin plap2": (PowerTimesOnePlusSin(1.0), Operator.p_laplacian(2.0)),
+    "power_sin plap3": (PowerTimesOnePlusSin(1.0), Operator.p_laplacian(3.0)),
+    "pure_sine plap2": (PureSine(), Operator.p_laplacian(2.0)),
+    "cos table pucci1": (COS_TABLE, Operator.pucci(1.0)),
+    "cos table pucci2": (COS_TABLE, Operator.pucci(2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATE_CASES))
+def test_heights_are_global_maximizers_on_a_fine_grid(case):
+    """Every gap's height maximizes Gbar(s)/s^e over a 20,001-point grid of
+    the whole gap within 1e-9 relative, and every gap with a positive ratio
+    gets one (but the first when f(0) > 0).  Where the ratio is unbounded
+    at s -> 0 the grid starts where the search does, 1e-12 of the gap in."""
+    nl, op = _GATE_CASES[case]
+    pc = PrimitiveCalculus(nl)
+    zeros = find_zeros(nl, 7)
+    gammas = propose_gammas(pc, zeros, op)
+    edges = (0.0,) + zeros.ascending()
+    gaps = list(zip(edges, edges[1:]))[1 if nl.f0 > 0.0 else 0:]
+    e = op.exponent
+    checked = []
+    for a, b in gaps:
+        s = np.linspace(a, b, 20001)
+        s[0] = max(a, 1e-12 * b)
+        ratios = op.Gbar_many(pc, s) / s ** e
+        inside = [g for g in gammas if a < g < b]
+        if ratios.max() <= 0.0:
+            assert not inside
+            continue
+        assert len(inside) == 1
+        g = inside[0]
+        assert ratios.max() <= op.Gbar(pc, g) / g ** e * (1.0 + 1e-9)
+        checked.append(g)
+    assert checked == gammas and len(checked) >= 5
 
 
 def test_compute_thresholds_report(pc_power, canonical_gammas):
@@ -302,11 +378,10 @@ def test_operator_lambda_under_by_classification(operator, closed_form):
 
 def test_compute_thresholds_pucci_weighs_with_its_own_Lambda():
     # f = cos s + 0.3 changes sign, so F_Lambda depends on Lambda: on one
-    # PrimitiveCalculus, Lambda = 1 gives lambda_bar 530.07 and Lambda = 2
-    # gives 423.01
-    xs = np.linspace(0.0, 40.0, 801)
-    pc = PrimitiveCalculus(CustomTable(np.column_stack([xs, np.cos(xs) + 0.3])))
-    for Lambda, lambda_bar in ((1.0, 530.07), (2.0, 423.01)):
+    # PrimitiveCalculus, Lambda = 1 gives lambda_bar 1013.53 and Lambda = 2
+    # gives 750.31 (f(0) > 0, so the four heights lie in gaps 2-5)
+    pc = PrimitiveCalculus(COS_TABLE)
+    for Lambda, lambda_bar in ((1.0, 1013.53), (2.0, 750.31)):
         rep = compute_thresholds(Operator.pucci(Lambda), pc, BallGeometry(1, 1.0),
                                  "infinity", count=4)
         assert rep.lambda_bar == pytest.approx(lambda_bar, rel=1e-4)
@@ -315,27 +390,16 @@ def test_compute_thresholds_pucci_weighs_with_its_own_Lambda():
 def test_pucci_heights_maximize_their_own_ratio():
     """Pucci heights maximize Gbar_Lambda(s)/s^2, the ratio their lambda_n
     divide by: on the cos s + 0.3 table at Lambda = 2 the third gap's
-    maximizer is 7.0245, where the plain Fbar(s)/s^2 peaks at 7.2928.  The
-    first gap is left out: f(0) > 0 puts its supremum at s -> 0."""
-    xs = np.linspace(0.0, 40.0, 801)
-    pc = PrimitiveCalculus(CustomTable(np.column_stack([xs, np.cos(xs) + 0.3])))
-    op = Operator.pucci(2.0)
+    maximizer is 7.0245, where the plain Fbar(s)/s^2 peaks at 7.2928.
+    f(0) > 0, so propose_gammas skips the first gap and the third gap's
+    height is the second one returned; that each height is its gap's
+    global maximizer is checked on a fine grid by
+    test_heights_are_global_maximizers_on_a_fine_grid."""
+    pc = PrimitiveCalculus(COS_TABLE)
     zeros = find_zeros(pc.nl, 5)
-    gammas = propose_gammas(pc, zeros, op, count=4)
-    edges = [0.0] + list(zeros.ascending())
-    gaps = [next((a, b) for a, b in zip(edges, edges[1:]) if a < g < b)
-            for g in gammas]
-    assert len(set(gaps)) == len(gammas) == 4
-    assert gammas[2] == pytest.approx(7.0245, abs=1e-4)
-    G_many, extrema = op.primitive(pc)
-    for g, (a, b) in zip(gammas[1:], gaps[1:]):
-        best = op.Gbar(pc, g) / g ** 2
-        # G is monotone between zeros of f, so its min over [0, s] is the
-        # smaller of its min over [0, a] and G(s)
-        s = np.linspace(a, b, 20001)[1:-1]
-        G = G_many(s)
-        ratios = (G - np.minimum(extrema(a)[0], G)) / s ** 2
-        assert ratios.max() <= best * (1.0 + 1e-9)
+    gammas = propose_gammas(pc, zeros, Operator.pucci(2.0), count=4)
+    assert [zeros.interval_index(g) for g in gammas] == [2, 3, 4, 5]
+    assert gammas[1] == pytest.approx(7.0245, abs=1e-4)
 
 
 def test_compute_thresholds_default_gammas(pc_power):

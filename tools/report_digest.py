@@ -14,9 +14,11 @@ file or line) and the sha256 of every report file, as one JSON object.
 Two checkouts that print the same JSON wrote the same bytes everywhere.
 Some reports also keep their numbers (``VALUES``): the numeric columns
 of ``diagram.csv``, ``c`` and ``lambda`` of every lambda-star crossing in
-``diagram_summary.json``, and every numeric leaf of ``analysis.json`` and
+``diagram_summary.json``, every numeric leaf of ``analysis.json`` and
 ``certificate.json`` (list positions dropped from the key, so
-``thresholds.sequence.gamma`` lists every gamma).
+``thresholds.sequence.gamma`` lists every gamma), and ``lambda_bar`` and
+each item's ``gamma_n``, ``sup_norm``, ``energy`` and ``residual`` in
+``minimize.json``.
 It imports the package from this checkout's ``src``; a run takes about
 30 s on a 2-core VM.
 
@@ -114,7 +116,8 @@ def _crossing_columns(path: Path, names) -> dict:
 
 def _json_leaves(path: Path, names=None) -> dict:
     """Numeric leaves of a JSON report by dotted key, list positions
-    dropped, with the extended reals "inf" and "-inf" as numbers."""
+    dropped, with the extended reals "inf" and "-inf" as numbers; only the
+    keys whose last part is in ``names`` unless that is None."""
     out: dict = {}
 
     def walk(x, key):
@@ -130,7 +133,9 @@ def _json_leaves(path: Path, names=None) -> dict:
             out.setdefault(key, []).append(float(x))
 
     walk(json.loads(path.read_text()), "")
-    return out
+    if names is None:
+        return out
+    return {k: v for k, v in out.items() if k.rsplit(".", 1)[-1] in names}
 
 
 #: report file -> (reader, the columns kept as numbers; None keeps all)
@@ -138,7 +143,9 @@ VALUES = {"diagram.csv": (_csv_columns, ("rho", "lambda", "F_c", "Fbar_c",
                                          "lower_bound", "energy_residual")),
           "diagram_summary.json": (_crossing_columns, ("c", "lambda")),
           "analysis.json": (_json_leaves, None),
-          "certificate.json": (_json_leaves, None)}
+          "certificate.json": (_json_leaves, None),
+          "minimize.json": (_json_leaves, ("gamma_n", "sup_norm", "energy",
+                                           "residual", "lambda_bar"))}
 
 
 def _sha(data) -> str:
