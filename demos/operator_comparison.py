@@ -11,7 +11,6 @@ Run:  python3 demos/operator_comparison.py
 
 from oscillap import (
     HitZero,
-    LimitEstimate,
     Operator,
     PowerTimesOnePlusSin,
     PrimitiveCalculus,
@@ -39,10 +38,10 @@ check = check_necessary_conditions(res, PrimitiveCalculus(nl), 1.0)
 print(f"\nLambda=2, c=8: min inequality slack {check.min_slack:.3e} "
       f"(negative would refute the bound)")
 
-# thresholds from the same limits L- = L+ = 1/2 of F(s)/s^2
-Lm = Lp = 0.5
-limits = LimitEstimate(Lm, Lp, window=(), classification="FinitePair")
-print(f"\nlambda_under, R=1, limits ({Lm}, {Lp}):")
+# thresholds from the same exact limits L- = L+ = 1/2 of F(s)/s^2; f >= 0,
+# so F_Lambda = F and every Lambda shares them
+limits = Operator.p_laplacian(2.0).limits(nl)
+print(f"\nlambda_under, R=1, limits ({limits.L_minus}, {limits.L_plus}):")
 print(f"  p-Laplacian (p=2): {Operator.p_laplacian(2.0).lambda_under(1.0, limits)}")
 for Lam in (1.0, 2.0, 4.0):
     print(f"  Pucci Lambda={Lam}:    {Operator.pucci(Lam).lambda_under(1.0, limits)}")

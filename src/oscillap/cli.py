@@ -405,7 +405,7 @@ def cmd_analyze(run: Run) -> int:
             else Operator.p_laplacian(2.0))
     pucci = run.operator if run.operator.kind == "pucci" else Operator.pucci(1.0)
     other = pucci if run.operator is plap else plap
-    other_limits = other.limits(pc)
+    other_limits = other.limits(run.nl)
     asc = find_zeros(run.nl, run.zeros_count).ascending()
     report = compute_thresholds(run.operator, pc, BallGeometry(run.N, run.R),
                                 run.nl.direction, count=run.zeros_count)
@@ -631,7 +631,7 @@ def _read_diagram_csv(path: str) -> List[dict]:
 
 
 def cmd_certify(run: Run) -> int:
-    limits = run.operator.limits(PrimitiveCalculus(run.nl))
+    limits = run.operator.limits(run.nl)
     under = run.operator.lambda_under(run.R, limits)
     cert = {
         **run.stamp(),
@@ -640,13 +640,12 @@ def cmd_certify(run: Run) -> int:
         "ell": run.nl.direction,
         "L_minus": extended_real(limits.L_minus),
         "L_plus": extended_real(limits.L_plus),
-        "limits_are_estimates": True,
         "classification": limits.classification,
         "lambda_under": extended_real(under),
         "formula": run.operator.under_formula,
-        "caveat": "limits are numerical estimates",
-        "statement": ("no parameter below lambda_under admits a positive "
-                      "radial solution on the ball"),
+        "statement": ("no parameter below lambda_under admits positive "
+                      "radial solutions on the ball whose heights tend to "
+                      "the accumulation point (no bifurcation from it)"),
     }
     violation = None
     diagram_path = run.cfg.get("certify", {}).get("diagram_csv")

@@ -50,14 +50,21 @@ def _check_direction(direction: str) -> str:
     return direction
 
 
+def _sign_weighted(c: float, Lambda: float) -> float:
+    """The coefficient of F_Lambda where f has the constant sign of c:
+    f^- is weighed by 1/Lambda^2."""
+    return c if c >= 0.0 else c / (Lambda * Lambda)
+
+
 class Nonlinearity:
     """Base class: a continuous f on [0, oo) with structural metadata.
 
     Subclasses implement scalar ``eval`` and vectorized ``eval_many`` plus the
     structural queries the primitive calculus needs: where f changes sign
     (running extrema of its antiderivative live there), where the integrand
-    has kinks (quadrature panels must not straddle them), and where its zeros
-    accumulate.  ``eval_many`` extends f below 0 by f(0), as the radial
+    has kinks (quadrature panels must not straddle them), where its zeros
+    accumulate, and the leading term of its primitive toward 0 and infinity
+    (``tail``).  ``eval_many`` extends f below 0 by f(0), as the radial
     equations do once a trajectory passes its zero, so the batched
     right-hand sides call it on any state.
     """
@@ -101,6 +108,12 @@ class Nonlinearity:
         """Abscissae in (a, b) where f is not differentiable (table nodes)."""
         return []
 
+    def tail(self, direction: str, Lambda: float) -> tuple[float, float]:
+        """Leading term (m, c) of the primitive toward ``direction``:
+        F_Lambda(s) = c s^m + o(s^m) as s -> 0 or infinity, with
+        F_Lambda = F + (1 - 1/Lambda^2) F^- (F itself at Lambda = 1)."""
+        raise NotImplementedError
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -138,6 +151,11 @@ class PowerTimesOnePlusSin(Nonlinearity):
     def analytic_zeros(self, count: int) -> list[float]:
         # touch zeros of 1 + sin s; exact locations, no bracket exists
         return [1.5 * math.pi + TWO_PI * k for k in range(count)]
+
+    def tail(self, direction: str, Lambda: float) -> tuple[float, float]:
+        # F = s^(r+1)/(r+1) + integral t^r sin t: O(s^r) by parts toward
+        # infinity, O(s^(r+2)) toward 0; f >= 0, so F_Lambda = F
+        return self.r + 1.0, 1.0 / (self.r + 1.0)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "r": self.r, "direction": self.direction}
@@ -186,6 +204,12 @@ class ReciprocalOscillation(Nonlinearity):
         ks = range(count - 1, -1, -1)
         return [1.0 / (1.5 * math.pi + TWO_PI * k) for k in ks]
 
+    def tail(self, direction: str, Lambda: float) -> tuple[float, float]:
+        # F = s^(a+1)/(a+1) + S_b(1/s) with a = 1/r and S_b(x) = O(x^-b)
+        # toward 0; toward infinity sin(1/s) ~ 1/s adds O(s^a); f >= 0
+        a = self.exponent
+        return a + 1.0, 1.0 / (a + 1.0)
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "r": self.r, "direction": self.direction}
 
@@ -210,6 +234,13 @@ class PureSine(Nonlinearity):
 
     def analytic_zeros(self, count: int) -> list[float]:
         return [math.pi * (k + 1) for k in range(count)]
+
+    def tail(self, direction: str, Lambda: float) -> tuple[float, float]:
+        # F = 1 - cos s ~ s^2/2 toward 0; toward infinity F is bounded and
+        # F^- = integral max(-sin, 0) ~ s/pi
+        if direction == DIRECTION_ZERO:
+            return 2.0, 0.5
+        return 1.0, (1.0 - 1.0 / (Lambda * Lambda)) / math.pi
 
     def sign_change_points(self, s: float) -> list[float]:
         # s / pi may round below k at s = k pi: try one k more
@@ -347,6 +378,11 @@ class EnvelopeTimesOnePlusSin(_TableMixin, Nonlinearity):
     def analytic_zeros(self, count: int) -> list[float]:
         return [1.5 * math.pi + TWO_PI * k for k in range(count)]
 
+    def tail(self, direction: str, Lambda: float) -> tuple[float, float]:
+        # F ~ g(0) s toward 0, and g_last (s - cos s) + const past the last
+        # node; g > 0, so F_Lambda = F
+        return 1.0, float(self.ys[0 if direction == DIRECTION_ZERO else -1])
+
 
 class CustomTable(_TableMixin, Nonlinearity):
     """Piecewise-linear interpolant of (s, f(s)) samples, clamped beyond the last node."""
@@ -382,6 +418,15 @@ class CustomTable(_TableMixin, Nonlinearity):
 
     def table_zeros(self) -> list[float]:
         return self._node_zeros()
+
+    def tail(self, direction: str, Lambda: float) -> tuple[float, float]:
+        # f is clamped to y_last past the last node; toward 0, F = f(0) s
+        # + O(s^2), or k s^2/2 on the first segment of slope k if f(0) = 0
+        if direction == DIRECTION_INFINITY:
+            return 1.0, _sign_weighted(float(self.ys[-1]), Lambda)
+        if self.ys[0] != 0.0:
+            return 1.0, _sign_weighted(float(self.ys[0]), Lambda)
+        return 2.0, _sign_weighted(float(self._slopes[0]), Lambda) / 2.0
 
     def sign_change_points(self, s: float) -> list[float]:
         return [x for x in self._crossings() if 0.0 < x <= s]

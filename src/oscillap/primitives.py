@@ -13,10 +13,11 @@ Everything downstream consumes antiderivatives of f rather than f itself:
 * ``F_under(s1, s2) = min over t in [0, s1] of integral_t^{s2} f
                     = F(s2) - max over [0, s1] of F``
 
-plus tail growth estimates ``liminf/limsup G(s)/s^e`` toward the oscillation
-limit (0 or infinity).  All of them describe f alone: the exponent e, the
-weight Lambda and the primitive G come from the operator
-(``thresholds.Operator``).
+All of them describe f alone: the exponent e, the weight Lambda and the
+primitive G come from the operator (``thresholds.Operator``).  The limits
+of G(s)/s^e toward 0 or infinity need no primitive values: each kind
+states the leading term of G there (``Nonlinearity.tail``), and
+``Operator.limits`` reads them off it.
 
 F comes from one of four backends, each answering the vectorized
 ``F_many(s)``, whose one-point case serves every single-point primitive;
@@ -52,15 +53,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .nonlinearity import (
     CustomTable,
-    DIRECTION_INFINITY,
-    DIRECTION_ZERO,
     Nonlinearity,
     PowerTimesOnePlusSin,
     ReciprocalOscillation,
@@ -465,131 +463,11 @@ class _ExtremaTable:
         return G, lo, hi
 
 
-_CLASSIFICATIONS = ("FinitePair", "PlusInfinite", "MinusInfinite", "BothZero")
-
-#: limit estimates sample this many abscissae over this many decades,
-#: ending (or, toward 0, starting) at s = 1 ...
-_LIMIT_POINTS = 200
-_LIMIT_DECADES = 6.0
-#: ... and report the extremes of the final decades toward the limit
-_TAIL_DECADES = 3
-#: divergence: per-decade extremes grow by this factor between decades
-_DIVERGENCE_RATIO = 10.0
-#: both limits at most this in magnitude classify as BothZero
-_ZERO_TOL = 1e-6
-
-
 def extended_real(x: float):
     """JSON encoding of an extended real: JSON has no inf."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
-
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    """Tail estimate of liminf/limsup of a ratio toward the oscillation limit.
-
-    These are numerical ESTIMATES over a finite window, never certified
-    limits; ``window`` records the abscissae actually sampled.
-    """
-
-    L_minus: float
-    L_plus: float
-    window: tuple
-    classification: str
-    which: str = "F"
-    direction: str = DIRECTION_INFINITY
-
-    def __post_init__(self):
-        if self.classification not in _CLASSIFICATIONS:
-            raise DomainError(f"unknown classification {self.classification!r}")
-        if not (self.L_minus <= self.L_plus):
-            raise DomainError("limit estimate needs L_minus <= L_plus")
-
-    def to_json(self) -> dict:
-        return {
-            "L_minus": extended_real(self.L_minus),
-            "L_plus": extended_real(self.L_plus),
-            "classification": self.classification,
-            "which": self.which,
-            "direction": self.direction,
-            "is_estimate": True,
-            "window": [float(self.window[0]), float(self.window[-1])],
-            "window_points": len(self.window),
-        }
-
-
-def classify_ratio_samples(svals, ratios, direction: str,
-                           which: str = "F") -> LimitEstimate:
-    """Turn sampled ratios F(s)/s^p into a LimitEstimate.
-
-    The tail window is the final three decades toward the limit.
-    Divergence is declared when per-decade extremes grow by at least a
-    factor 10 between every pair of consecutive decades.
-    """
-    s = np.asarray(svals, dtype=float)
-    r = np.asarray(ratios, dtype=float)
-    if s.size < 4:
-        raise DomainError("need at least 4 samples to estimate limits")
-    order = np.argsort(s)
-    s, r = s[order], r[order]
-
-    logs = np.log10(s)
-    if direction == DIRECTION_INFINITY:
-        hi = logs[-1]
-        tail_mask = logs >= hi - _TAIL_DECADES
-        toward = 1  # larger s is closer to the limit
-    else:
-        lo = logs[0]
-        tail_mask = logs <= lo + _TAIL_DECADES
-        toward = -1
-    st, rt = s[tail_mask], r[tail_mask]
-
-    # equal log-width windows across the tail, ordered toward the limit
-    lt = np.log10(st)
-    nwin = _TAIL_DECADES
-    edges = np.linspace(lt.min(), lt.max(), nwin + 1)
-    buckets = np.clip(np.searchsorted(edges, lt, side="right") - 1, 0, nwin - 1)
-    if toward < 0:
-        buckets = (nwin - 1) - buckets
-    sups = np.array([rt[buckets == k].max() for k in range(nwin)])
-    infs = np.array([rt[buckets == k].min() for k in range(nwin)])
-
-    def _diverges(seq, sign):
-        # monotone growth toward the limit plus an overall blow-up factor;
-        # the half keeps the verdict stable when window extremes land a few
-        # samples away from the true oscillation peaks
-        vals = sign * seq
-        if len(vals) < 2 or np.any(vals <= 0):
-            return False
-        if not np.all(vals[1:] >= vals[:-1]):
-            return False
-        return bool(vals[-1] >= 0.5 * _DIVERGENCE_RATIO ** (len(vals) - 1) * vals[0])
-
-    plus_div = _diverges(sups, +1.0)
-    minus_div = _diverges(infs, -1.0)
-
-    # limit estimates come from the window nearest the limit point
-    near = buckets == nwin - 1
-    L_plus = math.inf if plus_div else float(rt[near].max())
-    L_minus = -math.inf if minus_div else float(rt[near].min())
-
-    # decay toward zero: mirrored trend test on window magnitudes
-    amax = np.array([np.abs(rt[buckets == k]).max() for k in range(nwin)])
-    shrinks = (np.all(amax[1:] <= amax[:-1])
-               and amax[-1] <= amax[0] * 2.0 / _DIVERGENCE_RATIO ** (nwin - 1))
-
-    if minus_div:
-        cls = "MinusInfinite"
-    elif plus_div:
-        cls = "PlusInfinite"
-    elif shrinks or max(abs(L_minus), abs(L_plus)) <= _ZERO_TOL:
-        cls = "BothZero"
-    else:
-        cls = "FinitePair"
-    return LimitEstimate(L_minus, L_plus, tuple(float(x) for x in st), cls,
-                         which=which, direction=direction)
 
 
 class PrimitiveCalculus:
@@ -702,26 +580,3 @@ class PrimitiveCalculus:
             raise DomainError("F_under needs s1 >= 0")
         _, hi = self.extrema(s1)
         return self.F(s2) - hi
-
-    # -- tail growth estimates ------------------------------------------------
-
-    def estimate_limits(self, G_many, exponent: float, which: str,
-                        direction: str) -> LimitEstimate:
-        """Estimate liminf/limsup of G(s)/s^exponent toward ``direction``,
-        with ``which`` the name of G in the result; ``Operator.limits``
-        passes an operator's G, exponent and name.
-
-        Samples a geometric grid of 200 abscissae spanning six decades that
-        ends (direction "infinity") or starts (direction "zero") at s = 1;
-        the reported extremes cover the final three decades toward the
-        limit (``classify_ratio_samples``).  The result is an estimate and
-        is flagged as such in serialized reports.
-        """
-        if direction == DIRECTION_INFINITY:
-            svals = np.geomspace(1.0, 10.0**_LIMIT_DECADES, _LIMIT_POINTS)
-        elif direction == DIRECTION_ZERO:
-            svals = np.geomspace(10.0**-_LIMIT_DECADES, 1.0, _LIMIT_POINTS)
-        else:
-            raise DomainError(f"unknown direction {direction!r}")
-        ratios = G_many(svals) / svals**exponent
-        return classify_ratio_samples(svals, ratios, direction, which=which)

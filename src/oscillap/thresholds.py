@@ -4,8 +4,8 @@ Two families of constants are computed from the primitive calculus of a
 nonlinearity f:
 
 * a closed-form nonexistence threshold ``lambda_under`` built from the
-  liminf/limsup of F(s)/s^p toward the accumulation point, below which no
-  positive radial solution on the ball can exist, and
+  exact liminf/limsup of F(s)/s^p toward the accumulation point, below
+  which no bifurcation from that point occurs, and
 
 * an existence sequence ``lambda_n = (C2/C1) * gamma_n^p / Fbar(gamma_n)``
   whose limit ``lambda_bar`` certifies parameter values with infinitely
@@ -27,16 +27,47 @@ from .errors import DomainError, InfeasibleDelta, NonpositiveFbar
 from .nonlinearity import (
     DIRECTION_INFINITY,
     DIRECTION_ZERO,
+    Nonlinearity,
     ZeroSequence,
     find_zeros,
 )
-from .primitives import LimitEstimate, PrimitiveCalculus, extended_real
+from .primitives import PrimitiveCalculus, extended_real
 
 #: relative slack allowed when auditing lambda_under <= lambda_bar
 ORDER_TOL = 1e-12
 
 #: number of candidate boundary-layer widths tried per gamma_n
 DELTA_GRID_POINTS = 64
+
+
+_CLASSIFICATIONS = ("FinitePair", "PlusInfinite", "MinusInfinite", "BothZero")
+
+
+@dataclass(frozen=True)
+class TailLimits:
+    """liminf/limsup of G(s)/s^e toward the oscillation limit, exact from
+    the leading term of G there (``Operator.limits``)."""
+
+    L_minus: float
+    L_plus: float
+    classification: str
+    which: str = "F"
+    direction: str = DIRECTION_INFINITY
+
+    def __post_init__(self):
+        if self.classification not in _CLASSIFICATIONS:
+            raise DomainError(f"unknown classification {self.classification!r}")
+        if not (self.L_minus <= self.L_plus):
+            raise DomainError("tail limits need L_minus <= L_plus")
+
+    def to_json(self) -> dict:
+        return {
+            "L_minus": extended_real(self.L_minus),
+            "L_plus": extended_real(self.L_plus),
+            "classification": self.classification,
+            "which": self.which,
+            "direction": self.direction,
+        }
 
 
 @dataclass(frozen=True)
@@ -73,10 +104,10 @@ class Operator:
     (p, 1) for the p-Laplacian, (2, Lambda) for Pucci), the primitive G of
     a nonlinearity's ``PrimitiveCalculus`` it reads (F_Lambda at Lambda = w,
     which is F at w = 1; ``primitive``, ``Gbar_many``), the limits of
-    G(s)/s^e (``limits``), and the two closed forms the nonexistence
-    argument gives in (e, w, G): ``lambda_under`` and the per-solution
-    ``bound``.  The primitives describe f alone; this is the one place
-    that knows e and w.
+    G(s)/s^e from the nonlinearity's leading term (``limits``), and the
+    two closed forms the nonexistence argument gives in (e, w, G):
+    ``lambda_under`` and the per-solution ``bound``.  The primitives
+    describe f alone; this is the one place that knows e and w.
     """
 
     kind: str        # "p_laplacian" or "pucci"
@@ -136,13 +167,29 @@ class Operator:
         """The one-point ``Gbar_many``."""
         return float(self.Gbar_many(pc, np.array([s], dtype=float))[0])
 
-    def limits(self, pc: PrimitiveCalculus,
-               direction: Optional[str] = None) -> LimitEstimate:
-        """Estimated liminf/limsup of G(s)/s^e toward ``direction``, by
-        default the nonlinearity's (``PrimitiveCalculus.estimate_limits``)."""
-        G_many, _ = self.primitive(pc)
-        return pc.estimate_limits(G_many, self.exponent, self.which,
-                                  direction or pc.nl.direction)
+    def limits(self, nl: Nonlinearity,
+               direction: Optional[str] = None) -> TailLimits:
+        """liminf/limsup of G(s)/s^e toward ``direction``, by default the
+        nonlinearity's, from the leading term G = c s^m + o(s^m) there
+        (``Nonlinearity.tail`` at Lambda = w).  The ratio is c s^(m-e)
+        + o(s^(m-e)), so both limits are 0 when c = 0 or s^(m-e) -> 0,
+        both c when m == e, and both +inf or -inf, by the sign of c,
+        otherwise.  m == e compares the floats exactly as the config gives
+        them: a p one rounding away from r + 1 is another exponent."""
+        direction = direction or nl.direction
+        if direction not in (DIRECTION_ZERO, DIRECTION_INFINITY):
+            raise DomainError(f"unknown direction {direction!r}")
+        m, c = nl.tail(direction, self.weight)
+        e = self.exponent
+        if c == 0.0 or (m < e if direction == DIRECTION_INFINITY else m > e):
+            L, classification = 0.0, "BothZero"
+        elif m == e:
+            L, classification = c, "FinitePair"
+        elif c > 0.0:
+            L, classification = math.inf, "PlusInfinite"
+        else:
+            L, classification = -math.inf, "MinusInfinite"
+        return TailLimits(L, L, classification, self.which, direction)
 
     @property
     def under_formula(self) -> str:
@@ -151,12 +198,14 @@ class Operator:
             return "(p-1)/(p*R^p*(L_plus - min(0, L_minus)))"
         return "1/(2*Lambda*R^2*(L_plus - min(0, L_minus)))"
 
-    def lambda_under(self, R: float, limits: LimitEstimate) -> float:
+    def lambda_under(self, R: float, limits: TailLimits) -> float:
         """Nonexistence threshold on the radius-R ball from the limits of
         G(s)/s^e: below (e-1)/(e w R^e (L_plus - min(0, L_minus))) no
-        positive radial solution exists.  inf when both limits vanish or
-        the limsup is negative (no positive solution for any parameter), and
-        0 when a limit diverges (no window is certified)."""
+        bifurcation from the accumulation point occurs, that is, no
+        sequence of positive radial solutions whose heights tend to it.
+        inf when both limits vanish or the limsup is negative (no such
+        bifurcation at any parameter; solutions of other heights may still
+        exist), and 0 when a limit diverges (no range is certified)."""
         if limits.classification == "BothZero":
             return math.inf
         if limits.classification != "FinitePair":
@@ -288,6 +337,10 @@ HEIGHT_GRID_POINTS = 201
 #: point, each spanning two spacings of the grid before it
 HEIGHT_POLISH_POINTS = 21
 HEIGHT_POLISH_ROUNDS = 8
+#: the limit of G(s)/s^e at 0 reaches the first gap's best ratio when it
+#: is within this share below it: near 0 the ratio of 1 - cos s to s^2
+#: reads 1/2 + 1 ulp, so rounding alone would decide the comparison
+FIRST_GAP_RTOL = 1e-12
 
 
 def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, operator: Operator,
@@ -305,18 +358,22 @@ def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, operator: Operato
     f < 0, say), the height sits 1e-12 of the width inside it.
 
     The returned heights interleave the zeros; gaps whose best ratio is
-    not positive are skipped.  When f(0) > 0 the gap (0, alpha_1) is
-    skipped as well: there Gbar(s)/s^e ~ f(0) s^(1-e) grows without bound
-    as s -> 0, so its supremum is no height.  Every other gap then has a
-    positive ratio (G rises from 0, so each zero where f turns negative
-    tops the running minimum), and n zeros still give n - 1 heights.
-    Results are ordered toward the accumulation point.
+    not positive are skipped.  Toward infinity the gap (0, alpha_1) is
+    skipped as well when the limit of G(s)/s^e as s -> 0
+    (``Operator.limits``) is at least its best ratio, within
+    ``FIRST_GAP_RTOL``: the supremum is then approached at s -> 0 and is
+    no height.  That covers f(0) > 0 and F ~ c s^m with m < e, where the
+    ratio is unbounded at 0, and a ratio that tends to a finite limit
+    from below (1 - cos s over s^2 tends to 1/2).  Canonical
+    s (1 + sin s) at p = 2 keeps its first gap: its best ratio 0.936
+    exceeds the limit 1/2.  Every other gap then has a positive ratio (G
+    rises from 0, so each zero where f turns negative tops the running
+    minimum), and n zeros still give n - 1 heights.  Results are ordered
+    toward the accumulation point.
     """
     asc = list(zeros.ascending())
     if zeros.direction == DIRECTION_INFINITY:
         gaps = list(zip([0.0] + asc[:-1], asc))
-        if pc.nl.f0 > 0.0:
-            gaps = gaps[1:]
     else:
         gaps = list(zip(asc[:-1], asc[1:]))[::-1]  # march toward 0
     if not gaps:
@@ -339,6 +396,10 @@ def propose_gammas(pc: PrimitiveCalculus, zeros: ZeroSequence, operator: Operato
     for _ in range(HEIGHT_POLISH_ROUNDS):
         x, ratio = best(x[:, None] + step[:, None] * offsets)
         step = step * 2.0 / (HEIGHT_POLISH_POINTS - 1)
+    if (zeros.direction == DIRECTION_INFINITY
+            and operator.limits(pc.nl, DIRECTION_ZERO).L_plus
+            >= ratio[0] * (1.0 - FIRST_GAP_RTOL)):
+        x, ratio = x[1:], ratio[1:]
     out = [float(g) for g, r in zip(x, ratio) if r > 0.0]
     return out if count is None else out[:count]
 
@@ -370,7 +431,7 @@ class ThresholdReport:
     """Both thresholds for one nonlinearity/operator pair, with provenance.
 
     ``lambda_under`` is the closed-form nonexistence threshold (may be 0
-    when the limits diverge and no window is certified, or inf in the
+    when the limits diverge and no range is certified, or inf in the
     degenerate cases); ``lambda_bar`` the existence sequence limit.
     """
 
@@ -378,7 +439,7 @@ class ThresholdReport:
     lambda_bar: float
     rows: Tuple[ThresholdRow, ...]
     M: float
-    limits: LimitEstimate
+    limits: TailLimits
     operator: Operator
     geometry: BallGeometry
     beta: float
@@ -440,7 +501,7 @@ def compute_thresholds(operator: Operator, pc: PrimitiveCalculus,
     Gbar(s)/s^e between the first ``count + 1`` zeros of f
     (``propose_gammas``); ``M`` defaults to the sampled dip constant.
     """
-    limits = operator.limits(pc, direction)
+    limits = operator.limits(pc.nl, direction)
     under = operator.lambda_under(geom.R, limits)
 
     if gammas is None:

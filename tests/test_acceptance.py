@@ -17,7 +17,6 @@ from oscillap import (
     EnvelopeTimesOnePlusSin,
     GridFunction,
     HitZero,
-    LimitEstimate,
     Operator,
     Potential,
     PowerTimesOnePlusSin,
@@ -27,6 +26,7 @@ from oscillap import (
     ReciprocalOscillation,
     ShootConfig,
     StalledAtCriticalPoint,
+    TailLimits,
     TruncatedNonlinearity,
     assemble_energy,
     check_necessary_conditions,
@@ -128,11 +128,13 @@ def test_criterion_3_solution_count_grows_with_lambda(existence_scan):
 
 
 def test_criterion_4_nonexistence_threshold_respected(nonexistence_scan):
-    """With both primitive limits 1/2 the threshold formula gives exactly 1,
-    and every solution on [10, 1e4] sits above it and above the
-    per-solution bound (p-1) c^p / (p R^p Fbar(c))."""
-    halves = LimitEstimate(0.5, 0.5, (1.0, 10.0), "FinitePair")
-    assert Operator.p_laplacian(2.0).lambda_under(1.0, halves) == 1.0
+    """Both limits of F(s)/s^2 are exactly 1/2, so the threshold formula
+    gives exactly 1, and every solution on [10, 1e4] sits above it and
+    above the per-solution bound (p-1) c^p / (p R^p Fbar(c))."""
+    plap = Operator.p_laplacian(2.0)
+    halves = plap.limits(NL)
+    assert (halves.L_minus, halves.L_plus) == (0.5, 0.5)
+    assert plap.lambda_under(1.0, halves) == 1.0
 
     pc, diag = nonexistence_scan
     hits = [r for r in diag.rows if r.outcome == "HitZero"]
@@ -188,7 +190,7 @@ def test_criterion_6_pucci_consistency():
     # threshold formulas coincide exactly at Lambda = 1, p = 2
     for R, Lm, Lp in [(1.0, 0.5, 0.5), (2.0, 0.5, 0.5),
                       (1.0, -0.25, 0.75), (3.0, 0.0, 2.0)]:
-        limits = LimitEstimate(Lm, Lp, (1.0, 10.0), "FinitePair")
+        limits = TailLimits(Lm, Lp, "FinitePair")
         assert Operator.pucci(1.0).lambda_under(R, limits) == \
             Operator.p_laplacian(2.0).lambda_under(R, limits)
 

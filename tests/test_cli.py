@@ -233,16 +233,30 @@ def test_analyze_report(tmp_path):
     assert zs == sorted(zs)
     assert zs[0] == pytest.approx(FIRST_ZERO, abs=1e-12)
 
-    # nonexistence thresholds are reported for both operators
-    assert rep["lambda_under"]["p_laplacian"] == pytest.approx(
-        0.999989628687835, rel=1e-9)
-    assert rep["lambda_under"]["pucci"] == pytest.approx(
-        rep["lambda_under"]["p_laplacian"], rel=1e-12)
+    # nonexistence thresholds are reported for both operators, from the
+    # exact limits 1/2 of F(s)/s^2
+    assert rep["lambda_under"] == {"p_laplacian": 1.0, "pucci": 1.0}
+    assert rep["limits"]["F"] == {"L_minus": 0.5, "L_plus": 0.5,
+                                  "classification": "FinitePair",
+                                  "which": "F", "direction": "infinity"}
     assert rep["thresholds"]["lambda_bar"] == pytest.approx(
         52.567282505668224, rel=1e-9)
 
     s = rep["samples"]
     assert len(s["s"]) == len(s["F"]) == len(s["Fbar"]) == len(s["F_Lambda"])
+
+
+def test_analyze_decaying_ratio_has_no_nonexistence_threshold(tmp_path):
+    # s^0.5 (1 + sin s): F ~ s^1.5/1.5, so F(s)/s^2 -> 0 and lambda_under
+    # is inf; a finite one used to exceed lambda_bar and exit 3
+    cfg = write_cfg(tmp_path, nonlinearity={"kind": "power_sin", "r": 0.5},
+                    zeros=6)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_json(out / "analysis.json")
+    assert rep["thresholds"]["lambda_under"] == "inf"
+    assert rep["limits"]["F"]["classification"] == "BothZero"
+    assert math.isfinite(rep["thresholds"]["lambda_bar"])
 
 
 # -- shoot ------------------------------------------------------------------
@@ -404,8 +418,8 @@ def test_certify_accepts_clean_diagram(scan_run, tmp_path):
     assert rc == 0
     cert = read_json(cdir / "certificate.json")
     assert cert["classification"] == "FinitePair"
-    assert cert["limits_are_estimates"] is True
-    assert 0.0 < cert["lambda_under"] < math.inf
+    assert cert["lambda_under"] == 1.0
+    assert "limits_are_estimates" not in cert and "caveat" not in cert
     assert cert["empirical"]["violations"] == []
     assert cert["empirical"]["solutions_checked"] > 0
 
@@ -435,17 +449,17 @@ def test_certify_flags_doctored_diagram(scan_run, tmp_path, capsys):
 
 
 def test_certify_negative_tail_means_no_solutions(tmp_path):
-    # f(s) = -s across the whole sampling window: F(s)/s^2 -> -1/2 on both
-    # sides, and a negative upper limit pushes the threshold to infinity
+    # f(s) = -s toward 0: F(s)/s^2 -> -1/2 on both sides, and a negative
+    # upper limit pushes the threshold to infinity
     cfg = write_cfg(tmp_path,
-                    nonlinearity={"kind": "table",
+                    nonlinearity={"kind": "table", "direction": "zero",
                                   "samples": [[0.0, 0.0], [1e7, -1e7]]})
     out = tmp_path / "out"
     rc = main(["certify", "--config", cfg, "--out", str(out)])
     assert rc == 0
     cert = read_json(out / "certificate.json")
     assert cert["classification"] == "FinitePair"
-    assert cert["L_plus"] == pytest.approx(-0.5, rel=1e-9)
+    assert cert["L_minus"] == cert["L_plus"] == -0.5
     assert cert["lambda_under"] == "inf"
 
 

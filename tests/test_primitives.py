@@ -18,13 +18,11 @@ from oscillap.nonlinearity import (
 from oscillap.primitives import (
     TOL_QUAD,
     CachedPrefix,
-    LimitEstimate,
     PrimitiveCalculus,
     _PowerSinPrimitive,
-    classify_ratio_samples,
 )
 from oscillap.shoot_plap import HeightPrimitives
-from oscillap.thresholds import Operator
+from oscillap.thresholds import Operator, TailLimits
 
 PI = math.pi
 
@@ -261,56 +259,119 @@ def test_prefix_at_tight_tolerance_passes_a_double_zero():
 
 
 def test_limit_estimate_power_sin(pc_power):
-    est = Operator.p_laplacian(2.0).limits(pc_power, "infinity")
+    est = Operator.p_laplacian(2.0).limits(pc_power.nl, "infinity")
     assert est.classification == "FinitePair"
-    assert est.L_minus == pytest.approx(0.5, abs=0.02)
-    assert est.L_plus == pytest.approx(0.5, abs=0.02)
-    assert est.L_minus <= est.L_plus
-    js = est.to_json()
-    assert js["is_estimate"] is True
+    assert est.L_minus == 0.5
+    assert est.L_plus == 0.5
+    assert est.to_json() == {"L_minus": 0.5, "L_plus": 0.5,
+                             "classification": "FinitePair", "which": "F",
+                             "direction": "infinity"}
 
 
 def test_limit_estimate_constant_ratio_exact():
-    # piecewise-linear tables reproduce f(s) = 2 c s exactly, so F/s^2 == c
+    # f(s) = 2 c s on the first segment, so F = c s^2 there: F/s^2 -> c
     c = 0.7
     tab = CustomTable(np.array([[0.0, 0.0], [5e5, 2 * c * 5e5], [1e6, 2 * c * 1e6]]))
-    est = Operator.p_laplacian(2.0).limits(PrimitiveCalculus(tab), "infinity")
+    est = Operator.p_laplacian(2.0).limits(tab, "zero")
     assert est.classification == "FinitePair"
-    assert est.L_minus == pytest.approx(c, rel=1e-13)
-    assert est.L_plus == pytest.approx(c, rel=1e-13)
+    assert est.L_minus == c
+    assert est.L_plus == c
 
 
 def test_limit_estimate_cubic_toward_zero():
+    # the interpolant of s^3 is linear on its first segment, of slope
+    # h^2 with h = 1/20001, so F ~ h^2 s^2 / 2 there
     tab = CustomTable.from_function(lambda s: s ** 3, 1.0, 20001,
                                     direction="zero")
-    est = Operator.p_laplacian(2.0).limits(PrimitiveCalculus(tab), "zero")
-    assert est.classification == "BothZero"
-    assert abs(est.L_minus) <= 1e-5
-    assert abs(est.L_plus) <= 1e-5
-
-
-def test_classify_minus_infinite_ratio():
-    # F(s)/s^p behaving as s cos s has liminf -inf; precedence over the
-    # simultaneously diverging limsup
-    s = np.geomspace(1.0, 1e6, 200)
-    est = classify_ratio_samples(s, s * np.cos(s), "infinity")
-    assert est.classification == "MinusInfinite"
-    assert est.L_minus == -math.inf
-
-
-def test_classify_plus_infinite_ratio():
-    s = np.geomspace(1.0, 1e6, 200)
-    est = classify_ratio_samples(s, s * (1 + np.sin(s)), "infinity")
-    assert est.classification == "PlusInfinite"
-    assert est.L_plus == math.inf
-    assert est.L_minus < math.inf
+    est = Operator.p_laplacian(2.0).limits(tab)
+    h = tab.xs[1]
+    assert est.classification == "FinitePair"
+    assert est.L_minus == est.L_plus == tab.ys[1] / h / 2.0
+    assert est.L_plus == pytest.approx(1.25e-9, rel=1e-3)
 
 
 def test_limit_estimate_validates_classification():
     with pytest.raises(DomainError):
-        LimitEstimate(0.0, 1.0, (1.0, 2.0), "Sideways")
+        TailLimits(0.0, 1.0, "Sideways")
     with pytest.raises(DomainError):
-        LimitEstimate(2.0, 1.0, (1.0, 2.0), "FinitePair")
+        TailLimits(2.0, 1.0, "FinitePair")
+    with pytest.raises(DomainError):
+        Operator.p_laplacian(2.0).limits(PureSine(), "sideways")
+
+
+#: the operators each tail case is checked for, in the order of its limits
+_TAIL_OPERATORS = (Operator.p_laplacian(2.0), Operator.p_laplacian(3.0),
+                   Operator.pucci(2.0))
+INF = math.inf
+#: case -> (f, {direction: (limits of G(s)/s^e for p = 2, p = 3 and Pucci
+#: Lambda = 2, far-field tolerance)}); 1e-12 where G is exactly c s^m
+_TAIL_CASES = {
+    "power_sin r=1": (PowerTimesOnePlusSin(1.0), {
+        "infinity": ((0.5, 0.0, 0.5), 1e-2), "zero": ((0.5, INF, 0.5), 1e-2)}),
+    "power_sin r=0.5": (PowerTimesOnePlusSin(0.5), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2), "zero": ((INF, INF, INF), 1e-2)}),
+    "power_sin r=1.5": (PowerTimesOnePlusSin(1.5), {
+        "infinity": ((INF, 0.0, INF), 1e-2), "zero": ((0.0, INF, 0.0), 1e-2)}),
+    "reciprocal_sin r=2": (ReciprocalOscillation(2.0), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2), "zero": ((INF, INF, INF), 1e-2)}),
+    "reciprocal_sin r=0.5": (ReciprocalOscillation(0.5), {
+        "infinity": ((INF, 1 / 3, INF), 1e-2),
+        "zero": ((0.0, 1 / 3, 0.0), 1e-2)}),
+    # F = 1 - cos s is bounded, and F- ~ s/pi weighs in at Lambda = 2
+    "pure_sine": (PureSine(), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2), "zero": ((0.5, INF, 0.5), 1e-2)}),
+    "envelope_sin": (EnvelopeTimesOnePlusSin(
+        np.array([[0.0, 1.0], [10.0, 1.5], [30.0, 3.0]])), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2), "zero": ((INF, INF, INF), 1e-2)}),
+    "table f = 0.7": (CustomTable(np.array([[0.0, 0.7], [1.0, 0.7]])), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-12),
+        "zero": ((INF, INF, INF), 1e-12)}),
+    "table f = -0.5": (CustomTable(np.array([[0.0, -0.5], [1.0, -0.5]])), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-12),
+        "zero": ((-INF, -INF, -INF), 1e-12)}),
+    "table f = 1.4 s": (CustomTable(np.array([[0.0, 0.0], [2.0, 2.8]])), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2),
+        "zero": ((0.7, INF, 0.7), 1e-12)}),
+    # f^- weighs 1/Lambda^2: -s^2/2 becomes -s^2/8 at Lambda = 2
+    "table f = -s": (CustomTable(np.array([[0.0, 0.0], [1.0, -1.0]])), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2),
+        "zero": ((-0.5, -INF, -0.125), 1e-12)}),
+    "table ending at 0": (CustomTable(np.array([[0.0, 1.0], [1.0, 0.0]])), {
+        "infinity": ((0.0, 0.0, 0.0), 1e-2), "zero": ((INF, INF, INF), 1e-2)}),
+}
+
+
+def _classification(L):
+    return {0.0: "BothZero", INF: "PlusInfinite",
+            -INF: "MinusInfinite"}.get(L, "FinitePair")
+
+
+@pytest.mark.parametrize("case, direction", [
+    (case, direction) for case in sorted(_TAIL_CASES)
+    for direction in ("infinity", "zero")])
+def test_tail_limits_are_exact_and_match_the_far_field(case, direction):
+    """Each kind's leading term G = c s^m + o(s^m) gives the exact limits
+    of G(s)/s^e; the term itself is checked against the primitives: G/s^e
+    at s = 1e4 (1e-4 toward 0) is c s^(m-e) within the case's tolerance,
+    and no farther from it than at s = 1e2 (1e-2)."""
+    nl, expected = _TAIL_CASES[case]
+    limits, tol = expected[direction]
+    pc = PrimitiveCalculus(nl)
+    s = np.array([1e2, 1e4] if direction == "infinity" else [1e-2, 1e-4])
+    for op, L in zip(_TAIL_OPERATORS, limits):
+        est = op.limits(nl, direction)
+        assert (est.L_minus, est.L_plus, est.classification, est.which,
+                est.direction) == (L, L, _classification(L), op.which,
+                                   direction)
+        m, c = nl.tail(direction, op.weight)
+        G_many, _ = op.primitive(pc)
+        ratio = G_many(s) / s ** op.exponent
+        if c == 0.0:
+            assert abs(ratio[1]) <= 1e-6
+            continue
+        err = np.abs(ratio / (c * s ** (m - op.exponent)) - 1.0)
+        assert err[1] <= tol
+        assert err[1] <= max(err[0], 1e-12)
 
 
 # f(s) = 1 + sin s: smooth, and its F comes from the shared prefix cache
@@ -465,7 +526,7 @@ def test_pucci_at_lambda_one_is_the_laplacian_bit_for_bit(case):
     per-solution bound and a diagram row's primitives."""
     pc = PrimitiveCalculus(_LAMBDA_ONE_CASES[case])
     pucci, plap = Operator.pucci(1.0), Operator.p_laplacian(2.0)
-    a, b = pucci.limits(pc), plap.limits(pc)
+    a, b = pucci.limits(pc.nl), plap.limits(pc.nl)
     assert (a.L_minus, a.L_plus, a.classification) == \
         (b.L_minus, b.L_plus, b.classification)
     assert pucci.lambda_under(1.5, a) == plap.lambda_under(1.5, b)

@@ -8,10 +8,11 @@ from oscillap._rk import brentq
 from oscillap.errors import DomainError, NonpositiveFbar
 from oscillap.nonlinearity import (CustomTable, PowerTimesOnePlusSin, PureSine,
                                   find_zeros)
-from oscillap.primitives import LimitEstimate, PrimitiveCalculus
+from oscillap.primitives import PrimitiveCalculus
 from oscillap.thresholds import (
     BallGeometry,
     Operator,
+    TailLimits,
     ThresholdReport,
     ThresholdRow,
     compute_thresholds,
@@ -55,8 +56,8 @@ def test_ball_geometry_validation():
 
 
 def _pair(L_minus, L_plus):
-    """A finite limit pair as ``estimate_limits`` reports it."""
-    return LimitEstimate(L_minus, L_plus, (1.0, 10.0), "FinitePair")
+    """A finite limit pair as ``Operator.limits`` reports it."""
+    return TailLimits(L_minus, L_plus, "FinitePair")
 
 
 def test_lambda_under_plap_formula_and_degenerate_cases():
@@ -293,13 +294,22 @@ def test_first_gap_is_skipped_when_f0_is_positive(op):
     assert len(propose_gammas(pc, zeros, op)) == 7
 
 
-#: (nonlinearity, operator) pairs whose every height the fine grid checks
+#: (nonlinearity, operator, whether the gap (0, alpha_1) is skipped)
+#: triples whose every height the fine grid checks: the first gap goes
+#: where the ratio is unbounded at 0 (f(0) > 0 on the cos table, F ~ s^2/2
+#: and s^2.5/2.5 against s^3) or tends to 1/2 from below (1 - cos s over
+#: s^2), and stays for s (1 + sin s) at p = 2 (0.936 against 1/2)
 _GATE_CASES = {
-    "power_sin plap2": (PowerTimesOnePlusSin(1.0), Operator.p_laplacian(2.0)),
-    "power_sin plap3": (PowerTimesOnePlusSin(1.0), Operator.p_laplacian(3.0)),
-    "pure_sine plap2": (PureSine(), Operator.p_laplacian(2.0)),
-    "cos table pucci1": (COS_TABLE, Operator.pucci(1.0)),
-    "cos table pucci2": (COS_TABLE, Operator.pucci(2.0)),
+    "power_sin plap2": (PowerTimesOnePlusSin(1.0), Operator.p_laplacian(2.0),
+                        False),
+    "power_sin plap3": (PowerTimesOnePlusSin(1.0), Operator.p_laplacian(3.0),
+                        True),
+    "power_sin1.5 plap3": (PowerTimesOnePlusSin(1.5),
+                           Operator.p_laplacian(3.0), True),
+    "pure_sine plap2": (PureSine(), Operator.p_laplacian(2.0), True),
+    "pure_sine pucci2": (PureSine(), Operator.pucci(2.0), True),
+    "cos table pucci1": (COS_TABLE, Operator.pucci(1.0), True),
+    "cos table pucci2": (COS_TABLE, Operator.pucci(2.0), True),
 }
 
 
@@ -307,22 +317,25 @@ _GATE_CASES = {
 def test_heights_are_global_maximizers_on_a_fine_grid(case):
     """Every gap's height maximizes Gbar(s)/s^e over a 20,001-point grid of
     the whole gap within 1e-9 relative, and every gap with a positive ratio
-    gets one (but the first when f(0) > 0).  Where the ratio is unbounded
-    at s -> 0 the grid starts where the search does, 1e-12 of the gap in."""
-    nl, op = _GATE_CASES[case]
+    gets one, but the first where the limit of the ratio at 0 reaches the
+    grid's maximum there within 1e-12 (the supremum is that limit).  The
+    first gap's grid starts where the search does, 1e-12 of the gap in."""
+    nl, op, skips_first = _GATE_CASES[case]
     pc = PrimitiveCalculus(nl)
     zeros = find_zeros(nl, 7)
     gammas = propose_gammas(pc, zeros, op)
     edges = (0.0,) + zeros.ascending()
-    gaps = list(zip(edges, edges[1:]))[1 if nl.f0 > 0.0 else 0:]
     e = op.exponent
     checked = []
-    for a, b in gaps:
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
         s = np.linspace(a, b, 20001)
         s[0] = max(a, 1e-12 * b)
         ratios = op.Gbar_many(pc, s) / s ** e
         inside = [g for g in gammas if a < g < b]
-        if ratios.max() <= 0.0:
+        if k == 0:
+            limit = op.limits(nl, "zero").L_plus
+            assert (limit >= ratios.max() * (1.0 - 1e-12)) == skips_first
+        if ratios.max() <= 0.0 or (k == 0 and skips_first):
             assert not inside
             continue
         assert len(inside) == 1
@@ -335,7 +348,7 @@ def test_heights_are_global_maximizers_on_a_fine_grid(case):
 def test_compute_thresholds_report(pc_power, canonical_gammas):
     rep = compute_thresholds(PLAP2, pc_power, BallGeometry(1, 1.0), "infinity",
                              gammas=canonical_gammas)
-    assert rep.lambda_under == pytest.approx(1.0, abs=0.01)
+    assert rep.lambda_under == 1.0
     assert rep.lambda_bar == pytest.approx(54.149, rel=1e-3)
     assert rep.lambda_under <= rep.lambda_bar
     assert rep.M == 0.0
@@ -343,7 +356,9 @@ def test_compute_thresholds_report(pc_power, canonical_gammas):
     assert rep.limits.classification == "FinitePair"
     js = rep.to_json()
     assert js["operator"] == {"kind": "p_laplacian", "p": 2.0}
-    assert js["limits"]["is_estimate"] is True
+    assert js["limits"] == {"L_minus": 0.5, "L_plus": 0.5,
+                            "classification": "FinitePair", "which": "F",
+                            "direction": "infinity"}
     assert len(js["sequence"]) == len(canonical_gammas)
     assert set(js["formulas"]) == {"lambda_under", "lambda_n", "C1", "C2",
                                    "lambda_bar"}
@@ -355,7 +370,7 @@ def test_compute_thresholds_pucci_operator(canonical_gammas):
                              "infinity", gammas=canonical_gammas)
     # f >= 0 makes F_Lambda = F, so the limits stay at 1/2 and the
     # closed form gives 1/(2*2*1*(1/2)) = 1/2
-    assert rep.lambda_under == pytest.approx(0.5, abs=0.01)
+    assert rep.lambda_under == 0.5
     assert rep.to_json()["operator"] == {"kind": "pucci", "Lambda": 2.0}
 
 
@@ -366,7 +381,7 @@ def test_compute_thresholds_pucci_operator(canonical_gammas):
 ], ids=["p_laplacian", "pucci"])
 def test_operator_lambda_under_by_classification(operator, closed_form):
     def limits(lo, hi, classification):
-        return LimitEstimate(lo, hi, (1.0, 10.0), classification)
+        return TailLimits(lo, hi, classification)
 
     assert operator.lambda_under(2.0, limits(-0.25, 0.5, "FinitePair")) \
         == pytest.approx(closed_form, rel=1e-15)

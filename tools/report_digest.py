@@ -20,7 +20,7 @@ of ``diagram.csv``, ``c`` and ``lambda`` of every lambda-star crossing in
 each item's ``gamma_n``, ``sup_norm``, ``energy`` and ``residual`` in
 ``minimize.json``.
 It imports the package from this checkout's ``src``; a run takes about
-30 s on a 2-core VM.
+15 s on a 2-core VM.
 
 Run:  python3 tools/report_digest.py > digest.json
 
@@ -68,13 +68,15 @@ _TOWARD_ZERO = {"scan": {"c_min": 0.02, "c_max": 0.5, "points": 40},
                 "zeros": 8}
 
 
-def _fixed(nonlinearity: dict, operator: dict, sections: dict) -> dict:
+def _fixed(nonlinearity: dict, operator: dict, sections: dict,
+           N: int = 2) -> dict:
     return {"nonlinearity": nonlinearity, "operator": operator,
-            "geometry": {"N": 2, "R": 1.0}, "seed": 0, **sections}
+            "geometry": {"N": N, "R": 1.0}, "seed": 0, **sections}
 
 
 #: configs the demos and the benchmark leave out: Pucci at Lambda != 1 on
-#: sign-changing f, a table, a limit toward 0 and a non-integer power
+#: sign-changing f, a table, a limit toward 0, non-integer powers (r = 0.5
+#: at p = 2, where F/s^2 decays) and a sampled envelope
 FIXED = {
     "pure_sine-pucci2": _fixed({"kind": "pure_sine"}, {"pucci": {"Lambda": 2.0}},
                                _TOWARD_INFINITY),
@@ -87,6 +89,12 @@ FIXED = {
                                       {"pucci": {"Lambda": 1.5}}, _TOWARD_ZERO),
     "power_sin1.5-plap3": _fixed({"kind": "power_sin", "r": 1.5},
                                  {"plap": {"p": 3.0}}, _TOWARD_INFINITY),
+    "power_sin0.5-plap2": _fixed({"kind": "power_sin", "r": 0.5},
+                                 {"plap": {"p": 2.0}},
+                                 {**_TOWARD_INFINITY, "zeros": 6}, N=1),
+    "envelope_sin-pucci2": _fixed({"kind": "envelope_sin", "samples": [
+        [0.0, 1.0], [10.0, 1.5], [30.0, 3.0]]}, {"pucci": {"Lambda": 2.0}},
+        _TOWARD_INFINITY),
 }
 
 
