@@ -13,13 +13,14 @@ import numpy as np
 
 from oscillap import (
     BallGeometry,
+    BifurcationDiagram,
     Operator,
     Potential,
     PowerTimesOnePlusSin,
     PrimitiveCalculus,
+    ShootConfig,
     clustered_heights,
     compute_thresholds,
-    diagram,
     find_zeros,
     radial_grid,
     run_sequence,
@@ -40,7 +41,8 @@ print(f"existence beyond    lambda_bar   = {report.lambda_bar:.6f}")
 # count solutions at lambda* = 10 lambda_bar by scanning shooting heights
 star = 10.0 * report.lambda_bar
 heights = clustered_heights(zeros, c_max=40.0)
-diag = diagram(nl, 2.0, 1, 1.0, heights, zeros, pc=pc)
+shots = ShootConfig(2.0, 1, 1.0, tol_ode=1e-8, event_tol=1e-10)   # p = 2, N = 1
+diag = BifurcationDiagram.scan(shots, nl, 1.0, heights, zeros, pc)
 crossings = diag.solutions_at(star)
 print(f"\nlambda* = {star:.3f}: {len(crossings)} solutions on the diagram")
 print(f"{'height c':>12} {'gap':>4} {'lambda(c)':>12}")

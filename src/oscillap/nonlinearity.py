@@ -88,7 +88,9 @@ class Nonlinearity:
 
     @property
     def nonneg(self) -> bool:
-        """True when f >= 0 everywhere on [0, oo) by construction."""
+        """True when f >= 0 everywhere on [0, oo) by construction; False
+        also where that is not known (a table, whose primitives are exact
+        either way)."""
         return False
 
     @property
@@ -112,11 +114,6 @@ class Nonlinearity:
         """Leading term (m, c) of the primitive toward ``direction``:
         F_Lambda(s) = c s^m + o(s^m) as s -> 0 or infinity, with
         F_Lambda = F + (1 - 1/Lambda^2) F^- (F itself at Lambda = 1)."""
-        raise NotImplementedError
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -156,9 +153,6 @@ class PowerTimesOnePlusSin(Nonlinearity):
         # F = s^(r+1)/(r+1) + integral t^r sin t: O(s^r) by parts toward
         # infinity, O(s^(r+2)) toward 0; f >= 0, so F_Lambda = F
         return self.r + 1.0, 1.0 / (self.r + 1.0)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "r": self.r, "direction": self.direction}
 
 
 class ReciprocalOscillation(Nonlinearity):
@@ -210,9 +204,6 @@ class ReciprocalOscillation(Nonlinearity):
         a = self.exponent
         return a + 1.0, 1.0 / (a + 1.0)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "r": self.r, "direction": self.direction}
-
 
 class PureSine(Nonlinearity):
     """f(s) = sin s; sign-changing with crossing zeros at k pi."""
@@ -246,9 +237,6 @@ class PureSine(Nonlinearity):
         # s / pi may round below k at s = k pi: try one k more
         kmax = int(math.floor(s / math.pi)) + 1
         return [math.pi * k for k in range(1, kmax + 1) if math.pi * k <= s]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "direction": self.direction}
 
 
 def _validate_samples(samples, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +287,6 @@ class _TableMixin:
 
     def kink_points(self, a: float, b: float) -> list[float]:
         return [float(x) for x in self.xs if a < x < b]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
-            "direction": self.direction,
-        }
 
     def _node_zeros(self) -> list[float]:
         """All zeros of the interpolant at positive s, increasing order."""
@@ -393,28 +374,12 @@ class CustomTable(_TableMixin, Nonlinearity):
         Nonlinearity.__init__(self, direction)
         xs, ys = _validate_samples(samples, "sample table")
         self._init_table(xs, ys)
-        self._nonneg = bool(np.all(ys >= 0.0))
-
-    @classmethod
-    def from_function(cls, fn, b: float, n: int, direction: str = DIRECTION_INFINITY):
-        """Tabulate ``fn`` on n+1 uniform nodes over [0, b]."""
-        xs = np.linspace(0.0, float(b), int(n) + 1)
-        ys = np.array([float(fn(x)) for x in xs])
-        return cls(np.column_stack([xs, ys]), direction=direction)
 
     def eval(self, s: float) -> float:
         return self._interp(s)
 
     def eval_many(self, s):
         return self._interp_many(s)
-
-    @property
-    def nonneg(self) -> bool:
-        return self._nonneg
-
-    @property
-    def zero_accumulation(self) -> str | None:
-        return None  # table zeros are enumerated, not analytic
 
     def table_zeros(self) -> list[float]:
         return self._node_zeros()

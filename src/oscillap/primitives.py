@@ -2,16 +2,15 @@
 
 Everything downstream consumes antiderivatives of f rather than f itself:
 
-* ``F(s)   = integral_0^s f(t) dt``
-* ``Fbar(s) = F(s) - min over [0, s] of F``   (drawdown from the running minimum)
+* ``F(s) = integral_0^s f(t) dt`` (``F_many``)
 * ``F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-
-                = F(s) + (1 - 1/Lambda^2) F^-(s)``, with the weight Lambda an
-  argument of each call and ``F^-(s) = integral_0^s max(-f, 0)`` the one
-  stored sign part, so F_Lambda at Lambda = 1 is F itself; and the running
-  extrema of F_Lambda, F's at the default Lambda = 1, batched with
-  F_Lambda itself in ``extrema_many``
-* ``F_under(s1, s2) = min over t in [0, s1] of integral_t^{s2} f
-                    = F(s2) - max over [0, s1] of F``
+                = F(s) + (1 - 1/Lambda^2) F^-(s)`` (``F_Lambda_many``), with
+  the weight Lambda an argument of each call and
+  ``F^-(s) = integral_0^s max(-f, 0)`` the one stored sign part, so
+  F_Lambda at Lambda = 1 is F itself
+* the running extrema of F_Lambda over [0, s], F's at the default
+  Lambda = 1, batched with F_Lambda itself in ``extrema_many``; the range
+  ``Fbar(s) = F(s) - min over [0, s] of F`` is its value less its minimum
 
 All of them describe f alone: the exponent e, the weight Lambda and the
 primitive G come from the operator (``thresholds.Operator``).  The limits
@@ -20,8 +19,7 @@ states the leading term of G there (``Nonlinearity.tail``), and
 ``Operator.limits`` reads them off it.
 
 F comes from one of four backends, each answering the vectorized
-``F_many(s)``, whose one-point case serves every single-point primitive;
-which one serves a nonlinearity depends on its kind:
+``F_many(s)``; which one serves a nonlinearity depends on its kind:
 
 * ``CustomTable``: the interpolant is piecewise linear, so F is piecewise
   quadratic and every primitive (including the negative part F^-) is
@@ -45,8 +43,8 @@ F^- is zero for f >= 0, exact for a table, and otherwise one more panel
 cache on max(-f, 0).
 
 Running extrema of F are tracked at the sign changes of f (the only interior
-points where F can turn around) plus the endpoints, which makes Fbar and
-F_under exact up to the accuracy of F itself.
+points where F can turn around) plus the endpoints, which makes Fbar
+exact up to the accuracy of F itself.
 """
 
 from __future__ import annotations
@@ -527,14 +525,6 @@ class PrimitiveCalculus:
             raise DomainError("primitives are defined on s >= 0")
         return np.asarray(self.backend.F_many(s), dtype=float)
 
-    def Fminus(self, s: float) -> float:
-        """F^-(s) = integral_0^s max(-f, 0)."""
-        return float(self._Fminus_many(np.array([float(s)]))[0])
-
-    def F_Lambda(self, s: float, Lambda: float) -> float:
-        """F_Lambda(s) = integral f^+ - (1/Lambda^2) integral f^-."""
-        return float(self.F_Lambda_many(np.array([s], dtype=float), Lambda)[0])
-
     def F_Lambda_many(self, s, Lambda: float) -> np.ndarray:
         """F + (1 - 1/Lambda^2) F^-: ``F_many`` itself at Lambda = 1."""
         F = self.F_many(s)
@@ -554,29 +544,3 @@ class PrimitiveCalculus:
             table = self._extrema[Lambda] = _ExtremaTable(
                 lambda x: self.F_Lambda_many(x, Lambda), self.nl.sign_change_points)
         return table.extrema_many(s)
-
-    def extrema(self, s: float, Lambda: float = 1.0) -> tuple[float, float]:
-        """(min, max) of F_Lambda over [0, s]: the one-point ``extrema_many``."""
-        _, lo, hi = self.extrema_many(np.array([s], dtype=float), Lambda)
-        return float(lo[0]), float(hi[0])
-
-    def running_min(self, s: float) -> float:
-        """min of F over [0, s]; never exceeds min(0, F(s))."""
-        return self.extrema(s)[0]
-
-    def running_max(self, s: float) -> float:
-        return self.extrema(s)[1]
-
-    def Fbar(self, s: float) -> float:
-        """Fbar(s) = F(s) - min over [0, s] of F; always >= max(0, F(s))."""
-        F, lo, _ = self.extrema_many(np.array([s], dtype=float))
-        return float(F[0] - lo[0])
-
-    def F_under(self, s1: float, s2: float) -> float:
-        """min over t in [0, s1] of integral_t^{s2} f = F(s2) - max over [0, s1] F."""
-        if s1 > s2:
-            raise DomainError(f"F_under needs s1 <= s2, got {s1!r} > {s2!r}")
-        if s1 < 0.0:
-            raise DomainError("F_under needs s1 >= 0")
-        _, hi = self.extrema(s1)
-        return self.F(s2) - hi

@@ -314,25 +314,19 @@ def shoot(cfg, nl: Nonlinearity) -> ShootResult:
 
 
 def shoot_batch(cfg, heights: Sequence[float],
-                nl: Nonlinearity) -> List[Optional[ShootResult]]:
+                nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
     """``shoot`` at every height, all heights advancing as lanes of one batch.
 
-    ``cfg`` (either operator) gives everything but the height.  Returns
+    ``cfg`` (either operator) gives everything but the height.  Yields
     one result per height, in order, and None where ``shoot`` would raise
-    StalledAtCriticalPoint.  Each lane starts on the same origin series,
+    StalledAtCriticalPoint; a caller that audits and drops each trajectory
+    never holds all of them.  Each lane starts on the same origin series,
     follows the same step control and events as ``shoot`` (restarting
     where ``shoot`` does), and records every accepted step; only the event
     offsets differ.  Both steppers probe events on exact RK5 steps through
     one Illinois rule, so these differ only where numpy's array pow and
     libm's pow round a step differently (about 1e-13 relative in rho).
     """
-    return list(_shots(cfg, heights, nl))
-
-
-def _shots(cfg, heights: Sequence[float],
-           nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
-    """``shoot_batch``'s results one at a time, so a caller that audits and
-    drops each trajectory never holds all of them."""
     cfgs = [replace(cfg, c=float(c)) for c in heights]
     lanes, starts, scales = [], [], []
     for i, lane_cfg in enumerate(cfgs):
@@ -517,8 +511,9 @@ class BifurcationDiagram:
             pc = PrimitiveCalculus(nl)
         heights = [float(c) for c in c_grid]
         ats = HeightPrimitives.many(op.operator, pc, heights, R)
+        shots = shoot_batch(op, heights, nl)
         rows = tuple(_diagram_row(c, res, at, pc, zeros, R, op.reports_switches)
-                     for c, res, at in zip(heights, _shots(op, heights, nl), ats))
+                     for c, res, at in zip(heights, shots, ats))
         return cls(rows, zeros, nl, pc, op, R)
 
     def branches(self) -> List[Tuple[int, int]]:
@@ -541,7 +536,7 @@ class BifurcationDiagram:
         return np.array([
             rescale_to_ball(res, self.R)
             if res is not None and isinstance(res.outcome, HitZero) else math.nan
-            for res in _shots(self.op, heights, self.nl)])
+            for res in shoot_batch(self.op, heights, self.nl)])
 
     def _level_brackets(self, lambda_star: float, found: List[Crossing]):
         """Where adjacent zero-hitting rows bracket the level.
@@ -814,18 +809,6 @@ def _diagram_row(c: float, res: Optional[ShootResult], at: HeightPrimitives,
                           idx, switches)
     return DiagramRow(c, res.outcome.kind, math.nan, math.nan, at.F,
                       at.Fbar, at.bound, math.nan, None, idx, switches)
-
-
-def diagram(nl: Nonlinearity, p: float, N: int, R: float,
-            c_grid: Sequence[float], zeros: ZeroSequence,
-            pc: Optional[PrimitiveCalculus] = None,
-            lambda_shoot: float = 1.0, tol_ode: float = 1e-8,
-            event_tol: float = 1e-10, r_max: float = 50.0
-            ) -> BifurcationDiagram:
-    """p-Laplacian ``BifurcationDiagram.scan`` of the grid."""
-    op = ShootConfig(p, N, 1.0, lambda_shoot=lambda_shoot, r_max=r_max,
-                     tol_ode=tol_ode, event_tol=event_tol)
-    return BifurcationDiagram.scan(op, nl, R, c_grid, zeros, pc)
 
 
 CSV_COLUMNS = ("c", "outcome", "rho", "lambda", "F_c", "Fbar_c",

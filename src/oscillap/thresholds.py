@@ -159,13 +159,9 @@ class Operator:
 
     def Gbar_many(self, pc: PrimitiveCalculus, s) -> np.ndarray:
         """Range of G on [0, s] at each s: G(s) - min over [0, s] of G
-        (``PrimitiveCalculus.Fbar`` at w = 1)."""
+        (Fbar at w = 1)."""
         G, lo, _ = pc.extrema_many(s, self.weight)
         return G - lo
-
-    def Gbar(self, pc: PrimitiveCalculus, s: float) -> float:
-        """The one-point ``Gbar_many``."""
-        return float(self.Gbar_many(pc, np.array([s], dtype=float))[0])
 
     def limits(self, nl: Nonlinearity,
                direction: Optional[str] = None) -> TailLimits:
@@ -203,12 +199,14 @@ class Operator:
         G(s)/s^e: below (e-1)/(e w R^e (L_plus - min(0, L_minus))) no
         bifurcation from the accumulation point occurs, that is, no
         sequence of positive radial solutions whose heights tend to it.
-        inf when both limits vanish or the limsup is negative (no such
-        bifurcation at any parameter; solutions of other heights may still
-        exist), and 0 when a limit diverges (no range is certified)."""
-        if limits.classification == "BothZero":
+        inf when both limits vanish or the limsup is negative, finite
+        (FinitePair) or not (MinusInfinite): no such bifurcation at any
+        parameter, though solutions of other heights may still exist.  0
+        when the limits diverge to +inf (PlusInfinite): no range is
+        certified."""
+        if limits.classification in ("BothZero", "MinusInfinite"):
             return math.inf
-        if limits.classification != "FinitePair":
+        if limits.classification == "PlusInfinite":
             return 0.0
         if not R > 0.0:
             raise DomainError(f"radius must be positive, got {R!r}")
@@ -224,7 +222,7 @@ class Operator:
     def bound(self, c: float, Gbar: float, R: float) -> float:
         """Per-solution bound: a radial solution of max height c on the
         radius-R ball has lambda >= (e-1) c^e / (e w R^e Gbar), with
-        Gbar = Gbar(c) the range of G on [0, c] (``Gbar``).  Raises
+        Gbar = Gbar(c) the range of G on [0, c] (``Gbar_many``).  Raises
         NonpositiveFbar when Gbar <= 0."""
         if not c > 0.0:
             raise DomainError(f"height must be positive, got {c!r}")
@@ -431,8 +429,8 @@ class ThresholdReport:
     """Both thresholds for one nonlinearity/operator pair, with provenance.
 
     ``lambda_under`` is the closed-form nonexistence threshold (may be 0
-    when the limits diverge and no range is certified, or inf in the
-    degenerate cases); ``lambda_bar`` the existence sequence limit.
+    when the limits diverge to +inf and no range is certified, or inf in
+    the degenerate cases); ``lambda_bar`` the existence sequence limit.
     """
 
     lambda_under: float

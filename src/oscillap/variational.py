@@ -2,10 +2,11 @@
 
 The existence mechanism works on one truncation level at a time: cut the
 nonlinearity to zero above a zero alpha_n, minimize the (now coercive)
-energy over radial profiles vanishing at r = R, and certify nontriviality
-by showing a ramp comparison function already has negative energy.  The
-minimizer of the truncated problem is an honest solution of the original
-one because it never leaves [0, alpha_n].
+energy over radial profiles vanishing at r = R; the minimizer is
+nontrivial once a plateau-and-ramp comparison function at the height
+gamma_n of its zero gap has negative energy.  The minimizer of the
+truncated problem is an honest solution of the original one because it
+never leaves [0, alpha_n].
 
 Energies here are per unit solid angle: the angular factor is a positive
 constant that shifts no minimizer and flips no sign, and dropping it makes
@@ -57,17 +58,11 @@ class TruncatedNonlinearity:
         out = np.where(s < 0.0, self._f0, inside)
         return np.where(s > self.alpha_n, 0.0, out)
 
-    def eval(self, s: float) -> float:
-        return float(self.eval_many(np.array([s]))[0])
-
     def F_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         inside = self.pc.F_many(np.clip(s, 0.0, self.alpha_n))
         out = np.where(s < 0.0, self._f0 * s, inside)
         return np.where(s > self.alpha_n, self._F_alpha, out)
-
-    def F(self, s: float) -> float:
-        return float(self.F_many(np.array([s]))[0])
 
 
 def _default_phi(p: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -237,11 +232,6 @@ def _energy_gradient(vals: np.ndarray, grid_r: np.ndarray, N: int,
     return g[:-1]
 
 
-def energy_gradient(u: GridFunction, tn: TruncatedNonlinearity,
-                    pot: Potential, lam: float) -> np.ndarray:
-    return _energy_gradient(u.values, u.r, u.N, tn, pot, lam)
-
-
 @dataclass
 class MinimizeResult:
     """Winning iterate of the multi-start projected Newton descent.
@@ -257,18 +247,6 @@ class MinimizeResult:
     active_lower: np.ndarray
     active_upper: np.ndarray
     energy_trace: List[float] = field(repr=False, default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "grid": [float(x) for x in self.u.r],
-            "values": [float(x) for x in self.u.values],
-            "energy": self.energy,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "start_index": self.start_index,
-            "active_lower": [bool(b) for b in self.active_lower],
-            "active_upper": [bool(b) for b in self.active_upper],
-        }
 
 
 def _cell_stiffness(grid_r: np.ndarray, N: int, pot: Potential,
@@ -512,33 +490,15 @@ def minimize(tn: TruncatedNonlinearity, pot: Potential, lam: float,
         energy_trace=trace)
 
 
-def comparison_function(gamma_n: float, delta: float, grid: np.ndarray,
-                        N: int = 1, p: float = 2.0) -> GridFunction:
-    """Plateau-and-ramp profile gamma_n min(1, (R - r)/delta) on the grid."""
-    grid_r = np.asarray(grid, dtype=float)
-    R = grid_r[-1]
-    if not 0.0 < delta < R:
-        raise DomainError(f"delta must sit inside (0, R), got {delta!r}")
-    if not gamma_n > 0.0:
-        raise DomainError(f"plateau height must be positive, got {gamma_n!r}")
-    vals = gamma_n * np.minimum(1.0, (R - grid_r) / delta)
-    vals[-1] = 0.0
-    return GridFunction(grid_r, vals, N, p)
-
-
-def negativity_test(tn: TruncatedNonlinearity, pot: Potential, lam: float,
-                    gamma_n: float, delta: float, grid: np.ndarray,
-                    N: int = 1) -> bool:
-    """True iff the ramp at gamma_n already has negative energy at lam."""
-    w = comparison_function(gamma_n, delta, grid, N=N, p=pot.p)
-    return assemble_energy(w, tn, pot, lam) < 0.0
-
-
 @dataclass(frozen=True)
 class SequenceItem:
+    """One truncation level's minimizer.  ``gamma_n`` is the height of the
+    existence sequence in the zero gap that ends at ``alpha_n``, or None
+    where that gap has none."""
+
     n: int
     alpha_n: float
-    gamma_n: float
+    gamma_n: Optional[float]
     sup_norm: float
     energy: float
     zero_interval_index: int
@@ -560,12 +520,13 @@ def run_sequence(nl: Nonlinearity, pot: Potential, lam: float,
 
     Truncation levels walk the zeros toward the accumulation target (up
     for divergent height sequences, down toward 0 for vanishing ones), so
-    the reported sup norms exhibit the trend the theory predicts.
+    the reported sup norms exhibit the trend the theory predicts.  Each
+    item carries the height of ``gammas`` in its own zero gap, the one
+    ``zeros.interval_index`` gives its level, or None: ``propose_gammas``
+    skips gaps, so the n-th height need not belong to the n-th level.
     """
     if K < 1:
         raise DomainError("need at least one truncation level")
-    if len(gammas) < K:
-        raise DomainError(f"need {K} plateau heights, got {len(gammas)}")
     if lambda_bar is not None and not lam > lambda_bar:
         warnings.warn(
             f"lambda = {lam!r} is not above the existence threshold "
@@ -577,6 +538,7 @@ def run_sequence(nl: Nonlinearity, pot: Potential, lam: float,
         raise DomainError(f"need {K} zeros, got {len(asc)}")
     toward_zero = nl.direction == "zero"
     levels = asc[::-1][:K] if toward_zero else asc[:K]
+    gamma_in = {zeros.interval_index(g): float(g) for g in gammas}
 
     def one(n_idx: int) -> SequenceItem:
         alpha_n = float(levels[n_idx])
@@ -587,7 +549,8 @@ def run_sequence(nl: Nonlinearity, pot: Potential, lam: float,
         trivial = sup <= 1e-12 * max(1.0, alpha_n)
         # the zero profile lies in no oscillation interval; record 0
         idx = 0 if trivial else zeros.interval_index(sup)
-        return SequenceItem(n_idx + 1, alpha_n, float(gammas[n_idx]), sup,
+        return SequenceItem(n_idx + 1, alpha_n,
+                            gamma_in.get(zeros.interval_index(alpha_n)), sup,
                             mres.energy, idx, trivial, mres)
 
     return [one(i) for i in range(K)]

@@ -13,7 +13,7 @@ import pytest
 
 from oscillap import (
     BallGeometry,
-    CustomTable,
+    BifurcationDiagram,
     EnvelopeTimesOnePlusSin,
     GridFunction,
     HitZero,
@@ -32,25 +32,27 @@ from oscillap import (
     check_necessary_conditions,
     clustered_heights,
     compute_thresholds,
-    diagram,
-    energy_gradient,
     find_zeros,
     lambda_n_sequence,
     minimize,
-    negativity_test,
     propose_gammas,
     pucci_shoot,
     radial_grid,
     rescale_to_ball,
     shoot,
 )
+from oscillap.variational import _energy_gradient
+
+from helpers import negativity_test, tabulate
 
 PI = math.pi
 NL = PowerTimesOnePlusSin(1.0)          # f(s) = s (1 + sin s)
 ZEROS = find_zeros(NL, 12)
 ALPHA_3 = 5.5 * PI
-LINEAR = CustomTable.from_function(lambda s: s, 30.0, 30000)
-CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
+LINEAR = tabulate(lambda s: s, 30.0, 30000)
+CONSTANT = tabulate(lambda s: 1.0, 5.0, 50)
+#: the p-Laplacian shot controls of the scans below
+SCAN = ShootConfig(2.0, 1, 1.0, tol_ode=1e-8, event_tol=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +62,7 @@ def existence_scan():
     report = compute_thresholds(Operator.p_laplacian(2.0), pc,
                                 BallGeometry(1, 1.0), "infinity")
     heights = clustered_heights(ZEROS, c_max=40.0)
-    diag = diagram(NL, 2.0, 1, 1.0, heights, ZEROS, pc=pc)
+    diag = BifurcationDiagram.scan(SCAN, NL, 1.0, heights, ZEROS, pc)
     return report, diag
 
 
@@ -69,7 +71,7 @@ def nonexistence_scan():
     """Log-spaced scan of large heights, c in [10, 1e4]."""
     pc = PrimitiveCalculus(NL)
     grid = np.geomspace(10.0, 1e4, 240)
-    diag = diagram(NL, 2.0, 1, 1.0, grid, ZEROS, pc=pc)
+    diag = BifurcationDiagram.scan(SCAN, NL, 1.0, grid, ZEROS, pc)
     return pc, diag
 
 
@@ -97,7 +99,8 @@ def test_criterion_2_energy_identity_across_scan():
     for p in (2.0, 3.0):
         pc = PrimitiveCalculus(NL)
         for N in (1, 2, 3):
-            diag = diagram(NL, p, N, 1.0, grid, ZEROS, pc=pc, tol_ode=1e-12)
+            op = ShootConfig(p, N, 1.0, tol_ode=1e-12, event_tol=1e-10)
+            diag = BifurcationDiagram.scan(op, NL, 1.0, grid, ZEROS, pc)
             hits = [r for r in diag.rows if r.outcome == "HitZero"]
             assert hits, f"no solutions on the scan at p={p}, N={N}"
             worst = max(r.energy_residual for r in hits)
@@ -139,9 +142,10 @@ def test_criterion_4_nonexistence_threshold_respected(nonexistence_scan):
     pc, diag = nonexistence_scan
     hits = [r for r in diag.rows if r.outcome == "HitZero"]
     assert len(hits) >= 200
-    for r in hits:
+    F, lo, _ = pc.extrema_many([r.c for r in hits])
+    for r, Fbar in zip(hits, F - lo):
         assert r.lam >= 1.0 - 1e-6
-        bound = (2.0 - 1.0) * r.c ** 2.0 / (2.0 * 1.0 * pc.Fbar(r.c))
+        bound = (2.0 - 1.0) * r.c ** 2.0 / (2.0 * 1.0 * Fbar)
         assert r.lam >= bound - 1e-8
         assert r.lower_bound == pytest.approx(bound, rel=1e-12)
 
@@ -240,13 +244,15 @@ def test_criterion_8_primitive_calculus():
     assert unit.F(2 * PI) == pytest.approx(2 * PI, rel=1e-8)
     assert unit.F(PI / 3) == pytest.approx(PI / 3 + 0.5, rel=1e-8)
 
-    cos_tab = PrimitiveCalculus(
-        CustomTable.from_function(math.cos, 7.0, 60001))
-    assert cos_tab.Fbar(2 * PI) == pytest.approx(1.0, rel=1e-8)
+    cos_tab = PrimitiveCalculus(tabulate(math.cos, 7.0, 60001))
+    F, lo, _ = cos_tab.extrema_many([2 * PI])
+    assert F[0] - lo[0] == pytest.approx(1.0, rel=1e-8)   # Fbar(2 pi)
 
     sine = PrimitiveCalculus(PureSine())
-    assert sine.F_Lambda(2 * PI, 2.0) == pytest.approx(1.5, rel=1e-8)
-    assert sine.F_under(PI, 2 * PI) == pytest.approx(-2.0, abs=1e-8)
+    assert sine.F_Lambda_many([2 * PI], 2.0)[0] == pytest.approx(1.5, rel=1e-8)
+    # min over t in [0, pi] of the integral of sin from t to 2 pi
+    _, _, hi = sine.extrema_many([PI])
+    assert sine.F(2 * PI) - hi[0] == pytest.approx(-2.0, abs=1e-8)
 
     # threshold ordering lambda_under <= lambda_bar on both model instances
     rep = compute_thresholds(Operator.p_laplacian(2.0), pc_power,
@@ -273,7 +279,7 @@ def test_criterion_9_gradient_check():
         tn = TruncatedNonlinearity(NL, alpha, zero_tolerance=math.inf)
         pot = Potential.p_laplacian(p)
         lam = float(rng.uniform(0.5, 30.0))
-        g = energy_gradient(GridFunction(grid, vals, 1, p), tn, pot, lam)
+        g = _energy_gradient(vals, grid, 1, tn, pot, lam)
         step = 1e-6 * max(1.0, alpha)
         fd = np.zeros_like(g)
         for i in range(len(g)):

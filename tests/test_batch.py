@@ -23,7 +23,6 @@ from oscillap.errors import (
     StalledAtCriticalPoint,
 )
 from oscillap.nonlinearity import (
-    CustomTable,
     EnvelopeTimesOnePlusSin,
     PowerTimesOnePlusSin,
     PureSine,
@@ -37,18 +36,21 @@ from oscillap.shoot_plap import (
     BifurcationDiagram,
     HitZero,
     ShootConfig,
-    diagram,
     rescale_to_ball,
     shoot,
     shoot_batch,
 )
 from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
 
+from helpers import tabulate
+
 CANONICAL = PowerTimesOnePlusSin(1.0)
 CANONICAL_ZEROS = find_zeros(CANONICAL, 6)
 #: batched rows match scalar shots to this relative tolerance on lambda
 ROW_RTOL = 1e-7
 TOL_ODE = 1e-10
+#: the p = 2, N = 1 shots of the canonical scans below
+P2N1 = ShootConfig(2.0, 1, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
 
 
 # -- the engine on closed forms ---------------------------------------------
@@ -256,7 +258,8 @@ def _scalar_lambda(cfg, nl, R=1.0):
 
 def _assert_rows_match_scalar(nl, p, N, heights, zeros):
     pc = PrimitiveCalculus(nl)
-    dg = diagram(nl, p, N, 1.0, heights, zeros, pc=pc, tol_ode=TOL_ODE)
+    op = ShootConfig(p, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
+    dg = BifurcationDiagram.scan(op, nl, 1.0, heights, zeros, pc)
     for row in dg.rows:
         ref = _scalar_lambda(ShootConfig(p, N, row.c, tol_ode=TOL_ODE,
                                          event_tol=1e-10), nl)
@@ -299,7 +302,7 @@ def test_batched_rows_match_scalar_table(p, N, waves, heights):
     # last bit), so each carries its own integration error: about 1e-6 in
     # lambda on 65 nodes over [0, 32] at tol 1e-10, 3e-7 on 3201 nodes and
     # 5e-9 on 32001, the resolution used here.
-    table = CustomTable.from_function(
+    table = tabulate(
         lambda s: 1.0 + sum(a * math.sin(w * s + ph) for a, w, ph in waves),
         32.0, 32000)
     _assert_rows_match_scalar(table, p, N, heights,
@@ -312,8 +315,8 @@ def test_batched_rows_match_scalar_through_bounces():
     heights = [0.7, 2.0, math.pi, 3.6, 4.4, 5.2, 6.0, 7.5, 9.0]
     nl = PureSine()
     pc = PrimitiveCalculus(nl)
-    dg = diagram(nl, 2.0, 2, 1.0, heights, find_zeros(nl, 4), pc=pc,
-                 tol_ode=TOL_ODE)
+    op = ShootConfig(2.0, 2, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
+    dg = BifurcationDiagram.scan(op, nl, 1.0, heights, find_zeros(nl, 4), pc)
     kinds = {row.outcome for row in dg.rows}
     assert {"HitZero", "Bounced", "Stalled"} <= kinds
     _assert_rows_match_scalar(nl, 2.0, 2, heights, find_zeros(nl, 4))
@@ -355,8 +358,9 @@ def test_pucci_at_unit_ellipticity_matches_laplacian_batch(N, heights):
     pucci = BifurcationDiagram.scan(
         PucciShootConfig(1.0, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10),
         CANONICAL, 1.0, heights, CANONICAL_ZEROS).rows
-    plap = diagram(CANONICAL, 2.0, N, 1.0, heights, CANONICAL_ZEROS,
-                   tol_ode=TOL_ODE).rows
+    op = ShootConfig(2.0, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
+    plap = BifurcationDiagram.scan(op, CANONICAL, 1.0,
+                                   heights, CANONICAL_ZEROS).rows
     for a, b in zip(pucci, plap):
         assert a.outcome == b.outcome
         if a.outcome == "HitZero":
@@ -375,9 +379,10 @@ _GRID = np.linspace(0.5, 30.0, 199)
        p=st.sampled_from([2.0, 3.0]))
 def test_row_does_not_depend_on_the_rest_of_the_batch(c, p):
     cfg = ShootConfig(p, 2, 1.0, tol_ode=TOL_ODE)
-    alone = shoot_batch(cfg, [c], CANONICAL)[0]
+    [alone] = shoot_batch(cfg, [c], CANONICAL)
     grid = np.sort(np.append(_GRID, c))
-    within = shoot_batch(cfg, grid, CANONICAL)[int(np.searchsorted(grid, c))]
+    shots = list(shoot_batch(cfg, grid, CANONICAL))
+    within = shots[int(np.searchsorted(grid, c))]
     assert alone.config.c == within.config.c == c
     assert alone.outcome.kind == within.outcome.kind
     assert within.outcome.rho == pytest.approx(alone.outcome.rho, rel=1e-10)
@@ -389,8 +394,8 @@ def test_unclosable_pole_bracket_is_reported_not_raised():
     # Doctor two rows around alpha_1 so they straddle a level no height
     # next to alpha_1 reaches: the bracket is reported as unresolved.
     alpha1 = CANONICAL_ZEROS.alphas[0]
-    dg = diagram(CANONICAL, 2.0, 1, 1.0, [4.0, 5.5], CANONICAL_ZEROS,
-                 tol_ode=TOL_ODE)
+    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
+                                 [4.0, 5.5], CANONICAL_ZEROS)
     assert [r.zero_interval_index for r in dg.rows] == [1, 2]
     dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
                dataclasses.replace(dg.rows[1], lam=2e12))
@@ -406,7 +411,7 @@ def test_refined_crossings_sit_on_the_level():
     # every crossing of a 120-row grid, refined in shared batches, within
     # the refinement tolerance of the level and inside its own gap
     grid = np.linspace(0.5, 30.0, 120)
-    dg = diagram(CANONICAL, 2.0, 1, 1.0, grid, CANONICAL_ZEROS, tol_ode=TOL_ODE)
+    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0, grid, CANONICAL_ZEROS)
     for level in (3.0, 5.0, 40.0):
         xs = dg.solutions_at(level)
         assert xs and [x.c for x in xs] == sorted(x.c for x in xs)
@@ -452,8 +457,8 @@ def test_shared_rounds_match_levels_alone_through_a_pole(monkeypatch):
     # 41.93 brackets a crossing against a height next to alpha_2 (a pole
     # bracket, its heights shot in the first round); 5.0 has none
     grid = np.linspace(0.4845, 29.788, 200)
-    dg = diagram(CANONICAL, 2.0, 1, 1.0, grid, find_zeros(CANONICAL, 12),
-                 tol_ode=TOL_ODE)
+    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
+                                 grid, find_zeros(CANONICAL, 12))
     together, _ = _assert_shared_rounds_change_nothing(dg, [41.93, 5.0],
                                                        monkeypatch)
     assert [x.level for x in together] == sorted(
@@ -465,8 +470,8 @@ def test_levels_sharing_a_pole_row_shoot_its_heights_once(monkeypatch):
     # both levels lie between the pole rows' lambdas and their neighbours
     # across alpha_2, so they propose the same heights next to it
     grid = np.linspace(0.4845, 29.788, 200)
-    dg = diagram(CANONICAL, 2.0, 1, 1.0, grid, find_zeros(CANONICAL, 12),
-                 tol_ode=TOL_ODE)
+    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
+                                 grid, find_zeros(CANONICAL, 12))
     shot = []
     lambdas = dg._lambdas
 
@@ -482,7 +487,8 @@ def test_levels_sharing_a_pole_row_shoot_its_heights_once(monkeypatch):
 
 def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
     op = PucciShootConfig(2.0, 2, 1.0, tol_ode=TOL_ODE)
-    dg = BifurcationDiagram.scan(op, CANONICAL, 1.0, np.linspace(0.5, 20.0, 60),
+    dg = BifurcationDiagram.scan(op, CANONICAL, 1.0,
+                                 np.linspace(0.5, 20.0, 60),
                                  find_zeros(CANONICAL, 8))
     together, _ = _assert_shared_rounds_change_nothing(dg, [5.0, 20.0],
                                                        monkeypatch)
@@ -492,8 +498,8 @@ def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
 
 def test_shared_rounds_keep_unclosable_brackets_apart(monkeypatch):
     # the doctored rows of test_unclosable_pole_bracket_is_reported_not_raised
-    dg = diagram(CANONICAL, 2.0, 1, 1.0, [4.0, 5.5], CANONICAL_ZEROS,
-                 tol_ode=TOL_ODE)
+    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
+                                 [4.0, 5.5], CANONICAL_ZEROS)
     dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
                dataclasses.replace(dg.rows[1], lam=2e12))
     together, unresolved = _assert_shared_rounds_change_nothing(

@@ -15,6 +15,8 @@ from oscillap.nonlinearity import (
     nonlinearity_from_json,
 )
 
+from helpers import tabulate
+
 PI = math.pi
 
 
@@ -75,7 +77,7 @@ def test_zeros_are_numerically_zeros_all_kinds():
         ReciprocalOscillation(2.0),
         PureSine(),
         EnvelopeTimesOnePlusSin(g),
-        CustomTable.from_function(lambda s: math.sin(s), 40.0, 4001),
+        tabulate(lambda s: math.sin(s), 40.0, 4001),
     ]
     for nl in kinds:
         zs = find_zeros(nl, 3)
@@ -92,7 +94,7 @@ def test_constant_table_has_no_zeros():
 
 
 def test_too_many_requested_zeros_from_table():
-    tab = CustomTable.from_function(lambda s: math.sin(s), 10.0, 1001)
+    tab = tabulate(lambda s: math.sin(s), 10.0, 1001)
     with pytest.raises(NoZerosFound):
         find_zeros(tab, 10)
 
@@ -123,13 +125,14 @@ def test_custom_table_validation():
 
 
 def test_custom_table_crossings_and_sign():
-    tab = CustomTable.from_function(lambda s: math.sin(s) - 0.1, 20.0, 2001)
-    assert not tab.nonneg
+    tab = tabulate(lambda s: math.sin(s) - 0.1, 20.0, 2001)
     zs = find_zeros(tab, 2)
     want = [math.asin(0.1), PI - math.asin(0.1)]
     np.testing.assert_allclose(zs.alphas, want, rtol=1e-4)
-    pos = CustomTable.from_function(lambda s: 1 + math.cos(s), 20.0, 2001)
-    assert pos.nonneg
+    assert tab.sign_change_points(20.0)[:2] == list(zs.alphas)
+    # touch zeros of 1 + cos s at odd multiples of pi change no sign
+    pos = tabulate(lambda s: 1 + math.cos(s), 20.0, 2001)
+    assert pos.sign_change_points(20.0) == []
 
 
 def test_zero_sequence_interval_index():
@@ -151,20 +154,24 @@ def test_zero_sequence_validation():
         ZeroSequence((1.0, 2.0), "sideways")
 
 
-def test_json_round_trip():
+def test_json_spec_builds_each_kind():
+    table = [[0.0, -3.0], [2.0, 1.0], [5.0, 22.0]]
     cases = [
-        PowerTimesOnePlusSin(1.5),
-        ReciprocalOscillation(2.0),
-        PureSine(),
-        EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [30.0, 2.0]])),
-        CustomTable.from_function(lambda s: s * s - 3.0, 5.0, 101),
+        ({"kind": "power_sin", "r": 1.5}, PowerTimesOnePlusSin(1.5)),
+        ({"kind": "reciprocal_sin", "r": 2.0}, ReciprocalOscillation(2.0)),
+        ({"kind": "pure_sine"}, PureSine()),
+        ({"kind": "envelope_sin", "samples": [[0.0, 1.0], [30.0, 2.0]]},
+         EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [30.0, 2.0]]))),
+        ({"kind": "table", "samples": table, "direction": "zero"},
+         CustomTable(np.array(table), direction="zero")),
     ]
     pts = [0.0, 0.3, 1.7, 4.2]
-    for nl in cases:
-        back = nonlinearity_from_json(nl.to_json())
+    for spec, nl in cases:
+        back = nonlinearity_from_json(spec)
         assert type(back) is type(nl)
+        assert back.direction == nl.direction
         for s in pts:
-            assert back.eval(s) == pytest.approx(nl.eval(s), rel=1e-14, abs=1e-14)
+            assert back.eval(s) == nl.eval(s)
 
 
 @pytest.mark.parametrize("spec, direction", [

@@ -24,6 +24,8 @@ from oscillap.primitives import (
 from oscillap.shoot_plap import HeightPrimitives
 from oscillap.thresholds import Operator, TailLimits
 
+from helpers import tabulate
+
 PI = math.pi
 
 # f(s) = s (1 + sin s) has the closed-form antiderivative s^2/2 + sin s - s cos s
@@ -81,7 +83,7 @@ def test_primitive_zero_function():
     pc = PrimitiveCalculus(z)
     for s in (0.0, 1.0, 17.3):
         assert pc.F(s) == 0.0
-        assert pc.Fbar(s) == 0.0
+    assert list(_fbar(pc, [0.0, 1.0, 17.3])) == [0.0] * 3
 
 
 def test_primitive_one_plus_sin_envelope():
@@ -92,51 +94,56 @@ def test_primitive_one_plus_sin_envelope():
     assert pc.F(PI / 3) == pytest.approx(PI / 3 + 0.5, rel=1e-10)
 
 
+def _fbar(pc, s):
+    """Fbar = F - its running minimum at each s."""
+    F, lo, _ = pc.extrema_many(s)
+    return F - lo
+
+
 def test_fbar_equals_f_for_nonnegative(pc_power):
     s = np.linspace(0.0, 30.0, 100)
-    for x in s:
-        assert pc_power.Fbar(float(x)) == pytest.approx(pc_power.F(float(x)),
-                                                        rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(_fbar(pc_power, s), pc_power.F_many(s),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_fbar_cos_table():
     # F = sin s dips to -1 at 3pi/2, so Fbar(2pi) = 0 - (-1) = 1
-    tab = CustomTable.from_function(math.cos, 7.0, 60001)
+    tab = tabulate(math.cos, 7.0, 60001)
     pc = PrimitiveCalculus(tab)
-    assert pc.Fbar(2 * PI) == pytest.approx(1.0, rel=1e-8)
-    assert pc.Fbar(0.0) == 0.0
+    fb = _fbar(pc, [2 * PI, 0.0])
+    assert fb[0] == pytest.approx(1.0, rel=1e-8)
+    assert fb[1] == 0.0
 
 
 def test_fbar_dominates_f_and_zero(pc_sine):
-    for s in np.linspace(0.0, 25.0, 120):
-        fb = pc_sine.Fbar(float(s))
-        assert fb >= -1e-12
-        assert fb >= pc_sine.F(float(s)) - 1e-12
+    s = np.linspace(0.0, 25.0, 120)
+    fb = _fbar(pc_sine, s)
+    assert np.all(fb >= -1e-12)
+    assert np.all(fb >= pc_sine.F_many(s) - 1e-12)
 
 
 def test_fbar_nondecreasing_for_nonnegative_f(pc_power):
     s = np.linspace(0.0, 40.0, 400)
-    vals = [pc_power.Fbar(float(x)) for x in s]
-    diffs = np.diff(vals)
+    diffs = np.diff(_fbar(pc_power, s))
     assert np.all(diffs >= -1e-9)
 
 
 def test_f_lambda_identity_at_one():
     pc = PrimitiveCalculus(PureSine())
-    for s in np.linspace(0.0, 20.0, 80):
-        F = pc.F(float(s))
-        assert abs(pc.F_Lambda(float(s), 1.0) - F) <= 1e-10 * (1 + abs(F))
+    s = np.linspace(0.0, 20.0, 80)
+    F = pc.F_many(s)
+    assert np.all(np.abs(pc.F_Lambda_many(s, 1.0) - F) <= 1e-10 * (1 + np.abs(F)))
 
 
 def test_f_lambda_equals_f_for_nonnegative():
     pc = PrimitiveCalculus(PowerTimesOnePlusSin(1.0))
-    for s in (0.5, 3.0, 11.0):
-        assert pc.F_Lambda(s, 3.0) == pytest.approx(pc.F(s), rel=1e-12)
+    s = np.array([0.5, 3.0, 11.0])
+    np.testing.assert_allclose(pc.F_Lambda_many(s, 3.0), pc.F_many(s), rtol=1e-12)
 
 
 def test_f_lambda_sine_closed_form(pc_sine):
     # over [0, 2pi]: int f+ = 2, int f- = 2, so F_Lambda = 2 - 2/4 = 1.5
-    assert pc_sine.F_Lambda(2 * PI, 2.0) == pytest.approx(1.5, rel=1e-8)
+    assert pc_sine.F_Lambda_many([2 * PI], 2.0)[0] == pytest.approx(1.5, rel=1e-8)
 
 
 def _sine_negative_part(s):
@@ -149,7 +156,7 @@ def test_f_splits_into_signed_parts():
     """F- = integral max(-f, 0) against independent values: 0 for f >= 0,
     the closed form for sin, and a dense trapezoid sum for a table."""
     rng = np.random.default_rng(7)
-    tab = CustomTable.from_function(lambda s: math.sin(1.3 * s) - 0.2, 30.0, 3001)
+    tab = tabulate(lambda s: math.sin(1.3 * s) - 0.2, 30.0, 3001)
     grid = np.linspace(0.0, 25.0, 2_500_001)
     neg = np.maximum(-tab.eval_many(grid), 0.0)
     trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (neg[1:] + neg[:-1])
@@ -161,34 +168,14 @@ def test_f_splits_into_signed_parts():
         (PrimitiveCalculus(tab), lambda s: float(np.interp(s, grid, trapezoid))),
     ]
     for pc, negative_part in cases:
-        for s in rng.uniform(0.0, 25.0, 100):
-            want = negative_part(float(s))
-            assert abs(pc.Fminus(float(s)) - want) <= 1e-8 * (1 + abs(want))
-
-
-def test_funder_closed_forms(pc_sine, pc_power):
-    # f = sin: F = 1 - cos, max over [0, pi] is 2
-    assert pc_sine.F_under(PI, 2 * PI) == pytest.approx(-2.0, abs=1e-8)
-    # s1 = 0 admits only t = 0
-    assert pc_sine.F_under(0.0, 5.0) == pytest.approx(pc_sine.F(5.0), rel=1e-10)
-    # nondecreasing primitive: F_under(s, s) = 0
-    assert pc_power.F_under(8.0, 8.0) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(DomainError):
-        pc_sine.F_under(3.0, 2.0)
-
-
-def test_funder_is_a_lower_envelope(pc_sine):
-    rng = np.random.default_rng(3)
-    s1, s2 = 9.0, 14.0
-    fu = pc_sine.F_under(s1, s2)
-    assert fu <= pc_sine.F(s2) + 1e-9
-    for t in rng.uniform(0.0, s1, 20):
-        assert fu <= pc_sine.F(s2) - pc_sine.F(float(t)) + 1e-9
+        s = rng.uniform(0.0, 25.0, 100)
+        want = np.array([negative_part(float(x)) for x in s])
+        assert np.all(np.abs(pc._Fminus_many(s) - want) <= 1e-8 * (1 + np.abs(want)))
 
 
 def test_running_extrema_bracket_checkpoints(pc_sine):
     s = 17.0
-    rmin, rmax = pc_sine.running_min(s), pc_sine.running_max(s)
+    _, [rmin], [rmax] = pc_sine.extrema_many([s])
     assert rmin <= min(0.0, pc_sine.F(s)) + 1e-12
     assert rmax >= max(0.0, pc_sine.F(s)) - 1e-12
     for t in np.linspace(0.0, s, 50):
@@ -281,8 +268,7 @@ def test_limit_estimate_constant_ratio_exact():
 def test_limit_estimate_cubic_toward_zero():
     # the interpolant of s^3 is linear on its first segment, of slope
     # h^2 with h = 1/20001, so F ~ h^2 s^2 / 2 there
-    tab = CustomTable.from_function(lambda s: s ** 3, 1.0, 20001,
-                                    direction="zero")
+    tab = tabulate(lambda s: s ** 3, 1.0, 20001, direction="zero")
     est = Operator.p_laplacian(2.0).limits(tab)
     h = tab.xs[1]
     assert est.classification == "FinitePair"
@@ -379,11 +365,16 @@ def test_tail_limits_are_exact_and_match_the_far_field(case, direction):
 UNIT_ENVELOPE = EnvelopeTimesOnePlusSin(np.array([[0.0, 1.0], [100.0, 1.0]]))
 
 
+def _one_point_extrema(pc, x, Lambda):
+    """(F_Lambda, min, max) at x from a one-point ``extrema_many`` call."""
+    return tuple(float(v[0]) for v in pc.extrema_many([x], Lambda))
+
+
 #: one-point reads that threads share: F, and the running extrema of
 #: F_Lambda at two Lambda, whose tables the first reader of each creates
 _SHARED_READS = (lambda pc, x: pc.F(x),
-                 lambda pc, x: pc.extrema(x, 1.5),
-                 lambda pc, x: pc.extrema(x, 2.0))
+                 lambda pc, x: _one_point_extrema(pc, x, 1.5),
+                 lambda pc, x: _one_point_extrema(pc, x, 2.0))
 
 
 def test_concurrent_reads_match_serial():
@@ -448,7 +439,7 @@ _PROPERTY_PC = PrimitiveCalculus(PureSine())
 
 @given(st.floats(min_value=0.0, max_value=60.0, allow_nan=False))
 def test_fbar_nonnegative_property(s):
-    fb = _PROPERTY_PC.Fbar(s)
+    [fb] = _fbar(_PROPERTY_PC, [s])
     assert fb >= -1e-12
     assert fb >= _PROPERTY_PC.F(s) - 1e-12
 
@@ -462,7 +453,7 @@ _PANEL_CACHE_CASES = {
     "power_sin r=1.5": PowerTimesOnePlusSin(1.5),
     "envelope_sin": EnvelopeTimesOnePlusSin(
         np.array([[0.0, 1.0], [7.3, 2.5], [19.1, 2.6], [50.0, 4.0]])),
-    "cos table": CustomTable.from_function(lambda s: math.cos(s) + 0.3, 40.0, 801),
+    "cos table": tabulate(lambda s: math.cos(s) + 0.3, 40.0, 801),
 }
 _LAMBDAS = (1.0, 1.5, 2.0)
 #: each quantity and the Lambda it is asked at; None asks extrema at its default
@@ -473,12 +464,12 @@ def _query(pc, quantity, xs, batched, Lambda):
     """``quantity`` at each x (at ``Lambda`` for the F_Lambda family), by
     one batched call or one call per point."""
     args = () if Lambda is None else (Lambda,)
-    if batched and quantity == "extrema":
-        _, lo, hi = pc.extrema_many(np.array(xs), *args)
-        return list(zip(lo.tolist(), hi.tolist()))
-    if batched:
-        return [float(v) for v in getattr(pc, quantity + "_many")(np.array(xs), *args)]
-    return [getattr(pc, quantity)(x, *args) for x in xs]
+    groups = [xs] if batched else [[x] for x in xs]
+    if quantity == "extrema":
+        return [pair for g in groups
+                for pair in zip(*(v.tolist() for v in pc.extrema_many(g, *args)[1:]))]
+    return [float(v) for g in groups
+            for v in getattr(pc, quantity + "_many")(np.array(g), *args)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,8 +505,7 @@ def test_primitive_values_do_not_depend_on_query_order(case, s, data):
 _LAMBDA_ONE_CASES = {
     **_PANEL_CACHE_CASES,
     "reciprocal_sin": ReciprocalOscillation(2.0),
-    "sin table": CustomTable.from_function(lambda s: math.sin(1.3 * s) - 0.2,
-                                           30.0, 3001),
+    "sin table": tabulate(lambda s: math.sin(1.3 * s) - 0.2, 30.0, 3001),
 }
 
 
@@ -530,9 +520,9 @@ def test_pucci_at_lambda_one_is_the_laplacian_bit_for_bit(case):
     assert (a.L_minus, a.L_plus, a.classification) == \
         (b.L_minus, b.L_plus, b.classification)
     assert pucci.lambda_under(1.5, a) == plap.lambda_under(1.5, b)
-    for c in (0.3, 2.5, 8.6667, 17.3, 29.0):
-        Gbar = pucci.Gbar(pc, c)
-        assert Gbar == plap.Gbar(pc, c)
+    cs = [0.3, 2.5, 8.6667, 17.3, 29.0]
+    np.testing.assert_array_equal(pucci.Gbar_many(pc, cs), plap.Gbar_many(pc, cs))
+    for c, Gbar in zip(cs, plap.Gbar_many(pc, cs).tolist()):
         if Gbar > 0.0:   # the sin table sits at its running min at some c
             assert pucci.bound(c, Gbar, 1.5) == plap.bound(c, Gbar, 1.5)
         # equal fields, with the nan bound of Gbar = 0 equal to itself
@@ -575,7 +565,7 @@ def test_extrema_many_is_the_one_point_extrema_for_every_backend(case, Lambda, d
     s = s + data.draw(st.lists(st.sampled_from(s), max_size=4))   # repeats
     G, lo, hi = PrimitiveCalculus(nl).extrema_many(np.array(s), Lambda)
     one = PrimitiveCalculus(nl)
-    want = [(one.F_Lambda(x, Lambda),) + one.extrema(x, Lambda) for x in s]
+    want = [_one_point_extrema(one, x, Lambda) for x in s]
     np.testing.assert_array_equal(_bits(np.column_stack([G, lo, hi])), _bits(want))
 
 

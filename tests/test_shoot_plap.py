@@ -12,7 +12,6 @@ from oscillap.errors import (
     StalledAtCriticalPoint,
 )
 from oscillap.nonlinearity import (
-    CustomTable,
     PowerTimesOnePlusSin,
     PureSine,
     ZeroSequence,
@@ -21,20 +20,22 @@ from oscillap.nonlinearity import (
 from oscillap.primitives import PrimitiveCalculus
 from oscillap.shoot_plap import (
     CSV_COLUMNS,
+    BifurcationDiagram,
     Bounced,
     HitZero,
     HorizonExceeded,
     ShootConfig,
     check_necessary_conditions,
     clustered_heights,
-    diagram,
     diagram_csv_lines,
     rescale_to_ball,
     shoot,
 )
 
-LINEAR = CustomTable.from_function(lambda s: s, 30.0, 30000)
-CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
+from helpers import tabulate
+
+LINEAR = tabulate(lambda s: s, 30.0, 30000)
+CONSTANT = tabulate(lambda s: 1.0, 5.0, 50)
 CANONICAL = PowerTimesOnePlusSin(1.0)
 
 
@@ -177,8 +178,9 @@ def test_diagram_flat_for_linear_source():
     """lambda(c) is constant when f is linear: every height rescales alike."""
     zs = ZeroSequence(np.array([1e6]), "infinity")
     pc = PrimitiveCalculus(LINEAR)
-    dg = diagram(LINEAR, 2.0, 1, 1.0, np.linspace(1.0, 25.0, 8), zs, pc=pc,
-                 tol_ode=1e-9)
+    op = ShootConfig(2.0, 1, 1.0, tol_ode=1e-9, event_tol=1e-10)
+    dg = BifurcationDiagram.scan(op, LINEAR, 1.0,
+                                 np.linspace(1.0, 25.0, 8), zs, pc)
     lams = np.array([row.lam for row in dg.rows])
     assert np.max(np.abs(lams - math.pi ** 2 / 4)) <= 1e-8
     assert dg.branches() == [(0, 8)]
@@ -188,8 +190,8 @@ def test_diagram_rows_and_stall(pc_canonical):
     zeros = find_zeros(CANONICAL, 4)
     alpha1 = zeros.ascending()[0]
     grid = [3.0, float(alpha1), 7.0]
-    dg = diagram(CANONICAL, 2.0, 2, 1.0, grid, zeros, pc=pc_canonical,
-                 tol_ode=1e-9)
+    op = ShootConfig(2.0, 2, 1.0, tol_ode=1e-9, event_tol=1e-10)
+    dg = BifurcationDiagram.scan(op, CANONICAL, 1.0, grid, zeros, pc_canonical)
     assert [row.outcome for row in dg.rows] == ["HitZero", "Stalled", "HitZero"]
     stalled = dg.rows[1]
     assert math.isnan(stalled.rho) and math.isnan(stalled.lam)
@@ -203,8 +205,9 @@ def test_diagram_rows_and_stall(pc_canonical):
 
 def test_diagram_csv_layout(pc_canonical):
     zeros = find_zeros(CANONICAL, 4)
-    dg = diagram(CANONICAL, 2.0, 2, 1.0, [3.0, 7.0], zeros, pc=pc_canonical,
-                 tol_ode=1e-9)
+    op = ShootConfig(2.0, 2, 1.0, tol_ode=1e-9, event_tol=1e-10)
+    dg = BifurcationDiagram.scan(op, CANONICAL, 1.0,
+                                 [3.0, 7.0], zeros, pc_canonical)
     lines = diagram_csv_lines(dg)
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
@@ -215,22 +218,23 @@ def test_diagram_csv_layout(pc_canonical):
     assert float(first[3]) == dg.rows[0].lam
     assert first[8] in ("true", "false")
     # a second identical scan serializes byte for byte
-    dg2 = diagram(CANONICAL, 2.0, 2, 1.0, [3.0, 7.0], zeros, pc=pc_canonical,
-                  tol_ode=1e-9)
+    dg2 = BifurcationDiagram.scan(op, CANONICAL, 1.0,
+                                  [3.0, 7.0], zeros, pc_canonical)
     assert diagram_csv_lines(dg2) == lines
 
 
 def test_diagram_empty_grid(pc_canonical):
     zeros = find_zeros(CANONICAL, 4)
+    op = ShootConfig(2.0, 2, 1.0, tol_ode=1e-8, event_tol=1e-10)
     with pytest.raises(EmptyGrid):
-        diagram(CANONICAL, 2.0, 2, 1.0, [], zeros, pc=pc_canonical)
+        BifurcationDiagram.scan(op, CANONICAL, 1.0, [], zeros, pc_canonical)
 
 
 def test_solutions_at_crossing_level(pc_canonical):
     zeros = find_zeros(CANONICAL, 4)
     grid = clustered_heights(zeros, c_min=2.0, c_max=25.0)
-    dg = diagram(CANONICAL, 2.0, 2, 1.0, grid, zeros, pc=pc_canonical,
-                 tol_ode=1e-8)
+    op = ShootConfig(2.0, 2, 1.0, tol_ode=1e-8, event_tol=1e-10)
+    dg = BifurcationDiagram.scan(op, CANONICAL, 1.0, grid, zeros, pc_canonical)
     sols = dg.solutions_at(541.0)
     assert len(sols) >= 3
     cs = [s.c for s in sols]

@@ -7,7 +7,6 @@ import pytest
 
 from oscillap.errors import DomainError, NotAZeroHit, StalledAtCriticalPoint
 from oscillap.nonlinearity import (
-    CustomTable,
     PowerTimesOnePlusSin,
     PureSine,
     find_zeros,
@@ -27,8 +26,10 @@ from oscillap.shoot_plap import (
 from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
 from oscillap.thresholds import BallGeometry, Operator, compute_thresholds
 
-LINEAR = CustomTable.from_function(lambda s: s, 30.0, 30000)
-CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
+from helpers import tabulate
+
+LINEAR = tabulate(lambda s: s, 30.0, 30000)
+CONSTANT = tabulate(lambda s: 1.0, 5.0, 50)
 CANONICAL = PowerTimesOnePlusSin(1.0)
 
 
@@ -161,9 +162,10 @@ def test_area_condition_uses_weighted_primitive():
     d = check_necessary_conditions(res, pc, 1.0)
     assert d.residual == 0.0
     assert d.F_at_max_ok and d.area_condition_ok
-    assert pc.F(c) < pc.running_max(c) - 0.2
-    assert pc.F_Lambda(c, 2.0) == pytest.approx(pc.extrema(c, 2.0)[1],
-                                                rel=1e-12)
+    F, _, Fmax = pc.extrema_many([c])
+    assert F[0] < Fmax[0] - 0.2
+    G, _, Gmax = pc.extrema_many([c], 2.0)
+    assert G[0] == pytest.approx(Gmax[0], rel=1e-12)
 
 
 def test_primitives_of_any_lambda_serve_a_pucci_shot():
@@ -175,7 +177,7 @@ def test_primitives_of_any_lambda_serve_a_pucci_shot():
     c = 8.6667
     cfg = PucciShootConfig(2.0, 2, c)
     pc = PrimitiveCalculus(PureSine())
-    pc.F_Lambda(c, 1.0), pc.extrema(c, 1.0)
+    pc.extrema_many([c], 1.0)
     res = pucci_shoot(cfg, PureSine())
     assert isinstance(res.outcome, HitZero)
     d = check_necessary_conditions(res, pc, 1.0)
@@ -187,7 +189,7 @@ def test_primitives_of_any_lambda_serve_a_pucci_shot():
     assert row.lower_bound == pytest.approx(5.82, abs=5e-3)
     plap = shoot(ShootConfig(2.0, 2, 7.0, tol_ode=1e-9), CANONICAL)
     weighted = PrimitiveCalculus(CANONICAL)
-    weighted.extrema(7.0, 2.0)
+    weighted.extrema_many([7.0], 2.0)
     assert check_necessary_conditions(plap, weighted, 1.0).residual <= 1e-8
 
 

@@ -22,6 +22,8 @@ from oscillap.thresholds import (
     propose_gammas,
 )
 
+from helpers import tabulate
+
 PI = math.pi
 PLAP2 = Operator.p_laplacian(2.0)
 #: f(s) = cos s + 0.3 on [0, 40]: sign-changing, with f(0) > 0
@@ -186,12 +188,11 @@ def test_lambda_n_rejects_bad_inputs(pc_power):
 
 
 def test_per_solution_bound_linear_oracle():
-    lin = CustomTable.from_function(lambda s: s, 50.0, 2001)
-    pc = PrimitiveCalculus(lin)
+    pc = PrimitiveCalculus(tabulate(lambda s: s, 50.0, 2001))
     # Fbar(c) = c^2/2 exactly, so the bound is 1 for every height
-    for c in (0.5, 3.0, 20.0):
-        assert Operator.p_laplacian(2.0).bound(c, pc.Fbar(c), 1.0) == \
-            pytest.approx(1.0, rel=1e-12)
+    cs = [0.5, 3.0, 20.0]
+    for c, Fbar in zip(cs, PLAP2.Gbar_many(pc, cs)):
+        assert PLAP2.bound(c, Fbar, 1.0) == pytest.approx(1.0, rel=1e-12)
     # the actual 1D principal eigenvalue pi^2/4 clears the bound
     assert PI ** 2 / 4 >= 1.0
 
@@ -199,30 +200,28 @@ def test_per_solution_bound_linear_oracle():
 def test_per_solution_bound_exact_power_cancellation():
     p = 3.0
     # f = p s^{p-1} makes Fbar(c) = c^p exactly on the table
-    tab = CustomTable.from_function(lambda s: p * s ** (p - 1), 30.0, 30001)
-    pc = PrimitiveCalculus(tab)
+    pc = PrimitiveCalculus(tabulate(lambda s: p * s ** (p - 1), 30.0, 30001))
+    op = Operator.p_laplacian(p)
     want = (p - 1) / p
-    for c in (0.8, 4.0, 17.0):
-        assert Operator.p_laplacian(p).bound(c, pc.Fbar(c), 1.0) == \
-            pytest.approx(want, rel=1e-6)
+    cs = [0.8, 4.0, 17.0]
+    for c, Fbar in zip(cs, op.Gbar_many(pc, cs)):
+        assert op.bound(c, Fbar, 1.0) == pytest.approx(want, rel=1e-6)
 
 
 def test_per_solution_bound_scales_inversely_with_f():
     k = 3.0
-    a = PrimitiveCalculus(CustomTable.from_function(lambda s: s, 50.0, 2001))
-    b = PrimitiveCalculus(CustomTable.from_function(lambda s: k * s, 50.0, 2001))
-    plap = Operator.p_laplacian(2.0)
-    ca = plap.bound(7.0, a.Fbar(7.0), 1.0)
-    cb = plap.bound(7.0, b.Fbar(7.0), 1.0)
+    a = PrimitiveCalculus(tabulate(lambda s: s, 50.0, 2001))
+    b = PrimitiveCalculus(tabulate(lambda s: k * s, 50.0, 2001))
+    ca = PLAP2.bound(7.0, PLAP2.Gbar_many(a, [7.0])[0], 1.0)
+    cb = PLAP2.bound(7.0, PLAP2.Gbar_many(b, [7.0])[0], 1.0)
     assert cb == pytest.approx(ca / k, rel=1e-12)
 
 
 def test_pucci_bound_matches_plap_at_unit_ellipticity():
-    lin = CustomTable.from_function(lambda s: s, 50.0, 2001)
-    pc = PrimitiveCalculus(lin)
+    pc = PrimitiveCalculus(tabulate(lambda s: s, 50.0, 2001))
     pucci = Operator.pucci(1.0)
-    assert pucci.bound(7.0, pucci.Gbar(pc, 7.0), 1.0) == \
-        pytest.approx(Operator.p_laplacian(2.0).bound(7.0, pc.Fbar(7.0), 1.0),
+    assert pucci.bound(7.0, pucci.Gbar_many(pc, [7.0])[0], 1.0) == \
+        pytest.approx(PLAP2.bound(7.0, PLAP2.Gbar_many(pc, [7.0])[0], 1.0),
                       rel=1e-12)
 
 
@@ -230,7 +229,7 @@ def test_per_solution_bound_needs_positive_fbar():
     z = CustomTable(np.array([[0.0, 0.0], [9.0, 0.0]]))
     pc = PrimitiveCalculus(z)
     with pytest.raises(NonpositiveFbar):
-        Operator.p_laplacian(2.0).bound(1.0, pc.Fbar(1.0), 1.0)
+        PLAP2.bound(1.0, PLAP2.Gbar_many(pc, [1.0])[0], 1.0)
 
 
 def test_estimate_m_zero_for_nonnegative(pc_power):
@@ -238,7 +237,7 @@ def test_estimate_m_zero_for_nonnegative(pc_power):
 
 
 def test_estimate_m_cosine_dip():
-    tab = CustomTable.from_function(math.cos, 12.0, 12001)
+    tab = tabulate(math.cos, 12.0, 12001)
     pc = PrimitiveCalculus(tab)
     # F = sin: at gamma = 5pi/2 the dip is -1 and F(gamma) = 1, so M = 1
     got = estimate_M(pc, [2.5 * PI])
@@ -258,8 +257,8 @@ def test_propose_gammas_interleave_zeros(pc_power):
     asc = (0.0,) + zeros.ascending()
     for g, k in zip(props, indices):
         mid = 0.5 * (asc[k - 1] + asc[k])
-        ratio = pc_power.Fbar(g) / g ** 2
-        assert ratio >= pc_power.Fbar(mid) / mid ** 2 - 1e-12
+        Fbar_g, Fbar_mid = PLAP2.Gbar_many(pc_power, [g, mid])
+        assert Fbar_g / g ** 2 >= Fbar_mid / mid ** 2 - 1e-12
         assert min(g - asc[k - 1], asc[k] - g) >= 1e-6 * asc[k]
 
 
@@ -340,7 +339,7 @@ def test_heights_are_global_maximizers_on_a_fine_grid(case):
             continue
         assert len(inside) == 1
         g = inside[0]
-        assert ratios.max() <= op.Gbar(pc, g) / g ** e * (1.0 + 1e-9)
+        assert ratios.max() <= op.Gbar_many(pc, [g])[0] / g ** e * (1.0 + 1e-9)
         checked.append(g)
     assert checked == gammas and len(checked) >= 5
 
@@ -387,8 +386,20 @@ def test_operator_lambda_under_by_classification(operator, closed_form):
         == pytest.approx(closed_form, rel=1e-15)
     assert operator.lambda_under(2.0, limits(0.0, 0.0, "BothZero")) == math.inf
     assert operator.lambda_under(2.0, limits(0.1, math.inf, "PlusInfinite")) == 0.0
-    assert operator.lambda_under(2.0, limits(-math.inf, 0.3,
-                                             "MinusInfinite")) == 0.0
+    assert operator.lambda_under(2.0, limits(-math.inf, -math.inf,
+                                             "MinusInfinite")) == math.inf
+
+
+def test_a_negative_limsup_certifies_every_parameter():
+    """Toward 0, the table f = -s has G(s)/s^e -> -1/2 at p = 2 and -inf at
+    p = 3; either way no small solution has G(c) >= 0, so both operators
+    certify every parameter, finite limit or not."""
+    nl = CustomTable(np.array([[0.0, 0.0], [1.0, -1.0]]), direction="zero")
+    for p, classification in ((2.0, "FinitePair"), (3.0, "MinusInfinite")):
+        op = Operator.p_laplacian(p)
+        limits = op.limits(nl)
+        assert limits.classification == classification
+        assert op.lambda_under(1.0, limits) == math.inf
 
 
 def test_compute_thresholds_pucci_weighs_with_its_own_Lambda():

@@ -8,7 +8,6 @@ import pytest
 
 from oscillap.errors import DomainError, NonConvergence
 from oscillap.nonlinearity import (
-    CustomTable,
     PowerTimesOnePlusSin,
     ReciprocalOscillation,
     find_zeros,
@@ -25,17 +24,17 @@ from oscillap.variational import (
     GridFunction,
     Potential,
     TruncatedNonlinearity,
+    _energy_gradient,
     assemble_energy,
-    comparison_function,
-    energy_gradient,
     minimize,
-    negativity_test,
     radial_grid,
     run_sequence,
     sequence_csv_lines,
 )
 
-CONSTANT = CustomTable.from_function(lambda s: 1.0, 5.0, 50)
+from helpers import comparison_function, negativity_test, tabulate
+
+CONSTANT = tabulate(lambda s: 1.0, 5.0, 50)
 CANONICAL = PowerTimesOnePlusSin(1.0)
 ALPHA_3 = 5.5 * math.pi  # third zero of s (1 + sin s)
 PLAP2 = Operator.p_laplacian(2.0)
@@ -82,7 +81,8 @@ def test_truncation_clamps_and_extends():
     assert F[4] == pytest.approx(pc.F(ALPHA_3), rel=1e-14)
     assert F[0] == pytest.approx(-2.0 * CANONICAL.f0, abs=1e-14)
     eps = 1e-7
-    assert tn.F(ALPHA_3 - eps) == pytest.approx(tn.F(ALPHA_3 + eps), abs=1e-10)
+    below, above = tn.F_many([ALPHA_3 - eps, ALPHA_3 + eps])
+    assert below == pytest.approx(above, abs=1e-10)
 
 
 def test_truncation_rejects_non_zero_level():
@@ -90,7 +90,7 @@ def test_truncation_rejects_non_zero_level():
         TruncatedNonlinearity(CANONICAL, 3.0)
     # explicit opt-out admits levels that are not zeros
     tn = TruncatedNonlinearity(CONSTANT, 4.0, zero_tolerance=math.inf)
-    assert tn.eval(5.0) == 0.0
+    assert tn.eval_many([5.0])[0] == 0.0
     with pytest.raises(DomainError):
         TruncatedNonlinearity(CANONICAL, -1.0)
 
@@ -210,7 +210,7 @@ def test_gradient_matches_difference_quotients():
         tn = TruncatedNonlinearity(CANONICAL, alpha, zero_tolerance=math.inf)
         pot = Potential.p_laplacian(p)
         lam = float(rng.uniform(0.5, 30.0))
-        g = energy_gradient(GridFunction(grid, vals, 1, p), tn, pot, lam)
+        g = _energy_gradient(vals, grid, 1, tn, pot, lam)
         step = 1e-6 * max(1.0, alpha)
         fd = np.zeros_like(g)
         for i in range(len(g)):
@@ -303,9 +303,6 @@ def test_minimize_canonical_instance(canonical_minimum, canonical_row):
     # energy trace never climbs
     trace = res.energy_trace
     assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(trace, trace[1:]))
-    blob = res.to_json()
-    assert set(blob) >= {"grid", "values", "energy", "residual",
-                         "iterations", "start_index"}
     # rerun reproduces the winner bit-for-bit
     res2 = minimize(tn, pot, lam, grid, N=1)
     assert res2.energy == res.energy
@@ -382,6 +379,24 @@ def test_sequence_sup_norms_shrink_toward_zero():
     # truncation levels also walk downward
     levels = [it.alpha_n for it in items]
     assert all(b < a for a, b in zip(levels, levels[1:]))
+    # each height lies in the gap below its level, (alpha_{n+1}, alpha_n)
+    assert [zeros.interval_index(it.gamma_n) for it in items] == \
+        [zeros.interval_index(a) for a in levels]
+
+
+def test_each_item_reports_the_height_of_its_own_gap():
+    """At p = 3, F = s^2.5/2.5 + ... makes Fbar(s)/s^3 unbounded at 0, so
+    the heights skip the gap (0, alpha_1): the first level has no height
+    and the second gets the first one, from its own gap (alpha_1, alpha_2)."""
+    nl = PowerTimesOnePlusSin(1.5)
+    pc = PrimitiveCalculus(nl)
+    op = Operator.p_laplacian(3.0)
+    zeros = find_zeros(nl, 4)
+    gammas = propose_gammas(pc, zeros, op, count=3)
+    assert [zeros.interval_index(g) for g in gammas] == [2, 3, 4]
+    items = run_sequence(nl, Potential.p_laplacian(3.0), 50.0, zeros, gammas,
+                         radial_grid(1.0, 40), K=3, N=2, pc=pc)
+    assert [it.gamma_n for it in items] == [None] + gammas[:2]
 
 
 def test_sequence_warns_below_threshold(pc_canonical):

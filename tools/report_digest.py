@@ -5,8 +5,9 @@ Runs each of the six commands in-process through ``oscillap.cli.main`` on
 * every ``demos/configs/*.json``,
 * the ``scan`` and ``minimize`` configs that ``perfbench/workloads.py``
   makes for seeds 1-3, and
-* a fixed list of Pucci, sign-changing and non-integer configs
-  (``FIXED``),
+* a fixed list of Pucci, sign-changing and non-integer configs, and of
+  configs that reach the command paths the others leave out (``FIXED``,
+  with per-run arguments in ``EXTRA_ARGV``),
 
 and prints, for each (config, command), the exit code, the sha256 of
 stdout and of stderr, the warnings raised (category and message, without
@@ -19,8 +20,8 @@ of ``diagram.csv``, ``c`` and ``lambda`` of every lambda-star crossing in
 ``thresholds.sequence.gamma`` lists every gamma), and ``lambda_bar`` and
 each item's ``gamma_n``, ``sup_norm``, ``energy`` and ``residual`` in
 ``minimize.json``.
-It imports the package from this checkout's ``src``; a run takes about
-15 s on a 2-core VM.
+It imports the package from this checkout's ``src``; its 156 runs take
+about 20 s on a 2-core VM.
 
 Run:  python3 tools/report_digest.py > digest.json
 
@@ -32,9 +33,18 @@ each key whose numbers differ; it exits 1 when any line was printed and 0
 otherwise.
 
 Run:  python3 tools/report_digest.py --compare before.json after.json
+
+``--unreached`` runs the same digest under a ``sys.setprofile`` hook
+(about 25 s) and prints each function of ``src/oscillap`` that no run
+calls and ``ALLOWLIST`` does not name, each listed one with its reason,
+and each listed one that is called or not defined; it exits 1 when it
+printed any but the listed unreached ones.
+
+Run:  python3 tools/report_digest.py --unreached
 """
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -48,6 +58,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oscillap"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from oscillap.cli import main  # noqa: E402
@@ -95,7 +106,27 @@ FIXED = {
     "envelope_sin-pucci2": _fixed({"kind": "envelope_sin", "samples": [
         [0.0, 1.0], [10.0, 1.5], [30.0, 3.0]]}, {"pucci": {"Lambda": 2.0}},
         _TOWARD_INFINITY),
+    # the command paths the other configs leave out: a shot started at the
+    # touch zero 3 pi / 2 (it stalls), certify reading the diagram CSV its
+    # own diagram run wrote, and diagram with --lambda-star (EXTRA_ARGV)
+    "power_sin1-plap2-paths": _fixed(
+        {"kind": "power_sin", "r": 1.0}, {"plap": {"p": 2.0}},
+        {**_TOWARD_INFINITY, "shoot": {"c": 1.5 * math.pi}, "certify": {
+            "diagram_csv": "out/power_sin1-plap2-paths/diagram/diagram.csv"}},
+        N=1),
+    # heights above 1, where the reciprocal primitive takes its series
+    "reciprocal_sin-plap2-above1": _fixed(
+        {"kind": "reciprocal_sin", "r": 2.0}, {"plap": {"p": 2.0}},
+        {**_TOWARD_ZERO, "scan": {"c_min": 0.5, "c_max": 3.0, "points": 12},
+         "shoot": {"c": 2.5}, "tolerances": {"tol_ode": 1e-10}}),
+    # JSON has no NaN: every command refuses the file (exit 2)
+    "nan_radius": {**_fixed({"kind": "pure_sine"}, {"plap": {"p": 2.0}},
+                            _TOWARD_INFINITY),
+                   "geometry": {"N": 1, "R": math.nan}},
 }
+
+#: (config, command) -> extra arguments of that run
+EXTRA_ARGV = {("power_sin1-plap2-paths", "diagram"): ["--lambda-star", "20,60"]}
 
 
 def config_bytes() -> dict:
@@ -160,13 +191,14 @@ def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-def digest_run(config: str, command: str, out: str) -> dict:
-    """Exit code and output digests of one command on one config file."""
+def digest_run(config: str, command: str, out: str, argv=()) -> dict:
+    """Exit code and output digests of one command on one config file,
+    with ``argv`` added to its command line."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = main([command, "--config", config, "--out", out])
+        code = main([command, "--config", config, "--out", out, *argv])
     files = sorted(Path(out).iterdir()) if os.path.isdir(out) else []
     return {"exit": code, "stdout": _sha(stdout.getvalue()),
             "stderr": _sha(stderr.getvalue()),
@@ -189,10 +221,87 @@ def digest() -> dict:
                 Path(config).write_bytes(data)
                 for command in COMMANDS:
                     result[f"{name} {command}"] = digest_run(
-                        config, command, os.path.join("out", name, command))
+                        config, command, os.path.join("out", name, command),
+                        EXTRA_ARGV.get((name, command), ()))
         finally:
             os.chdir(here)
     return result
+
+
+#: functions in ``src`` that no digest run calls, by qualified name
+#: (module.qualname), with the reason each may stay
+ALLOWLIST = {
+    "nonlinearity.Nonlinearity.eval": "abstract; every kind defines its own",
+    "nonlinearity.Nonlinearity.tail": "abstract; every kind defines its own",
+    "nonlinearity.Nonlinearity.analytic_zeros":
+        "default; only kinds with a zero_accumulation are asked, and each "
+        "defines its own",
+    "_rk._restarts_exhausted":
+        "a shot that spends its restart budget; no digest config does",
+    "errors.NonConvergence.__init__":
+        "raised only when a restart or iteration budget is spent",
+    "shoot_plap.clustered_heights":
+        "the staircase demo's grid: a uniform 152-height grid finds 0 of its "
+        "9 crossings at 10 lambda_bar",
+}
+
+
+def src_functions() -> dict:
+    """Qualified name -> (module, first line, name, line count) of every
+    function ``src/oscillap`` defines with ``def``, nested ones included
+    (``module.outer.<locals>.inner``); the first line is that of the first
+    decorator, as the function's code object counts it.  A name defined
+    more than once (one nested function per branch, say) gets its first
+    line appended: ``module.outer.<locals>.inner@123``."""
+    found = []
+
+    def walk(node, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                found.append((f"{module}.{prefix}{child.name}", (
+                    module, first, child.name, child.end_lineno - first + 1)))
+                walk(child, module, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, f"{prefix}{child.name}.")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    names = [q for q, _ in found]
+    return {q if names.count(q) == 1 else f"{q}@{v[1]}": v for q, v in found}
+
+
+def reached() -> set:
+    """(module, first line, name) of every ``src`` function the digest
+    calls, recorded by a ``sys.setprofile`` hook."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        digest()
+    finally:
+        sys.setprofile(None)
+    package = os.path.realpath(PACKAGE)
+    return {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)
+            for c in codes
+            if os.path.dirname(os.path.realpath(c.co_filename)) == package}
+
+
+def misses(functions: dict, called: set, allowlist: dict) -> tuple:
+    """(unlisted, listed, stale), each sorted: the functions of
+    ``functions`` (``src_functions``) whose key is not in ``called``
+    (``reached``) and ``allowlist`` lacks, those it has, and the
+    ``allowlist`` names that are called or name no function."""
+    missed = {q for q, v in functions.items() if v[:3] not in called}
+    return (sorted(missed - allowlist.keys()), sorted(missed & allowlist.keys()),
+            sorted(allowlist.keys() - missed))
 
 
 def _largest_change(old: list, new: list) -> str:
@@ -245,8 +354,23 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="list the runs whose digests differ")
+    parser.add_argument("--unreached", action="store_true",
+                        help="list the src functions no run calls")
     args = parser.parse_args()
-    if args.compare is None:
+    if args.unreached:
+        functions = src_functions()
+        unlisted, listed, stale = misses(functions, reached(), ALLOWLIST)
+        for q in listed:
+            print(f"{q}: {ALLOWLIST[q]}")
+        for q in unlisted:
+            print(f"{q}: not reached ({functions[q][3]} lines)")
+        for q in stale:
+            print(f"{q}: allowlisted, but reached or not defined")
+        print(f"{len(functions)} functions, {len(listed) + len(unlisted)} "
+              f"unreached ({sum(functions[q][3] for q in listed + unlisted)} "
+              f"lines), {len(unlisted)} not allowlisted", file=sys.stderr)
+        sys.exit(1 if unlisted or stale else 0)
+    elif args.compare is None:
         print(json.dumps(digest(), indent=1, sort_keys=True))
     else:
         before, after = (json.loads(Path(p).read_text()) for p in args.compare)
