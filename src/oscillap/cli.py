@@ -516,7 +516,7 @@ def _audit_rows(rows, energy_tol: float, slack_tol: float) -> dict:
     audit = {
         "rows": len(rows),
         "zero_hits": len(hits),
-        "max_energy_residual": max_resid,
+        "max_energy_residual": extended_real(max_resid),
         "energy_residual_tolerance": energy_tol,
         "necessary_conditions_failed_at": area_bad,
         "lower_bound_failed_at": bound_bad,
@@ -556,6 +556,8 @@ def cmd_diagram(run: Run) -> int:
         outcomes[r.outcome] = outcomes.get(r.outcome, 0) + 1
     summary["outcomes"] = outcomes
     summary["audit"] = _audit_rows(diag.rows, run.energy_tol, run.slack_tol)
+    if diag.counts is not None:
+        summary["time_map"] = diag.counts
     _atomic_write(run.path("diagram.csv"),
                   "\n".join(diagram_csv_lines(diag)) + "\n")
     _write_json(run.path("diagram_summary.json"), summary)

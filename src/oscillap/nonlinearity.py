@@ -50,6 +50,10 @@ def _check_direction(direction: str) -> str:
     return direction
 
 
+#: the smallest s > 0 whose reciprocal is finite (about 1/DBL_MAX)
+_INVERTIBLE = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+
+
 def _sign_weighted(c: float, Lambda: float) -> float:
     """The coefficient of F_Lambda where f has the constant sign of c:
     f^- is weighed by 1/Lambda^2."""
@@ -159,6 +163,9 @@ class ReciprocalOscillation(Nonlinearity):
     """f(s) = s^(1/r) (1 + sin(1/s)) with r > 0 and f(0) = 0 by continuity.
 
     The oscillation accumulates at the origin: touch zeros at s = 1/(3pi/2 + 2pi k).
+    Below ``_INVERTIBLE``, where 1/s overflows, 1 + sin(1/s) is taken as
+    1, its mean, in ``eval`` and ``eval_many`` alike: f is then s^(1/r),
+    within s^(1/r) of the true value.
     """
 
     kind = "reciprocal_sin"
@@ -174,16 +181,14 @@ class ReciprocalOscillation(Nonlinearity):
     def eval(self, s: float) -> float:
         if s <= 0.0:
             return 0.0
-        inv = 1.0 / s
-        if inv == math.inf:
-            raise DomainError(f"height {s!r} is too small to resolve sin(1/s)")
-        return s**self.exponent * (1.0 + math.sin(inv))
+        return s**self.exponent * (1.0 + math.sin(1.0 / s) if s >= _INVERTIBLE
+                                   else 1.0)
 
     def eval_many(self, s):
         s = np.asarray(s, dtype=float)
-        safe = np.where(s > 0.0, s, 1.0)
-        out = safe**self.exponent * (1.0 + np.sin(1.0 / safe))
-        return np.where(s > 0.0, out, 0.0)
+        resolved = s >= _INVERTIBLE
+        wave = np.where(resolved, np.sin(1.0 / np.where(resolved, s, 1.0)), 0.0)
+        return np.where(s > 0.0, s, 0.0)**self.exponent * (1.0 + wave)
 
     @property
     def nonneg(self) -> bool:

@@ -17,6 +17,21 @@ the primitives and the per-solution bound); ``shoot``, ``shoot_batch``,
 the necessary-conditions audit, the diagram rows, the CSV and the
 lambda-star refinement are shared.
 
+At N = 1 a diagram does not shoot.  The radial equation is autonomous
+there, so the first zero of every height is the time map (``time_map``),
+a quadrature accurate to about 1e-13 relative where f is smooth: the rows
+and the lambda-star refinement of either operator take rho, the outcome
+and lambda from it.  At N = 1 ``tol_ode`` and ``event_tol`` therefore
+control only ``shoot`` and ``shoot_batch`` (the ``shoot`` and
+``pucci-shoot`` commands), and ``r_max`` still marks a height whose first
+zero lies beyond it as HorizonExceeded.  An N = 1 row's
+``energy_residual`` is the time map's relative self-check gap (its
+Kronrod against its Gauss sums, with rounding), so the diagram audit's
+energy-residual tolerance bounds it, and a height the quadrature cannot
+resolve fails the audit instead of reporting a wrong lambda.  An N = 1
+Pucci row's ``q_sign_changes`` is the number of sign changes of f below c
+(above the bounce, for a Bounced row), and 0 at Lambda = 1.
+
 The p-Laplacian state is (v, w, z) with w = |v'|^{p-2} v' the flux (the
 equation is smooth in w even where the operator degenerates at v' = 0)
 and z the accumulated path term of the energy identity.
@@ -40,7 +55,7 @@ from .errors import (
     StalledAtCriticalPoint,
 )
 from .nonlinearity import Nonlinearity, ZeroSequence
-from .primitives import PrimitiveCalculus
+from .primitives import _ROUNDING, PrimitiveCalculus, _row_sums
 from .thresholds import Operator
 
 if TYPE_CHECKING:
@@ -367,6 +382,12 @@ def shoot_batch(cfg, heights: Sequence[float],
                       int(res.restarts[j]))
 
 
+def _ball_lambda(cfg, rho: float, R: float) -> float:
+    """lambda_shoot (rho/R)^e: the parameter on the radius-R ball of the
+    profile whose first zero at unit parameter is rho."""
+    return cfg.lambda_shoot * (rho / R) ** cfg.operator.exponent
+
+
 def rescale_to_ball(res: ShootResult, R: float) -> float:
     """Parameter on the radius-R ball for this trajectory's profile.
 
@@ -378,10 +399,338 @@ def rescale_to_ball(res: ShootResult, R: float) -> float:
         raise NotAZeroHit(f"cannot rescale a {res.outcome.kind} trajectory")
     if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R!r}")
-    e = res.config.operator.exponent
-    lam = res.config.lambda_shoot * (res.outcome.rho / R) ** e
+    lam = _ball_lambda(res.config, res.outcome.rho, R)
     res.lambda_rescaled = lam
     return lam
+
+
+#: the 21-point Gauss-Kronrod rule on [-1, 1] and the weights of its
+#: embedded 10-point Gauss rule, zero off the Gauss nodes (QUADPACK
+#: ``qk21``; Piessens et al. 1983), from the nodes in [0, 1) down
+_HALF = np.array([
+    # node, Kronrod weight, Gauss weight
+    (0.99565716302580808074, 0.011694638867371874278, 0.0),
+    (0.97390652851717172008, 0.032558162307964727479, 0.066671344308688137594),
+    (0.93015749135570822600, 0.054755896574351996031, 0.0),
+    (0.86506336668898451073, 0.075039674810919952767, 0.14945134915058059315),
+    (0.78081772658641689706, 0.093125454583697605535, 0.0),
+    (0.67940956829902440623, 0.10938715880229764190, 0.21908636251598204400),
+    (0.56275713466860468334, 0.12349197626206585108, 0.0),
+    (0.43339539412924719080, 0.13470921731147332593, 0.26926671930999635509),
+    (0.29439286270146019813, 0.14277593857706008080, 0.0),
+    (0.14887433898163121088, 0.14773910490133849137, 0.29552422471475287017),
+    (0.0, 0.14944555400291690566, 0.0)])
+_XK = np.concatenate([-_HALF[:-1, 0], _HALF[::-1, 0]])
+_WK, _WG = (np.concatenate([_HALF[:-1, k], _HALF[::-1, k]]) for k in (1, 2))
+#: the 5-point Gauss rule on [0, 1] (weights summing to 2) that sums g
+#: over each gap between neighbouring Kronrod nodes, at most 0.075 q of
+#: the panel's range in s (0.15 at p = 2): where the 10-point rule
+#: resolves g on the whole panel, five points resolve it on such a gap
+_XGAP, _WGAP = np.polynomial.legendre.leggauss(5)
+_XGAP = 0.5 * (1.0 + _XGAP)
+#: a time-map panel is accepted once its Kronrod and Gauss sums agree to
+#: this share of the Kronrod sum, or to rounding ...
+TIME_MAP_TOL = 1e-13
+#: ... or, as unresolved, after this many bisections of its split panel
+TIME_MAP_MAX_DEPTH = 40
+#: ... or, also as unresolved, when its height has more panels left to
+#: bisect than this many plus the panels it started with
+TIME_MAP_MAX_PANELS = 1024
+#: panels per numpy call: 21 x 10 inner nodes of 8 bytes in a few arrays
+#: keep the working arrays of a slice under about 2 MB
+_TIME_MAP_SLICE = 512
+
+
+class TimeMap(NamedTuple):
+    """The first zero of one N = 1 height from the time map (``time_map``)."""
+
+    outcome: str    # HitZero, Bounced, HorizonExceeded or Stalled
+    rho: float      # first-zero radius; nan when Bounced or Stalled
+    gap: float      # relative gap of the Kronrod and Gauss sums behind rho
+    switches: int   # sign changes of f passed before the zero or the bounce
+    panels: int     # quadrature panels kept, of g and of the time integral
+    depth: int      # deepest bisection of a panel between split points
+    resolved: bool  # False where a panel was kept only at a limit
+
+
+def _weighted(nl: Nonlinearity, w: float):
+    """g = G' at many points: f at weight 1, else f^+ - f^-/w^2."""
+    if w == 1.0:
+        return nl.eval_many
+    w2 = w * w
+
+    def g(s):
+        fv = nl.eval_many(s)
+        return np.where(fv >= 0.0, fv, fv / w2)
+    return g
+
+
+def _kronrod(fv: np.ndarray, half: np.ndarray, noise: np.ndarray):
+    """(Kronrod sum, gap, accepted) of panels of half-width ``half`` from
+    the integrand at their Kronrod nodes, one row per panel.
+
+    A panel is accepted when its Kronrod and Gauss sums agree to
+    TIME_MAP_TOL of the Kronrod sum or to its rounding level, and its gap
+    is the larger of the two.  The rounding level is _ROUNDING times the
+    weighted sum of |fv| plus ``noise``, the integrand's own rounding in
+    units of eps (per panel)."""
+    k, g = half * _row_sums(fv, _WK), half * _row_sums(fv, _WG)
+    err = np.abs(k - g)
+    rounding = _ROUNDING * (np.abs(half) * _row_sums(np.abs(fv), _WK) + noise)
+    ok = (err <= TIME_MAP_TOL * np.abs(k)) | (err <= rounding)
+    return k, np.maximum(err, rounding), ok
+
+
+class _Panels(NamedTuple):
+    """Accepted panels of ``_bisect``: their fields, Kronrod sums, gaps
+    and kept values, whether each was accepted only at a limit, and the
+    bisections behind each."""
+
+    fields: dict
+    value: np.ndarray
+    err: np.ndarray
+    kept: np.ndarray
+    capped: np.ndarray
+    depth: np.ndarray
+
+
+def _bisect(evaluate, split, fields: dict, depth: np.ndarray) -> _Panels:
+    """Evaluate panels and bisect the rejected ones until none is left.
+
+    ``fields`` holds one array per panel field ("row" among them) and
+    ``depth`` the bisections behind each panel so far.  ``evaluate`` maps
+    a slice of the fields to (Kronrod sum, gap, accepted, a value kept per
+    panel), and ``split`` maps the rejected panels' fields and kept values
+    to the fields of their two halves that change, all first halves
+    before all second halves; the others are copied.  A panel is accepted
+    as it is, and counted as capped, once bisected TIME_MAP_MAX_DEPTH
+    times here, when its gap is not finite, or when its height has more
+    panels to bisect than TIME_MAP_MAX_PANELS plus those it started with.
+    """
+    out = []
+    limit = depth + TIME_MAP_MAX_DEPTH
+    budget = np.bincount(fields["row"]) + TIME_MAP_MAX_PANELS
+    while depth.size:
+        parts = [evaluate({k: v[i:i + _TIME_MAP_SLICE] for k, v in fields.items()})
+                 for i in range(0, depth.size, _TIME_MAP_SLICE)]
+        value, err, ok, kept = (np.concatenate(x) for x in zip(*parts))
+        capped = ~ok & ((depth >= limit) | ~np.isfinite(err))
+        row = fields["row"]
+        crowded = np.bincount(row[~ok & ~capped], minlength=budget.size) > budget
+        capped |= ~ok & crowded[row]
+        done = ok | capped
+        out.append(({k: v[done] for k, v in fields.items()},
+                    value[done], err[done], kept[done], capped[done], depth[done]))
+        rejected = {k: v[~done] for k, v in fields.items()}
+        halves = split(rejected, kept[~done])
+        fields = {k: halves[k] if k in halves else np.tile(v, 2)
+                  for k, v in rejected.items()}
+        depth = np.tile(depth[~done] + 1, 2)
+        limit = np.tile(limit[~done], 2)
+    return _Panels({k: np.concatenate([f[k] for f, *_ in out]) for k in fields},
+                   *(np.concatenate([x[i] for x in out]) for i in range(1, 6)))
+
+
+def time_map(cfg, heights: Sequence[float], nl: Nonlinearity,
+             zeros: Sequence[float] = ()) -> List[TimeMap]:
+    """``shoot`` at N = 1 without shooting: every height's first zero from
+    the time map, all heights vectorized together.
+
+    ``cfg`` is either operator's N = 1 shot config; its own height is not
+    used.  At N = 1 the radial equation conserves (e-1)/(e w) |v'|^e +
+    lam G(v), with e, w and G the operator's exponent, weight and
+    primitive (``thresholds.Operator``), so the first zero is
+
+        rho = ((e-1)/(e lam w))^(1/e) integral_0^c ds / D(s)^(1/e),
+        D(s) = G(c) - G(s) = integral_s^c g,  g = G' = f or f^+ - f^-/w^2,
+
+    the classical time map (Laetsch 1970); for Pucci (e = 2, w = Lambda)
+    it is the p = 2 time map of F_Lambda over sqrt(Lambda).  A height is
+    Stalled where ``shoot`` stalls, Bounced where D(s) <= 0 for some
+    s < c (v' returns to 0 first), HorizonExceeded where rho > r_max, and
+    HitZero otherwise.  The time to a bounce is not computed, so a bounce
+    past r_max is still Bounced.  ``switches`` counts the sign changes of
+    f above the zero or the bounce where w > 1 (Pucci's diffusion
+    switches) and is 0 at w = 1.
+
+    D is never the difference of two primitive values, which cancels for
+    large c.  Panels run between c, the ``zeros`` below it, the sign
+    changes and kinks of f and 0, so g is smooth and of one sign on each.
+    First each panel's integral of g is resolved (21-point Kronrod sum
+    against its embedded 10-point Gauss sum, bisecting where they
+    disagree), and D at the panel ends is their sum from c.  D is monotone
+    on each panel, so those ends decide a bounce.  Then ds / D^(1/e) is
+    integrated in t, with s = c - t^q and q = e/(e-1), which removes the
+    endpoint singularity.  D at each Kronrod node is D at its panel's near
+    end plus g summed gap by gap between the nodes, and panels are
+    bisected until the two sums agree.  A zero of f just below c needs
+    panels graded toward it, and the split at (c - zero)^(1/q) starts that
+    grading.
+
+    ``gap`` sums each panel's disagreement, or its rounding level where
+    that is larger, over the integral (plus, for a g panel kept at a
+    limit, its disagreement over the smallest D).  The rounding level
+    counts the rounding of f itself: eps times the height's largest |g|,
+    and eps |s| |g'| from rounding s, summed into D from c.  A panel still
+    unresolved after TIME_MAP_MAX_DEPTH bisections is kept, its
+    disagreement in the gap, and the height is marked unresolved.
+    Each height's arithmetic depends on that height alone, so it gets the
+    same bits alone or in any grid.
+    """
+    if cfg.N != 1:
+        raise DomainError(f"the time map needs N = 1, got N = {cfg.N}")
+    cs = np.array([float(c) for c in heights])
+    if not np.all(cs > 0.0):
+        raise DomainError(f"height must be positive, got {cs[~(cs > 0.0)][0]!r}")
+    op = cfg.operator
+    e, w = op.exponent, op.weight
+    q = e / (e - 1.0)
+    g = _weighted(nl, w)
+    out: List[TimeMap] = [TimeMap("Stalled", math.nan, math.nan, 0, 0, 0, True)
+                          for _ in cs]
+    live = np.array([abs(nl.eval(c)) > STALL_TOL * max(1.0, c) for c in cs.tolist()],
+                    dtype=bool)
+    c_row = cs[live]   # the heights that leave c, one row each
+    K = c_row.size
+    if not K:
+        return out
+    top = float(c_row.max())
+    changes = np.array(nl.sign_change_points(top), dtype=float)
+    splits = np.unique(np.concatenate([
+        np.asarray(list(zeros), dtype=float), changes,
+        np.asarray(nl.kink_points(0.0, top), dtype=float)]))
+    splits = np.concatenate(([0.0], splits[splits > 0.0]))
+    # row k: panels from c down through the m_k splits below it to 0
+    m = np.searchsorted(splits, c_row) - 1
+    row = np.repeat(np.arange(K), m + 1)
+    j = np.arange(row.size) - np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)
+    above = np.append(splits, math.inf)[m[row] - j + 1]
+    first = {"row": row, "lo": splits[m[row] - j],
+             "hi": np.where(j == 0, c_row[row], above)}
+
+    # 1. the integral of g over each panel [lo, hi], resolved
+    def g_nodes(f):
+        half = 0.5 * (f["hi"] - f["lo"])
+        mid = 0.5 * (f["hi"] + f["lo"])
+        return g(mid[:, None] + half[:, None] * _XK), half, mid
+
+    def g_panels(f):
+        gv, half, mid = g_nodes(f)
+        # g at each node is off by up to eps times the height's largest
+        # |g| (1 + sin s near -1 loses the rest) and eps |s| |g'|
+        variation = np.abs(np.diff(gv, axis=1)).sum(axis=1)
+        noise = 2.0 * np.abs(half) * f["scale"] + np.abs(mid) * variation
+        return (*_kronrod(gv, half, noise), variation)
+
+    def g_halves(f, _):
+        mid = 0.5 * (f["lo"] + f["hi"])
+        return {"lo": np.concatenate([f["lo"], mid]),
+                "hi": np.concatenate([mid, f["hi"]])}
+
+    n = row.size   # each height's largest |g| on the nodes of its split panels
+    peak = np.concatenate([np.abs(g_nodes({k: v[i:i + _TIME_MAP_SLICE]
+                                           for k, v in first.items()})[0]).max(axis=1)
+                           for i in range(0, n, _TIME_MAP_SLICE)])
+    scale = np.maximum.reduceat(peak, np.searchsorted(row, np.arange(K)))
+    first["scale"] = scale[row]
+    a = _bisect(g_panels, g_halves, first, np.zeros(n, dtype=int))
+
+    # D and the variation of g at the panel ends, summed from c; a bounce
+    # where D reaches 0
+    order = np.lexsort((-a.fields["hi"], a.fields["row"]))
+    row, lo, hi = (a.fields[k][order] for k in ("row", "lo", "hi"))
+    capped = a.capped[order]
+    count = np.bincount(row, minlength=K)
+    pos = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+
+    def from_c(values):
+        """Sums from c to the panel ends, one row of the table a height:
+        column j + 1 ends at the far end of the height's j-th panel."""
+        table = np.zeros((K, int(count.max()) + 1))
+        table[row, pos + 1] = values
+        return np.cumsum(table, axis=1)
+
+    D = from_c(a.value[order])
+    D_far, D_near = D[row, pos + 1], D[row, pos]
+    V_near = from_c(a.kept[order])[row, pos]
+    down = count.copy()   # each height's first panel where D reaches 0
+    np.minimum.at(down, row[D_far <= 0.0], pos[D_far <= 0.0])
+    bounced = down < count
+    cut = np.where(bounced, lo[np.cumsum(count) - count + np.minimum(down, count - 1)],
+                   0.0)
+    switches = (np.zeros(K, dtype=int) if w == 1.0 else
+                np.searchsorted(changes, c_row) - np.searchsorted(changes, cut, "right"))
+    # an error in a g panel moves D at every s below it, and the smallest
+    # such D bounds the relative error it brings into rho
+    below = np.minimum.accumulate(np.where(np.arange(D.shape[1]) <= count[:, None],
+                                           D, math.inf)[:, ::-1], axis=1)[:, ::-1]
+    weight = e * below[row, pos + 1]
+    gap = np.bincount(row, np.divide(a.err[order], weight, out=np.zeros(row.size),
+                                     where=capped & (weight > 0.0)), K)
+    resolved = np.bincount(row, capped, K) == 0
+    panels = count.copy()
+    depth = np.zeros(K, dtype=int)
+    np.maximum.at(depth, row, a.depth[order])
+
+    # 2. the time integral of each height that does not bounce
+    def t_panels(f):
+        half = 0.5 * (f["t_hi"] - f["t_lo"])
+        t = 0.5 * (f["t_hi"] + f["t_lo"])[:, None] + half[:, None] * _XK
+        # D at each node: D at the near end plus g summed gap by gap
+        ends = np.concatenate([(f["t_lo"] ** q)[:, None], t ** q], axis=1)
+        L = np.diff(ends, axis=1)
+        gv = g((f["c"][:, None] - ends[:, :-1])[:, :, None] - L[:, :, None] * _XGAP)
+        Dn = f["D"][:, None] + np.cumsum(
+            0.5 * L * np.einsum("ijk,k->ij", gv, _WGAP), axis=1)
+        # ... and the variation of g from c to each node, gap by gap
+        Vn = f["V"][:, None] + np.cumsum(
+            np.abs(np.diff(gv[:, :, 0], axis=1, prepend=gv[:, :1, 0])), axis=1)
+        phi = q * t ** (q - 1.0) * Dn ** (-1.0 / e)
+        # D sums g over [s, c], each value off by up to eps (scale + s |g'|)
+        noise = _row_sums(np.abs(phi) * (f["scale"][:, None] * ends[:, 1:]
+                                         + f["c"][:, None] * Vn) / (e * Dn), _WK)
+        center = _XK.size // 2
+        return (*_kronrod(phi, half, np.abs(half) * noise),
+                np.stack([Dn[:, center], Vn[:, center]], axis=1))
+
+    def t_halves(f, center):
+        mid = 0.5 * (f["t_lo"] + f["t_hi"])   # the center node: D, V known
+        return {"t_lo": np.concatenate([f["t_lo"], mid]),
+                "t_hi": np.concatenate([mid, f["t_hi"]]),
+                "D": np.concatenate([f["D"], center[:, 0]]),
+                "V": np.concatenate([f["V"], center[:, 1]])}
+
+    keep = ~bounced[row]
+    total = np.zeros(K)
+    if keep.any():
+        c = c_row[row[keep]]
+        b = _bisect(t_panels, t_halves, {
+            "row": row[keep], "c": c, "D": D_near[keep], "V": V_near[keep],
+            "scale": scale[row[keep]], "t_lo": (c - hi[keep]) ** (1.0 / q),
+            "t_hi": (c - lo[keep]) ** (1.0 / q)}, a.depth[order][keep])
+        # bincount adds each height's panels in t order, whatever the
+        # other heights, so a height's sums have the same bits alone
+        order = np.lexsort((b.fields["t_lo"], b.fields["row"]))
+        row = b.fields["row"][order]
+        total = np.bincount(row, b.value[order], K)
+        gap += np.divide(np.bincount(row, b.err[order], K), total,
+                         out=np.zeros(K), where=total > 0.0)
+        resolved &= np.bincount(row, b.capped[order], K) == 0
+        panels += np.bincount(row, minlength=K)
+        np.maximum.at(depth, row, b.depth[order])
+    coef = ((e - 1.0) / (e * cfg.lambda_shoot * w)) ** (1.0 / e)
+    for k, i in enumerate(np.flatnonzero(live).tolist()):
+        if bounced[k]:
+            out[i] = TimeMap("Bounced", math.nan, math.nan, int(switches[k]),
+                             int(panels[k]), int(depth[k]), bool(resolved[k]))
+            continue
+        rho, row_gap = coef * float(total[k]), float(gap[k])
+        if not math.isfinite(row_gap):
+            row_gap, resolved[k] = math.inf, False
+        out[i] = TimeMap("HitZero" if rho <= cfg.r_max else "HorizonExceeded",
+                         rho, row_gap, int(switches[k]), int(panels[k]),
+                         int(depth[k]), bool(resolved[k]))
+    return out
 
 
 def check_necessary_conditions(res: ShootResult, pc: PrimitiveCalculus,
@@ -430,7 +779,9 @@ class DiagramRow:
     """One grid height of a scan.  For the Pucci operator ``Fbar_c`` and
     ``lower_bound`` use the Lambda-weighted primitive, ``energy_residual``
     is the normalized violation of the decay inequality, and
-    ``q_sign_changes`` counts the diffusion switches (None otherwise)."""
+    ``q_sign_changes`` counts the diffusion switches (None otherwise).  At
+    N = 1 ``energy_residual`` is the time map's self-check gap and
+    ``q_sign_changes`` the sign changes of f the profile passes."""
 
     c: float
     outcome: str
@@ -486,7 +837,10 @@ class BifurcationDiagram:
     """Scan of lambda(c) over a height grid, with per-row diagnostics.
 
     ``op`` is the shot config (either operator) every row was shot with;
-    its own height is not used.
+    its own height is not used.  At N = 1 every lambda comes from the time
+    map (``time_map``), and ``counts`` tallies its work: rows, refinement
+    heights, panels kept, the deepest bisection and the unresolved
+    heights.  It is None at N >= 2, where every lambda comes from a shot.
     """
 
     rows: Tuple[DiagramRow, ...]
@@ -495,12 +849,15 @@ class BifurcationDiagram:
     pc: PrimitiveCalculus
     op: Union[ShootConfig, PucciShootConfig]
     R: float
+    counts: Optional[dict] = None
 
     @classmethod
     def scan(cls, op, nl: Nonlinearity, R: float, c_grid: Sequence[float],
              zeros: ZeroSequence,
              pc: Optional[PrimitiveCalculus] = None) -> BifurcationDiagram:
-        """One shot per grid height, all heights in one lockstep batch, in grid order.
+        """One row per grid height, in grid order: at N = 1 from the time
+        map of every height at once, otherwise from one shot per height,
+        all heights in one lockstep batch.
 
         Heights where f vanishes are recorded as Stalled rows rather than
         failing the scan.  ``pc`` defaults to the primitives of ``nl``.
@@ -511,10 +868,18 @@ class BifurcationDiagram:
             pc = PrimitiveCalculus(nl)
         heights = [float(c) for c in c_grid]
         ats = HeightPrimitives.many(op.operator, pc, heights, R)
-        shots = shoot_batch(op, heights, nl)
-        rows = tuple(_diagram_row(c, res, at, pc, zeros, R, op.reports_switches)
-                     for c, res, at in zip(heights, shots, ats))
-        return cls(rows, zeros, nl, pc, op, R)
+        counts = None
+        if op.N == 1:
+            maps = time_map(op, heights, nl, zeros.alphas)
+            counts = {"rows": 0, "refinement_heights": 0, "panels": 0,
+                      "deepest_bisection": 0, "unresolved_heights": []}
+            _tally(counts, "rows", heights, maps)
+            fields = ((m.outcome, m.rho, m.gap, m.switches) for m in maps)
+        else:
+            fields = _shot_fields(op, heights, nl, ats, pc, R)
+        rows = tuple(_diagram_row(c, *row, at, zeros, R, op)
+                     for c, row, at in zip(heights, fields, ats))
+        return cls(rows, zeros, nl, pc, op, R, counts)
 
     def branches(self) -> List[Tuple[int, int]]:
         """Maximal index ranges [i, j) of consecutive zero-hitting rows."""
@@ -532,7 +897,16 @@ class BifurcationDiagram:
         return out
 
     def _lambdas(self, heights: Sequence[float]) -> np.ndarray:
-        """lambda on the ball at each height from one batch; nan without a zero."""
+        """lambda on the ball at each height, from the time map at N = 1
+        and from one batch of shots otherwise; nan without a zero, and
+        where the time map is unresolved."""
+        if self.op.N == 1:
+            maps = time_map(self.op, heights, self.nl, self.zeros.alphas)
+            if self.counts is not None:
+                _tally(self.counts, "refinement_heights", heights, maps)
+            return np.array([_ball_lambda(self.op, m.rho, self.R)
+                             if m.outcome == "HitZero" and m.resolved else math.nan
+                             for m in maps])
         return np.array([
             rescale_to_ball(res, self.R)
             if res is not None and isinstance(res.outcome, HitZero) else math.nan
@@ -790,25 +1164,50 @@ class _Bracket:
                 <= REFINE_XTOL * max(1.0, abs(self.a), abs(self.b)))
 
 
-def _diagram_row(c: float, res: Optional[ShootResult], at: HeightPrimitives,
-                 pc: PrimitiveCalculus, zeros: ZeroSequence, R: float,
-                 reports_switches: bool) -> DiagramRow:
-    """CSV row of one height from its shot (None where f(c) = 0) and its
-    primitives."""
+def _tally(counts: dict, key: str, heights: Sequence[float],
+           maps: Sequence[TimeMap]) -> None:
+    """Add the time maps of ``heights`` to a diagram's ``counts`` under
+    ``key`` ("rows" or "refinement_heights")."""
+    counts[key] += len(maps)
+    counts["panels"] += sum(m.panels for m in maps)
+    counts["deepest_bisection"] = max([counts["deepest_bisection"]]
+                                      + [m.depth for m in maps])
+    counts["unresolved_heights"] += [float(c) for c, m in zip(heights, maps)
+                                     if not m.resolved]
+
+
+def _shot_fields(op, heights: Sequence[float], nl: Nonlinearity,
+                 ats: Sequence[HeightPrimitives], pc: PrimitiveCalculus,
+                 R: float):
+    """(outcome, rho, energy residual, switches) of each height's shot,
+    all heights in one batch; the residual is the audit's
+    (``check_necessary_conditions``)."""
+    for res, at in zip(shoot_batch(op, heights, nl), ats):
+        if res is None:
+            yield "Stalled", math.nan, math.nan, 0
+        elif isinstance(res.outcome, HitZero):
+            yield ("HitZero", res.outcome.rho,
+                   check_necessary_conditions(res, pc, R, at).residual,
+                   res.q_sign_changes)
+        else:
+            yield res.outcome.kind, math.nan, math.nan, res.q_sign_changes
+
+
+def _diagram_row(c: float, outcome: str, rho: float, residual: float,
+                 switches: int, at: HeightPrimitives, zeros: ZeroSequence,
+                 R: float, op) -> DiagramRow:
+    """CSV row of one height of the shot config ``op`` from its outcome,
+    first zero, energy residual and switches, and its primitives; the sign
+    and area conditions are audited on the primitives."""
     idx = zeros.interval_index(c)
-    switches = (0 if res is None else res.q_sign_changes) \
-        if reports_switches else None
-    if res is None:
-        return DiagramRow(c, "Stalled", math.nan, math.nan, at.F, at.Fbar,
+    switches = switches if op.reports_switches else None
+    if outcome != "HitZero":
+        return DiagramRow(c, outcome, math.nan, math.nan, at.F, at.Fbar,
                           at.bound, math.nan, None, idx, switches)
-    if isinstance(res.outcome, HitZero):
-        d = check_necessary_conditions(res, pc, R, at)
-        return DiagramRow(c, "HitZero", res.outcome.rho,
-                          res.lambda_rescaled, at.F, at.Fbar, at.bound,
-                          d.residual, bool(d.F_at_max_ok and d.area_condition_ok),
-                          idx, switches)
-    return DiagramRow(c, res.outcome.kind, math.nan, math.nan, at.F,
-                      at.Fbar, at.bound, math.nan, None, idx, switches)
+    return DiagramRow(c, "HitZero", rho, _ball_lambda(op, rho, R), at.F,
+                      at.Fbar, at.bound, residual,
+                      bool(at.G >= -AUDIT_TOL and at.G - at.Gmax >= -AUDIT_TOL),
+                      idx, switches)
 
 
 CSV_COLUMNS = ("c", "outcome", "rho", "lambda", "F_c", "Fbar_c",

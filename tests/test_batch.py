@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscillap import _rk, shoot_plap
+from oscillap import _rk
 from oscillap._rk import Event, integrate, integrate_batch
 from oscillap.cli import main
 from oscillap.errors import (
@@ -49,8 +49,10 @@ CANONICAL_ZEROS = find_zeros(CANONICAL, 6)
 #: batched rows match scalar shots to this relative tolerance on lambda
 ROW_RTOL = 1e-7
 TOL_ODE = 1e-10
-#: the p = 2, N = 1 shots of the canonical scans below
-P2N1 = ShootConfig(2.0, 1, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
+#: the p = 2 shot configs of the canonical scans below: N = 1 rows and
+#: refinement heights come from the time map, N = 2 ones from shots
+P2 = {N: ShootConfig(2.0, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
+      for N in (1, 2)}
 
 
 # -- the engine on closed forms ---------------------------------------------
@@ -257,11 +259,15 @@ def _scalar_lambda(cfg, nl, R=1.0):
 
 
 def _assert_rows_match_scalar(nl, p, N, heights, zeros):
+    # N = 1 rows come from the time map, exact to quadrature accuracy, so
+    # their reference is a tighter shot: at tol 1e-10 a p = 3 shot at
+    # c = 30 is 3.0e-7 off in lambda, at 1e-12 9.5e-10
     pc = PrimitiveCalculus(nl)
     op = ShootConfig(p, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
     dg = BifurcationDiagram.scan(op, nl, 1.0, heights, zeros, pc)
     for row in dg.rows:
-        ref = _scalar_lambda(ShootConfig(p, N, row.c, tol_ode=TOL_ODE,
+        ref = _scalar_lambda(ShootConfig(p, N, row.c,
+                                         tol_ode=TOL_ODE if N > 1 else 1e-12,
                                          event_tol=1e-10), nl)
         if ref is None:
             assert row.outcome == "Stalled"
@@ -389,50 +395,59 @@ def test_row_does_not_depend_on_the_rest_of_the_batch(c, p):
 
 
 # -- lambda-star refinement ---------------------------------------------------
+# Each test runs at N = 1, where rows and refinement heights come from the
+# time map, and at N = 2, where they come from batches of shots.
 
 def test_unclosable_pole_bracket_is_reported_not_raised():
     # Doctor two rows around alpha_1 so they straddle a level no height
     # next to alpha_1 reaches: the bracket is reported as unresolved.
     alpha1 = CANONICAL_ZEROS.alphas[0]
-    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
-                                 [4.0, 5.5], CANONICAL_ZEROS)
-    assert [r.zero_interval_index for r in dg.rows] == [1, 2]
-    dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
-               dataclasses.replace(dg.rows[1], lam=2e12))
-    unresolved = []
-    assert dg.solutions_at(1e12, unresolved) == []
-    assert len(unresolved) == 1
-    assert (unresolved[0].c_lo, unresolved[0].c_hi) == (4.0, alpha1)
-    assert unresolved[0].zero_interval_index == 1
-    assert dg.solutions_at(1e12) == []
+    for N in (1, 2):
+        dg = BifurcationDiagram.scan(P2[N], CANONICAL, 1.0,
+                                     [4.0, 5.5], CANONICAL_ZEROS)
+        assert [r.zero_interval_index for r in dg.rows] == [1, 2]
+        dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
+                   dataclasses.replace(dg.rows[1], lam=2e12))
+        unresolved = []
+        assert dg.solutions_at(1e12, unresolved) == []
+        assert len(unresolved) == 1
+        assert (unresolved[0].c_lo, unresolved[0].c_hi) == (4.0, alpha1)
+        assert unresolved[0].zero_interval_index == 1
+        assert dg.solutions_at(1e12) == []
 
 
 def test_refined_crossings_sit_on_the_level():
     # every crossing of a 120-row grid, refined in shared batches, within
-    # the refinement tolerance of the level and inside its own gap
+    # the refinement tolerance of the level and inside its own gap; the
+    # last level of each N also crosses pole brackets
     grid = np.linspace(0.5, 30.0, 120)
-    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0, grid, CANONICAL_ZEROS)
-    for level in (3.0, 5.0, 40.0):
-        xs = dg.solutions_at(level)
-        assert xs and [x.c for x in xs] == sorted(x.c for x in xs)
-        for x in xs:
-            assert x.lam == pytest.approx(level, rel=1e-8)
-            assert x.zero_interval_index == CANONICAL_ZEROS.interval_index(x.c)
-            ref = _scalar_lambda(ShootConfig(2.0, 1, x.c, tol_ode=TOL_ODE,
-                                             event_tol=1e-10), CANONICAL)
-            assert ref[1] == pytest.approx(level, rel=ROW_RTOL)
+    for N, levels in ((1, (3.0, 5.0, 40.0)), (2, (5.0, 10.0, 80.0))):
+        dg = BifurcationDiagram.scan(P2[N], CANONICAL, 1.0, grid,
+                                     CANONICAL_ZEROS)
+        assert dg._level_brackets(levels[-1], [])[1]
+        for level in levels:
+            xs = dg.solutions_at(level)
+            assert xs and [x.c for x in xs] == sorted(x.c for x in xs)
+            for x in xs:
+                assert x.lam == pytest.approx(level, rel=1e-8)
+                assert x.zero_interval_index == CANONICAL_ZEROS.interval_index(x.c)
+                ref = _scalar_lambda(ShootConfig(2.0, N, x.c, tol_ode=TOL_ODE,
+                                                 event_tol=1e-10), CANONICAL)
+                assert ref[1] == pytest.approx(level, rel=ROW_RTOL)
 
 
 def _levels_together_and_alone(dg, levels, monkeypatch):
-    """(crossings, unresolved, batches) of refining ``levels`` together and
-    of refining each alone, counting ``integrate_batch`` calls."""
+    """(crossings, unresolved, rounds) of refining ``levels`` together and
+    of refining each alone, counting the rounds (``_lambdas`` calls: one
+    time map or one batch of shots each)."""
     calls = []
+    lambdas = dg._lambdas
 
-    def counted(*args, **kwargs):
+    def counted(heights):
         calls.append(1)
-        return integrate_batch(*args, **kwargs)
+        return lambdas(heights)
 
-    monkeypatch.setattr(shoot_plap, "integrate_batch", counted)
+    monkeypatch.setattr(dg, "_lambdas", counted)
     unresolved = []
     together = dg.solutions_at(levels, unresolved)
     shared = len(calls)
@@ -449,40 +464,48 @@ def _assert_shared_rounds_change_nothing(dg, levels, monkeypatch):
         dg, levels, monkeypatch)
     assert together == [x for xs, _, _ in alone for x in xs]
     assert unresolved == [u for _, missed, _ in alone for u in missed]
-    assert shared <= max(batches for _, _, batches in alone)
+    assert shared <= max(rounds for _, _, rounds in alone)
     return together, unresolved
 
 
-def test_shared_rounds_match_levels_alone_through_a_pole(monkeypatch):
-    # 41.93 brackets a crossing against a height next to alpha_2 (a pole
-    # bracket, its heights shot in the first round); 5.0 has none
+def _pole_scans():
+    """The canonical 200-row scan at N = 1 and at N = 2."""
     grid = np.linspace(0.4845, 29.788, 200)
-    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
-                                 grid, find_zeros(CANONICAL, 12))
-    together, _ = _assert_shared_rounds_change_nothing(dg, [41.93, 5.0],
-                                                       monkeypatch)
-    assert [x.level for x in together] == sorted(
-        (x.level for x in together), reverse=True)
-    assert {x.level for x in together} == {41.93, 5.0}
+    return [BifurcationDiagram.scan(P2[N], CANONICAL, 1.0, grid,
+                                    find_zeros(CANONICAL, 12)) for N in (1, 2)]
+
+
+def test_shared_rounds_match_levels_alone_through_a_pole(monkeypatch):
+    # 41.93 brackets a crossing against a height next to a zero (a pole
+    # bracket, its heights shot in the first round: next to alpha_2 at
+    # N = 1, to alpha_4 at N = 2); 5.0 has none
+    for dg in _pole_scans():
+        assert dg._level_brackets(41.93, [])[1]
+        assert not dg._level_brackets(5.0, [])[1]
+        together, _ = _assert_shared_rounds_change_nothing(dg, [41.93, 5.0],
+                                                           monkeypatch)
+        assert [x.level for x in together] == sorted(
+            (x.level for x in together), reverse=True)
+        assert {x.level for x in together} == {41.93, 5.0}
 
 
 def test_levels_sharing_a_pole_row_shoot_its_heights_once(monkeypatch):
     # both levels lie between the pole rows' lambdas and their neighbours
-    # across alpha_2, so they propose the same heights next to it
-    grid = np.linspace(0.4845, 29.788, 200)
-    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
-                                 grid, find_zeros(CANONICAL, 12))
-    shot = []
-    lambdas = dg._lambdas
+    # across a zero, so they propose the same heights next to it
+    for dg in _pole_scans():
+        poles = dg._level_brackets(41.93, [])[1]
+        assert poles and poles == dg._level_brackets(41.95, [])[1]
+        shot = []
+        lambdas = dg._lambdas
 
-    def counted(heights):
-        shot.append(list(heights))
-        return lambdas(heights)
+        def counted(heights):
+            shot.append(list(heights))
+            return lambdas(heights)
 
-    monkeypatch.setattr(dg, "_lambdas", counted)
-    together = dg.solutions_at([41.93, 41.95])
-    assert {x.level for x in together} == {41.93, 41.95}
-    assert all(len(set(hs)) == len(hs) for hs in shot)
+        monkeypatch.setattr(dg, "_lambdas", counted)
+        together = dg.solutions_at([41.93, 41.95])
+        assert {x.level for x in together} == {41.93, 41.95}
+        assert all(len(set(hs)) == len(hs) for hs in shot)
 
 
 def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
@@ -498,14 +521,15 @@ def test_shared_rounds_match_levels_alone_on_pucci(monkeypatch):
 
 def test_shared_rounds_keep_unclosable_brackets_apart(monkeypatch):
     # the doctored rows of test_unclosable_pole_bracket_is_reported_not_raised
-    dg = BifurcationDiagram.scan(P2N1, CANONICAL, 1.0,
-                                 [4.0, 5.5], CANONICAL_ZEROS)
-    dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
-               dataclasses.replace(dg.rows[1], lam=2e12))
-    together, unresolved = _assert_shared_rounds_change_nothing(
-        dg, [1e12, 1.5e12], monkeypatch)
-    assert together == []
-    assert [u.level for u in unresolved] == [1e12, 1.5e12]
+    for N in (1, 2):
+        dg = BifurcationDiagram.scan(P2[N], CANONICAL, 1.0,
+                                     [4.0, 5.5], CANONICAL_ZEROS)
+        dg.rows = (dataclasses.replace(dg.rows[0], lam=1.0),
+                   dataclasses.replace(dg.rows[1], lam=2e12))
+        together, unresolved = _assert_shared_rounds_change_nothing(
+            dg, [1e12, 1.5e12], monkeypatch)
+        assert together == []
+        assert [u.level for u in unresolved] == [1e12, 1.5e12]
 
 
 # -- lean right-hand sides and one error state ---------------------------------
@@ -520,8 +544,12 @@ def _reference_eval(nl, v):
             out = np.where(pos, s, 1.0) ** nl.r * (1.0 + np.sin(s))
         return np.where(pos, out, 0.0)
     if isinstance(nl, ReciprocalOscillation):
+        # 1 + sin(1/v) is 1 where 1/v overflows
         safe = np.where(s > 0.0, s, 1.0)
-        out = safe ** nl.exponent * (1.0 + np.sin(1.0 / safe))
+        with np.errstate(over="ignore"):
+            inv = 1.0 / safe
+        wave = np.sin(np.where(np.isinf(inv), 0.0, inv))
+        out = safe ** nl.exponent * (1.0 + np.where(np.isinf(inv), 0.0, wave))
         return np.where(s > 0.0, out, 0.0)
     if isinstance(nl, PureSine):
         return np.sin(s)
@@ -597,7 +625,7 @@ _values = st.one_of(st.floats(-5.0, 40.0),
 @given(spec=_catalog, op=_shot_ops,
        lanes=st.lists(st.tuples(_values, _values, st.floats(1e-6, 10.0)),
                       min_size=1, max_size=8))
-# below 1/DBL_MAX, 1/v overflows and f(v) of reciprocal_sin is NaN on both sides
+# below 1/DBL_MAX, 1/v overflows and f(v) of reciprocal_sin is v^(1/r) on both sides
 @example(spec={"kind": "reciprocal_sin", "r": 0.5},
          op=ShootConfig(1.5, 1, 1.0, lambda_shoot=1.0),
          lanes=[(2.225073858507203e-309, 0.0, 1.0)])

@@ -358,6 +358,19 @@ def test_diagram_summary_counts_crossings(scan_run):
     assert rep["lambda_star"]["500"]["count"] == 0
 
 
+def test_n1_summary_counts_the_time_map_work(scan_run):
+    # N = 1 rows and refinement heights come from the time map, and the
+    # summary counts its deterministic work; N >= 2 summaries have no such
+    # entry (test_pucci_diagram)
+    _, out = scan_run
+    counts = read_json(out / "diagram_summary.json")["time_map"]
+    assert counts["rows"] == 120
+    assert counts["refinement_heights"] > 0
+    assert counts["panels"] >= 2 * 120   # at least one g and one t panel a row
+    assert 0 < counts["deepest_bisection"] <= 40
+    assert counts["unresolved_heights"] == []
+
+
 def test_fractional_power_sin_diagram_passes_its_audit(tmp_path):
     """Panel-cache primitives are accurate at every height of a scan, so
     the energy identity of each row holds well inside the 1e-6 audit."""
@@ -397,8 +410,8 @@ def test_diagram_determinism(scan_run, tmp_path):
     cfg, out = scan_run
     rerun = tmp_path / "rerun"
     assert main(["diagram", "--config", cfg, "--out", str(rerun)]) == 0
-    assert (rerun / "diagram.csv").read_bytes() == \
-        (out / "diagram.csv").read_bytes()
+    for name in ("diagram.csv", "diagram_summary.json"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_points_override(scan_run, tmp_path):
@@ -551,6 +564,7 @@ def test_pucci_diagram(tmp_path):
     assert "q_sign_changes" in header.split(",")
     rep = read_json(out / "diagram_summary.json")
     assert rep["audit"]["pass"] is True
+    assert "time_map" not in rep   # N = 2 rows come from shots
 
     # branch crossings are refined on Pucci scans too
     rc = main(["diagram", "--config", cfg, "--out", str(out),

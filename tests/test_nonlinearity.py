@@ -99,6 +99,19 @@ def test_too_many_requested_zeros_from_table():
         find_zeros(tab, 10)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_reciprocal_scalar_and_batched_agree_where_1_over_s_overflows(r):
+    # below 1/DBL_MAX ~ 5.6e-309 both forms take 1 + sin(1/s) as 1; above
+    # it both evaluate sin(1/s)
+    nl = ReciprocalOscillation(r)
+    for s in (2e-309, 1e-300):
+        batched = nl.eval_many(np.array([s]))[0]
+        assert nl.eval(s) == batched
+        assert math.isfinite(batched)
+    assert nl.eval(2e-309) == 2e-309 ** (1.0 / r)
+    assert nl.eval(1e-300) == 1e-300 ** (1.0 / r) * (1.0 + math.sin(1.0 / 1e-300))
+
+
 def test_envelope_requires_nondecreasing_positive_table():
     with pytest.raises(DomainError):
         EnvelopeTimesOnePlusSin(np.array([[0.0, 2.0], [1.0, 1.0]]))

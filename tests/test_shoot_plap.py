@@ -11,9 +11,12 @@ from oscillap.errors import (
     NotAZeroHit,
     StalledAtCriticalPoint,
 )
+from oscillap.cli import _audit_rows
 from oscillap.nonlinearity import (
+    CustomTable,
     PowerTimesOnePlusSin,
     PureSine,
+    ReciprocalOscillation,
     ZeroSequence,
     find_zeros,
 )
@@ -30,6 +33,7 @@ from oscillap.shoot_plap import (
     diagram_csv_lines,
     rescale_to_ball,
     shoot,
+    time_map,
 )
 
 from helpers import tabulate
@@ -79,6 +83,107 @@ def test_tight_shots_match_the_time_map():
         errors.append(abs(rescale_to_ball(res, 1.0) / lam - 1.0))
     assert np.median(errors) <= 6e-13
     assert max(errors) <= 1.5e-12
+
+
+# -- the N = 1 time map --------------------------------------------------------
+
+def test_time_map_matches_the_mpmath_values():
+    heights = list(TIME_MAP_LAMBDA)
+    maps = time_map(ShootConfig(2.0, 1, 1.0), heights, CANONICAL,
+                    find_zeros(CANONICAL, 6).alphas)
+    for (c, lam), m in zip(TIME_MAP_LAMBDA.items(), maps):
+        assert m.outcome == "HitZero" and m.resolved
+        assert abs(m.rho ** 2 / lam - 1.0) <= 1e-12, c
+        assert m.gap <= 1e-12
+
+
+def _agrees_or_fails_the_audit(rows, rhos):
+    """Each zero-hitting row's rho is within 1e-10 of its reference, or
+    the rows fail the diagram audit at its default tolerances."""
+    hits = [(r, rho) for r, rho in zip(rows, rhos) if r.outcome == "HitZero"]
+    assert len(hits) == len(rows)
+    agree = all(abs(r.rho / rho - 1.0) <= 1e-10 for r, rho in hits)
+    return agree or not _audit_rows(rows, 1e-6, 1e-8)["pass"]
+
+
+def test_time_map_next_to_a_touch_zero_at_a_large_height():
+    # c lies 0.002 above the touch zero alpha_474, where a tol 1e-12 shot
+    # misses lambda by 1e-5; the reference is the time map at 80 digits
+    # in t with s = c - t^2, split at every zero below c (mpmath)
+    c, lam = 2976.6610595, 19.914914236297719801
+    zeros = find_zeros(CANONICAL, 480)
+    dg = BifurcationDiagram.scan(ShootConfig(2.0, 1, 1.0), CANONICAL, 1.0,
+                                 [c], zeros)
+    assert _agrees_or_fails_the_audit(dg.rows, [math.sqrt(lam)])
+
+
+#: a table with a V-shaped touch zero at 4 (slope 20 on either side)
+V_TABLE = CustomTable([[0.0, 1.0], [2.0, 3.0], [3.9, 2.0], [4.0, 0.0],
+                       [4.1, 2.0], [6.0, 3.0], [10.0, 5.0]])
+
+
+def test_time_map_1e_12_from_a_touch_zero():
+    # references: the time map of the exact piecewise-quadratic F at 80
+    # digits (mpmath), in t with s = c - t^2; f(c) = 2e-11 there, and
+    # rounding the nodes next to c to doubles moves f by 1e-4 of itself,
+    # so these rows fail the audit rather than report a wrong lambda
+    rhos = {4.0 - 1e-12: 7.4774390450155730389, 4.0 + 1e-12: 7.8286797815676082381}
+    dg = BifurcationDiagram.scan(ShootConfig(2.0, 1, 1.0, r_max=1e3), V_TABLE,
+                                 1.0, list(rhos), ZeroSequence((4.0,), "infinity"))
+    assert _agrees_or_fails_the_audit(dg.rows, list(rhos.values()))
+
+
+def test_time_map_flags_what_it_cannot_resolve():
+    # the zeros of reciprocal_sin accumulate at 0, so no finite set of
+    # panels resolves g below the last zero split: the height is marked
+    # unresolved, and its gap still bounds the error (tight shots are
+    # within 1e-12 here)
+    nl = ReciprocalOscillation(2.0)
+    heights = [0.3, 0.5]
+    maps = time_map(ShootConfig(2.0, 1, 1.0), heights, nl,
+                    find_zeros(nl, 8).alphas)
+    for c, m in zip(heights, maps):
+        ref = shoot(ShootConfig(2.0, 1, c, tol_ode=1e-12), nl).outcome.rho
+        assert m.outcome == "HitZero" and not m.resolved
+        assert abs(m.rho / ref - 1.0) <= m.gap
+
+
+def test_time_map_row_is_the_same_alone_or_in_a_grid():
+    zeros = find_zeros(CANONICAL, 6)
+    op = ShootConfig(2.0, 1, 1.0)
+    grid = np.linspace(0.5, 30.0, 200)
+    lines = diagram_csv_lines(BifurcationDiagram.scan(op, CANONICAL, 1.0, grid,
+                                                      zeros))
+    for c, line in zip(grid, lines[1:]):
+        alone = BifurcationDiagram.scan(op, CANONICAL, 1.0, [c], zeros)
+        assert diagram_csv_lines(alone)[1] == line
+
+
+def test_time_map_outcomes_on_a_sign_changing_f():
+    # sin: heights whose F(c) lies below an earlier max of F bounce (f(c) < 0
+    # among them), k pi stalls, and the rest hit zero like tight shots
+    heights = [0.7, 2.0, math.pi, 3.6, 4.4, 5.2, 6.0, 7.5, 9.0]
+    maps = time_map(ShootConfig(2.0, 1, 1.0), heights, PureSine())
+    for c, m in zip(heights, maps):
+        try:
+            res = shoot(ShootConfig(2.0, 1, c, tol_ode=1e-13), PureSine())
+        except StalledAtCriticalPoint:
+            assert m.outcome == "Stalled"
+            continue
+        if math.sin(c) < 0.0:   # the shot first rises above c
+            assert m.outcome == "Bounced"
+            continue
+        assert m.outcome == res.outcome.kind, c
+        if m.outcome == "HitZero":
+            assert m.rho == pytest.approx(res.outcome.rho, rel=1e-10)
+    assert {m.outcome for m in maps} == {"HitZero", "Bounced", "Stalled"}
+
+
+def test_time_map_needs_one_dimension():
+    with pytest.raises(DomainError):
+        time_map(ShootConfig(2.0, 2, 1.0), [1.0], CANONICAL)
+    with pytest.raises(DomainError):
+        time_map(ShootConfig(2.0, 1, 1.0), [1.0, -1.0], CANONICAL)
 
 
 def test_constant_source_three_dims():

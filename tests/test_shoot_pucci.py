@@ -1,5 +1,6 @@
 """Switched-diffusion shooting tests: closed forms and p=2 consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from oscillap.shoot_plap import (
     diagram_csv_lines,
     rescale_to_ball,
     shoot,
+    time_map,
 )
 from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
 from oscillap.thresholds import BallGeometry, Operator, compute_thresholds
@@ -90,6 +92,52 @@ def test_origin_series_negative_f():
     pred = c + 0.5 * a0 * res.r[mask] ** 2
     assert np.max(np.abs(res.v[mask] - pred)) <= 1e-7
     assert isinstance(res.outcome, Bounced)
+
+
+@pytest.mark.parametrize("Lam", [1.5, 2.0])
+@pytest.mark.parametrize("nl", [CANONICAL, PureSine()], ids=["power_sin", "sin"])
+def test_n1_pucci_is_the_p2_time_map_of_F_Lambda(nl, Lam):
+    # at N = 1, rho = rho_{p=2}[F_Lambda] / sqrt(Lambda): the time map of
+    # the weighted primitive against tight shots of the switched equation
+    heights = np.linspace(0.7, 20.0, 12)
+    maps = time_map(PucciShootConfig(Lam, 1, 1.0), heights, nl,
+                    find_zeros(nl, 8).alphas)
+    for c, m in zip(heights, maps):
+        if nl.eval(c) < 0.0:   # the shot first rises above c: Bounced at c
+            assert m.outcome == "Bounced" and m.switches == 0
+            continue
+        res = pucci_shoot(PucciShootConfig(Lam, 1, float(c), tol_ode=1e-13), nl)
+        assert m.outcome == res.outcome.kind, c
+        assert m.switches == res.q_sign_changes, c
+        if m.outcome == "HitZero":
+            assert abs(m.rho / res.outcome.rho - 1.0) <= 1e-10, c
+
+
+_COS_TABLE = tabulate(lambda s: math.cos(s) + 0.3, 40.0, 800)
+
+
+@pytest.mark.parametrize("nl", [CANONICAL, PureSine(), _COS_TABLE],
+                         ids=["power_sin", "sin", "cos table"])
+def test_n1_rows_at_unit_ratio_are_the_p2_rows_bit_for_bit(nl):
+    zeros = find_zeros(nl, 6)
+    grid = np.linspace(0.5, 20.0, 40)
+    pucci = BifurcationDiagram.scan(PucciShootConfig(1.0, 1, 1.0), nl, 1.5,
+                                    grid, zeros).rows
+    plap = BifurcationDiagram.scan(ShootConfig(2.0, 1, 1.0), nl, 1.5,
+                                   grid, zeros).rows
+    assert {r.q_sign_changes for r in pucci} == {0}   # no switch at Lambda = 1
+    assert [repr(dataclasses.replace(r, q_sign_changes=None)) for r in pucci] \
+        == [repr(r) for r in plap]
+
+
+def test_n1_switches_count_the_sign_changes_of_f_below_c():
+    grid = np.linspace(0.5, 20.0, 40)
+    rows = BifurcationDiagram.scan(PucciShootConfig(2.0, 1, 1.0), PureSine(),
+                                   1.0, grid, find_zeros(PureSine(), 8)).rows
+    hits = [r for r in rows if r.outcome == "HitZero"]
+    assert hits
+    for r in hits:
+        assert r.q_sign_changes == math.floor(r.c / math.pi)
 
 
 def test_unit_ratio_matches_p2_shoots():

@@ -20,7 +20,7 @@ of ``diagram.csv``, ``c`` and ``lambda`` of every lambda-star crossing in
 ``thresholds.sequence.gamma`` lists every gamma), and ``lambda_bar`` and
 each item's ``gamma_n``, ``sup_norm``, ``energy`` and ``residual`` in
 ``minimize.json``.
-It imports the package from this checkout's ``src``; its 156 runs take
+It imports the package from this checkout's ``src``; its 168 runs take
 about 20 s on a 2-core VM.
 
 Run:  python3 tools/report_digest.py > digest.json
@@ -119,6 +119,13 @@ FIXED = {
         {"kind": "reciprocal_sin", "r": 2.0}, {"plap": {"p": 2.0}},
         {**_TOWARD_ZERO, "scan": {"c_min": 0.5, "c_max": 3.0, "points": 12},
          "shoot": {"c": 2.5}, "tolerances": {"tol_ode": 1e-10}}),
+    # N = 1 diagrams from the time map: Pucci's weighted primitive with
+    # bounces on a sign-changing f, and a table's kinks and sign changes
+    "pure_sine-pucci2-n1": _fixed({"kind": "pure_sine"},
+                                  {"pucci": {"Lambda": 2.0}}, _TOWARD_INFINITY,
+                                  N=1),
+    "cos_table-plap2-n1": _fixed(_COS_TABLE, {"plap": {"p": 2.0}},
+                                 _TOWARD_INFINITY, N=1),
     # JSON has no NaN: every command refuses the file (exit 2)
     "nan_radius": {**_fixed({"kind": "pure_sine"}, {"plap": {"p": 2.0}},
                             _TOWARD_INFINITY),
