@@ -35,9 +35,14 @@ F comes from one of four backends, each answering the vectorized
   quadrature below.
 * everything else: adaptive panel quadrature with a prefix checkpoint
   cache, so the millions of F evaluations issued during shooting extend an
-  existing prefix instead of recomputing from 0.  Panels on a fixed lattice compare embedded Gauss
-  rules (21 vs 10 nodes) and bisect on disagreement; F at a point does
-  not depend on which points were asked for before it.
+  existing prefix instead of recomputing from 0.  Panels on a fixed
+  lattice compare the 21-point Gauss-Kronrod sum with its embedded
+  10-point Gauss sum and bisect on disagreement; F at a point does not
+  depend on which points were asked for before it.
+
+The N = 1 time map (``shoot_plap.time_map``) integrates through the same
+Kronrod panel (``_kronrod``) and bisection (``_bisect``), with its own
+acceptance rule.
 
 F^- is zero for f >= 0, exact for a table, and otherwise one more panel
 cache on max(-f, 0).
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,29 +68,149 @@ from .nonlinearity import (
     ReciprocalOscillation,
 )
 
-_X21, _W21 = np.polynomial.legendre.leggauss(21)
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
+#: the 21-point Gauss-Kronrod rule on [-1, 1] and the weights of its
+#: embedded 10-point Gauss rule, zero off the Gauss nodes (QUADPACK
+#: ``qk21``; Piessens et al. 1983), from the nodes in [0, 1) down
+_HALF = np.array([
+    # node, Kronrod weight, Gauss weight
+    (0.99565716302580808074, 0.011694638867371874278, 0.0),
+    (0.97390652851717172008, 0.032558162307964727479, 0.066671344308688137594),
+    (0.93015749135570822600, 0.054755896574351996031, 0.0),
+    (0.86506336668898451073, 0.075039674810919952767, 0.14945134915058059315),
+    (0.78081772658641689706, 0.093125454583697605535, 0.0),
+    (0.67940956829902440623, 0.10938715880229764190, 0.21908636251598204400),
+    (0.56275713466860468334, 0.12349197626206585108, 0.0),
+    (0.43339539412924719080, 0.13470921731147332593, 0.26926671930999635509),
+    (0.29439286270146019813, 0.14277593857706008080, 0.0),
+    (0.14887433898163121088, 0.14773910490133849137, 0.29552422471475287017),
+    (0.0, 0.14944555400291690566, 0.0)])
+_XK = np.concatenate([-_HALF[:-1, 0], _HALF[::-1, 0]])
+_WK, _WG = (np.concatenate([_HALF[:-1, k], _HALF[::-1, k]]) for k in (1, 2))
+#: the ten nodes in [-1, 0) as offsets from -1, and the others from 1
+_FROM_LO, _FROM_HI = 1.0 + _XK[:10], 1.0 - _XK[10:]
 
 #: default relative quadrature tolerance
 TOL_QUAD = 1e-10
 #: checkpoint spacing; half a period of the catalog oscillations
 PANEL_WIDTH = math.pi / 2.0
-#: multiple of the rounding-level terms that ``CachedPrefix`` accepts; for
-#: s^3 (1 + sin s) on [6e3, 1e4] the pure-rounding disagreements reach
-#: about half of the terms at factor eps
+#: ``CachedPrefix`` serves F on this many lattice panels, [0, 6.6e6],
+#: and refuses a farther point before it builds anything
+MAX_LATTICE_PANELS = 2 ** 22
+#: multiple of the rounding-level terms a Kronrod panel is accepted at;
+#: for s^3 (1 + sin s) on [6e3, 1e4] the pure-rounding disagreements
+#: reach about half of the terms at factor eps
 _ROUNDING = 4.0 * np.finfo(float).eps
+#: ``_bisect`` caps a panel after this many bisections, or when its row
+#: has this many more panels left to bisect than it started with
+MAX_BISECTIONS, MAX_ROW_PANELS = 40, 1024
+#: panels per integrand call: 21 x 10 inner nodes of 8 bytes in a few
+#: arrays keep the working arrays of a slice under about 2 MB
+_SLICE = 512
+
+
+def _row_sums(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """fv @ w with row bits independent of the row count, unlike BLAS's."""
+    return np.einsum("ij,j->i", fv, w)
+
+
+def _kronrod_nodes(fvec, lo: np.ndarray, hi: np.ndarray):
+    """fvec at the Kronrod nodes of each panel [lo, hi], one row per
+    panel, with the half-widths and midpoints.  Nodes are placed from the
+    nearer end: from the rounded midpoint the whole panel shifts, and the
+    prefix of sin s drifts ten times further (2e-9 by s = 1e6)."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes = np.concatenate([lo[:, None] + half[:, None] * _FROM_LO,
+                            hi[:, None] - half[:, None] * _FROM_HI], axis=1)
+    return fvec(nodes), half, mid
+
+
+def _kronrod(fv: np.ndarray, half: np.ndarray, noise: np.ndarray):
+    """(Kronrod sum, |Kronrod - Gauss|, rounding level) of panels of
+    half-width ``half`` from the integrand at their Kronrod nodes, one row
+    per panel.
+
+    The rounding level is _ROUNDING times the weighted sum of |fv| plus
+    ``noise``, the integrand's own rounding in units of eps (per panel).
+    Bisecting cannot shrink a disagreement at that level, so each caller
+    accepts a panel there or at its own tolerance."""
+    k, g = half * _row_sums(fv, _WK), half * _row_sums(fv, _WG)
+    rounding = _ROUNDING * (np.abs(half) * _row_sums(np.abs(fv), _WK) + noise)
+    return k, np.abs(k - g), rounding
+
+
+class _Panels(NamedTuple):
+    """Accepted panels of ``_bisect``: their fields, Kronrod sums, gaps
+    and kept values, whether each was accepted only at a limit, and the
+    bisections behind each."""
+
+    fields: dict
+    value: np.ndarray
+    err: np.ndarray
+    kept: np.ndarray
+    capped: np.ndarray
+    depth: np.ndarray
+
+
+def _bisect(evaluate, split, fields: dict, depth: np.ndarray) -> _Panels:
+    """Evaluate panels and bisect the rejected ones until none is left.
+
+    ``fields`` holds one array per panel field ("row" among them) and
+    ``depth`` the bisections behind each panel so far.  ``evaluate`` maps
+    a slice of the fields to (Kronrod sum, gap, accepted, a value kept per
+    panel), and ``split`` maps the rejected panels' fields and kept values
+    to the fields of their two halves that change, all first halves
+    before all second halves; the others are copied.  A panel is accepted
+    as it is, and counted as capped, once bisected MAX_BISECTIONS times
+    here, when its gap is not finite, or when its row has more panels to
+    bisect than MAX_ROW_PANELS plus those it started with.
+    """
+    out = []
+    budget = np.bincount(fields["row"]) + MAX_ROW_PANELS
+    bisections = 0   # behind every panel left, in this call
+    while depth.size:
+        parts = [evaluate({k: v[i:i + _SLICE] for k, v in fields.items()})
+                 for i in range(0, depth.size, _SLICE)]
+        value, err, ok, kept = (parts[0] if len(parts) == 1 else
+                                (np.concatenate(x) for x in zip(*parts)))
+        capped = ~ok & ((bisections >= MAX_BISECTIONS) | ~np.isfinite(err))
+        pending = ~ok & ~capped
+        if np.count_nonzero(pending) > MAX_ROW_PANELS:   # else no row is crowded
+            row = fields["row"]
+            capped |= pending & (np.bincount(row[pending], minlength=budget.size)
+                                 > budget)[row]
+        done = ok | capped
+        out.append(({k: v[done] for k, v in fields.items()},
+                    value[done], err[done], kept[done], capped[done], depth[done]))
+        more = ~done
+        rejected = {k: v[more] for k, v in fields.items()}
+        halves = split(rejected, kept[more])
+        fields = {k: halves[k] if k in halves else np.concatenate([v, v])
+                  for k, v in rejected.items()}
+        depth = np.concatenate([depth[more] + 1] * 2)
+        bisections += 1
+    return _Panels({k: np.concatenate([f[k] for f, *_ in out]) for k in fields},
+                   *(np.concatenate([x[i] for x in out]) for i in range(1, 6)))
+
+
+def _halve(f: dict, _kept) -> dict:
+    """The two halves of the panels [lo, hi], as ``_bisect`` splits them."""
+    mid = 0.5 * (f["lo"] + f["hi"])
+    return {"lo": np.concatenate([f["lo"], mid]),
+            "hi": np.concatenate([mid, f["hi"]])}
 
 
 class CachedPrefix:
-    """Prefix antiderivative cache with embedded-pair panel quadrature.
+    """Prefix antiderivative cache on Kronrod panels.
 
     Panels sit on the lattice k * PANEL_WIDTH, split at the kinks of the
-    integrand, and are bisected until accepted.  Each accepted leaf ends
-    in a checkpoint t_k with prefix value I_k ~ integral_0^{t_k} f, summed
-    left to right.  A query at s adds one GL21 panel over the remainder,
-    which lies inside one leaf.  Checkpoints depend only on the integrand
-    and each panel sum only on its own row, so F at a point has the same
-    bits whatever was asked before it and whatever shares its call.
+    integrand, and are bisected (``_bisect``, one row each) until their
+    Kronrod and Gauss sums agree to ``tol`` (relative above 1, absolute
+    below) or to rounding; a capped panel raises QuadratureFailure.  Each
+    leaf ends in a checkpoint t_k with prefix value I_k ~ integral_0^{t_k}
+    f, summed left to right.  A query at s adds one Kronrod panel over the
+    remainder, which lies inside one leaf.  Checkpoints depend only on the
+    integrand and each panel sum only on its own row, so F at a point has
+    the same bits whatever was asked before it and whatever shares its call.
 
     An extension publishes the checkpoints and prefix values together as
     one tuple, and each query reads the snapshot it was handed.  Two
@@ -93,61 +219,21 @@ class CachedPrefix:
     snapshot that ends short of the reader's point.
     """
 
-    def __init__(self, fvec, tol=TOL_QUAD, kinks=None, max_depth=28):
+    def __init__(self, fvec, tol=TOL_QUAD, kinks=None):
         self._fvec = fvec
         self.tol = float(tol)
         self._kinks = kinks if kinks is not None else (lambda a, b: [])
-        self.max_depth = int(max_depth)
         self._state = (np.array([0.0]), np.array([0.0]))  # (t, I)
 
-    # -- panel machinery ------------------------------------------------
-
-    def _panel_pair(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (GL21, accepted) over the panels [a, b].
-
-        A panel is accepted when |GL21 - GL10| meets the tolerance or lies
-        within the rounding level of the GL21 sum.  That level has two
-        terms: eps times the weighted sum of |f| (evaluation), and eps |mid|
-        times the variation of f across the nodes (each node sits within
-        eps |mid| of its exact place).  Bisecting cannot shrink a
-        disagreement at that level; it only spends panels and depth.
-        """
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        f21 = self._at_nodes(mid, half, _X21)
-        f10 = self._at_nodes(mid, half, _X10)
-        g21 = half * _row_sums(f21, _W21)
-        err = np.abs(g21 - half * _row_sums(f10, _W10))
-        rounding = _ROUNDING * (half * _row_sums(np.abs(f21), _W21)
-                                + np.abs(mid) * np.abs(np.diff(f21, axis=1)).sum(axis=1))
-        return g21, (err <= self.tol * np.maximum(1.0, np.abs(g21))) | (err <= rounding)
-
-    def _at_nodes(self, mid: np.ndarray, half: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """f at the Gauss nodes x of each panel, one row per panel."""
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        return np.asarray(self._fvec(nodes.ravel()), dtype=float).reshape(nodes.shape)
-
-    def _leaves(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Accepted bisection leaves of the panels [a, b], as (right ends,
-        GL21 values) from left to right."""
-        ends, vals = [], []
-        for depth in range(self.max_depth + 1):
-            g21, ok = self._panel_pair(a, b)
-            ends.append(b[ok])
-            vals.append(g21[ok])
-            a, b = a[~ok], b[~ok]
-            if not a.size:
-                break
-            if depth == self.max_depth:
-                raise QuadratureFailure(f"panel [{a[0]!r}, {b[0]!r}] exceeded "
-                                        f"subdivision depth {self.max_depth}")
-            m = 0.5 * (a + b)
-            if not np.all((a < m) & (m < b)):
-                raise QuadratureFailure(f"a panel in [{a[0]!r}, {b[-1]!r}] "
-                                        f"underflowed while refining")
-            a, b = np.concatenate([a, m]), np.concatenate([m, b])
-        ends, vals = np.concatenate(ends), np.concatenate(vals)
-        order = np.argsort(ends)
-        return ends[order], vals[order]
+    def _panels(self, f: dict):
+        """``_bisect``'s evaluation of the panels [lo, hi].  Besides f's
+        own rounding, each node sits within eps |mid| of its exact place,
+        which moves f by up to eps |mid| times its variation."""
+        fv, half, mid = _kronrod_nodes(self._fvec, f["lo"], f["hi"])
+        k, err, rounding = _kronrod(
+            fv, half, np.abs(mid) * np.abs(np.diff(fv, axis=1)).sum(axis=1))
+        ok = (err <= self.tol * np.maximum(1.0, np.abs(k))) | (err <= rounding)
+        return k, err, ok, k
 
     def _extend(self, target: float) -> tuple:
         """Checkpoints reaching at least ``target``; returns the (t, I)
@@ -157,6 +243,9 @@ class CachedPrefix:
         a = float(t_old[-1])  # a lattice point
         if target <= a:
             return state
+        if not target < MAX_LATTICE_PANELS * PANEL_WIDTH:
+            raise QuadratureFailure(f"F at {target!r} is past the prefix cache's "
+                                    f"{MAX_LATTICE_PANELS} quadrature panels")
         k = math.floor(target / PANEL_WIDTH) + 1  # k * PANEL_WIDTH > target
         edges = np.arange(round(a / PANEL_WIDTH), k + 1) * PANEL_WIDTH
         ks = [x for x in self._kinks(a, edges[-1]) if a < x < edges[-1]]
@@ -166,9 +255,16 @@ class CachedPrefix:
         chunk = 32768
         for lo in range(0, len(edges) - 1, chunk):
             e = edges[lo:lo + chunk + 1]
-            t, v = self._leaves(e[:-1], e[1:])
-            ends.append(t)
-            vals.append(v)
+            n = e.size - 1
+            p = _bisect(self._panels, _halve,
+                        {"row": np.arange(n), "lo": e[:-1], "hi": e[1:]},
+                        np.zeros(n, dtype=int))
+            if p.capped.any():
+                x0, x1 = p.fields["lo"][p.capped][0], p.fields["hi"][p.capped][0]
+                raise QuadratureFailure(f"panel [{x0:.17g}, {x1:.17g}] is unresolved")
+            order = np.argsort(p.fields["hi"])
+            ends.append(p.fields["hi"][order])
+            vals.append(p.value[order])
         state = (np.concatenate([t_old, *ends]),
                  np.concatenate([I_old, np.cumsum(np.concatenate(vals))[1:]]))
         self._state = state
@@ -189,18 +285,11 @@ class CachedPrefix:
         idx = np.searchsorted(t, s, side="right") - 1
         a = t[idx]
         out = I[idx].copy()
-        half = 0.5 * (s - a)
-        live = half > 0.0
+        live = s > a
         if np.any(live):
-            hl = half[live]
-            fv = self._at_nodes(a[live] + hl, hl, _X21)
-            out[live] += hl * _row_sums(fv, _W21)
+            fv, half, _ = _kronrod_nodes(self._fvec, a[live], s[live])
+            out[live] += half * _row_sums(fv, _WK)
         return out
-
-
-def _row_sums(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """fv @ w with row bits independent of the row count, unlike BLAS's."""
-    return np.einsum("ij,j->i", fv, w)
 
 
 class _ExactTablePrefix:
@@ -265,7 +354,7 @@ class _ReciprocalPrimitive:
     S_b(x) = integral_x^infinity u^(-b) sin u du.  S_b is evaluated by
 
     * power series on x < 1 (anchored at S_b(1)),
-    * one Gauss panel [x, k pi] plus cached values S_b(k pi) on 1 <= x < 13 pi,
+    * one Kronrod panel [x, k pi] plus cached values S_b(k pi) on 1 <= x < 13 pi,
     * repeated integration by parts for x >= 13 pi (asymptotic, term-decreasing).
     """
 
@@ -278,14 +367,15 @@ class _ReciprocalPrimitive:
         vals = np.empty(self._KMAX)
         vals[-1] = self._asym(float(self._edge[-1]))
         for k in range(self._KMAX - 2, -1, -1):
-            vals[k] = self._gl_sb(float(self._edge[k]), float(self._edge[k + 1])) + vals[k + 1]
+            vals[k] = (self._panel_sb(float(self._edge[k]), float(self._edge[k + 1]))
+                       + vals[k + 1])
         self._edge_vals = vals
-        self._sb1 = self._gl_sb(1.0, float(self._edge[0])) + float(vals[0])
+        self._sb1 = self._panel_sb(1.0, float(self._edge[0])) + float(vals[0])
 
-    def _gl_sb(self, a: float, b: float) -> float:
+    def _panel_sb(self, a: float, b: float) -> float:
         half = 0.5 * (b - a)
-        u = 0.5 * (a + b) + half * _X21
-        return half * float(np.dot(u ** (-self.b) * np.sin(u), _W21))
+        u = 0.5 * (a + b) + half * _XK
+        return half * float(np.dot(u ** (-self.b) * np.sin(u), _WK))
 
     def _asym(self, x: float) -> float:
         total = 0.0
@@ -336,7 +426,7 @@ class _ReciprocalPrimitive:
             return self._asym(x)
         if x >= 1.0:
             k = int(np.searchsorted(self._edge, x, side="left"))
-            return self._gl_sb(x, float(self._edge[k])) + float(self._edge_vals[k])
+            return self._panel_sb(x, float(self._edge[k])) + float(self._edge_vals[k])
         return self._series(x) + self._sb1
 
     def F_many(self, s):
@@ -469,17 +559,9 @@ def extended_real(x: float):
 
 
 class PrimitiveCalculus:
-    """All primitive and asymptotic calculus for one nonlinearity.
+    """All primitive and asymptotic calculus for one nonlinearity ``nl``."""
 
-    Parameters
-    ----------
-    nl : Nonlinearity
-    tol_quad : relative quadrature tolerance
-    max_depth : panel bisections allowed before the quadrature fails
-    """
-
-    def __init__(self, nl: Nonlinearity, tol_quad: float = TOL_QUAD,
-                 max_depth: int = 28):
+    def __init__(self, nl: Nonlinearity):
         self.nl = nl
 
         if isinstance(nl, CustomTable):
@@ -490,8 +572,7 @@ class PrimitiveCalculus:
         elif isinstance(nl, ReciprocalOscillation):
             backend = _ReciprocalPrimitive(nl.exponent)
         else:
-            backend = CachedPrefix(nl.eval_many, tol=tol_quad,
-                                   kinks=nl.kink_points, max_depth=max_depth)
+            backend = CachedPrefix(nl.eval_many, kinks=nl.kink_points)
         self.backend = backend
 
         # F- = integral max(-f, 0): exact for a table, 0 for f >= 0, and
@@ -507,8 +588,8 @@ class PrimitiveCalculus:
                 return sorted(ks)
 
             self._Fminus_many = CachedPrefix(
-                lambda s: np.maximum(-nl.eval_many(s), 0.0), tol=tol_quad,
-                kinks=kinks_split, max_depth=max_depth).F_many
+                lambda s: np.maximum(-nl.eval_many(s), 0.0),
+                kinks=kinks_split).F_many
 
         #: Lambda -> running extrema of F_Lambda (of F at Lambda = 1)
         self._extrema: dict = {}

@@ -55,7 +55,8 @@ from .errors import (
     StalledAtCriticalPoint,
 )
 from .nonlinearity import Nonlinearity, ZeroSequence
-from .primitives import _ROUNDING, PrimitiveCalculus, _row_sums
+from .primitives import (_SLICE, _WK, _XK, PrimitiveCalculus, _bisect, _halve,
+                         _kronrod, _row_sums)
 from .thresholds import Operator
 
 if TYPE_CHECKING:
@@ -404,41 +405,18 @@ def rescale_to_ball(res: ShootResult, R: float) -> float:
     return lam
 
 
-#: the 21-point Gauss-Kronrod rule on [-1, 1] and the weights of its
-#: embedded 10-point Gauss rule, zero off the Gauss nodes (QUADPACK
-#: ``qk21``; Piessens et al. 1983), from the nodes in [0, 1) down
-_HALF = np.array([
-    # node, Kronrod weight, Gauss weight
-    (0.99565716302580808074, 0.011694638867371874278, 0.0),
-    (0.97390652851717172008, 0.032558162307964727479, 0.066671344308688137594),
-    (0.93015749135570822600, 0.054755896574351996031, 0.0),
-    (0.86506336668898451073, 0.075039674810919952767, 0.14945134915058059315),
-    (0.78081772658641689706, 0.093125454583697605535, 0.0),
-    (0.67940956829902440623, 0.10938715880229764190, 0.21908636251598204400),
-    (0.56275713466860468334, 0.12349197626206585108, 0.0),
-    (0.43339539412924719080, 0.13470921731147332593, 0.26926671930999635509),
-    (0.29439286270146019813, 0.14277593857706008080, 0.0),
-    (0.14887433898163121088, 0.14773910490133849137, 0.29552422471475287017),
-    (0.0, 0.14944555400291690566, 0.0)])
-_XK = np.concatenate([-_HALF[:-1, 0], _HALF[::-1, 0]])
-_WK, _WG = (np.concatenate([_HALF[:-1, k], _HALF[::-1, k]]) for k in (1, 2))
 #: the 5-point Gauss rule on [0, 1] (weights summing to 2) that sums g
 #: over each gap between neighbouring Kronrod nodes, at most 0.075 q of
 #: the panel's range in s (0.15 at p = 2): where the 10-point rule
-#: resolves g on the whole panel, five points resolve it on such a gap
-_XGAP, _WGAP = np.polynomial.legendre.leggauss(5)
-_XGAP = 0.5 * (1.0 + _XGAP)
+#: resolves g on the whole panel, five points resolve it on such a gap;
+#: the literals are numpy's 5-point Gauss-Legendre rule, bit for bit
+_XGAP = 0.5 * (1.0 + np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                               0.5384693101056831, 0.906179845938664]))
+_WGAP = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                  0.4786286704993663, 0.23692688505618928])
 #: a time-map panel is accepted once its Kronrod and Gauss sums agree to
-#: this share of the Kronrod sum, or to rounding ...
+#: this share of the Kronrod sum, or to rounding
 TIME_MAP_TOL = 1e-13
-#: ... or, as unresolved, after this many bisections of its split panel
-TIME_MAP_MAX_DEPTH = 40
-#: ... or, also as unresolved, when its height has more panels left to
-#: bisect than this many plus the panels it started with
-TIME_MAP_MAX_PANELS = 1024
-#: panels per numpy call: 21 x 10 inner nodes of 8 bytes in a few arrays
-#: keep the working arrays of a slice under about 2 MB
-_TIME_MAP_SLICE = 512
 
 
 class TimeMap(NamedTuple):
@@ -465,70 +443,11 @@ def _weighted(nl: Nonlinearity, w: float):
     return g
 
 
-def _kronrod(fv: np.ndarray, half: np.ndarray, noise: np.ndarray):
-    """(Kronrod sum, gap, accepted) of panels of half-width ``half`` from
-    the integrand at their Kronrod nodes, one row per panel.
-
-    A panel is accepted when its Kronrod and Gauss sums agree to
-    TIME_MAP_TOL of the Kronrod sum or to its rounding level, and its gap
-    is the larger of the two.  The rounding level is _ROUNDING times the
-    weighted sum of |fv| plus ``noise``, the integrand's own rounding in
-    units of eps (per panel)."""
-    k, g = half * _row_sums(fv, _WK), half * _row_sums(fv, _WG)
-    err = np.abs(k - g)
-    rounding = _ROUNDING * (np.abs(half) * _row_sums(np.abs(fv), _WK) + noise)
+def _time_map_panels(k, err, rounding, kept):
+    """``_kronrod``'s panels for ``_bisect``: accepted at TIME_MAP_TOL of
+    |K| or at rounding, their gap the larger of err and rounding."""
     ok = (err <= TIME_MAP_TOL * np.abs(k)) | (err <= rounding)
-    return k, np.maximum(err, rounding), ok
-
-
-class _Panels(NamedTuple):
-    """Accepted panels of ``_bisect``: their fields, Kronrod sums, gaps
-    and kept values, whether each was accepted only at a limit, and the
-    bisections behind each."""
-
-    fields: dict
-    value: np.ndarray
-    err: np.ndarray
-    kept: np.ndarray
-    capped: np.ndarray
-    depth: np.ndarray
-
-
-def _bisect(evaluate, split, fields: dict, depth: np.ndarray) -> _Panels:
-    """Evaluate panels and bisect the rejected ones until none is left.
-
-    ``fields`` holds one array per panel field ("row" among them) and
-    ``depth`` the bisections behind each panel so far.  ``evaluate`` maps
-    a slice of the fields to (Kronrod sum, gap, accepted, a value kept per
-    panel), and ``split`` maps the rejected panels' fields and kept values
-    to the fields of their two halves that change, all first halves
-    before all second halves; the others are copied.  A panel is accepted
-    as it is, and counted as capped, once bisected TIME_MAP_MAX_DEPTH
-    times here, when its gap is not finite, or when its height has more
-    panels to bisect than TIME_MAP_MAX_PANELS plus those it started with.
-    """
-    out = []
-    limit = depth + TIME_MAP_MAX_DEPTH
-    budget = np.bincount(fields["row"]) + TIME_MAP_MAX_PANELS
-    while depth.size:
-        parts = [evaluate({k: v[i:i + _TIME_MAP_SLICE] for k, v in fields.items()})
-                 for i in range(0, depth.size, _TIME_MAP_SLICE)]
-        value, err, ok, kept = (np.concatenate(x) for x in zip(*parts))
-        capped = ~ok & ((depth >= limit) | ~np.isfinite(err))
-        row = fields["row"]
-        crowded = np.bincount(row[~ok & ~capped], minlength=budget.size) > budget
-        capped |= ~ok & crowded[row]
-        done = ok | capped
-        out.append(({k: v[done] for k, v in fields.items()},
-                    value[done], err[done], kept[done], capped[done], depth[done]))
-        rejected = {k: v[~done] for k, v in fields.items()}
-        halves = split(rejected, kept[~done])
-        fields = {k: halves[k] if k in halves else np.tile(v, 2)
-                  for k, v in rejected.items()}
-        depth = np.tile(depth[~done] + 1, 2)
-        limit = np.tile(limit[~done], 2)
-    return _Panels({k: np.concatenate([f[k] for f, *_ in out]) for k in fields},
-                   *(np.concatenate([x[i] for x in out]) for i in range(1, 6)))
+    return k, np.maximum(err, rounding), ok, kept
 
 
 def time_map(cfg, heights: Sequence[float], nl: Nonlinearity,
@@ -572,8 +491,10 @@ def time_map(cfg, heights: Sequence[float], nl: Nonlinearity,
     limit, its disagreement over the smallest D).  The rounding level
     counts the rounding of f itself: eps times the height's largest |g|,
     and eps |s| |g'| from rounding s, summed into D from c.  A panel still
-    unresolved after TIME_MAP_MAX_DEPTH bisections is kept, its
-    disagreement in the gap, and the height is marked unresolved.
+    unresolved at a limit of ``primitives._bisect`` (MAX_BISECTIONS
+    bisections, or MAX_ROW_PANELS extra panels left in its height) is
+    kept, its disagreement in the gap, and the height is marked
+    unresolved.
     Each height's arithmetic depends on that height alone, so it gets the
     same bits alone or in any grid.
     """
@@ -610,6 +531,8 @@ def time_map(cfg, heights: Sequence[float], nl: Nonlinearity,
 
     # 1. the integral of g over each panel [lo, hi], resolved
     def g_nodes(f):
+        # from the midpoint, not from the ends as ``_kronrod_nodes`` does:
+        # the rows keep their bits
         half = 0.5 * (f["hi"] - f["lo"])
         mid = 0.5 * (f["hi"] + f["lo"])
         return g(mid[:, None] + half[:, None] * _XK), half, mid
@@ -620,20 +543,15 @@ def time_map(cfg, heights: Sequence[float], nl: Nonlinearity,
         # |g| (1 + sin s near -1 loses the rest) and eps |s| |g'|
         variation = np.abs(np.diff(gv, axis=1)).sum(axis=1)
         noise = 2.0 * np.abs(half) * f["scale"] + np.abs(mid) * variation
-        return (*_kronrod(gv, half, noise), variation)
-
-    def g_halves(f, _):
-        mid = 0.5 * (f["lo"] + f["hi"])
-        return {"lo": np.concatenate([f["lo"], mid]),
-                "hi": np.concatenate([mid, f["hi"]])}
+        return _time_map_panels(*_kronrod(gv, half, noise), variation)
 
     n = row.size   # each height's largest |g| on the nodes of its split panels
-    peak = np.concatenate([np.abs(g_nodes({k: v[i:i + _TIME_MAP_SLICE]
+    peak = np.concatenate([np.abs(g_nodes({k: v[i:i + _SLICE]
                                            for k, v in first.items()})[0]).max(axis=1)
-                           for i in range(0, n, _TIME_MAP_SLICE)])
+                           for i in range(0, n, _SLICE)])
     scale = np.maximum.reduceat(peak, np.searchsorted(row, np.arange(K)))
     first["scale"] = scale[row]
-    a = _bisect(g_panels, g_halves, first, np.zeros(n, dtype=int))
+    a = _bisect(g_panels, _halve, first, np.zeros(n, dtype=int))
 
     # D and the variation of g at the panel ends, summed from c; a bounce
     # where D reaches 0
@@ -690,8 +608,8 @@ def time_map(cfg, heights: Sequence[float], nl: Nonlinearity,
         noise = _row_sums(np.abs(phi) * (f["scale"][:, None] * ends[:, 1:]
                                          + f["c"][:, None] * Vn) / (e * Dn), _WK)
         center = _XK.size // 2
-        return (*_kronrod(phi, half, np.abs(half) * noise),
-                np.stack([Dn[:, center], Vn[:, center]], axis=1))
+        return _time_map_panels(*_kronrod(phi, half, np.abs(half) * noise),
+                                np.stack([Dn[:, center], Vn[:, center]], axis=1))
 
     def t_halves(f, center):
         mid = 0.5 * (f["t_lo"] + f["t_hi"])   # the center node: D, V known

@@ -384,6 +384,19 @@ def test_fractional_power_sin_diagram_passes_its_audit(tmp_path):
     assert audit["max_energy_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("c", [1e12, 1e300])
+def test_height_past_the_prefix_lattice_exits_compute(tmp_path, capsys, c):
+    """A height whose panel-cache primitive spans more lattice panels than
+    the cache builds is refused with one error line (exit 3), not a
+    memory error."""
+    cfg = write_cfg(tmp_path, nonlinearity={"kind": "power_sin", "r": 1.5},
+                    geometry={"N": 2, "R": 1.0},
+                    scan={"c_min": c, "c_max": c, "points": 1})
+    assert main(["diagram", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "quadrature panels" in err[0], err
+
+
 def test_lambda_star_brackets_straddling_a_zero(tmp_path):
     # Rows on either side of the touch zero alpha_2 straddle both levels;
     # lambda(c) has a pole there, so the crossing is bracketed between the
@@ -756,3 +769,14 @@ def test_cli_import_leaves_test_extras_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """The quadrature rules are literals: the runtime never loads
+    numpy.polynomial."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, oscillap.cli; print('numpy.polynomial' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -16,12 +16,17 @@ from oscillap.nonlinearity import (
     ReciprocalOscillation,
 )
 from oscillap.primitives import (
+    MAX_LATTICE_PANELS,
+    PANEL_WIDTH,
     TOL_QUAD,
     CachedPrefix,
     PrimitiveCalculus,
     _PowerSinPrimitive,
+    _WG,
+    _WK,
+    _XK,
 )
-from oscillap.shoot_plap import HeightPrimitives
+from oscillap.shoot_plap import _WGAP, _XGAP, HeightPrimitives
 from oscillap.thresholds import Operator, TailLimits
 
 from helpers import tabulate
@@ -208,14 +213,53 @@ def test_reciprocal_primitive_frozen_oracle():
 
 
 def test_quadrature_budget_exhaustion_raises():
-    pc = PrimitiveCalculus(PowerTimesOnePlusSin(0.5),
-                           tol_quad=1e-16, max_depth=3)
+    """An integrand no bisection resolves (nan past s = 2) raises."""
+    cache = CachedPrefix(lambda s: np.where(s > 2.0, np.nan, s))
+    assert cache.F_many(np.array([0.5]))[0] == pytest.approx(0.125, rel=1e-15)
     with pytest.raises(QuadratureFailure):
-        pc.F(10.0)
+        cache.F_many(np.array([10.0]))
+
+
+@pytest.mark.parametrize("target", [1e12, 1e300, math.inf])
+def test_prefix_refuses_a_lattice_past_its_bound(target, monkeypatch):
+    """A point past MAX_LATTICE_PANELS panels is refused before the
+    lattice, the kinks or any integrand value is asked for."""
+    nl = PowerTimesOnePlusSin(1.5)
+
+    def untouched(*args):
+        raise AssertionError("asked for the lattice")
+
+    cache = CachedPrefix(untouched, kinks=untouched)
+    monkeypatch.setattr(np, "arange", untouched)
+    with pytest.raises(QuadratureFailure, match="quadrature panels"):
+        cache.F_many(np.array([1.0, target]))
+    monkeypatch.undo()
+    with pytest.raises(QuadratureFailure):
+        PrimitiveCalculus(nl).F_many(np.array([target]))
+    assert MAX_LATTICE_PANELS * PANEL_WIDTH < 1e12
+
+
+def test_kronrod_rule_degrees():
+    """The 21-point Kronrod rule integrates monomials exactly to degree 31
+    and its embedded 10-point Gauss rule to degree 19, not beyond."""
+    def error(w, k):
+        return abs(float(np.dot(_XK ** k, w)) - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+
+    assert max(error(_WK, k) for k in range(32)) < 1e-15
+    assert max(error(_WG, k) for k in range(20)) < 1e-15
+    assert error(_WK, 32) > 1e-12 and error(_WG, 20) > 1e-6
+    assert np.count_nonzero(_WG) == 10 and _XK.size == 21
+
+
+def test_gap_rule_is_numpy_leggauss():
+    """The time map's 5-point literals are leggauss(5) bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(5)
+    np.testing.assert_array_equal(_XGAP, 0.5 * (1.0 + x))
+    np.testing.assert_array_equal(_WGAP, w)
 
 
 def test_prefix_extension_stops_at_rounding_level():
-    """A GL21/GL10 disagreement at rounding level ends the refinement.
+    """A Kronrod/Gauss disagreement at rounding level ends the refinement.
 
     Near s = 7000 the node placement alone moves s^3 (1 + sin s) by about
     eps * s relative, far above a 1e-12 tolerance; bisecting such panels
