@@ -1,32 +1,28 @@
-"""Embedded Dormand-Prince 5(4) stepper: one trajectory or a batch of lanes.
+"""Embedded Dormand-Prince 5(4) stepper on a batch of lanes.
 
-The radial shooting problems integrate 2- or 3-component systems whose
-right-hand sides are a handful of float operations.  ``integrate`` works
-on plain tuples of floats; per-step overhead stays in the microsecond
-range, which a generic array-based solver cannot match for one
-trajectory.
+The radial shooting problems are 2- or 3-component systems whose
+right-hand sides are a handful of float operations.  ``integrate_batch``
+advances many independent trajectories (lanes) of the same system in
+lockstep on ``(components, lanes)`` arrays, so the per-step interpreter
+overhead is paid once per lockstep iteration rather than once per lane.
+Each lane keeps its own step size and controller state.  One trajectory
+is a batch of one lane: it takes the same steps as it would in any
+batch, at about 8 times the cost of a loop over plain floats, which the
+package does not keep (a command that shoots one height spends most of
+its wall time starting up).
 
-``integrate_batch`` advances many independent trajectories (lanes) of the
-same system in lockstep on ``(components, lanes)`` arrays, so the
-per-step interpreter overhead is paid once per lockstep iteration rather
-than once per lane.  Each lane keeps its own step size and controller
-state; it shares the tableau, error norm, controller constants and
-first-step heuristic with ``integrate``.
-
-Both integrators watch events by sign change between accepted steps,
-carrying each step's end values into the next step as its start values,
-and locate a fired event with one rule, ``_Illinois`` (the Illinois
-modified regula falsi; Dowell & Jarratt 1971; Shampine & Thompson 2000,
-"Event location for ordinary differential equations").  It brackets the
-crossing offset on exact RK5 steps of the trial size from the step start,
-which reuse the step's first stage, and returns the far end of its final
+Events are watched by sign change between accepted steps, carrying each
+step's end values into the next step as its start values.  A lane
+brackets the events fired over one step together and follows the
+earliest crossing, with one rule, ``_Illinois`` (the Illinois modified
+regula falsi; Dowell & Jarratt 1971; Shampine & Thompson 2000, "Event
+location for ordinary differential equations").  It brackets the crossing
+offset on exact RK5 steps of the trial size from the step start, which
+reuse the step's first stage, and returns the far end of its final
 bracket: the offset is past the crossing as the trajectory sees it, and
 the state there is the one the last far-side probe computed.  A fired
 event whose g does not change sign strictly across the step (g = 0 at an
 end, as when the flip is seen only through arming) keeps the step end.
-``integrate`` locates each fired event on its own and keeps the earliest;
-a batch lane brackets its fired events together and follows the earliest
-crossing.
 
 Where the probes run is what keeps them cheap in a batch.  A lane whose
 step fires an event stays at the step start, and its next lockstep steps
@@ -40,10 +36,10 @@ N = 2, tol 1e-10) from 0.24-0.25 s with the dense probe to 0.15-0.17 s
 probe together once the others are done, so they never keep the others
 off the no-event and all-lanes-move fast paths.
 
-Both integrators apply one end-or-restart rule at a fired event: the
-event's ``ends`` either ends the trajectory there or steps exactly onto
-it and restarts with a fresh first step, up to ``max_restarts`` times
-(see ``Event``).
+Each lane applies one end-or-restart rule at a fired event: the event's
+``ends`` either ends the trajectory there or steps exactly onto it and
+restarts with a fresh first step, up to ``max_restarts`` times (see
+``Event``).
 
 What a lockstep iteration costs is the number of numpy calls, not the
 arithmetic, so the batch keeps that number small without changing a bit
@@ -53,8 +49,8 @@ of any lane:
   and division by zero ignored), entered once rather than per right-hand
   side, and the caller's state comes back on return or raise;
 * each stage sum ``y + h * sum(a_j k_j)`` is accumulated in place, term by
-  term in the order ``_stages`` adds them, and then scaled and shifted in
-  place; IEEE products and sums commute, so this gives the bits of the
+  term in the order the tableau lists them, and then scaled and shifted
+  in place; IEEE products and sums commute, so this gives the bits of the
   out-of-place expression (a ``tensordot`` or fused sum would not).
 
 ``brentq`` is the bracketed root finder behind the zero and crossing
@@ -68,24 +64,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import NonConvergence, NonintegrableStep
 
-# Dormand-Prince coefficients
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# Dormand-Prince tableau: the nodes c2..c5, a21, and the weights of stages
+# 3-6, of the RK5 solution and of the fifth-minus-fourth order error as
+# (weight, stage index) terms, summed left to right
+_C_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
 _A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# fifth-minus-fourth order error weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+_A_TERMS = (((3 / 40, 0), (9 / 40, 1)),
+            ((44 / 45, 0), (-56 / 15, 1), (32 / 9, 2)),
+            ((19372 / 6561, 0), (-25360 / 2187, 1), (64448 / 6561, 2),
+             (-212 / 729, 3)),
+            ((9017 / 3168, 0), (-355 / 33, 1), (46732 / 5247, 2), (49 / 176, 3),
+             (-5103 / 18656, 4)))
+_B_TERMS = ((35 / 384, 0), (500 / 1113, 2), (125 / 192, 3), (-2187 / 6784, 4),
+            (11 / 84, 5))
+_E_TERMS = ((71 / 57600, 0), (-71 / 16695, 2), (71 / 1920, 3),
+            (-17253 / 339200, 4), (22 / 525, 5), (-1 / 40, 6))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -99,54 +98,7 @@ _H0_SHARE = 0.01
 _H0_FALLBACK = 1e-4
 _H0_FLOOR = 1e-12    # share of the span
 _H_UNDERFLOW = 1e-14  # relative to max(1, |t|)
-_MAX_STEPS = 500_000  # attempted steps per integration (per restart in a batch)
-
-# the same tableau as (weight, stage index) terms for the batched stepper,
-# summed in the order ``_stages`` and ``_step`` use, so a lane's stage
-# arithmetic is the scalar one
-_A_TERMS = (((_A21, 0),), ((_A31, 0), (_A32, 1)),
-            ((_A41, 0), (_A42, 1), (_A43, 2)),
-            ((_A51, 0), (_A52, 1), (_A53, 2), (_A54, 3)),
-            ((_A61, 0), (_A62, 1), (_A63, 2), (_A64, 3), (_A65, 4)))
-_C_NODES = (_C2, _C3, _C4, _C5)
-_B_TERMS = ((_B1, 0), (_B3, 2), (_B4, 3), (_B5, 4), (_B6, 5))
-_E_TERMS = ((_E1, 0), (_E3, 2), (_E4, 3), (_E5, 4), (_E6, 5), (_E7, 6))
-
-
-def _stages(f, t, y, h, k1):
-    """Stages k2..k6 and the 5th-order solution for one step of size h."""
-    n = len(y)
-    y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(n))
-    k2 = f(t + _C2 * h, y2)
-    y3 = tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n))
-    k3 = f(t + _C3 * h, y3)
-    y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-               for i in range(n))
-    k4 = f(t + _C4 * h, y4)
-    y5 = tuple(y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
-                           + _A54 * k4[i]) for i in range(n))
-    k5 = f(t + _C5 * h, y5)
-    y6 = tuple(y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                           + _A64 * k4[i] + _A65 * k5[i]) for i in range(n))
-    k6 = f(t + h, y6)
-    ynew = tuple(y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
-                             + _B5 * k5[i] + _B6 * k6[i]) for i in range(n))
-    return k2, k3, k4, k5, k6, ynew
-
-
-def _step(f, t, y, h, k1):
-    """One embedded step: returns (ynew, k7, per-component error estimate)."""
-    n = len(y)
-    _, k3, k4, k5, k6, ynew = _stages(f, t, y, h, k1)
-    k7 = f(t + h, ynew)
-    err = tuple(h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i]) for i in range(n))
-    return ynew, k7, err
-
-
-def _advance(f, t, y, h, k1):
-    """Fifth-order solution only, for event localization probes."""
-    return _stages(f, t, y, h, k1)[-1]
+_MAX_STEPS = 500_000  # attempted steps per lane and (re)start
 
 
 @dataclass
@@ -160,13 +112,13 @@ class Event:
     ``ends`` says what the trajectory does once the event fires: True ends
     it at the event, False steps exactly onto it and restarts there with a
     fresh first step and step budget, and a callable (t, y) -> bool decides
-    from the state at the event.  Both integrators apply this rule (the
-    batch per lane) and raise NonConvergence after ``max_restarts``
-    restarts.  For a batch, ``g`` and a callable ``ends`` take (lanes,)
-    times and (components, lanes) states and return one value per lane.
+    from the state at the event.  ``integrate_batch`` applies this rule
+    per lane and raises NonConvergence after ``max_restarts`` restarts.
+    ``g`` and a callable ``ends`` take (lanes,) times and (components,
+    lanes) states and return one value per lane.
     """
 
-    g: Callable[[float, Tuple[float, ...]], float]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     direction: int = 0
     ends: Union[bool, Callable] = True
 
@@ -175,158 +127,8 @@ class Event:
         return self.ends(t, y) if callable(self.ends) else self.ends
 
 
-@dataclass
-class IntegrateResult:
-    t: float
-    y: Tuple[float, ...]
-    event_index: int                # event that ended the trajectory; -1 at t_end
-    n_steps: int                    # attempted steps over all restarts
-    restarts: int                   # events passed through with a restart
-    error_accum: Tuple[float, ...]  # summed |local error| per component
-
-
 def _restarts_exhausted(max_restarts: int) -> NonConvergence:
     return NonConvergence(f"more than {max_restarts} restarts at events")
-
-
-def integrate(
-    f: Callable[[float, Tuple[float, ...]], Tuple[float, ...]],
-    t0: float,
-    y0: Tuple[float, ...],
-    t_end: float,
-    rtol: float,
-    scale: Sequence[float],
-    events: Sequence[Event] = (),
-    record: Optional[Callable[[float, Tuple[float, ...]], None]] = None,
-    max_restarts: int = 10_000,
-    event_tol: float = 1e-12,
-) -> IntegrateResult:
-    """Integrate y' = f(t, y) from t0 to t_end or the first ending event.
-
-    ``scale`` gives per-component magnitudes; the error test uses
-    tolerance rtol*(scale_i + |y_i|) per component.  A fired event is
-    located on exact RK5 re-steps from the step start, within
-    ``event_tol`` and on the far side of the crossing, and the state there
-    is the last far-side re-step's.  ``record`` is
-    called after every accepted step (and at every located event).  Raises
-    NonintegrableStep on step-size underflow and NonConvergence when the
-    step budget of a (re)start or the restarts run out.
-    """
-    t, y = t0, tuple(float(v) for v in y0)
-    err_total = [0.0] * len(y)
-    n_steps = restarts = 0
-    while True:
-        t, y, idx, steps, err = _segment(f, t, y, t_end, rtol, scale, events,
-                                         record, event_tol)
-        n_steps += steps
-        # each (re)start's error sum joins the total in order
-        err_total = [a + b for a, b in zip(err_total, err)]
-        if idx < 0 or events[idx].ends_at(t, y):
-            return IntegrateResult(t, y, idx, n_steps, restarts,
-                                   tuple(err_total))
-        restarts += 1
-        if restarts > max_restarts:
-            raise _restarts_exhausted(max_restarts)
-
-
-def _segment(f, t0, y0, t_end, rtol, scale, events, record, event_tol):
-    """One (re)start of ``integrate``: from (t0, y0) with a fresh first step
-    to t_end or the first fired event.
-
-    Returns (t, y, fired event index or -1 at t_end, attempted steps,
-    summed |local error| per component).
-    """
-    if not t_end > t0:
-        raise NonConvergence(f"empty integration span [{t0!r}, {t_end!r}]")
-    n = len(y0)
-    t, y = t0, y0
-    k1 = f(t, y)
-
-    # event values at the step start, carried over from the last step's end,
-    # and reference signs for arming; a sign of 0 means not yet armed
-    g0 = [ev.g(t, y) for ev in events]
-    signs = [_sign(g) for g in g0]
-
-    def tolv(a, b):
-        return tuple(rtol * (scale[i] + max(abs(a[i]), abs(b[i])))
-                     for i in range(n))
-
-    d0 = max(abs(y[i]) / scale[i] for i in range(n))
-    d1 = max(abs(k1[i]) / scale[i] for i in range(n))
-    h = (_H0_SHARE * d0 / d1 if d1 > 0 and d0 > 0
-         else (t_end - t0) * _H0_FALLBACK)
-    h = max(h, _H0_FLOOR * (t_end - t0))
-    h = min(h, t_end - t)
-
-    err_prev = 1.0
-    err_accum = [0.0] * n
-    steps = 0
-    while True:
-        if steps >= _MAX_STEPS:
-            raise NonConvergence(
-                f"integration exceeded {_MAX_STEPS} steps at t={t!r}",
-                best=(t, y))
-        if h < _H_UNDERFLOW * max(1.0, abs(t)):
-            raise NonintegrableStep(
-                f"step size underflow: h={h!r} at t={t!r}")
-        last = h >= t_end - t
-        if last:
-            h = t_end - t
-
-        ynew, k7, le = _step(f, t, y, h, k1)
-        steps += 1
-        tv = tolv(y, ynew)
-        err = math.sqrt(sum((le[i] / tv[i]) ** 2 for i in range(n)) / n)
-
-        if not err <= 1.0:   # a NaN error is a rejection too, as in the batch
-            h *= max(_MIN_FACTOR, _SAFETY * err ** _REJECT_EXP)
-            continue
-
-        # event scan over the accepted span: each fired event is located on
-        # its own, and the earliest wins
-        g1 = [ev.g(t + h, ynew) for ev in events]
-        hit = None
-        for idx, ev in enumerate(events):
-            s0 = signs[idx]
-            if (s0 == 0 or _sign(g1[idx]) == s0
-                    or (ev.direction != 0 and s0 != -ev.direction)):
-                continue
-            br = _Illinois(h, g0, g1, [idx], max(event_tol, 1e-15 * h), ynew)
-            while not br.done:
-                x = br.trial()
-                yx = _advance(f, t, y, x, k1)
-                br.update(x, {idx: float(ev.g(t + x, yx))}, yx)
-            if hit is None or br.hi < hit.hi:
-                hit = br
-
-        for i in range(n):
-            err_accum[i] += abs(le[i])
-
-        if hit is not None:
-            t_ev = t + hit.hi
-            if record is not None:
-                record(t_ev, hit.at_hi)
-            return t_ev, hit.at_hi, hit.event, steps, err_accum
-
-        t, y, k1, g0 = t + h, ynew, k7, g1
-        signs = [_sign(g) or s for g, s in zip(g1, signs)]
-        if record is not None:
-            record(t, y)
-        if last:
-            return t, y, -1, steps, err_accum
-
-        fac = _SAFETY * err ** -_ALPHA * err_prev ** _BETA if err > 0 else _MAX_FACTOR
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-        h = min(h, t_end - t)
-        err_prev = max(err, _ERR_FLOOR)
-
-
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
 
 
 #: Illinois iterations allowed per located event (about 5 are typical)
@@ -469,8 +271,6 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
         f"root finder did not converge in {maxiter} steps near x = {xcur!r}")
 
 
-# -- batched lockstep stepper ---------------------------------------------
-
 @dataclass
 class BatchResult:
     """Per-lane outcome of ``integrate_batch``, in input lane order."""
@@ -493,7 +293,9 @@ class BatchResult:
 
 
 def _first_steps(y, k1, scale, t, t_end):
-    """``integrate``'s first-step heuristic, one step per lane."""
+    """The first step of each lane: a 1% change of its scaled state over
+    its scaled slope, else a fixed share of its span, and never below a
+    floor share of it or past its end."""
     d0 = np.max(np.abs(y) / scale, axis=0)
     d1 = np.max(np.abs(k1) / scale, axis=0)
     span = t_end - t
@@ -527,13 +329,13 @@ def _shifted(y, h, terms, k):
 def _stages_batch(f, t, y, h, k):
     """Fill stages k[1:6] of a step of size h (k[0] given); return the RK5 solution.
 
-    ``k`` is a (7, components, lanes) buffer.  The arithmetic per lane is
-    that of ``_stages``.
+    ``k`` is a (7, components, lanes) buffer.
     """
-    k[1] = f(t + _C2 * h, y + h * _A21 * k[0])
-    for i in range(1, 4):
-        k[i + 1] = f(t + _C_NODES[i] * h, _shifted(y, h, _A_TERMS[i], k))
-    k[5] = f(t + h, _shifted(y, h, _A_TERMS[4], k))
+    # h * a21 first: ``_shifted`` would round (a21 k1) h, other bits
+    k[1] = f(t + _C_NODES[0] * h, y + h * _A21 * k[0])
+    for i in range(3):
+        k[i + 2] = f(t + _C_NODES[i + 1] * h, _shifted(y, h, _A_TERMS[i], k))
+    k[5] = f(t + h, _shifted(y, h, _A_TERMS[3], k))
     return _shifted(y, h, _B_TERMS, k)
 
 
@@ -595,13 +397,16 @@ def integrate_batch(
     ``y0`` is a (components, lanes) array, ``scale`` broadcasts to it, and
     ``t0`` holds one start per lane.  ``f`` and each event's ``g`` take a
     (lanes,) time and a (components, lanes) state of the lanes still
-    running; ``f`` returns one array per component.  Each lane follows
-    ``integrate``'s step control on its own: error test, PI controller,
-    step budget per (re)start, and the same event sign, arming and
-    end-or-restart rules.  A lane whose step fires an event stays at the
-    step start and its next lockstep steps are the exact RK5 probes of
-    ``integrate``'s Illinois rule; probes are not attempted steps (not in
-    ``n_steps``), add no local error and skip the step-size check.
+    running; ``f`` returns one array per component.  Each lane has its
+    own step control: the error test, with tolerance rtol*(scale_i +
+    max|y_i|) per component over the step, a PI controller, a step budget
+    per (re)start, and the event sign, arming and end-or-restart rules of
+    ``Event``; the other lanes change none of its decisions.  A lane
+    whose step fires an event stays at the step start and its next
+    lockstep steps are the exact RK5 probes of the Illinois rule, which
+    locates the event within ``event_tol`` on the far side of the
+    crossing; probes are not attempted steps (not in ``n_steps``), add no
+    local error and skip the step-size check.
     Finished lanes leave the working set; a lane whose fired events all end
     it unconditionally leaves it at once and probes with the other such
     lanes after the rest are done.  The whole batch
@@ -697,7 +502,7 @@ def _lockstep(f, t0, y0, t_end, rtol, scale, events, max_restarts, event_tol):
         n_ok = np.count_nonzero(ok)
         if n_ok < lane.size:
             rej = ~ok
-            # fmax, like the scalar max(), shrinks a NaN-error step by the floor
+            # fmax shrinks a NaN-error step by the floor
             h[rej] *= np.fmax(_MIN_FACTOR, _SAFETY * err[rej] ** _REJECT_EXP)
             if not n_ok and not pp.size:
                 continue

@@ -69,7 +69,7 @@ class Nonlinearity:
     has kinks (quadrature panels must not straddle them), where its zeros
     accumulate, and the leading term of its primitive toward 0 and infinity
     (``tail``).  ``eval_many`` extends f below 0 by f(0), as the radial
-    equations do once a trajectory passes its zero, so the batched
+    equations do once a trajectory passes its zero, so the shooting
     right-hand sides call it on any state.
     """
 

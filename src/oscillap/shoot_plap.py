@@ -10,12 +10,13 @@ whose level sets are the solutions at a given parameter.
 One shooting path serves both radial operators.  A shot config holds
 one operator's ODE: ``ShootConfig`` here for the p-Laplacian,
 ``PucciShootConfig`` in ``shoot_pucci`` for the maximal Pucci operator.
-Each supplies its origin series, its scalar and batched right-hand sides,
+Each supplies its origin series, its right-hand side on (lanes,) arrays,
 its events with their end-or-restart rules and its w -> v' map, and names
 its ``thresholds.Operator``, which owns the rest (the rescaling exponent,
 the primitives and the per-solution bound); ``shoot``, ``shoot_batch``,
 the necessary-conditions audit, the diagram rows, the CSV and the
-lambda-star refinement are shared.
+lambda-star refinement are shared.  Every shot runs on one integrator,
+``_rk.integrate_batch``: ``shoot`` is a batch of one height.
 
 At N = 1 a diagram does not shoot.  The radial equation is autonomous
 there, so the first zero of every height is the time map (``time_map``),
@@ -46,7 +47,7 @@ from typing import (TYPE_CHECKING, ClassVar, Iterator, List, NamedTuple,
 
 import numpy as np
 
-from ._rk import Event, brentq, integrate, integrate_batch
+from ._rk import Event, brentq, integrate_batch
 from .errors import (
     DomainError,
     EmptyGrid,
@@ -132,43 +133,27 @@ class ShootConfig:
         """v' from the flux w, for a float or an array."""
         return np.copysign(np.abs(w) ** (1.0 / (self.p - 1.0)), w)
 
-    def system(self, nl: Nonlinearity, batched: bool = False):
-        """(right-hand side, events) of the radial equation in (v, w, z).
+    def system(self, nl: Nonlinearity):
+        """(right-hand side, events) of the radial equation in (v, w, z),
+        on (lanes,) radii and (components, lanes) states for
+        ``integrate_batch``.
 
         The events are v = 0 (the first zero, which ends the shot) and
         w = 0 (a turning point: a bounce where f(v) <= 0 there, otherwise
-        integration continues through the tangency).  ``batched`` gives
-        the (lanes,)-array form for ``integrate_batch``.
+        integration continues through the tangency).
         """
-        lam, f0 = self.lambda_shoot, nl.f0
+        lam = self.lambda_shoot
         q = 1.0 / (self.p - 1.0)
         pq = 1.0 + q  # p/(p-1)
         nm1 = self.N - 1
-        if batched:
-            f_of = nl.eval_many   # f(0) below 0 already
+        f_of = nl.eval_many   # f(0) below 0 already
 
-            def rhs(r, y):
-                v, w = y[0], y[1]
-                aw = np.abs(w)
-                # at p = 2 the flux is the slope: copysign(|w|, w) is w
-                vp = w if q == 1.0 else np.copysign(aw ** q, w)
-                return (vp, -lam * f_of(v) - nm1 * w / r, nm1 * aw ** pq / r)
-        else:
-            feval = nl.eval
-
-            # v = +inf gives NaN, as in eval_many, so the step is rejected
-            def f_of(v):
-                return feval(v) if 0.0 < v < math.inf else (math.nan if v > 0.0 else f0)
-
-            def rhs(r: float, y: Tuple[float, ...]) -> Tuple[float, float, float]:
-                v, w, _ = y
-                aw = abs(w)
-                avp = aw ** q
-                vp = avp if w >= 0.0 else -avp
-                fv = feval(v) if 0.0 < v < math.inf else (math.nan if v > 0.0 else f0)
-                dw = -lam * fv - nm1 * w / r
-                dz = nm1 * aw ** pq / r
-                return (vp, dw, dz)
+        def rhs(r, y):
+            v, w = y[0], y[1]
+            aw = np.abs(w)
+            # at p = 2 the flux is the slope: copysign(|w|, w) is w
+            vp = w if q == 1.0 else np.copysign(aw ** q, w)
+            return (vp, -lam * f_of(v) - nm1 * w / r, nm1 * aw ** pq / r)
         return rhs, [Event(lambda t, y: y[0], direction=-1),
                      Event(lambda t, y: y[1], direction=0,
                            ends=lambda t, y: f_of(y[0]) <= 0.0)]
@@ -299,49 +284,29 @@ def shoot(cfg, nl: Nonlinearity) -> ShootResult:
     """Integrate outward from height c until v = 0, a bounce, or the horizon.
 
     ``cfg`` is either operator (``ShootConfig`` or ``PucciShootConfig``).
-    Starts on its symmetric origin series (the (N-1)/r term is singular at
-    r = 0) and watches its events: the first zero ends the shot as
-    HitZero, any other ending event as Bounced, and a restarting event is
-    stepped onto exactly and integrated on from, at most
-    ``cfg.max_restarts`` times.
+    The one-height ``shoot_batch``; raises StalledAtCriticalPoint where it
+    yields None.
     """
-    c = cfg.c
-    fc = nl.eval(c)
-    if abs(fc) <= STALL_TOL * max(1.0, c):
-        raise StalledAtCriticalPoint(c, fc)
-
-    rhs, events = cfg.system(nl)
-    r0, y, scale = cfg.series_start(fc)
-    rs: List[float] = [0.0, r0]
-    ys: List[Tuple[float, ...]] = [(c,) + (0.0,) * (len(y) - 1), y]
-
-    def rec(t: float, y: Tuple[float, ...]) -> None:
-        rs.append(t)
-        ys.append(y)
-
-    res = integrate(rhs, r0, y, cfg.r_max, rtol=cfg.tol_ode, scale=scale,
-                    events=events, record=rec, max_restarts=cfg.max_restarts,
-                    event_tol=cfg.event_tol)
-    slope = cfg.slope
-    return _result(cfg, _outcome(res.event_index, res.t, res.y[0]),
-                   np.array(rs), np.array(ys).T,
-                   np.array([slope(s[1]) for s in ys]), res.n_steps,
-                   res.error_accum[0], res.restarts)
+    [res] = shoot_batch(cfg, [cfg.c], nl)
+    if res is None:
+        raise StalledAtCriticalPoint(cfg.c, nl.eval(cfg.c))
+    return res
 
 
 def shoot_batch(cfg, heights: Sequence[float],
                 nl: Nonlinearity) -> Iterator[Optional[ShootResult]]:
-    """``shoot`` at every height, all heights advancing as lanes of one batch.
+    """One shot per height, all heights advancing as lanes of one batch.
 
     ``cfg`` (either operator) gives everything but the height.  Yields
-    one result per height, in order, and None where ``shoot`` would raise
-    StalledAtCriticalPoint; a caller that audits and drops each trajectory
-    never holds all of them.  Each lane starts on the same origin series,
-    follows the same step control and events as ``shoot`` (restarting
-    where ``shoot`` does), and records every accepted step; only the event
-    offsets differ.  Both steppers probe events on exact RK5 steps through
-    one Illinois rule, so these differ only where numpy's array pow and
-    libm's pow round a step differently (about 1e-13 relative in rho).
+    one result per height, in order, and None where f(c) vanishes (to
+    STALL_TOL) and the trajectory never leaves c; a caller that audits and
+    drops each trajectory never holds all of them.  Each lane starts on
+    the operator's symmetric origin series (the (N-1)/r term is singular
+    at r = 0), records every accepted step and watches the operator's
+    events: the first zero ends the shot as HitZero, any other ending
+    event as Bounced, and a restarting event is stepped onto exactly and
+    integrated on from, at most ``cfg.max_restarts`` times.  A lane's
+    steps do not depend on the other lanes (``integrate_batch``).
     """
     cfgs = [replace(cfg, c=float(c)) for c in heights]
     lanes, starts, scales = [], [], []
@@ -357,7 +322,7 @@ def shoot_batch(cfg, heights: Sequence[float],
         yield from (None for _ in cfgs)
         return
 
-    rhs, events = cfg.system(nl, batched=True)
+    rhs, events = cfg.system(nl)
     res = integrate_batch(rhs, np.full(len(lanes), r0), np.array(starts).T,
                           cfg.r_max, cfg.tol_ode, np.array(scales).T,
                           events=events, max_restarts=cfg.max_restarts,

@@ -27,9 +27,8 @@ per-solution bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -87,36 +86,26 @@ class PucciShootConfig:
         """v' from the state's second component, which is v' itself."""
         return u
 
-    def system(self, nl: Nonlinearity, batched: bool = False):
-        """(right-hand side, events) of the switched equation in (v, v').
+    def system(self, nl: Nonlinearity):
+        """(right-hand side, events) of the switched equation in (v, v'),
+        on (lanes,) radii and (components, lanes) states for
+        ``integrate_batch``.
 
         The events are v = 0 (the first zero) and v' = 0 (a bounce), which
         end the shot, and, when Lambda > 1, the diffusion switch q = 0,
         stepped onto exactly and restarted from.  At Lambda = 1 the
         right-hand side has no kink, so a shot restarts nowhere and
-        reports no switches.  ``batched`` gives the (lanes,)-array form for
-        ``integrate_batch``.
+        reports no switches.
         """
-        Lam, lam, f0 = self.Lambda, self.lambda_shoot, nl.f0
+        Lam, lam = self.Lambda, self.lambda_shoot
         nm1 = self.N - 1
-        if batched:
-            def qval(r, y):   # eval_many is f(0) below 0 already
-                return lam * nl.eval_many(y[0]) + nm1 * y[1] / (Lam * r)
 
-            def rhs(r, y):
-                q = qval(r, y)
-                return (y[1], np.where(q >= 0.0, -Lam * q, -q / Lam))
-        else:
-            feval = nl.eval
+        def qval(r, y):   # eval_many is f(0) below 0 already
+            return lam * nl.eval_many(y[0]) + nm1 * y[1] / (Lam * r)
 
-            def qval(r: float, y: Tuple[float, ...]) -> float:
-                v, u = y  # v = +inf gives NaN, as in eval_many
-                fv = feval(v) if 0.0 < v < math.inf else (math.nan if v > 0.0 else f0)
-                return lam * fv + nm1 * u / (Lam * r)
-
-            def rhs(r: float, y: Tuple[float, ...]) -> Tuple[float, float]:
-                q = qval(r, y)
-                return (y[1], -Lam * q if q >= 0.0 else -q / Lam)
+        def rhs(r, y):
+            q = qval(r, y)
+            return (y[1], np.where(q >= 0.0, -Lam * q, -q / Lam))
         events = [Event(lambda t, y: y[0], direction=-1),   # first zero
                   Event(lambda t, y: y[1], direction=+1)]   # v' back to 0
         if Lam > 1.0:

@@ -25,7 +25,6 @@ from oscillap import (
     PureSine,
     ReciprocalOscillation,
     ShootConfig,
-    StalledAtCriticalPoint,
     TailLimits,
     TruncatedNonlinearity,
     assemble_energy,
@@ -36,10 +35,10 @@ from oscillap import (
     lambda_n_sequence,
     minimize,
     propose_gammas,
-    pucci_shoot,
     radial_grid,
     rescale_to_ball,
     shoot,
+    shoot_batch,
 )
 from oscillap.variational import _energy_gradient
 
@@ -164,28 +163,28 @@ def test_criterion_5_necessary_conditions_hold(existence_scan,
 
 
 def test_criterion_6_pucci_consistency():
-    # Lambda = 1 collapses to the Laplacian: match p=2 shoots on 50 cases
+    # Lambda = 1 collapses to the Laplacian: match p=2 shoots on 50 cases,
+    # one batch of each operator per dimension
     rng = np.random.default_rng(20260819)
+    cases = [(float(rng.uniform(0.5, 25.0)), int(rng.integers(1, 4)))
+             for _ in range(50)]
     worst = 0.0
-    for _ in range(50):
-        c = float(rng.uniform(0.5, 25.0))
-        N = int(rng.integers(1, 4))
-        a = shoot(ShootConfig(2.0, N, c, tol_ode=1e-11), NL)
-        b = pucci_shoot(PucciShootConfig(1.0, N, c, tol_ode=1e-11), NL)
-        assert isinstance(a.outcome, HitZero) and isinstance(b.outcome, HitZero)
-        worst = max(worst, abs(a.outcome.rho - b.outcome.rho) / a.outcome.rho)
+    for N in (1, 2, 3):
+        heights = [c for c, n in cases if n == N]
+        plap = shoot_batch(ShootConfig(2.0, N, 1.0, tol_ode=1e-11), heights, NL)
+        pucci = shoot_batch(PucciShootConfig(1.0, N, 1.0, tol_ode=1e-11),
+                            heights, NL)
+        for a, b in zip(plap, pucci):
+            assert isinstance(a.outcome, HitZero) and isinstance(b.outcome, HitZero)
+            worst = max(worst, abs(a.outcome.rho - b.outcome.rho) / a.outcome.rho)
     assert worst <= 1e-7
 
     # the weighted decay inequality holds along every Lambda = 2 trajectory
     pcL = PrimitiveCalculus(NL)
     checked = 0
-    for c in np.linspace(0.5, 25.0, 40):
-        try:
-            res = pucci_shoot(PucciShootConfig(2.0, 2, float(c),
-                                               tol_ode=1e-10), NL)
-        except StalledAtCriticalPoint:
-            continue
-        if isinstance(res.outcome, HitZero):
+    for res in shoot_batch(PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-10),
+                           np.linspace(0.5, 25.0, 40), NL):
+        if res is not None and isinstance(res.outcome, HitZero):
             d = check_necessary_conditions(res, pcL, 1.0)
             assert d.min_slack >= -1e-8
             checked += 1

@@ -1,8 +1,11 @@
-"""Batched lockstep shooting against the scalar single-trajectory path.
+"""Batched lockstep shooting: the one integrator on closed forms, and
+each lane against independent references.
 
-``shoot`` and ``pucci_shoot`` integrate one height at a time and stay the
-reference; the batched engine must reproduce their outcomes, and their
-lambdas to well inside the integration tolerance, lane by lane.
+Every shot runs on ``_rk.integrate_batch``; ``shoot`` and ``pucci_shoot``
+are batches of one height.  The engine is held to closed-form zeros and
+event locations.  A shot, or a diagram row at N >= 2, is held to the same
+height as a lane of another grid (alone, or among other heights); an
+N = 1 row, which comes from the time map, to a tighter shot.
 """
 
 import dataclasses
@@ -15,13 +18,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oscillap import _rk
-from oscillap._rk import Event, integrate, integrate_batch
+from oscillap._rk import Event, integrate_batch
 from oscillap.cli import main
-from oscillap.errors import (
-    NonConvergence,
-    NonintegrableStep,
-    StalledAtCriticalPoint,
-)
+from oscillap.errors import NonConvergence, NonintegrableStep
 from oscillap.nonlinearity import (
     EnvelopeTimesOnePlusSin,
     PowerTimesOnePlusSin,
@@ -40,13 +39,14 @@ from oscillap.shoot_plap import (
     shoot,
     shoot_batch,
 )
-from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
+from oscillap.shoot_pucci import PucciShootConfig
 
 from helpers import tabulate
 
 CANONICAL = PowerTimesOnePlusSin(1.0)
 CANONICAL_ZEROS = find_zeros(CANONICAL, 6)
-#: batched rows match scalar shots to this relative tolerance on lambda
+#: diagram rows match their reference shots to this relative tolerance on
+#: lambda
 ROW_RTOL = 1e-7
 TOL_ODE = 1e-10
 #: the p = 2 shot configs of the canonical scans below: N = 1 rows and
@@ -74,21 +74,10 @@ def test_batch_event_matches_closed_form_zero():
     np.testing.assert_allclose(res.t, math.pi / (2.0 * w), rtol=1e-9)
 
 
-def test_scalar_event_matches_closed_form_zero():
-    # the scalar stepper brackets the crossing on exact RK5 re-steps, so at
-    # a tight tolerance the zero lands within rounding of pi / (2 w), not a
-    # fixed event_tol past it
-    events = [Event(lambda t, y: y[0], direction=-1)]
-    for w in (0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0):
-        res = integrate(lambda t, y: (y[1], -y[2] ** 2 * y[0], 0.0),
-                        0.0, (1.0, 0.0, w), 50.0, 1e-13, (1.0, 1.0, 1.0),
-                        events=events, event_tol=1e-12)
-        assert res.event_index == 0
-        assert abs(res.t - math.pi / (2.0 * w)) <= 1e-13, w
-
-
 def test_batch_event_matches_closed_form_zero_tightly():
-    # the batch probes the same exact RK5 steps, each lane its own
+    # each lane brackets the crossing on exact RK5 steps from its step
+    # start, so at a tight tolerance the zero lands within rounding of
+    # pi / (2 w), not a fixed event_tol past it
     w = np.array([0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0])
     res = integrate_batch(lambda t, y: (y[1], -y[2] ** 2 * y[0], 0.0 * y[2]),
                           np.zeros(w.size),
@@ -101,27 +90,30 @@ def test_batch_event_matches_closed_form_zero_tightly():
 
 
 def test_located_event_costs_one_re_step_per_probe(monkeypatch):
-    # the state at a located event is the last far-side probe's, not one
-    # more RK5 step of the located size
-    calls = {"advance": 0, "probes": 0}
-    advance, update = _rk._advance, _rk._Illinois.update
+    # a step or a probe is 6 right-hand-side calls (the first stage is the
+    # last one's end), after one at the start: the state at a located
+    # event, and the first stage of the restart there, are the last
+    # far-side probe's, not one more RK5 step of the located size
+    calls = {"rhs": 0, "probes": 0}
+    update = _rk._Illinois.update
 
-    def counted_advance(*args):
-        calls["advance"] += 1
-        return advance(*args)
+    def rhs(t, y):
+        calls["rhs"] += 1
+        return _oscillator(t, y)
 
     def counted_update(self, *args):
         calls["probes"] += 1
         return update(self, *args)
 
-    monkeypatch.setattr(_rk, "_advance", counted_advance)
     monkeypatch.setattr(_rk._Illinois, "update", counted_update)
-    res = integrate(_oscillator, 0.0, (1.0, 0.0), 10.0, 1e-10, (1.0, 1.0),
-                    events=[Event(lambda t, y: y[0], 0, ends=False),
-                            Event(lambda t, y: y[1], 1)])
-    assert (res.event_index, res.restarts) == (1, 1)   # y' turns up at pi
+    res = integrate_batch(rhs, np.zeros(1), np.array([[1.0], [0.0]]), 10.0,
+                          1e-10, 1.0,
+                          events=[Event(lambda t, y: y[0], 0, ends=False),
+                                  Event(lambda t, y: y[1], 1)])
+    # y' turns up at pi, after one restart at pi / 2
+    assert (res.event_index[0], res.restarts[0]) == (1, 1)
     assert calls["probes"] > 0
-    assert calls["advance"] == calls["probes"]
+    assert calls["rhs"] == 1 + 6 * (res.n_steps[0] + calls["probes"])
 
 
 @pytest.mark.parametrize("root", [0.25, 0.7])
@@ -151,41 +143,32 @@ def _crossing(at):
 
 
 def _two_event_runs(events):
-    """One scalar run and one batch of rates 0.01 and 0.005 on [0, 1]: the
-    first step, 0.01 |y| / |y'| >= 1, spans [0, 1] and fires every event."""
-    rates = (0.01, 0.005)
-    one = [integrate(_slow_oscillator, 0.0, (1.0, 0.0, e), 1.0, 1e-10,
-                     (1.0, 1.0, 1.0), events=events, event_tol=1e-12)
-           for e in rates]
-    lanes = integrate_batch(_slow_oscillator, np.zeros(2),
-                            np.array([[1.0, 1.0], [0.0, 0.0], rates]), 1.0,
-                            1e-10, 1.0, events=events, event_tol=1e-12)
-    return one, lanes
+    """A batch of rates 0.01 and 0.005 on [0, 1]: the first step,
+    0.01 |y| / |y'| >= 1, spans [0, 1] and fires every event."""
+    return integrate_batch(_slow_oscillator, np.zeros(2),
+                           np.array([[1.0, 1.0], [0.0, 0.0], [0.01, 0.005]]),
+                           1.0, 1e-10, 1.0, events=events, event_tol=1e-12)
 
 
 def test_step_firing_two_events_ends_at_the_earlier_crossing():
-    # event 1 crosses first, so the batch must leave event 0's bracket
-    one, lanes = _two_event_runs([Event(_crossing(0.5), -1),
-                                  Event(_crossing(0.3), -1)])
-    for j, res in enumerate(one):
-        assert res.n_steps == lanes.n_steps[j] == 1
-        assert res.event_index == lanes.event_index[j] == 1
-        assert abs(lanes.t[j] - res.t) <= 1e-12
-        assert abs(res.t - 0.3) <= 1e-9
+    # event 1 crosses first, so each lane must leave event 0's bracket
+    lanes = _two_event_runs([Event(_crossing(0.5), -1),
+                             Event(_crossing(0.3), -1)])
+    assert list(lanes.n_steps) == [1, 1]
+    assert list(lanes.event_index) == [1, 1]
+    assert np.max(np.abs(lanes.t - 0.3)) <= 1e-9
 
 
 @pytest.mark.parametrize("early_ends", [True, False])
 def test_step_firing_an_ending_and_a_restarting_event(early_ends):
     # the earlier crossing (0.3) decides: it ends the run, or the run
     # restarts there and ends at the other crossing (0.5)
-    one, lanes = _two_event_runs([Event(_crossing(0.5), -1, ends=not early_ends),
-                                  Event(_crossing(0.3), -1, ends=early_ends)])
+    lanes = _two_event_runs([Event(_crossing(0.5), -1, ends=not early_ends),
+                             Event(_crossing(0.3), -1, ends=early_ends)])
     index, at, restarts = (1, 0.3, 0) if early_ends else (0, 0.5, 1)
-    for j, res in enumerate(one):
-        assert (res.event_index, res.restarts) == (index, restarts)
-        assert (lanes.event_index[j], lanes.restarts[j]) == (index, restarts)
-        assert abs(lanes.t[j] - res.t) <= 1e-12
-        assert abs(res.t - at) <= 1e-9
+    assert list(lanes.event_index) == [index, index]
+    assert list(lanes.restarts) == [restarts, restarts]
+    assert np.max(np.abs(lanes.t - at)) <= 1e-9
 
 
 def test_batch_lanes_finish_independently():
@@ -225,50 +208,47 @@ def test_scalar_and_batch_share_the_end_or_restart_rule():
     events = [Event(lambda t, y: y[0], 0, ends=False),
               Event(lambda t, y: y[1], 0, ends=lambda t, y: y[0] > 0.0)]
 
-    def scalar(budget):
-        return integrate(_oscillator, 0.0, (1.0, 0.0), 10.0, 1e-10, (1.0, 1.0),
-                         events=events, max_restarts=budget)
-
     def batch(budget):
         return integrate_batch(_oscillator, np.zeros(1), np.array([[1.0], [0.0]]),
                                10.0, 1e-10, 1.0, events=events,
                                max_restarts=budget)
 
-    one, lanes = scalar(3), batch(3)
-    assert (one.event_index, one.restarts) == (1, 3)
+    lanes = batch(3)
     assert (lanes.event_index[0], lanes.restarts[0]) == (1, 3)
-    assert abs(one.t - 2.0 * math.pi) <= 1e-8
-    assert abs(lanes.t[0] - one.t) <= 1e-8
-    for run in (scalar, batch):
-        with pytest.raises(NonConvergence,
-                           match=r"^more than 2 restarts at events$"):
-            run(2)
+    assert abs(lanes.t[0] - 2.0 * math.pi) <= 1e-8
+    with pytest.raises(NonConvergence, match=r"^more than 2 restarts at events$"):
+        batch(2)
 
 
-# -- batched rows equal scalar rows -----------------------------------------
+# -- diagram rows equal their heights' shots ----------------------------------
 
-def _scalar_lambda(cfg, nl, R=1.0):
-    """(outcome kind, lambda or nan) of one scalar shot; None when stalled."""
-    try:
-        res = shoot(cfg, nl)
-    except StalledAtCriticalPoint:
-        return None
-    if isinstance(res.outcome, HitZero):
-        return res.outcome.kind, rescale_to_ball(res, R)
-    return res.outcome.kind, math.nan
+def _shot_lambdas(cfg, heights, nl, R=1.0):
+    """(outcome kind, lambda or nan) of each height's shot, None where it
+    stalls, from one batch of ``cfg``'s shots."""
+    out = []
+    for res in shoot_batch(cfg, heights, nl):
+        if res is None:
+            out.append(None)
+        elif isinstance(res.outcome, HitZero):
+            out.append((res.outcome.kind, rescale_to_ball(res, R)))
+        else:
+            out.append((res.outcome.kind, math.nan))
+    return out
 
 
-def _assert_rows_match_scalar(nl, p, N, heights, zeros):
+def _assert_rows_match_shots(nl, p, N, heights, zeros):
     # N = 1 rows come from the time map, exact to quadrature accuracy, so
     # their reference is a tighter shot: at tol 1e-10 a p = 3 shot at
-    # c = 30 is 3.0e-7 off in lambda, at 1e-12 9.5e-10
+    # c = 30 is 3.0e-7 off in lambda, at 1e-12 9.5e-10.  N >= 2 rows come
+    # from a batch of their heights; the reference shoots them in the
+    # reverse order, so no lane keeps its place or its neighbours
     pc = PrimitiveCalculus(nl)
     op = ShootConfig(p, N, 1.0, tol_ode=TOL_ODE, event_tol=1e-10)
     dg = BifurcationDiagram.scan(op, nl, 1.0, heights, zeros, pc)
-    for row in dg.rows:
-        ref = _scalar_lambda(ShootConfig(p, N, row.c,
-                                         tol_ode=TOL_ODE if N > 1 else 1e-12,
-                                         event_tol=1e-10), nl)
+    ref_op = ShootConfig(p, N, 1.0, tol_ode=TOL_ODE if N > 1 else 1e-12,
+                         event_tol=1e-10)
+    refs = _shot_lambdas(ref_op, [row.c for row in dg.rows][::-1], nl)[::-1]
+    for row, ref in zip(dg.rows, refs):
         if ref is None:
             assert row.outcome == "Stalled"
             continue
@@ -290,7 +270,7 @@ _heights = st.lists(st.floats(0.5, 30.0), min_size=1, max_size=4)
                                         if _away_from(CANONICAL_ZEROS.alphas)(c)]))
 def test_batched_rows_match_scalar_power_sin(p, N, heights):
     if heights:
-        _assert_rows_match_scalar(CANONICAL, p, N, heights, CANONICAL_ZEROS)
+        _assert_rows_match_shots(CANONICAL, p, N, heights, CANONICAL_ZEROS)
 
 
 _waves = st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(0.2, 2.0),
@@ -311,7 +291,7 @@ def test_batched_rows_match_scalar_table(p, N, waves, heights):
     table = tabulate(
         lambda s: 1.0 + sum(a * math.sin(w * s + ph) for a, w, ph in waves),
         32.0, 32000)
-    _assert_rows_match_scalar(table, p, N, heights,
+    _assert_rows_match_shots(table, p, N, heights,
                               ZeroSequence((1e6,), "infinity"))
 
 
@@ -325,15 +305,26 @@ def test_batched_rows_match_scalar_through_bounces():
     dg = BifurcationDiagram.scan(op, nl, 1.0, heights, find_zeros(nl, 4), pc)
     kinds = {row.outcome for row in dg.rows}
     assert {"HitZero", "Bounced", "Stalled"} <= kinds
-    _assert_rows_match_scalar(nl, 2.0, 2, heights, find_zeros(nl, 4))
+    _assert_rows_match_shots(nl, 2.0, 2, heights, find_zeros(nl, 4))
+
+
+def _interleaved(heights):
+    """The heights with their midpoints between them, and the positions of
+    the heights in that grid."""
+    grid = np.sort(np.concatenate([heights, 0.5 * (heights[1:] + heights[:-1])]))
+    return grid, np.searchsorted(grid, heights)
 
 
 def test_pucci_batch_matches_scalar_shots():
+    # each lane, restarts included, against the same height in a grid with
+    # a new neighbour between every two heights
     heights = np.linspace(0.5, 30.0, 23)
     cfg = PucciShootConfig(2.0, 2, 1.0, tol_ode=TOL_ODE)
-    for c, res in zip(heights, shoot_batch(cfg, heights, CANONICAL)):
-        ref = pucci_shoot(PucciShootConfig(2.0, 2, float(c), tol_ode=TOL_ODE),
-                          CANONICAL)
+    grid, at = _interleaved(heights)
+    refs = list(shoot_batch(cfg, grid, CANONICAL))
+    for c, res, j in zip(heights, shoot_batch(cfg, heights, CANONICAL), at):
+        ref = refs[j]
+        assert ref.config.c == c
         assert res.outcome.kind == ref.outcome.kind
         assert res.q_sign_changes == ref.q_sign_changes
         assert res.outcome.rho == pytest.approx(ref.outcome.rho, rel=ROW_RTOL)
@@ -345,11 +336,15 @@ def test_pucci_batch_matches_scalar_shots():
     PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-10, event_tol=1e-10),
 ], ids=["p2-N1", "p3-N2", "pucci2-N2"])
 def test_batch_and_scalar_probe_alike(cfg):
-    # both steppers locate every event on exact RK5 steps through one
-    # Illinois rule, so the first zeros agree far inside event_tol
-    heights = [1.0, 2.5, 4.0, 6.0, 9.0, 13.0, 17.0, 22.0, 28.0]
-    for c, res in zip(heights, shoot_batch(cfg, heights, CANONICAL)):
-        ref = shoot(dataclasses.replace(cfg, c=c), CANONICAL)
+    # every lane locates its events on its own exact RK5 steps, so the
+    # first zeros of the same heights in two grids agree far inside
+    # event_tol
+    heights = np.array([1.0, 2.5, 4.0, 6.0, 9.0, 13.0, 17.0, 22.0, 28.0])
+    grid, at = _interleaved(heights)
+    refs = list(shoot_batch(cfg, grid, CANONICAL))
+    for c, res, j in zip(heights, shoot_batch(cfg, heights, CANONICAL), at):
+        ref = refs[j]
+        assert ref.config.c == c
         assert res.outcome.kind == ref.outcome.kind == "HitZero"
         assert res.outcome.rho == pytest.approx(ref.outcome.rho, rel=1e-13), c
 
@@ -394,6 +389,21 @@ def test_row_does_not_depend_on_the_rest_of_the_batch(c, p):
     assert within.outcome.rho == pytest.approx(alone.outcome.rho, rel=1e-10)
 
 
+@settings(max_examples=4, deadline=None)
+@given(c=st.floats(0.5, 30.0).filter(_away_from(CANONICAL_ZEROS.alphas)))
+def test_pucci_row_does_not_depend_on_the_rest_of_the_batch(c):
+    # a Lambda = 2 shot restarts at every diffusion switch, each lane on
+    # its own: one height alone is the same height in a 199-height grid
+    cfg = PucciShootConfig(2.0, 2, c, tol_ode=TOL_ODE)
+    alone = shoot(cfg, CANONICAL)
+    grid = np.sort(np.append(_GRID, c))
+    within = list(shoot_batch(cfg, grid, CANONICAL))[int(np.searchsorted(grid, c))]
+    assert alone.config.c == within.config.c == c
+    assert alone.outcome.kind == within.outcome.kind
+    assert alone.q_sign_changes == within.q_sign_changes
+    assert within.outcome.rho == pytest.approx(alone.outcome.rho, rel=1e-10)
+
+
 # -- lambda-star refinement ---------------------------------------------------
 # Each test runs at N = 1, where rows and refinement heights come from the
 # time map, and at N = 2, where they come from batches of shots.
@@ -428,11 +438,10 @@ def test_refined_crossings_sit_on_the_level():
         for level in levels:
             xs = dg.solutions_at(level)
             assert xs and [x.c for x in xs] == sorted(x.c for x in xs)
-            for x in xs:
+            refs = _shot_lambdas(P2[N], [x.c for x in xs], CANONICAL)
+            for x, ref in zip(xs, refs):
                 assert x.lam == pytest.approx(level, rel=1e-8)
                 assert x.zero_interval_index == CANONICAL_ZEROS.interval_index(x.c)
-                ref = _scalar_lambda(ShootConfig(2.0, N, x.c, tol_ode=TOL_ODE,
-                                                 event_tol=1e-10), CANONICAL)
                 assert ref[1] == pytest.approx(level, rel=ROW_RTOL)
 
 
@@ -561,7 +570,7 @@ def _reference_eval(nl, v):
 def _reference_system(op, nl):
     """(rhs, event functions, ends of the turning-point event or None) of
     the radial equations with f(0) below 0 by an explicit ``where``: the
-    reference for ``system(nl, batched=True)``."""
+    reference for ``system(nl)``."""
     lam, f0, nm1 = op.lambda_shoot, nl.f0, op.N - 1
 
     def f_of(v):
@@ -635,7 +644,7 @@ def test_lean_right_hand_sides_give_the_same_bits(spec, op, lanes):
     lanes = lanes + [(-1.0, 0.0, 0.5), (0.0, 0.0, 1.0), (-0.0, -0.0, 2.0)]
     v, w, r = (np.array(col) for col in zip(*lanes))
     y = np.array([v, w, np.abs(w)])[:2 if isinstance(op, PucciShootConfig) else 3]
-    rhs, events = op.system(nl, batched=True)
+    rhs, events = op.system(nl)
     ref_rhs, ref_gs, ref_ends = _reference_system(op, nl)
     with np.errstate(all="ignore"):
         got, want = rhs(r, y), ref_rhs(r, y)

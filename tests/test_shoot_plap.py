@@ -33,6 +33,7 @@ from oscillap.shoot_plap import (
     diagram_csv_lines,
     rescale_to_ball,
     shoot,
+    shoot_batch,
     time_map,
 )
 
@@ -78,8 +79,9 @@ TIME_MAP_LAMBDA = {1.0: 1.4201503793794764, 2.5: 1.3979212211641313,
 
 def test_tight_shots_match_the_time_map():
     errors = []
-    for c, lam in TIME_MAP_LAMBDA.items():
-        res = shoot(ShootConfig(2.0, 1, c, tol_ode=1e-13), CANONICAL)
+    shots = shoot_batch(ShootConfig(2.0, 1, 1.0, tol_ode=1e-13),
+                        list(TIME_MAP_LAMBDA), CANONICAL)
+    for res, lam in zip(shots, TIME_MAP_LAMBDA.values()):
         errors.append(abs(rescale_to_ball(res, 1.0) / lam - 1.0))
     assert np.median(errors) <= 6e-13
     assert max(errors) <= 1.5e-12
@@ -136,14 +138,15 @@ def test_time_map_1e_12_from_a_touch_zero():
 def test_time_map_flags_what_it_cannot_resolve():
     # the zeros of reciprocal_sin accumulate at 0, so no finite set of
     # panels resolves g below the last zero split: the height is marked
-    # unresolved, and its gap still bounds the error (tight shots are
-    # within 1e-12 here)
+    # unresolved, and its gap still bounds the error.  The references are
+    # the time map at 40 digits (mpmath), with the closed form
+    # F(s) = 2/3 s^(3/2) + Im(e^(-3 pi i/4) Gamma(-3/2, -i/s)) and the
+    # integral split where sin(1/s) = 0; tight shots are within 1e-12
     nl = ReciprocalOscillation(2.0)
-    heights = [0.3, 0.5]
-    maps = time_map(ShootConfig(2.0, 1, 1.0), heights, nl,
+    rhos = {0.3: 1.510658420432497037807907, 0.5: 1.012996839194852558879197}
+    maps = time_map(ShootConfig(2.0, 1, 1.0), list(rhos), nl,
                     find_zeros(nl, 8).alphas)
-    for c, m in zip(heights, maps):
-        ref = shoot(ShootConfig(2.0, 1, c, tol_ode=1e-12), nl).outcome.rho
+    for m, ref in zip(maps, rhos.values()):
         assert m.outcome == "HitZero" and not m.resolved
         assert abs(m.rho / ref - 1.0) <= m.gap
 
@@ -164,10 +167,10 @@ def test_time_map_outcomes_on_a_sign_changing_f():
     # among them), k pi stalls, and the rest hit zero like tight shots
     heights = [0.7, 2.0, math.pi, 3.6, 4.4, 5.2, 6.0, 7.5, 9.0]
     maps = time_map(ShootConfig(2.0, 1, 1.0), heights, PureSine())
-    for c, m in zip(heights, maps):
-        try:
-            res = shoot(ShootConfig(2.0, 1, c, tol_ode=1e-13), PureSine())
-        except StalledAtCriticalPoint:
+    shots = shoot_batch(ShootConfig(2.0, 1, 1.0, tol_ode=1e-13), heights,
+                        PureSine())
+    for c, m, res in zip(heights, maps, shots):
+        if res is None:   # the shot stalls
             assert m.outcome == "Stalled"
             continue
         if math.sin(c) < 0.0:   # the shot first rises above c

@@ -23,6 +23,7 @@ from oscillap.shoot_plap import (
     diagram_csv_lines,
     rescale_to_ball,
     shoot,
+    shoot_batch,
     time_map,
 )
 from oscillap.shoot_pucci import PucciShootConfig, pucci_shoot
@@ -102,11 +103,14 @@ def test_n1_pucci_is_the_p2_time_map_of_F_Lambda(nl, Lam):
     heights = np.linspace(0.7, 20.0, 12)
     maps = time_map(PucciShootConfig(Lam, 1, 1.0), heights, nl,
                     find_zeros(nl, 8).alphas)
-    for c, m in zip(heights, maps):
-        if nl.eval(c) < 0.0:   # the shot first rises above c: Bounced at c
+    rising = [nl.eval(c) < 0.0 for c in heights]
+    shots = iter(shoot_batch(PucciShootConfig(Lam, 1, 1.0, tol_ode=1e-13),
+                             [c for c, up in zip(heights, rising) if not up], nl))
+    for c, m, up in zip(heights, maps, rising):
+        if up:   # the shot first rises above c: Bounced at c
             assert m.outcome == "Bounced" and m.switches == 0
             continue
-        res = pucci_shoot(PucciShootConfig(Lam, 1, float(c), tol_ode=1e-13), nl)
+        res = next(shots)
         assert m.outcome == res.outcome.kind, c
         assert m.switches == res.q_sign_changes, c
         if m.outcome == "HitZero":
@@ -142,15 +146,19 @@ def test_n1_switches_count_the_sign_changes_of_f_below_c():
 
 def test_unit_ratio_matches_p2_shoots():
     rng = np.random.default_rng(5)
-    for _ in range(12):
-        c = float(rng.uniform(0.5, 60.0))
-        N = int(rng.integers(1, 4))
-        a = pucci_shoot(PucciShootConfig(1.0, N, c, tol_ode=1e-11), CANONICAL)
-        b = shoot(ShootConfig(2.0, N, c, tol_ode=1e-11), CANONICAL)
-        assert a.outcome.kind == b.outcome.kind
-        if isinstance(a.outcome, HitZero):
-            rel = abs(a.outcome.rho - b.outcome.rho) / b.outcome.rho
-            assert rel <= 1e-7
+    cases = [(float(rng.uniform(0.5, 60.0)), int(rng.integers(1, 4)))
+             for _ in range(12)]
+    for N in (1, 2, 3):
+        heights = [c for c, n in cases if n == N]
+        pucci = shoot_batch(PucciShootConfig(1.0, N, 1.0, tol_ode=1e-11),
+                            heights, CANONICAL)
+        plap = shoot_batch(ShootConfig(2.0, N, 1.0, tol_ode=1e-11), heights,
+                           CANONICAL)
+        for a, b in zip(pucci, plap):
+            assert a.outcome.kind == b.outcome.kind
+            if isinstance(a.outcome, HitZero):
+                rel = abs(a.outcome.rho - b.outcome.rho) / b.outcome.rho
+                assert rel <= 1e-7
 
 
 def test_switch_count_logged():
@@ -273,8 +281,9 @@ def test_lambda_star_crossings_on_pucci_scan():
         unresolved = []
         crossings = diag.solutions_at(level, unresolved)
         assert len(crossings) >= 5 and not unresolved
-        for x in crossings:
-            res = pucci_shoot(PucciShootConfig(2.0, 2, x.c, tol_ode=1e-12), CANONICAL)
+        shots = shoot_batch(PucciShootConfig(2.0, 2, 1.0, tol_ode=1e-12),
+                            [x.c for x in crossings], CANONICAL)
+        for res in shots:
             assert rescale_to_ball(res, 1.0) == pytest.approx(level, rel=1e-6)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oscillap._rk import brentq
 from oscillap.errors import DomainError, NonpositiveFbar
@@ -104,6 +104,10 @@ _finite = st.floats(-10.0, 10.0, allow_subnormal=False)
 @given(p=st.floats(1.05, 6.0), Lambda=st.floats(1.0, 8.0),
        R=st.floats(0.05, 20.0), L=st.tuples(_finite, _finite),
        c=st.floats(1e-3, 1e4), Gbar=st.floats(1e-6, 1e8))
+# libm's c ** 2.0 is one ulp from c * c here, and the Pucci bound two ulp
+# from a reference that squares c by multiplication
+@example(p=2.0, Lambda=1.1875, R=2.234375, L=(0.0, 0.0),
+         c=0.14887433898163122, Gbar=31.0)
 def test_operator_closed_forms_match_the_per_operator_formulas(p, Lambda, R, L,
                                                                c, Gbar):
     # the four closed forms, written out per operator
@@ -119,7 +123,7 @@ def test_operator_closed_forms_match_the_per_operator_formulas(p, Lambda, R, L,
     assert _within_ulp(plap.bound(c, Gbar, R),
                        (p - 1.0) * c ** p / (p * R ** p * Gbar))
     assert _within_ulp(pucci.bound(c, Gbar, R),
-                       c * c / (2.0 * Lambda * R ** 2 * Gbar))
+                       c ** 2.0 / (2.0 * Lambda * R ** 2 * Gbar))
 
     # Pucci at Lambda = 1 is the Laplacian, bit for bit
     one, two = Operator.pucci(1.0), Operator.p_laplacian(2.0)

@@ -36,12 +36,8 @@ def test_source_keys_are_the_code_objects_keys():
         _key(thresholds.Operator.exponent.fget)
     assert FUNCTIONS["thresholds.Operator.p_laplacian"][:3] == \
         _key(thresholds.Operator.p_laplacian.__func__)
-    # the batched and the scalar right-hand side share a qualified name
-    rhs = [v for q, v in FUNCTIONS.items()
-           if q.startswith("shoot_plap.ShootConfig.system.<locals>.rhs@")]
-    config = shoot_plap.ShootConfig(2.0, 1, 1.0)
-    assert sorted(v[:3] for v in rhs) == sorted(
-        _key(config.system(PureSine(), batched)[0]) for batched in (True, False))
+    assert FUNCTIONS["shoot_plap.ShootConfig.system.<locals>.rhs"][:3] == \
+        _key(shoot_plap.ShootConfig(2.0, 1, 1.0).system(PureSine())[0])
 
 
 def test_misses_flag_an_unlisted_function_and_a_stale_entry():

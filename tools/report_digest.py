@@ -19,7 +19,9 @@ of ``diagram.csv``, ``c`` and ``lambda`` of every lambda-star crossing in
 ``certificate.json`` (list positions dropped from the key, so
 ``thresholds.sequence.gamma`` lists every gamma), and ``lambda_bar`` and
 each item's ``gamma_n``, ``sup_norm``, ``energy`` and ``residual`` in
-``minimize.json``.
+``minimize.json``, and ``rho``, ``lambda_rescaled``,
+``rho_error_estimate``, ``n_steps`` and ``q_sign_changes`` in
+``trajectory.json``.
 It imports the package from this checkout's ``src``; its 168 runs take
 about 20 s on a 2-core VM.
 
@@ -191,7 +193,10 @@ VALUES = {"diagram.csv": (_csv_columns, ("rho", "lambda", "F_c", "Fbar_c",
           "analysis.json": (_json_leaves, None),
           "certificate.json": (_json_leaves, None),
           "minimize.json": (_json_leaves, ("gamma_n", "sup_norm", "energy",
-                                           "residual", "lambda_bar"))}
+                                           "residual", "lambda_bar")),
+          "trajectory.json": (_json_leaves, ("rho", "lambda_rescaled",
+                                             "rho_error_estimate", "n_steps",
+                                             "q_sign_changes"))}
 
 
 def _sha(data) -> str:
